@@ -91,6 +91,7 @@ class Check:
     description: str
     default_bound: int
     run: Callable[[int], tuple[str, list, str]]
+    min_bound: int = 0  # below it the check has nothing to compare
 
 
 def _pat_text(pats) -> str:
@@ -817,6 +818,7 @@ def _entries() -> list[Check]:
             "adjudicate the two printed increment exponents for front insertion on tail classes",
             9,
             _run_cor43,
+            min_bound=1,
         ),
         Check(
             "prop-4.4",
@@ -858,11 +860,25 @@ def available_checks() -> tuple[str, ...]:
     return tuple(sorted(CHECKS))
 
 
+class CheckBoundError(ValueError):
+    """A bound under which a selected check would have nothing to compare."""
+
+
+def _effective_bound(check: Check, bound: int | None) -> int:
+    effective = check.default_bound if bound is None else bound
+    if effective < check.min_bound:
+        raise CheckBoundError(
+            f"check {check.check_id} needs a bound of at least {check.min_bound};"
+            f" bound {effective} leaves it nothing to compare"
+        )
+    return effective
+
+
 def run_check(check_id: str, bound: int | None = None) -> CheckResult:
     if check_id not in CHECKS:
         raise KeyError(f"unknown check id {check_id!r}")
     check = CHECKS[check_id]
-    effective = check.default_bound if bound is None else bound
+    effective = _effective_bound(check, bound)
     start = time.perf_counter()
     status, witnesses, bound_text = check.run(effective)
     elapsed = time.perf_counter() - start
@@ -880,6 +896,8 @@ def run_checks(
         for check_id in selected:
             if check_id not in CHECKS:
                 raise KeyError(f"unknown check id {check_id!r}")
+    for check_id in selected:  # refuse the bound before any check runs
+        _effective_bound(CHECKS[check_id], bound)
     return [run_check(check_id, bound) for check_id in sorted(selected)]
 
 

@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .checks import CHECKS, CheckResult, run_checks, suite_passed
+from .checks import CHECKS, CheckBoundError, CheckResult, run_checks, suite_passed
 from .distributions import (
     DistributionReport,
     crossing_cfrac_series,
@@ -42,9 +42,16 @@ def _env_bound() -> int | None:
     if raw is None:
         return None
     try:
-        return int(raw)
+        bound = int(raw)
     except ValueError:
         raise CliError(f"PERMCROSS_BOUND must be an integer, got {raw!r}") from None
+    return _nonnegative_bound(bound, "PERMCROSS_BOUND")
+
+
+def _nonnegative_bound(bound: int, source: str) -> int:
+    if bound < 0:
+        raise CliError(f"{source} must be a nonnegative integer, got {bound}")
+    return bound
 
 
 def _parse_perm(text: str) -> Permutation:
@@ -233,10 +240,10 @@ def _format_verify_human(results: list[CheckResult]) -> str:
 
 def _cmd_verify(args) -> int:
     ids = args.checks or ["all"]
-    bound = args.bound if args.bound is not None else _env_bound()
+    bound = _nonnegative_bound(args.bound, "--bound") if args.bound is not None else _env_bound()
     try:
         results = run_checks("all" if ids == ["all"] else ids, bound)
-    except KeyError as exc:
+    except (KeyError, CheckBoundError) as exc:
         raise CliError(exc.args[0]) from None
     if args.json:
         for r in results:

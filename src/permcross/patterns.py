@@ -3,14 +3,17 @@
 A class is described declaratively by :class:`ClassSpec`: a size n, a set of
 forbidden patterns, and at most one positional constraint.  Enumeration is
 always in lexicographic order of the word, so streams are reproducible and
-diffable.  Two generators exist: a plain filter over all n! words (the
-oracle), and a pruned backtracking generator that abandons any prefix already
-containing a forbidden pattern; they must agree, and a test checks that they
-do for n <= 8.
+diffable.  :func:`class_words` has one path per kind of class: bare S_n comes
+from ``itertools.permutations``; S_n cut by one constraint from a
+backtracking generator (:func:`pruned_words`); and a pattern class from a
+generating tree that grows each size from the one below by prepending a
+first letter.  :func:`filtered_words`, a plain filter over all n! words, is
+the oracle the other paths are tested against.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -21,10 +24,13 @@ from .perm import Permutation, as_word
 CONSTRAINT_KINDS = ("one_at", "ends_with", "tail", "maxdrop_le")
 
 #: Hard enumeration bounds: classes with at least one forbidden pattern are
-#: exponentially small and may be walked with the pruned generator up to 12;
-#: anything backed by the full symmetric group stops at 10.
+#: exponentially small and are grown by the generating tree up to 12; anything
+#: backed by the full symmetric group stops at 10.
 FULL_GROUP_BOUND = 10
 PATTERN_CLASS_BOUND = 12
+#: The generating tree packs one letter per byte, so an explicit bound cannot
+#: take a pattern class past this size.
+MAX_PACKED_N = 255
 
 
 class BoundExceededError(RuntimeError):
@@ -188,7 +194,14 @@ def filtered_words(spec: ClassSpec) -> Iterator[tuple[int, ...]]:
 
 
 def pruned_words(spec: ClassSpec) -> Iterator[tuple[int, ...]]:
-    """Backtracking generator in lex order, pruning prefixes as early as possible."""
+    """Backtracking generator in lex order for a pattern-free constrained class.
+
+    S_n cut by one positional constraint: forced positions are filled with
+    their letter and the maxdrop bound prunes prefixes.  Pattern classes go
+    through the generating tree of :func:`class_words` instead.
+    """
+    if spec.forbidden:
+        raise ValueError("pruned_words enumerates pattern-free classes only")
     n = spec.n
     if n == 0:
         yield ()
@@ -207,41 +220,8 @@ def pruned_words(spec: ClassSpec) -> Iterator[tuple[int, ...]]:
         else:
             drop_bound = arg
     reserved = frozenset(forced.values())
-    pats = spec.forbidden
-    pats3 = frozenset(p for p in pats if len(p) == 3)
-    other = tuple(p for p in pats if len(p) != 3)
     word: list[int] = []
     used = [False] * (n + 1)
-
-    def completes_pattern(v: int) -> bool:
-        # does some forbidden pattern occur ending at the about-to-be-appended letter?
-        length = len(word)
-        if pats3 and length >= 2:
-            # rank the triple (x, y, v) in place; much hotter than the general path
-            for jj in range(1, length):
-                y = word[jj]
-                yv = y > v
-                for ii in range(jj):
-                    x = word[ii]
-                    triple = (
-                        1 + (x > y) + (x > v),
-                        1 + (y > x) + yv,
-                        1 + (v > x) + (v > y),
-                    )
-                    if triple in pats3:
-                        return True
-        for pat in other:
-            m = len(pat)
-            if m == 1:
-                return True
-            if length < m - 1:
-                continue
-            for idxs in combinations(range(length), m - 1):
-                vals = [word[t] for t in idxs]
-                vals.append(v)
-                if pattern_of(vals) == pat:
-                    return True
-        return False
 
     def rec(pos: int, min_unused: int) -> Iterator[tuple[int, ...]]:
         if pos > n:
@@ -255,8 +235,6 @@ def pruned_words(spec: ClassSpec) -> Iterator[tuple[int, ...]]:
             if fv is None and v in reserved:
                 continue
             if drop_bound is not None and pos - v > drop_bound:
-                continue
-            if pats and completes_pattern(v):
                 continue
             used[v] = True
             word.append(v)
@@ -272,12 +250,144 @@ def pruned_words(spec: ClassSpec) -> Iterator[tuple[int, ...]]:
     yield from rec(1, 1)
 
 
+def _prepend_rule(pat: tuple[int, ...]):
+    """How occurrences of ``std(pat[1:])`` forbid first letters.
+
+    Returns ``(bounds, jl, ju)``.  ``bounds[j]`` holds the indices of the
+    earlier letters of ``q = std(pat[1:])`` nearest to ``q[j]`` in value from
+    below and from above (-1 if none), so an occurrence is grown letter by
+    letter with one comparison on each side.  ``jl``/``ju`` index the letters
+    of q just below and just above ``pat[0]`` (-1 if none): a new first letter
+    ``a`` completes ``pat`` with an occurrence ``x`` exactly when
+    ``x[jl] < a <= x[ju]`` in the word before the shift.
+    """
+    r = pat[0]
+    q = tuple(v - (v > r) for v in pat[1:])
+    bounds = []
+    for j, v in enumerate(q):
+        below = [t for t in range(j) if q[t] < v]
+        above = [t for t in range(j) if q[t] > v]
+        bounds.append(
+            (max(below, key=q.__getitem__, default=-1), min(above, key=q.__getitem__, default=-1))
+        )
+    jl = q.index(r - 1) if r > 1 else -1
+    ju = q.index(r) if r <= len(q) else -1
+    return tuple(bounds), jl, ju
+
+
+def _first_letters(u: bytes, rules, drop_bound: int | None) -> int:
+    """Bitmask (bit a-1) of the letters a that may be prepended to the member u."""
+    k = len(u)
+    allowed = (1 << (k + 1)) - 1
+    for bounds, jl, ju in rules:
+        last = len(bounds) - 1
+        if last < 0:
+            return 0  # a pattern of length 1 is completed by any first letter
+        x = [0] * (last + 1)
+
+        def place(j: int, start: int) -> None:
+            # extend an occurrence of q in u by its letter j, at position >= start
+            nonlocal allowed
+            below, above = bounds[j]
+            floor = x[below] if below >= 0 else 0
+            ceil = x[above] if above >= 0 else k + 1
+            if j < last:
+                for i in range(start, k - last + j):
+                    v = u[i]
+                    if floor < v < ceil:
+                        x[j] = v
+                        place(j + 1, i + 1)
+                return
+            for v in u[start:]:
+                if floor < v < ceil:
+                    x[j] = v
+                    lo = x[jl] if jl >= 0 else 0
+                    hi = x[ju] if ju >= 0 else k + 1
+                    allowed &= ~((1 << hi) - (1 << lo))
+
+        place(0, 0)
+        if not allowed:
+            return 0
+    if drop_bound is not None:
+        # prepending a adds one to the drop of every letter below a, so a may
+        # not exceed the smallest letter whose drop is already at the bound
+        for i, v in enumerate(u, 1):
+            if i - v >= drop_bound:
+                allowed &= (1 << v) - 1
+    return allowed
+
+
+def _tree_words(spec: ClassSpec) -> Iterator[tuple[int, ...]]:
+    """Generating-tree enumeration of a pattern class, in lex order.
+
+    A classical class, and its intersection with a maxdrop bound, is closed
+    under deleting the first letter.  So size k is grown from the sorted
+    members u of size k-1 by prepending each allowed first letter a and
+    shifting the letters >= a up by one.  Looping over a outside and u inside
+    yields size k in lex order without a sort.  Each level is packed: the
+    words one letter per byte in one ``bytes`` object, shifted for all
+    members at once with ``bytes.translate``, and the masks of allowed first
+    letters in an array.  The last level is streamed and never stored;
+    ``one_at``, ``ends_with`` and ``tail`` filter it.
+    """
+    n = spec.n
+    drop_bound = keep = None
+    if spec.constraint is not None:
+        if spec.constraint[0] == "maxdrop_le":
+            drop_bound = spec.constraint[1]
+        else:
+            keep = _constraint_predicate(spec)
+    rules = [_prepend_rule(p) for p in spec.forbidden]
+    if n == 0:
+        yield ()
+        return
+    words = b""
+    masks = [_first_letters(words, rules, drop_bound)]
+    for k in range(1, n):
+        grown = bytearray()
+        grown_masks = array("Q") if n <= 64 else []  # a mask has n bits
+        for u in _children(words, masks, k):
+            grown += u
+            grown_masks.append(_first_letters(u, rules, drop_bound))
+        if not grown_masks:
+            return
+        words, masks = bytes(grown), grown_masks
+    for u in _children(words, masks, n):
+        w = tuple(u)
+        if keep is None or keep(w):
+            yield w
+
+
+def _children(words: bytes, masks, k: int) -> Iterator[bytes]:
+    """The size-k words grown from a packed level of size k-1, in lex order."""
+    width = k - 1
+    for a in range(1, k + 1):
+        shifted = words.translate(_shift_table(a))
+        head = bytes((a,))
+        bit = 1 << (a - 1)
+        for i, mask in enumerate(masks):
+            if mask & bit:
+                yield head + shifted[i * width : i * width + width]
+
+
+def _shift_table(a: int) -> bytes:
+    """``bytes.translate`` table raising every letter >= a by one."""
+    return bytes(range(a)) + bytes(range(a + 1, 256)) + b"\xff"
+
+
 def class_words(spec: ClassSpec, bound: int | None = None) -> Iterator[tuple[int, ...]]:
     """Lex-ordered stream of raw words in the class, bound-checked."""
     limit = default_bound(spec) if bound is None else bound
     if spec.n > limit:
         raise BoundExceededError(spec.n, limit)
-    if spec.forbidden or spec.constraint is not None:
+    if spec.forbidden:
+        if spec.n > MAX_PACKED_N:
+            raise ValueError(
+                f"pattern classes are enumerated one letter per byte; n={spec.n}"
+                f" exceeds {MAX_PACKED_N}"
+            )
+        return _tree_words(spec)
+    if spec.constraint is not None:
         return pruned_words(spec)
     return permutations(range(1, spec.n + 1))
 

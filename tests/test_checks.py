@@ -75,6 +75,13 @@ def test_all_checks_pass_at_small_bound():
         json.dumps(r.to_json())  # witnesses must be serializable
 
 
+def test_bound_below_a_checks_minimum_is_refused():
+    with pytest.raises(ValueError, match="at least 1"):
+        run_check("cor-4.3", bound=0)
+    with pytest.raises(ValueError, match="at least 0"):
+        run_check("catalan", bound=-1)
+
+
 def test_results_are_deterministic_modulo_runtime():
     a = run_check("fig-1").to_json()
     b = run_check("fig-1").to_json()

@@ -191,6 +191,28 @@ def test_verify_env_bound(capsys, monkeypatch):
     assert json.loads(out.strip())["bound"] == "n<=4"
 
 
+def test_verify_rejects_negative_bound(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, "verify", "catalan", "--bound", "-1")
+    assert code == 2 and out == ""
+    assert "--bound must be a nonnegative integer" in err
+    monkeypatch.setenv("PERMCROSS_BOUND", "-1")
+    code, out, err = run_cli(capsys, "verify", "catalan")
+    assert code == 2 and out == ""
+    assert "PERMCROSS_BOUND must be a nonnegative integer" in err
+    code, _, err = run_cli(capsys, "dist", "--stat", "crs", "--n", "2")
+    assert code == 2 and "PERMCROSS_BOUND" in err
+
+
+def test_verify_bound_that_leaves_cor43_no_rows_is_a_usage_error(capsys):
+    for argv in (["cor-4.3"], ["all"]):
+        code, out, err = run_cli(capsys, "verify", *argv, "--bound", "0")
+        assert code == 2 and out == ""
+        assert "cor-4.3 needs a bound of at least 1" in err
+    code, out, _ = run_cli(capsys, "verify", "cor-4.3", "--bound", "1", "--json")
+    assert code == 0
+    assert json.loads(out)["status"] == "pass"
+
+
 def test_verify_determinism(capsys):
     code, out1, _ = run_cli(capsys, "verify", "fig-1", "conj-2.7", "--bound", "4", "--json")
     code2, out2, _ = run_cli(capsys, "verify", "fig-1", "conj-2.7", "--bound", "4", "--json")

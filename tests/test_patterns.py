@@ -1,4 +1,4 @@
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -17,7 +17,13 @@ from permcross.patterns import (
     pattern_of,
     pruned_words,
 )
-from permcross.perm import Permutation, apply_symmetry, direct_sum
+from permcross.perm import (
+    SYMMETRIES,
+    Permutation,
+    apply_symmetry,
+    apply_symmetry_to_patterns,
+    direct_sum,
+)
 
 ALL3 = [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
 
@@ -100,35 +106,70 @@ def test_catalan_sizes_all_patterns():
             assert class_size(class_spec(n, avoid=[pat])) == comb(2 * n, n) // (n + 1)
 
 
+# the paper's four pattern pairs and their eight dihedral images each
+PAPER_PAIRS = [
+    ((1, 2, 3), (1, 3, 2)),
+    ((1, 2, 3), (2, 1, 3)),
+    ((2, 1, 3), (3, 1, 2)),
+    ((1, 3, 2), (3, 1, 2)),
+]
+ORACLE_PATTERN_SETS = [
+    pats for size in (1, 2, 3) for pats in combinations(ALL3, size)
+] + [((1,),), ((2, 1),), ((1, 2),), ((1, 2, 3, 4),), ((2, 4, 1, 3), (3, 1, 4, 2)), ((1, 3, 2), (4, 2, 3, 1))]
+
+
 @pytest.mark.parametrize(
     "spec",
     [
         class_spec(8),
         class_spec(8, avoid=[(3, 2, 1)]),
-        class_spec(8, avoid=[(1, 2, 3), (1, 3, 2)]),
         class_spec(8, avoid=[(2, 1, 3), (3, 1, 2)], tail=3),
         class_spec(8, one_at=3),
         class_spec(8, ends_with=5),
         class_spec(8, maxdrop_le=1),
         class_spec(8, avoid=[(2, 3, 1), (3, 2, 1)], maxdrop_le=2),
-    ],
+    ]
+    + sorted(
+        {
+            class_spec(8, avoid=apply_symmetry_to_patterns(tag, pair))
+            for pair in PAPER_PAIRS
+            for tag in SYMMETRIES
+        },
+        key=lambda s: s.forbidden,
+    ),
     ids=lambda s: f"{s.forbidden}/{s.constraint}",
 )
 def test_generators_agree_at_eight(spec):
-    assert list(pruned_words(spec)) == list(filtered_words(spec))
+    assert list(class_words(spec)) == list(filtered_words(spec))
+
+
+@pytest.mark.parametrize("pats", ORACLE_PATTERN_SETS, ids=str)
+def test_generators_agree_small_pattern_classes(pats):
+    for n in range(8):
+        spec = class_spec(n, avoid=pats)
+        assert list(class_words(spec)) == list(filtered_words(spec))
 
 
 def test_generators_agree_small_all_constraints():
-    for n in range(7):
-        specs = [class_spec(n), class_spec(n, avoid=[(2, 3, 1)]), class_spec(n, maxdrop_le=0)]
+    for n in range(8):
+        specs = [class_spec(n), class_spec(n, maxdrop_le=0)]
         if n >= 2:
-            specs += [
-                class_spec(n, avoid=[(1, 2, 3), (2, 1, 3)], one_at=2),
-                class_spec(n, tail=2),
-                class_spec(n, ends_with=2),
-            ]
+            specs += [class_spec(n, one_at=2), class_spec(n, tail=2), class_spec(n, ends_with=2)]
+        for pats in [((2, 3, 1),), ((1, 2, 3), (2, 1, 3)), ((2, 4, 1, 3), (3, 1, 4, 2))]:
+            specs += [class_spec(n, avoid=pats, maxdrop_le=d) for d in range(4)]
+            for k in range(1, n + 1):
+                specs += [
+                    class_spec(n, avoid=pats, one_at=k),
+                    class_spec(n, avoid=pats, ends_with=k),
+                    class_spec(n, avoid=pats, tail=k),
+                ]
         for spec in specs:
-            assert list(pruned_words(spec)) == list(filtered_words(spec))
+            assert list(class_words(spec)) == list(filtered_words(spec)), spec
+
+
+def test_pruned_words_refuses_pattern_classes():
+    with pytest.raises(ValueError, match="pattern-free"):
+        next(pruned_words(class_spec(4, avoid=[(3, 2, 1)])))
 
 
 def test_bounds():
@@ -139,6 +180,15 @@ def test_bounds():
     # explicit bound overrides
     stream = class_words(class_spec(11), bound=11)
     assert next(stream) == tuple(range(1, 12))
+
+
+def test_pattern_class_beyond_one_byte_letters_is_refused():
+    # the generating tree packs one letter per byte; the error comes before
+    # any enumeration
+    spec = class_spec(256, avoid=[(2, 1)])
+    with pytest.raises(ValueError, match="n=256 exceeds 255"):
+        class_words(spec, bound=256)
+    assert next(class_words(class_spec(255, avoid=[(2, 1)]), bound=255)) == tuple(range(1, 256))
 
 
 def test_length_one_pattern_empties_classes():
