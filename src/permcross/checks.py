@@ -752,6 +752,7 @@ def _entries() -> list[Check]:
             "crs over (123,132)-avoiders with 1 second-to-last (and the ends-with-2 twin) is (1+q)^(n-2)",
             10,
             _run_thm11,
+            min_bound=2,
         ),
         Check(
             "thm-1.2",
@@ -766,8 +767,15 @@ def _entries() -> list[Check]:
             "one-at-k distribution equals ends-with-k distribution of the rci-image class",
             8,
             _run_rel3,
+            min_bound=1,
         ),
-        Check("sym-transport", "f(S_n(T)) = S_n(f(T)) for all eight symmetries", 7, _run_sym_transport),
+        Check(
+            "sym-transport",
+            "f(S_n(T)) = S_n(f(T)) for all eight symmetries",
+            7,
+            _run_sym_transport,
+            min_bound=1,
+        ),
         Check("lem-2.1", "appending a new minimum changes crs by ut - lt", 7, _run_lem21),
         Check(
             "lem-2.2",
@@ -783,18 +791,21 @@ def _entries() -> list[Check]:
             "phi_1/psi_1 preserve crs; phi_2 adds 1 unless the last letter is the max",
             8,
             _run_prop25,
+            min_bound=1,
         ),
         Check(
             "thm-2.6",
             "one-at-1 distribution is F_n; one-at-2 is qF_n + (1-q)F_(n-1)",
             8,
             _run_thm26,
+            min_bound=1,
         ),
         Check(
             "conj-2.7",
             "open symmetry: one-at-k vs one-at-(n+1-k) distributions (finding, never gates)",
             9,
             _run_conj27,
+            min_bound=1,
         ),
         Check("thm-2.8", "F(312) * (1 - z F(231)) = 1 with enumerated coefficients", 9, _run_thm28),
         Check(
@@ -802,17 +813,43 @@ def _entries() -> list[Check]:
             "crs over (123,132)- and (123,213)-avoiders is ((1+q)^(n-1)-1+q)/q",
             10,
             _run_thm31,
+            min_bound=1,
         ),
-        Check("cor-3.2", "coefficient k of that distribution is [k=0] + C(n-1,k+1)", 10, _run_cor32),
-        Check("cor-3.4", "coefficient k of the one-at-2 distribution is C(n-2,k)", 10, _run_cor34),
+        Check(
+            "cor-3.2",
+            "coefficient k of that distribution is [k=0] + C(n-1,k+1)",
+            10,
+            _run_cor32,
+            min_bound=1,
+        ),
+        Check(
+            "cor-3.4",
+            "coefficient k of the one-at-2 distribution is C(n-2,k)",
+            10,
+            _run_cor34,
+            min_bound=2,
+        ),
         Check(
             "eq-4-6",
             "position-of-1 partition of the (123,132) class and its two slot identities",
             9,
             _run_eq46,
+            min_bound=2,
         ),
-        Check("eq-7", "(213,312)-avoiders split by starting or ending with 1", 9, _run_eq7),
-        Check("prop-4.1", "members starting with 1 reproduce the size-(n-1) distribution", 9, _run_prop41),
+        Check(
+            "eq-7",
+            "(213,312)-avoiders split by starting or ending with 1",
+            9,
+            _run_eq7,
+            min_bound=2,
+        ),
+        Check(
+            "prop-4.1",
+            "members starting with 1 reproduce the size-(n-1) distribution",
+            9,
+            _run_prop41,
+            min_bound=1,
+        ),
         Check(
             "cor-4.3",
             "adjudicate the two printed increment exponents for front insertion on tail classes",
@@ -825,8 +862,15 @@ def _entries() -> list[Check]:
             "tail-class recurrence with exponent min(k-1, n-1-k) against enumeration",
             9,
             _run_prop44,
+            min_bound=3,
         ),
-        Check("eq-8", "the full recurrence system for the (213,312) class", 9, _run_eq8),
+        Check(
+            "eq-8",
+            "the full recurrence system for the (213,312) class",
+            9,
+            _run_eq8,
+            min_bound=1,
+        ),
         Check(
             "thm-4.6",
             "crs over (213,231)- and (132,231)-avoiders equals tableau cell (n+1, 1)",
@@ -835,7 +879,13 @@ def _entries() -> list[Check]:
         ),
         Check("prop-5.1", "(321,231)-avoiders are exactly the maxdrop<=1 permutations", 9, _run_prop51),
         Check("inv-exc-crs", "inv = exc + crs on the (321,231) class", 9, _run_inv_exc_crs),
-        Check("eq-dokos", "inv distribution over the (321,231) class is (1+q)^(n-1)", 9, _run_eq_dokos),
+        Check(
+            "eq-dokos",
+            "inv distribution over the (321,231) class is (1+q)^(n-1)",
+            9,
+            _run_eq_dokos,
+            min_bound=1,
+        ),
         Check(
             "eq-chung",
             "adjudicate which class the printed des/inv rational series counts",
@@ -864,21 +914,21 @@ class CheckBoundError(ValueError):
     """A bound under which a selected check would have nothing to compare."""
 
 
-def _effective_bound(check: Check, bound: int | None) -> int:
-    effective = check.default_bound if bound is None else bound
-    if effective < check.min_bound:
-        raise CheckBoundError(
-            f"check {check.check_id} needs a bound of at least {check.min_bound};"
-            f" bound {effective} leaves it nothing to compare"
-        )
-    return effective
+def _refuse_low_bound(checks: Iterable[Check], bound: int | None) -> None:
+    """Raise CheckBoundError naming every check that ``bound`` leaves nothing to compare."""
+    low = [c for c in checks if bound is not None and bound < c.min_bound]
+    if low:
+        needs = ", ".join(f"{c.check_id} needs a bound of at least {c.min_bound}" for c in low)
+        them = "it" if len(low) == 1 else "them"
+        raise CheckBoundError(f"check {needs}; bound {bound} leaves {them} nothing to compare")
 
 
 def run_check(check_id: str, bound: int | None = None) -> CheckResult:
     if check_id not in CHECKS:
         raise KeyError(f"unknown check id {check_id!r}")
     check = CHECKS[check_id]
-    effective = _effective_bound(check, bound)
+    _refuse_low_bound([check], bound)
+    effective = check.default_bound if bound is None else bound
     start = time.perf_counter()
     status, witnesses, bound_text = check.run(effective)
     elapsed = time.perf_counter() - start
@@ -896,9 +946,9 @@ def run_checks(
         for check_id in selected:
             if check_id not in CHECKS:
                 raise KeyError(f"unknown check id {check_id!r}")
-    for check_id in selected:  # refuse the bound before any check runs
-        _effective_bound(CHECKS[check_id], bound)
-    return [run_check(check_id, bound) for check_id in sorted(selected)]
+    selected = sorted(selected)
+    _refuse_low_bound([CHECKS[c] for c in selected], bound)  # before any check runs
+    return [run_check(check_id, bound) for check_id in selected]
 
 
 def suite_passed(results: Sequence[CheckResult]) -> bool:

@@ -4,11 +4,13 @@ A class is described declaratively by :class:`ClassSpec`: a size n, a set of
 forbidden patterns, and at most one positional constraint.  Enumeration is
 always in lexicographic order of the word, so streams are reproducible and
 diffable.  :func:`class_words` has one path per kind of class: bare S_n comes
-from ``itertools.permutations``; S_n cut by one constraint from a
-backtracking generator (:func:`pruned_words`); and a pattern class from a
-generating tree that grows each size from the one below by prepending a
-first letter.  :func:`filtered_words`, a plain filter over all n! words, is
-the oracle the other paths are tested against.
+from ``itertools.permutations``; S_n cut by ``one_at``, ``ends_with`` or
+``tail`` from the permutations of the free letters with the fixed ones
+inserted; S_n under a maxdrop bound from a backtracking generator
+(:func:`pruned_words`); and a pattern class from a generating tree that
+grows each size from the one below by prepending a first letter.
+:func:`filtered_words`, a plain filter over all n! words, is the oracle the
+other paths are tested against.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Iterator, Sequence
 
-from .perm import Permutation, as_word
+from .perm import MAX_PACKED_N, Permutation, as_word
 
 CONSTRAINT_KINDS = ("one_at", "ends_with", "tail", "maxdrop_le")
 
@@ -28,9 +30,6 @@ CONSTRAINT_KINDS = ("one_at", "ends_with", "tail", "maxdrop_le")
 #: backed by the full symmetric group stops at 10.
 FULL_GROUP_BOUND = 10
 PATTERN_CLASS_BOUND = 12
-#: The generating tree packs one letter per byte, so an explicit bound cannot
-#: take a pattern class past this size.
-MAX_PACKED_N = 255
 
 
 class BoundExceededError(RuntimeError):
@@ -194,32 +193,17 @@ def filtered_words(spec: ClassSpec) -> Iterator[tuple[int, ...]]:
 
 
 def pruned_words(spec: ClassSpec) -> Iterator[tuple[int, ...]]:
-    """Backtracking generator in lex order for a pattern-free constrained class.
+    """Backtracking generator in lex order for S_n under a maxdrop bound.
 
-    S_n cut by one positional constraint: forced positions are filled with
-    their letter and the maxdrop bound prunes prefixes.  Pattern classes go
-    through the generating tree of :func:`class_words` instead.
+    The bound prunes every prefix that leaves the smallest unused letter no
+    position it may still take.  Pattern classes go through the generating
+    tree of :func:`class_words`, and the fixed-letter constraints through
+    :func:`_fixed_letter_words`.
     """
-    if spec.forbidden:
-        raise ValueError("pruned_words enumerates pattern-free classes only")
+    if spec.forbidden or (spec.constraint is not None and spec.constraint[0] != "maxdrop_le"):
+        raise ValueError("pruned_words enumerates pattern-free classes under a maxdrop bound only")
     n = spec.n
-    if n == 0:
-        yield ()
-        return
-    forced: dict[int, int] = {}
-    drop_bound: int | None = None
-    if spec.constraint is not None:
-        kind, arg = spec.constraint
-        if kind == "one_at":
-            forced[n + 1 - arg] = 1
-        elif kind == "ends_with":
-            forced[n] = arg
-        elif kind == "tail":
-            for i in range(1, arg + 1):
-                forced[n + 1 - i] = i
-        else:
-            drop_bound = arg
-    reserved = frozenset(forced.values())
+    drop_bound = None if spec.constraint is None else spec.constraint[1]
     word: list[int] = []
     used = [False] * (n + 1)
 
@@ -227,12 +211,8 @@ def pruned_words(spec: ClassSpec) -> Iterator[tuple[int, ...]]:
         if pos > n:
             yield tuple(word)
             return
-        fv = forced.get(pos)
-        candidates = (fv,) if fv is not None else range(1, n + 1)
-        for v in candidates:
+        for v in range(1, n + 1):
             if used[v]:
-                continue
-            if fv is None and v in reserved:
                 continue
             if drop_bound is not None and pos - v > drop_bound:
                 continue
@@ -248,6 +228,27 @@ def pruned_words(spec: ClassSpec) -> Iterator[tuple[int, ...]]:
             used[v] = False
 
     yield from rec(1, 1)
+
+
+def _fixed_letter_words(spec: ClassSpec) -> Iterator[tuple[int, ...]]:
+    """S_n cut by ``one_at``, ``ends_with`` or ``tail``, in lex order.
+
+    Each of these fixes a run of letters at fixed positions: 1 at position
+    n+1-k, k at the end, or the suffix k, k-1, ..., 1.  The words are the
+    permutations of the free letters with that run inserted; all words share
+    it, so the free letters' lex order is the words' lex order.
+    """
+    n = spec.n
+    kind, arg = spec.constraint
+    if kind == "one_at":
+        at, run = n - arg, (1,)
+    elif kind == "ends_with":
+        at, run = n - 1, (arg,)
+    else:
+        at, run = n - arg, tuple(range(arg, 0, -1))
+    free = [v for v in range(1, n + 1) if v not in run]
+    for rest in permutations(free):
+        yield rest[:at] + run + rest[at:]
 
 
 def _prepend_rule(pat: tuple[int, ...]):
@@ -387,9 +388,11 @@ def class_words(spec: ClassSpec, bound: int | None = None) -> Iterator[tuple[int
                 f" exceeds {MAX_PACKED_N}"
             )
         return _tree_words(spec)
-    if spec.constraint is not None:
+    if spec.constraint is None:
+        return permutations(range(1, spec.n + 1))
+    if spec.constraint[0] == "maxdrop_le":
         return pruned_words(spec)
-    return permutations(range(1, spec.n + 1))
+    return _fixed_letter_words(spec)
 
 
 def enumerate_class(spec: ClassSpec, bound: int | None = None) -> Iterator[Permutation]:

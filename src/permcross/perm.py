@@ -14,13 +14,20 @@ The statistics of interest pair positions with values through arcs i -> sigma(i)
 - an upper transient is an index i with sigma^-1(i) < i < sigma(i), a lower
   transient one with sigma(i) < i < sigma^-1(i).  Every lower transient index
   contributes a (lower) crossing pair.
+
+Each statistic exists twice.  The functions of :data:`STATISTICS` take one
+word; they are the public per-word API and the oracle.  :func:`stat_column`
+computes a statistic for a whole packed block of words at once, with lane
+arithmetic on big integers, and is what the distribution folds use.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 SYMMETRIES = ("id", "r", "c", "i", "rc", "ri", "ci", "rci")
 
@@ -211,7 +218,27 @@ def crossing_count(p) -> int:
 
 
 def nesting_count(p) -> int:
-    return nestings(p)[0]
+    """Nesting count only, by the same arc scans as :func:`crossing_count`."""
+    w = as_word(p)
+    n = len(w)
+    count = 0
+    inv = [0] * (n + 1)
+    for idx, v in enumerate(w):
+        inv[v] = idx + 1
+    for ii in range(n):
+        i = ii + 1
+        wi = w[ii]
+        if wi > i:
+            # upper nestings led by i: j in (i, w(i)) with j < w(j) < w(i)
+            for j in range(i + 1, wi):
+                if j < w[j - 1] < wi:
+                    count += 1
+        else:
+            # lower nestings led by i: values v < w(i) placed after i
+            for v in range(1, wi):
+                if inv[v] > i:
+                    count += 1
+    return count
 
 
 def transients(p) -> tuple[int, int]:
@@ -305,6 +332,195 @@ def stat_bundle(p) -> StatBundle:
         inv=inversion_count(w),
         maxdrop=max_drop(w),
     )
+
+
+# ---------------------------------------------------------------------------
+# column kernels over packed blocks
+
+#: Packed blocks hold one letter per byte, so no packed word is longer.
+MAX_PACKED_N = 255
+
+
+def stat_column(block: bytes, count: int, stat: str) -> Sequence[int]:
+    """One statistic of every word of a packed block, in block order.
+
+    A block is ``count`` words of one length n packed one letter per byte,
+    ``b"".join(map(bytes, words))``, so ``block[p::n]`` is the column of
+    letters at position p+1.  A column becomes one integer X_p with a lane per
+    word: one byte while every statistic fits, n(n-1)/2 <= 255 (n <= 23),
+    and two bytes up to ``MAX_PACKED_N``.  Each step then acts on the whole
+    block.  ``[w_i >= w_j]`` is the top bit of each lane of
+    ``(X_i | 0x80..) - X_j``; ``[w_p > c]`` is the same with c+1 in every lane
+    in place of X_j; ``[w_p == c]`` is a ``bytes.translate`` table.  The
+    statistic is a sum of 0/1 lanes.  The per-word functions of
+    :data:`STATISTICS` are the oracle the kernels are tested against.
+    Returns ``bytes`` for one-byte lanes, else an array.
+    """
+    if stat not in _LANE_KERNELS:
+        raise ValueError(f"unknown statistic {stat!r}; expected one of {sorted(STATISTICS)}")
+    lanes = _Lanes(block, count)
+    return lanes.unpack(_LANE_KERNELS[stat](lanes))
+
+
+def position_column(block: bytes, count: int, letter: int) -> Sequence[int]:
+    """The 1-based position of ``letter`` in every word of a packed block
+    (see :func:`stat_column`), 0 where a word does not contain it."""
+    lanes = _Lanes(block, count)
+    total = 0
+    for p, column in enumerate(lanes.columns, 1):
+        total += lanes.as_int(column.translate(_position_table(letter, p)))
+    return lanes.unpack(total)
+
+
+class _Lanes:
+    """A packed block cut into columns, with the lane integers built from it.
+
+    Comparisons come out in the top bit of each lane: ``x`` holds the
+    letters, ``xt`` the letters with the top bit set, and ``const(c)`` the
+    value c in every lane, so ``(xt[i] - x[j]) & top`` is [w_i >= w_j] and
+    ``(xt[p] - const(c)) & top`` is [w_p >= c].  ``>> shift`` turns top bits
+    into 0/1 lanes.
+    """
+
+    def __init__(self, block: bytes, count: int):
+        if count < 1 or len(block) % count:
+            raise ValueError(f"{len(block)} bytes do not pack {count} words of one length")
+        n = len(block) // count
+        if n > MAX_PACKED_N:
+            raise ValueError(f"packed words hold one letter per byte; n={n} exceeds {MAX_PACKED_N}")
+        self.n = n
+        self.count = count
+        self.width = 1 if n * (n - 1) // 2 <= 0xFF else 2
+        self.columns = [block[p::n] for p in range(n)]
+        self.ones = self.as_int(b"\x01" * count)
+        self.shift = 8 * self.width - 1
+        self.top = self.ones << self.shift
+        self.x = [self.as_int(c) for c in self.columns]
+        self.xt = [v | self.top for v in self.x]
+
+    def as_int(self, column: bytes) -> int:
+        """A column of byte values as a lane integer."""
+        if self.width == 2:
+            wide = bytearray(2 * len(column))
+            wide[::2] = column
+            column = wide
+        return int.from_bytes(column, "little")
+
+    def const(self, c: int) -> int:
+        return c * self.ones
+
+    def equal(self, p: int, c: int) -> int:
+        """[w_(p+1) == c] as 0/1 lanes."""
+        return self.as_int(self.columns[p].translate(_position_table(c, 1)))
+
+    def unpack(self, total: int) -> Sequence[int]:
+        raw = total.to_bytes(self.width * self.count, "little")
+        if self.width == 1:
+            return raw
+        values = array("H")
+        values.frombytes(raw)
+        if sys.byteorder == "big":
+            values.byteswap()
+        return values
+
+
+@lru_cache(maxsize=None)
+def _position_table(letter: int, position: int) -> bytes:
+    """``bytes.translate`` table: ``position`` for ``letter``, else 0."""
+    table = bytearray(256)
+    table[letter] = position
+    return bytes(table)
+
+
+# Each kernel maps a block's lanes to the lane sum of one statistic.  Positions
+# are 0-based in the code: column p holds the letters at position p+1.
+
+
+def _crs_lanes(b: _Lanes) -> int:
+    # (i, j) crosses when w_i < w_j and (w_i > j or w_j <= i)
+    x, xt, top, shift = b.x, b.xt, b.top, b.shift
+    bar = [b.const(c + 2) for c in range(b.n)]  # [w >= bar[c]] is [w > c+1]
+    total = 0
+    for j in range(1, b.n):
+        for i in range(j):
+            total += ((xt[j] - x[i]) & ((xt[i] - bar[j]) | ~(xt[j] - bar[i])) & top) >> shift
+    return total
+
+
+def _nes_lanes(b: _Lanes) -> int:
+    # (i, j) nests when w_i > w_j and (w_j > j or w_i <= i)
+    x, xt, top, shift = b.x, b.xt, b.top, b.shift
+    bar = [b.const(c + 2) for c in range(b.n)]
+    total = 0
+    for j in range(1, b.n):
+        for i in range(j):
+            total += ((xt[i] - x[j]) & ((xt[j] - bar[j]) | ~(xt[i] - bar[i])) & top) >> shift
+    return total
+
+
+def _inv_lanes(b: _Lanes) -> int:
+    x, xt, top, shift = b.x, b.xt, b.top, b.shift
+    return sum(((xt[i] - x[j]) & top) >> shift for j in range(1, b.n) for i in range(j))
+
+
+def _des_lanes(b: _Lanes) -> int:
+    x, xt, top, shift = b.x, b.xt, b.top, b.shift
+    return sum(((xt[p] - x[p + 1]) & top) >> shift for p in range(b.n - 1))
+
+
+def _exc_lanes(b: _Lanes) -> int:
+    xt, top, shift = b.xt, b.top, b.shift
+    return sum(((xt[p] - b.const(p + 2)) & top) >> shift for p in range(b.n))
+
+
+def _before(b: _Lanes, p: int) -> int:
+    """[the letter p+1 sits before position p+1] as 0/1 lanes."""
+    before = 0
+    for q in range(p):
+        before |= b.equal(q, p + 1)
+    return before
+
+
+def _ut_lanes(b: _Lanes) -> int:
+    # sigma^-1(i) < i < sigma(i)
+    xt, top, shift = b.xt, b.top, b.shift
+    return sum(
+        (((xt[p] - b.const(p + 2)) & top) >> shift) & _before(b, p) for p in range(b.n)
+    )
+
+
+def _lt_lanes(b: _Lanes) -> int:
+    # sigma(i) < i < sigma^-1(i); when sigma(i) < i the letter i is not at i,
+    # so it sits after i exactly when it does not sit before
+    xt, top, shift, ones = b.xt, b.top, b.shift, b.ones
+    return sum(
+        ((~(xt[p] - b.const(p + 1)) & top) >> shift) & (_before(b, p) ^ ones)
+        for p in range(b.n)
+    )
+
+
+def _maxdrop_lanes(b: _Lanes) -> int:
+    # max(i - sigma(i), 0) is the number of d >= 1 with some i - sigma(i) >= d
+    xt, top, shift = b.xt, b.top, b.shift
+    total = 0
+    for d in range(1, b.n):
+        missed = top  # top bit kept while no position has w_p <= p+1-d
+        for p in range(d, b.n):
+            missed &= xt[p] - b.const(p + 2 - d)
+        total += ((missed & top) ^ top) >> shift
+    return total
+
+
+_LANE_KERNELS: dict[str, Callable[[_Lanes], int]] = {
+    "crs": _crs_lanes,
+    "nes": _nes_lanes,
+    "ut": _ut_lanes,
+    "lt": _lt_lanes,
+    "exc": _exc_lanes,
+    "des": _des_lanes,
+    "inv": _inv_lanes,
+    "maxdrop": _maxdrop_lanes,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 
 from permcross.checks import (
     CHECKS,
+    CheckBoundError,
     CheckResult,
     available_checks,
     run_check,
@@ -80,6 +81,17 @@ def test_bound_below_a_checks_minimum_is_refused():
         run_check("cor-4.3", bound=0)
     with pytest.raises(ValueError, match="at least 0"):
         run_check("catalan", bound=-1)
+
+
+@pytest.mark.parametrize(
+    "check_id", [c.check_id for c in CHECKS.values() if c.min_bound > 0]
+)
+def test_bound_one_below_the_minimum_is_refused(check_id):
+    check = CHECKS[check_id]
+    assert check.default_bound >= check.min_bound
+    needs = f"{check_id} needs a bound of at least {check.min_bound}"
+    with pytest.raises(CheckBoundError, match=needs):
+        run_check(check_id, check.min_bound - 1)
 
 
 def test_results_are_deterministic_modulo_runtime():

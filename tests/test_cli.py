@@ -213,6 +213,13 @@ def test_verify_bound_that_leaves_cor43_no_rows_is_a_usage_error(capsys):
     assert json.loads(out)["status"] == "pass"
 
 
+def test_verify_bound_below_thm11_minimum_is_a_usage_error(capsys):
+    # thm-1.1 starts at n = 2, so bound 1 would compare nothing
+    code, out, err = run_cli(capsys, "verify", "thm-1.1", "--bound", "1")
+    assert code == 2 and out == ""
+    assert "thm-1.1 needs a bound of at least 2" in err
+
+
 def test_verify_determinism(capsys):
     code, out1, _ = run_cli(capsys, "verify", "fig-1", "conj-2.7", "--bound", "4", "--json")
     code2, out2, _ = run_cli(capsys, "verify", "fig-1", "conj-2.7", "--bound", "4", "--json")

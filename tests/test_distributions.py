@@ -1,7 +1,9 @@
+from collections import Counter
 from math import comb
 
 import pytest
 
+from permcross import distributions
 from permcross.distributions import (
     closed_form,
     crossing_cfrac_series,
@@ -10,16 +12,20 @@ from permcross.distributions import (
     dist,
     dist_poly,
     joint_dist,
+    joint_poly,
     qtableau_build,
     tableau_value,
     tableau_vs_class,
 )
-from permcross.patterns import class_spec
+from permcross.patterns import class_spec, class_words
+from permcross.perm import STATISTICS, crossing_count
 from permcross.polynomials import QPoly, YQPoly, ZSeries
 
 P123_132 = ((1, 2, 3), (1, 3, 2))
 P213_312 = ((2, 1, 3), (3, 1, 2))
 P321_231 = ((2, 3, 1), (3, 2, 1))
+P123_213 = ((1, 2, 3), (2, 1, 3))
+PAPER_PAIRS = (P123_132, P123_213, P213_312, ((1, 3, 2), (3, 1, 2)))
 
 
 def test_dist_examples():
@@ -44,6 +50,85 @@ def test_joint_dist_examples():
     single = joint_dist(class_spec(5, maxdrop_le=0), ("exc", "crs"))
     assert single.poly == YQPoly.one()
     assert single.cardinality == 1
+
+
+# ---------------------------------------------------------------------------
+# the block fold against a per-word reference fold
+
+
+def reference_dist(words, stat):
+    counts = Counter(STATISTICS[stat](w) for w in words)
+    top = max(counts) + 1 if counts else 0
+    return QPoly(tuple(counts[e] for e in range(top))), len(words)
+
+
+def reference_joint(words, stat_y, stat_q):
+    counts = Counter((STATISTICS[stat_y](w), STATISTICS[stat_q](w)) for w in words)
+    return YQPoly(tuple((ey, eq, c) for (ey, eq), c in counts.items())), len(words)
+
+
+def reference_profile(n, words):
+    by_pos1 = [Counter() for _ in range(n)]
+    by_last = [Counter() for _ in range(n)]
+    for w in words:
+        by_pos1[w.index(1)][crossing_count(w)] += 1
+        by_last[w[-1] - 1][crossing_count(w)] += 1
+    pack = lambda c: QPoly(tuple(c[e] for e in range(max(c) + 1 if c else 0)))
+    return [pack(c) for c in by_pos1], [pack(c) for c in by_last]
+
+
+def assert_folds_match(spec, bound=None, pairs=(("exc", "crs"),)):
+    words = list(class_words(spec, bound))
+    for stat in STATISTICS:
+        assert dist_poly(spec, stat, bound) == reference_dist(words, stat), stat
+    for stat_y, stat_q in pairs:
+        want = reference_joint(words, stat_y, stat_q)
+        assert joint_poly(spec, stat_y, stat_q, bound) == want, (stat_y, stat_q)
+    if spec.n and spec.constraint is None:
+        prof = crs_profile(spec.n, spec.forbidden, bound)
+        assert (list(prof.by_pos1), list(prof.by_last)) == reference_profile(spec.n, words)
+
+
+ALL_PAIRS = tuple((a, b) for a in STATISTICS for b in STATISTICS)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_folds_match_per_word_reference_on_the_group(n):
+    assert_folds_match(class_spec(n), pairs=ALL_PAIRS)
+
+
+@pytest.mark.parametrize("pats", PAPER_PAIRS, ids=str)
+def test_folds_match_per_word_reference_on_paper_pairs(pats):
+    for n in range(9):
+        assert_folds_match(class_spec(n, avoid=pats))
+    assert_folds_match(class_spec(7, avoid=pats, tail=2))
+
+
+@pytest.mark.parametrize("block", [120, 60, 119, 1])
+def test_fold_at_block_edges(monkeypatch, block):
+    # S_5 has 120 words: whole blocks at 120 and 60, one word past at 119
+    monkeypatch.setattr(distributions, "BLOCK_WORDS", block)
+    for fold in (dist_poly, joint_poly, crs_profile):
+        fold.cache_clear()
+    try:
+        assert_folds_match(class_spec(5))
+    finally:
+        for fold in (dist_poly, joint_poly, crs_profile):
+            fold.cache_clear()
+
+
+@pytest.mark.parametrize("n", [23, 24])
+def test_folds_across_the_lane_width_boundary(n):
+    # the decreasing word has inv 253 at n = 23 (one-byte lanes) and 276 at 24
+    down = class_spec(n, avoid=[(1, 2)])
+    assert dist_poly(down, "inv", n)[0] == QPoly.monomial(n * (n - 1) // 2)
+    for pats in ([(1, 2)], [(2, 1)]):
+        assert_folds_match(class_spec(n, avoid=pats), bound=n, pairs=ALL_PAIRS)
+
+
+def test_fold_refuses_words_past_the_packing_limit():
+    with pytest.raises(ValueError, match="n=256 exceeds 255"):
+        dist_poly(class_spec(256, maxdrop_le=0), "crs", 256)
 
 
 def test_report_serialization():

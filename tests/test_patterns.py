@@ -152,10 +152,9 @@ def test_generators_agree_small_pattern_classes(pats):
 
 def test_generators_agree_small_all_constraints():
     for n in range(8):
-        specs = [class_spec(n), class_spec(n, maxdrop_le=0)]
-        if n >= 2:
-            specs += [class_spec(n, one_at=2), class_spec(n, tail=2), class_spec(n, ends_with=2)]
-        for pats in [((2, 3, 1),), ((1, 2, 3), (2, 1, 3)), ((2, 4, 1, 3), (3, 1, 4, 2))]:
+        specs = []
+        for pats in [(), ((2, 3, 1),), ((1, 2, 3), (2, 1, 3)), ((2, 4, 1, 3), (3, 1, 4, 2))]:
+            specs += [class_spec(n, avoid=pats)]
             specs += [class_spec(n, avoid=pats, maxdrop_le=d) for d in range(4)]
             for k in range(1, n + 1):
                 specs += [
@@ -170,6 +169,8 @@ def test_generators_agree_small_all_constraints():
 def test_pruned_words_refuses_pattern_classes():
     with pytest.raises(ValueError, match="pattern-free"):
         next(pruned_words(class_spec(4, avoid=[(3, 2, 1)])))
+    with pytest.raises(ValueError, match="maxdrop bound only"):
+        next(pruned_words(class_spec(4, one_at=2)))
 
 
 def test_bounds():

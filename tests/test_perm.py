@@ -2,9 +2,13 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permcross.perm import (
     INVOLUTIONS,
+    MAX_PACKED_N,
+    STATISTICS,
     SYMMETRIES,
     apply_symmetry,
     compose_symmetries,
@@ -18,11 +22,14 @@ from permcross.perm import (
     invert,
     make_permutation,
     max_drop,
+    nesting_count,
     nestings,
     parse_word,
+    position_column,
     remove_value,
     skew_sum,
     stat_bundle,
+    stat_column,
     transients,
 )
 
@@ -94,6 +101,7 @@ def test_fast_count_matches_definition_exhaustively():
             oracle = oracle_crossing_pairs(w)
             assert crossing_count(w) == len(oracle)
             assert sorted(crossings(w)[1]) == sorted(oracle)
+            assert nesting_count(w) == nestings(w)[0]
 
 
 def test_fast_count_matches_definition_random_large():
@@ -104,6 +112,68 @@ def test_fast_count_matches_definition_random_large():
             rng.shuffle(base)
             w = tuple(base)
             assert crossing_count(w) == len(oracle_crossing_pairs(w))
+            assert nesting_count(w) == nestings(w)[0]
+
+
+# ---------------------------------------------------------------------------
+# column kernels over packed blocks, against the per-word statistics
+
+
+def pack(words):
+    return b"".join(map(bytes, words))
+
+
+def assert_columns_match(words):
+    block = pack(words)
+    for stat, fn in STATISTICS.items():
+        assert list(stat_column(block, len(words), stat)) == [fn(w) for w in words], stat
+    if words[0]:
+        want = [w.index(1) + 1 for w in words]
+        assert list(position_column(block, len(words), 1)) == want
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_stat_columns_match_per_word_statistics(n):
+    assert_columns_match(list(permutations(range(1, n + 1))))
+
+
+@pytest.mark.parametrize("n", [22, 23, 24, 25])
+def test_stat_columns_across_the_lane_width_boundary(n):
+    # one-byte lanes hold n(n-1)/2 up to n = 23; inv of the decreasing word
+    # is then 253, and 276 at n = 24 in two-byte lanes
+    words = [tuple(range(n, 0, -1)), tuple(range(1, n + 1))]
+    assert list(stat_column(pack(words), 2, "inv")) == [n * (n - 1) // 2, 0]
+    assert_columns_match(words)
+
+
+random_blocks = st.integers(10, 40).flatmap(
+    lambda n: st.lists(st.permutations(range(1, n + 1)), min_size=1, max_size=8)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_blocks)
+def test_stat_columns_match_on_random_words(words):
+    assert_columns_match([tuple(w) for w in words])
+
+
+def test_stat_columns_at_the_packing_limit():
+    n = MAX_PACKED_N
+    words = [tuple(range(n, 0, -1)), tuple(range(1, n + 1))]
+    assert_columns_match(words)
+
+
+def test_stat_column_rejects_bad_blocks():
+    with pytest.raises(ValueError, match="unknown statistic"):
+        stat_column(b"\x01", 1, "major")
+    with pytest.raises(ValueError, match="do not pack"):
+        stat_column(b"\x01\x02\x02", 2, "crs")
+    with pytest.raises(ValueError, match="do not pack"):
+        stat_column(b"", 0, "crs")
+    with pytest.raises(ValueError, match="n=256 exceeds 255"):
+        stat_column(bytes(256), 1, "crs")
+    # the empty word: every statistic is 0
+    assert list(stat_column(b"", 3, "maxdrop")) == [0, 0, 0]
 
 
 def test_transients():
