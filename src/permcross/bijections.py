@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .patterns import class_spec, class_words
+from .patterns import P213_312, class_spec, class_words
 from .perm import (
     Permutation,
     apply_symmetry,
@@ -212,7 +212,7 @@ def adjudicate_cor43(n_max: int, bound: int | None = None) -> Cor43Report:
         for k in range(1, n + 1):
             increments = set()
             size = 0
-            for w in class_words(class_spec(n, avoid=((2, 1, 3), (3, 1, 2)), tail=k), bound):
+            for w in class_words(class_spec(n, avoid=P213_312, tail=k), bound):
                 size += 1
                 increments.add(crossing_count(insert(w, 1, k + 1).word) - crossing_count(w))
             statement = min(k - 1, n - k)

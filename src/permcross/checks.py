@@ -2,11 +2,15 @@
 here against brute-force enumeration, and the CLI `verify` subcommand simply
 runs this registry.
 
-Each check returns (status, witnesses, bound_text).  Status is "pass", "fail",
-or "finding"; "finding" is reserved for the open symmetry question (check
-conj-2.7), which reports a counterexample without ever gating the suite.
-Checks are deterministic: random sampling uses fixed seeds derived from the
-check id.
+Each check is registered by a decorator that carries its id, description and
+default bound.  Most are an identity over n (:func:`_identity`) or a
+crossing-change law over words (:func:`_law`); the rest are plain functions
+of the bound (:func:`_check`).  A run returns (status, witnesses, bound_text),
+through :func:`_verdict` except for the adjudications cor-4.3 and eq-chung,
+which always report their record.  Status is "pass", "fail", or "finding";
+"finding" is reserved for the open symmetry question (check conj-2.7), which
+reports a counterexample without ever gating the suite.  Checks are
+deterministic: random sampling uses fixed seeds derived from the check id.
 """
 
 from __future__ import annotations
@@ -15,9 +19,9 @@ import random
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import chain, combinations, islice, permutations
 from math import comb
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .bijections import adjudicate_cor43, check_lemma, check_lemma42, phi, psi
 from .distributions import (
@@ -32,7 +36,19 @@ from .distributions import (
     tableau_value,
     tableau_vs_class,
 )
-from .patterns import ClassSpec, class_size, class_spec, class_words
+from .patterns import (
+    P123_132,
+    P123_213,
+    P132_231,
+    P213_231,
+    P213_312,
+    P321_213,
+    P321_231,
+    ClassSpec,
+    class_size,
+    class_spec,
+    class_words,
+)
 from .perm import (
     SYMMETRIES,
     apply_symmetry,
@@ -40,31 +56,23 @@ from .perm import (
     crossing_count,
     crossings,
     excedance_count,
+    format_word,
     inversion_count,
     nestings,
 )
 from .polynomials import QPoly, ZSeries
 
-ALL_LENGTH3 = (
-    (1, 2, 3),
-    (1, 3, 2),
-    (2, 1, 3),
-    (2, 3, 1),
-    (3, 1, 2),
-    (3, 2, 1),
-)
+#: The six length-3 patterns, in lex order.
+ALL_LENGTH3 = tuple(permutations((1, 2, 3)))
 
-P123_132 = ((1, 2, 3), (1, 3, 2))
-P123_213 = ((1, 2, 3), (2, 1, 3))
-P213_312 = ((2, 1, 3), (3, 1, 2))
-P132_312 = ((1, 3, 2), (3, 1, 2))
-P213_231 = ((2, 1, 3), (2, 3, 1))
-P132_231 = ((1, 3, 2), (2, 3, 1))
-P321_231 = ((2, 3, 1), (3, 2, 1))
-P321_213 = ((2, 1, 3), (3, 2, 1))
+#: Every set of at most two length-3 patterns, the empty set first.
+PATTERN_SUBSETS = ((), *combinations(ALL_LENGTH3, 1), *combinations(ALL_LENGTH3, 2))
 
 RANDOM_SAMPLE_SIZE = 1000
 RANDOM_SAMPLE_N = 10
+
+#: A failing check reports at most this many witnesses, the first ones found.
+WITNESS_CAP = 5
 
 
 @dataclass(frozen=True)
@@ -94,22 +102,87 @@ class Check:
     min_bound: int = 0  # below it the check has nothing to compare
 
 
+CHECKS: dict[str, Check] = {}
+
+
+def _verdict(witnesses: Iterable[dict], bound_text: str, status: str = "fail"):
+    """(status, witnesses, bound_text), with ``status`` if any witness exists.
+
+    At most ``WITNESS_CAP`` witnesses are drawn, so a lazy source stops
+    computing once the cap is reached.  The bound text comes from the bound
+    alone, so a failing run states the same range as a passing one.
+    """
+    kept = list(islice(witnesses, WITNESS_CAP))
+    return (status if kept else "pass", kept, bound_text)
+
+
+def _check(check_id: str, description: str, default_bound: int, min_bound: int = 0):
+    """Register the decorated ``run(bound) -> (status, witnesses, bound_text)``."""
+
+    def register(run):
+        CHECKS[check_id] = Check(check_id, description, default_bound, run, min_bound)
+        return run
+
+    return register
+
+
+def _identity(
+    check_id: str,
+    description: str,
+    default_bound: int,
+    first: int = 0,
+    scope: str = "",
+    status: str = "fail",
+):
+    """Register a statement compared for n = first..bound; the decorated
+    ``rows(n)`` yields one witness per mismatch at size n.
+
+    ``first`` is the smallest size with something to compare, and so the
+    smallest bound the check accepts.
+    """
+
+    def register(rows: Callable[[int], Iterable[dict]]):
+        def run(bound: int):
+            found = (w for n in range(first, bound + 1) for w in rows(n))
+            return _verdict(found, f"n<={bound}{scope}", status)
+
+        _check(check_id, description, default_bound, min_bound=first)(run)
+        return rows
+
+    return register
+
+
+def _law(check_id: str, description: str, default_bound: int):
+    """Register a lemma evaluated on all of S_1..S_bound plus a fixed random
+    batch at n = RANDOM_SAMPLE_N; the decorated ``residuals(w)`` yields the
+    ResidualReports of word w."""
+
+    def register(residuals: Callable[[tuple[int, ...]], Iterable]):
+        def run(bound: int):
+            words = chain(
+                chain.from_iterable(permutations(range(1, n + 1)) for n in range(1, bound + 1)),
+                _random_words(check_id, RANDOM_SAMPLE_N, RANDOM_SAMPLE_SIZE),
+            )
+            found = (r.to_json() for w in words for r in residuals(w) if not r.passed)
+            sample = f"{RANDOM_SAMPLE_SIZE} random at n={RANDOM_SAMPLE_N}"
+            return _verdict(found, f"n<={bound} exhaustive, {sample}")
+
+        _check(check_id, description, default_bound)(run)
+        return residuals
+
+    return register
+
+
 def _pat_text(pats) -> str:
     return ",".join("".join(map(str, p)) for p in pats)
 
 
-def _word_text(w) -> str:
-    return "".join(map(str, w)) if len(w) <= 9 else ",".join(map(str, w))
-
-
-def _random_words(seed_tag: str, n: int, count: int) -> list[tuple[int, ...]]:
+def _random_words(seed_tag: str, n: int, count: int) -> Iterator[tuple[int, ...]]:
     rng = random.Random(f"permcross:{seed_tag}")
     base = list(range(1, n + 1))
-    out = []
     for _ in range(count):
         rng.shuffle(base)
-        out.append(tuple(base))
-    return out
+        yield tuple(base)
 
 
 @lru_cache(maxsize=None)
@@ -117,18 +190,15 @@ def _word_set(n: int, pats: tuple) -> frozenset:
     return frozenset(class_words(ClassSpec(n, pats)))
 
 
-def _pattern_subsets(max_size: int = 2) -> list[tuple]:
-    subsets: list[tuple] = [()]
-    for size in range(1, max_size + 1):
-        subsets.extend(combinations(ALL_LENGTH3, size))
-    return subsets
+def _dist(n: int, pats, stat: str = "crs", **constraint) -> QPoly:
+    return dist_poly(class_spec(n, avoid=pats, **constraint), stat)[0]
 
 
 # ---------------------------------------------------------------------------
-# individual checks (alphabetical by id within sections is not required; the
-# registry is sorted on output)
+# the checks, in the order of the paper
 
 
+@_check("fig-1", "crossing/nesting counts and witness pairs of 4735126", 7)
 def _run_fig1(bound: int):
     word = (4, 7, 3, 5, 1, 2, 6)
     crs, crs_pairs = crossings(word)
@@ -136,418 +206,344 @@ def _run_fig1(bound: int):
     want_crs = {(1, 2), (5, 6), (6, 7)}
     want_nes = {(2, 4), (3, 5), (3, 6)}
     ok = crs == 3 and nes == 3 and set(crs_pairs) == want_crs and set(nes_pairs) == want_nes
-    witnesses = []
-    if not ok:
-        witnesses.append(
-            {
-                "word": _word_text(word),
-                "crs": crs,
-                "crs_pairs": sorted(crs_pairs),
-                "nes": nes,
-                "nes_pairs": sorted(nes_pairs),
-            }
-        )
-    return ("pass" if ok else "fail", witnesses, "n=7")
+    witness = {
+        "word": format_word(word),
+        "crs": crs,
+        "crs_pairs": sorted(crs_pairs),
+        "nes": nes,
+        "nes_pairs": sorted(nes_pairs),
+    }
+    return _verdict([] if ok else [witness], "n=7")
 
 
-def _run_catalan(bound: int):
-    witnesses = []
+@_identity("catalan", "single length-3 pattern classes have Catalan sizes", 9)
+def _catalan_rows(n: int):
+    want = comb(2 * n, n) // (n + 1)
     for pat in ALL_LENGTH3:
-        for n in range(bound + 1):
-            size = class_size(class_spec(n, avoid=(pat,)))
-            want = comb(2 * n, n) // (n + 1)
-            if size != want:
-                witnesses.append(
-                    {"pattern": _pat_text((pat,)), "n": n, "size": size, "expected": want}
-                )
-    return ("pass" if not witnesses else "fail", witnesses, f"n<={bound}")
+        size = class_size(class_spec(n, avoid=(pat,)))
+        if size != want:
+            yield {"pattern": _pat_text((pat,)), "n": n, "size": size, "expected": want}
 
 
-def _run_eq1(bound: int):
-    witnesses = []
-    for n in range(bound + 1):
-        polys = {
-            _pat_text((pat,)): dist_poly(class_spec(n, avoid=(pat,)), "crs")[0]
-            for pat in ((3, 2, 1), (1, 3, 2), (2, 1, 3))
+@_identity("eq-1", "crs distribution agrees across the 321/132/213 classes", 9)
+def _eq1_rows(n: int):
+    polys = {_pat_text((pat,)): _dist(n, (pat,)) for pat in ((3, 2, 1), (1, 3, 2), (2, 1, 3))}
+    if len({p.to_text() for p in polys.values()}) != 1:
+        yield {"n": n, **{k: p.to_text() for k, p in polys.items()}}
+
+
+@_identity(
+    "cfrac-321",
+    "continued fraction with levels q^floor((m-1)/2) vs brute force crs over 321-avoiders",
+    9,
+)
+def _cfrac321_rows(n: int):
+    series = crossing_cfrac_series(n).coefficient(n)
+    brute = _dist(n, ((3, 2, 1),))
+    if series != brute:
+        yield {"n": n, "cfrac": series.to_text(), "brute": brute.to_text()}
+
+
+def _one_at_2_rows(n: int, want: QPoly):
+    """The one-at-2 (123,132) class and its ends-with-2 (123,213) twin against ``want``."""
+    got_a = _dist(n, P123_132, one_at=2)
+    got_b = _dist(n, P123_213, ends_with=2)
+    if got_a != want or got_b != want:
+        yield {
+            "n": n,
+            "one_at_2": got_a.to_text(),
+            "ends_with_2": got_b.to_text(),
+            "expected": want.to_text(),
         }
-        if len({p.to_text() for p in polys.values()}) != 1:
-            witnesses.append({"n": n, **{k: p.to_text() for k, p in polys.items()}})
-    return ("pass" if not witnesses else "fail", witnesses, f"n<={bound}")
 
 
-def _run_cfrac321(bound: int):
-    series = crossing_cfrac_series(bound)
-    witnesses = []
-    for n in range(bound + 1):
-        brute = dist_poly(class_spec(n, avoid=((3, 2, 1),)), "crs")[0]
-        if series.coefficient(n) != brute:
-            witnesses.append(
-                {
-                    "n": n,
-                    "cfrac": series.coefficient(n).to_text(),
-                    "brute": brute.to_text(),
-                }
-            )
-    return ("pass" if not witnesses else "fail", witnesses, f"n<={bound}")
+@_identity(
+    "thm-1.1",
+    "crs over (123,132)-avoiders with 1 second-to-last (and the ends-with-2 twin) is (1+q)^(n-2)",
+    10,
+    first=2,
+)
+def _thm11_rows(n: int):
+    return _one_at_2_rows(n, closed_form("main1", n))
 
 
-def _run_thm11(bound: int):
-    witnesses = []
-    for n in range(2, bound + 1):
-        want = closed_form("main1", n)
-        got_a = dist_poly(class_spec(n, avoid=P123_132, one_at=2), "crs")[0]
-        got_b = dist_poly(class_spec(n, avoid=P123_213, ends_with=2), "crs")[0]
-        if got_a != want or got_b != want:
-            witnesses.append(
-                {
-                    "n": n,
-                    "one_at_2": got_a.to_text(),
-                    "ends_with_2": got_b.to_text(),
-                    "expected": want.to_text(),
-                }
-            )
-    return ("pass" if not witnesses else "fail", witnesses, f"n<={bound}")
+@_identity(
+    "thm-1.2",
+    "tableau cells equal tail-constrained crs distributions for (213,312) and (132,312)",
+    9,
+)
+def _thm12_rows(n: int):
+    for k in range(n + 1):
+        ok, witness = tableau_vs_class(n, k)
+        if not ok:
+            yield witness
 
 
-def _run_thm12(bound: int):
-    witnesses = []
-    for n in range(bound + 1):
-        for k in range(n + 1):
-            ok, witness = tableau_vs_class(n, k)
-            if not ok:
-                witnesses.append(witness)
-                if len(witnesses) >= 5:
-                    return ("fail", witnesses, f"n<={bound}")
-    return ("pass" if not witnesses else "fail", witnesses, f"n<={bound}")
+#: Table 1 as printed: row n holds the cells (n, 0), (n, 1), ... of the tableau.
+TABLE1 = (
+    ("1",),
+    ("1", "1"),
+    ("2", "1", "1"),
+    ("4", "2", "1", "1"),
+    ("7+q", "3+q", "1+q", "1"),
+    ("11+4q+q^2", "4+3q+q^2", "1+2q+q^2", "1+q"),
+    ("16+9q+5q^2+2q^3", "5+5q+4q^2+2q^3", "1+2q+3q^2+2q^3", "1+q+q^2+q^3"),
+)
 
 
-TABLE1_CELLS = {
-    (0, 0): "1",
-    (1, 0): "1",
-    (1, 1): "1",
-    (2, 0): "2",
-    (2, 1): "1",
-    (2, 2): "1",
-    (3, 0): "4",
-    (3, 1): "2",
-    (3, 2): "1",
-    (3, 3): "1",
-    (4, 0): "7+q",
-    (4, 1): "3+q",
-    (4, 2): "1+q",
-    (4, 3): "1",
-    (5, 0): "11+4q+q^2",
-    (5, 1): "4+3q+q^2",
-    (5, 2): "1+2q+q^2",
-    (5, 3): "1+q",
-    (6, 0): "16+9q+5q^2+2q^3",
-    (6, 1): "5+5q+4q^2+2q^3",
-    (6, 2): "1+2q+3q^2+2q^3",
-    (6, 3): "1+q+q^2+q^3",
-}
-
-
-def _run_table1(bound: int):
-    witnesses = []
-    for (n, k), text in sorted(TABLE1_CELLS.items()):
-        got = tableau_value(n, k).to_text()
-        if got != text:
-            witnesses.append({"n": n, "k": k, "expected": text, "actual": got})
+def _table1_witnesses(bound: int):
+    for n, row in enumerate(TABLE1):
+        for k, text in enumerate(row):
+            got = tableau_value(n, k).to_text()
+            if got != text:
+                yield {"n": n, "k": k, "expected": text, "actual": got}
     for n in range(bound + 1):
         for k in range(n):
             got = tableau_value(n, k).evaluate(1)
             if got != 2 ** (n - 1 - k):
-                witnesses.append(
-                    {"n": n, "k": k, "at_q1": got, "expected": 2 ** (n - 1 - k)}
-                )
-    return (
-        "pass" if not witnesses else "fail",
-        witnesses,
-        f"22 cells, q=1 check n<={bound}",
-    )
+                yield {"n": n, "k": k, "at_q1": got, "expected": 2 ** (n - 1 - k)}
 
 
-def _run_cor45(bound: int):
-    witnesses = []
-    for n in range(bound + 1):
-        got = tableau_value(n, 0).evaluate(0)
-        want = comb(n, 2) + 1
-        if got != want:
-            witnesses.append({"n": n, "at_q0": got, "expected": want})
-    return ("pass" if not witnesses else "fail", witnesses, f"n<={bound}")
+@_check("table-1", "printed tableau cells and the powers-of-two specialization", 12)
+def _run_table1(bound: int):
+    cells = sum(map(len, TABLE1))
+    return _verdict(_table1_witnesses(bound), f"{cells} cells, q=1 check n<={bound}")
 
 
-def _run_rel3(bound: int):
-    witnesses = []
-    for pats in _pattern_subsets():
-        image = apply_symmetry_to_patterns("rci", pats)
-        for n in range(1, bound + 1):
-            lhs = crs_profile(n, pats)
-            rhs = crs_profile(n, image)
-            for k in range(1, n + 1):
-                if lhs.by_pos1[n - k] != rhs.by_last[k - 1]:
-                    witnesses.append(
-                        {
-                            "patterns": _pat_text(pats),
-                            "n": n,
-                            "k": k,
-                            "one_at_side": lhs.by_pos1[n - k].to_text(),
-                            "ends_with_side": rhs.by_last[k - 1].to_text(),
-                        }
-                    )
-                    if len(witnesses) >= 5:
-                        return ("fail", witnesses, f"n<={bound}")
-    return ("pass" if not witnesses else "fail", witnesses, f"n<={bound}, |T|<=2")
+@_identity("cor-4.5", "tableau column 0 at q=0 gives the central polygonal numbers", 12)
+def _cor45_rows(n: int):
+    got = tableau_value(n, 0).evaluate(0)
+    want = comb(n, 2) + 1
+    if got != want:
+        yield {"n": n, "at_q0": got, "expected": want}
 
 
-def _run_sym_transport(bound: int):
-    witnesses = []
-    for pats in _pattern_subsets():
-        for n in range(1, bound + 1):
-            source = _word_set(n, pats)
-            for tag in SYMMETRIES:
-                mapped = frozenset(apply_symmetry(tag, w) for w in source)
-                target = _word_set(n, apply_symmetry_to_patterns(tag, pats))
-                if mapped != target:
-                    witnesses.append(
-                        {"patterns": _pat_text(pats), "n": n, "symmetry": tag}
-                    )
-                    if len(witnesses) >= 5:
-                        return ("fail", witnesses, f"n<={bound}")
-    return ("pass" if not witnesses else "fail", witnesses, f"n<={bound}, |T|<=2")
+@_identity(
+    "rel-3",
+    "one-at-k distribution equals ends-with-k distribution of the rci-image class",
+    8,
+    first=1,
+    scope=", |T|<=2",
+)
+def _rel3_rows(n: int):
+    for pats in PATTERN_SUBSETS:
+        lhs = crs_profile(n, pats)
+        rhs = crs_profile(n, apply_symmetry_to_patterns("rci", pats))
+        for k in range(1, n + 1):
+            if lhs.by_pos1[n - k] != rhs.by_last[k - 1]:
+                yield {
+                    "patterns": _pat_text(pats),
+                    "n": n,
+                    "k": k,
+                    "one_at_side": lhs.by_pos1[n - k].to_text(),
+                    "ends_with_side": rhs.by_last[k - 1].to_text(),
+                }
 
 
-def _lemma_sweep(bound: int, lemma: str, evaluate) -> tuple[str, list, str]:
-    """Exhaustive n <= bound plus the fixed random batch at n=10."""
-    witnesses = []
-    for n in range(1, bound + 1):
-        for w in permutations(range(1, n + 1)):
-            for residual in evaluate(w):
-                if not residual.passed:
-                    witnesses.append(residual.to_json())
-                    if len(witnesses) >= 5:
-                        return ("fail", witnesses, f"n<={bound}")
-    for w in _random_words(lemma, RANDOM_SAMPLE_N, RANDOM_SAMPLE_SIZE):
-        for residual in evaluate(w):
-            if not residual.passed:
-                witnesses.append(residual.to_json())
-                if len(witnesses) >= 5:
-                    break
-    bound_text = f"n<={bound} exhaustive, {RANDOM_SAMPLE_SIZE} random at n={RANDOM_SAMPLE_N}"
-    return ("pass" if not witnesses else "fail", witnesses, bound_text)
+@_identity(
+    "sym-transport", "f(S_n(T)) = S_n(f(T)) for all eight symmetries", 7, first=1, scope=", |T|<=2"
+)
+def _sym_transport_rows(n: int):
+    for pats in PATTERN_SUBSETS:
+        source = _word_set(n, pats)
+        for tag in SYMMETRIES:
+            mapped = frozenset(apply_symmetry(tag, w) for w in source)
+            if mapped != _word_set(n, apply_symmetry_to_patterns(tag, pats)):
+                yield {"patterns": _pat_text(pats), "n": n, "symmetry": tag}
 
 
-def _run_lem21(bound: int):
-    return _lemma_sweep(bound, "lem-2.1", lambda w: (check_lemma("lem-2.1", w),))
+@_law("lem-2.1", "appending a new minimum changes crs by ut - lt", 7)
+def _lem21(w):
+    return (check_lemma("lem-2.1", w),)
 
 
-def _run_lem22(bound: int):
-    return _lemma_sweep(bound, "lem-2.2", lambda w: (check_lemma("lem-2.2", w),))
+@_law(
+    "lem-2.2",
+    "inserting a new minimum second-to-last changes crs by 1 - [sigma(n)=n] + ut - lt",
+    7,
+)
+def _lem22(w):
+    return (check_lemma("lem-2.2", w),)
 
 
-def _run_lem24(bound: int):
-    return _lemma_sweep(
-        bound,
-        "lem-2.4",
-        lambda w: (check_lemma("lem-2.4", w, image="i"), check_lemma("lem-2.4", w, image="rc")),
-    )
+@_law("lem-2.4", "inverse and rc-image change crs by ut - lt", 7)
+def _lem24(w):
+    return (check_lemma("lem-2.4", w, image="i"), check_lemma("lem-2.4", w, image="rc"))
 
 
-def _run_lem42(bound: int):
-    return _lemma_sweep(
-        bound,
-        "lem-4.2",
-        lambda w: tuple(check_lemma42(w, j) for j in range(1, len(w) + 1)),
-    )
+@_law("lem-4.2", "front insertion changes crs by |A|+|B|-|C|", 7)
+def _lem42(w):
+    return (check_lemma42(w, j) for j in range(1, len(w) + 1))
 
 
-def _run_phi_psi(bound: int):
-    witnesses = []
-    for n in range(bound + 1):
-        group = list(permutations(range(1, n + 1)))
-        for k in range(1, n + 2):
-            for name, fn in (("phi", phi), ("psi", psi)):
-                images = {fn(k, w).word for w in group}
-                bad_pos = [w for w in images if w[n + 1 - k] != 1]
-                if len(images) != len(group) or bad_pos:
-                    witnesses.append(
-                        {
-                            "map": name,
-                            "n": n,
-                            "k": k,
-                            "distinct_images": len(images),
-                            "expected": len(group),
-                            "misplaced": [_word_text(w) for w in bad_pos[:3]],
-                        }
-                    )
-    return ("pass" if not witnesses else "fail", witnesses, f"n<={bound}, all k")
+@_identity(
+    "phi-psi", "phi_k and psi_k are injective into the one-at-k classes", 7, scope=", all k"
+)
+def _phi_psi_rows(n: int):
+    group = list(permutations(range(1, n + 1)))
+    for k in range(1, n + 2):
+        for name, fn in (("phi", phi), ("psi", psi)):
+            images = {fn(k, w).word for w in group}
+            misplaced = [w for w in images if w[n + 1 - k] != 1]
+            if len(images) != len(group) or misplaced:
+                yield {
+                    "map": name,
+                    "n": n,
+                    "k": k,
+                    "distinct_images": len(images),
+                    "expected": len(group),
+                    "misplaced": [format_word(w) for w in misplaced[:3]],
+                }
 
 
-def _run_prop25(bound: int):
-    witnesses = []
-    for n in range(1, bound + 1):
-        for w in permutations(range(1, n + 1)):
-            base = crossing_count(w)
-            ok = (
-                crossing_count(phi(1, w).word) == base
-                and crossing_count(psi(1, w).word) == base
-                and crossing_count(phi(2, w).word)
-                == base + 1 - (1 if w[-1] == n else 0)
-            )
-            if not ok:
-                witnesses.append({"word": _word_text(w)})
-                if len(witnesses) >= 5:
-                    return ("fail", witnesses, f"n<={bound}")
-    return ("pass" if not witnesses else "fail", witnesses, f"n<={bound}")
+@_identity(
+    "prop-2.5",
+    "phi_1/psi_1 preserve crs; phi_2 adds 1 unless the last letter is the max",
+    8,
+    first=1,
+)
+def _prop25_rows(n: int):
+    for w in permutations(range(1, n + 1)):
+        base = crossing_count(w)
+        ok = (
+            crossing_count(phi(1, w).word) == base
+            and crossing_count(psi(1, w).word) == base
+            and crossing_count(phi(2, w).word) == base + 1 - (1 if w[-1] == n else 0)
+        )
+        if not ok:
+            yield {"word": format_word(w)}
 
 
 def _f_full(n: int) -> QPoly:
     return QPoly.one() if n == 0 else crs_profile(n).total
 
 
-def _run_thm26(bound: int):
-    witnesses = []
-    q = QPoly.var()
-    one = QPoly.one()
-    for n in range(1, bound + 1):
-        prof = crs_profile(n + 1)
-        first = prof.by_pos1[n]
-        want_first = _f_full(n)
-        second = prof.by_pos1[n - 1]
-        want_second = q * _f_full(n) + (one - q) * _f_full(n - 1)
-        if first != want_first or second != want_second:
-            witnesses.append(
-                {
-                    "n": n,
-                    "one_at_1": first.to_text(),
-                    "expected_1": want_first.to_text(),
-                    "one_at_2": second.to_text(),
-                    "expected_2": want_second.to_text(),
-                }
-            )
-    return ("pass" if not witnesses else "fail", witnesses, f"n<={bound}")
+@_identity(
+    "thm-2.6", "one-at-1 distribution is F_n; one-at-2 is qF_n + (1-q)F_(n-1)", 8, first=1
+)
+def _thm26_rows(n: int):
+    q, one = QPoly.var(), QPoly.one()
+    prof = crs_profile(n + 1)
+    first, want_first = prof.by_pos1[n], _f_full(n)
+    second = prof.by_pos1[n - 1]
+    want_second = q * _f_full(n) + (one - q) * _f_full(n - 1)
+    if first != want_first or second != want_second:
+        yield {
+            "n": n,
+            "one_at_1": first.to_text(),
+            "expected_1": want_first.to_text(),
+            "one_at_2": second.to_text(),
+            "expected_2": want_second.to_text(),
+        }
 
 
-def _run_conj27(bound: int):
-    findings = []
-    for n in range(1, bound + 1):
-        prof = crs_profile(n)
-        for k in range(1, n + 1):
-            mirror = n + 1 - k
-            if prof.by_pos1[n - k] != prof.by_pos1[n - mirror]:
-                findings.append(
-                    {
-                        "n": n,
-                        "k": k,
-                        "dist_k": prof.by_pos1[n - k].to_text(),
-                        "dist_mirror": prof.by_pos1[n - mirror].to_text(),
-                    }
-                )
-    status = "pass" if not findings else "finding"
-    return (status, findings, f"n<={bound}")
+@_identity(
+    "conj-2.7",
+    "open symmetry: one-at-k vs one-at-(n+1-k) distributions (finding, never gates)",
+    9,
+    first=1,
+    status="finding",
+)
+def _conj27_rows(n: int):
+    prof = crs_profile(n)
+    for k in range(1, n + 1):
+        mirror = n + 1 - k
+        if prof.by_pos1[n - k] != prof.by_pos1[n - mirror]:
+            yield {
+                "n": n,
+                "k": k,
+                "dist_k": prof.by_pos1[n - k].to_text(),
+                "dist_mirror": prof.by_pos1[n - mirror].to_text(),
+            }
 
 
+@_check("thm-2.8", "F(312) * (1 - z F(231)) = 1 with enumerated coefficients", 9)
 def _run_thm28(bound: int):
     f312 = crossing_gf_by_class(((3, 1, 2),), bound)
     f231 = crossing_gf_by_class(((2, 3, 1),), bound)
     one = ZSeries.constant(QPoly, bound)
     product = f312 * (one - f231.times_z())
-    witnesses = []
-    for n in range(bound + 1):
-        want = QPoly.one() if n == 0 else QPoly.zero()
-        if product.coefficient(n) != want:
-            witnesses.append({"n": n, "coefficient": product.coefficient(n).to_text()})
-    return ("pass" if not witnesses else "fail", witnesses, f"mod z^{bound + 1}")
+    witnesses = (
+        {"n": n, "coefficient": product.coefficient(n).to_text()}
+        for n in range(bound + 1)
+        if product.coefficient(n) != one.coefficient(n)
+    )
+    return _verdict(witnesses, f"mod z^{bound + 1}")
 
 
-def _run_thm31(bound: int):
-    witnesses = []
-    for n in range(1, bound + 1):
-        want = closed_form("thm31", n)
-        for pats in (P123_132, P123_213):
-            got = dist_poly(class_spec(n, avoid=pats), "crs")[0]
-            if got != want:
-                witnesses.append(
-                    {
-                        "n": n,
-                        "patterns": _pat_text(pats),
-                        "actual": got.to_text(),
-                        "expected": want.to_text(),
-                    }
-                )
-    return ("pass" if not witnesses else "fail", witnesses, f"n<={bound}")
+def _crs_rows(n: int, want: QPoly, *pairs):
+    """The crs distribution over the class of each pattern pair against ``want``."""
+    for pats in pairs:
+        got = _dist(n, pats)
+        if got != want:
+            yield {
+                "n": n,
+                "patterns": _pat_text(pats),
+                "actual": got.to_text(),
+                "expected": want.to_text(),
+            }
 
 
-def _run_cor32(bound: int):
-    witnesses = []
-    for n in range(1, bound + 1):
-        want = closed_form("cor32", n)
-        for pats in (P123_132, P123_213):
-            got = dist_poly(class_spec(n, avoid=pats), "crs")[0]
-            if got != want:
-                witnesses.append(
-                    {"n": n, "patterns": _pat_text(pats), "actual": got.to_text()}
-                )
-    return ("pass" if not witnesses else "fail", witnesses, f"n<={bound}")
+@_identity(
+    "thm-3.1", "crs over (123,132)- and (123,213)-avoiders is ((1+q)^(n-1)-1+q)/q", 10, first=1
+)
+def _thm31_rows(n: int):
+    return _crs_rows(n, closed_form("thm31", n), P123_132, P123_213)
 
 
-def _run_cor34(bound: int):
-    witnesses = []
-    for n in range(2, bound + 1):
-        want = closed_form("cor34", n)
-        got_a = dist_poly(class_spec(n, avoid=P123_132, one_at=2), "crs")[0]
-        got_b = dist_poly(class_spec(n, avoid=P123_213, ends_with=2), "crs")[0]
-        if got_a != want or got_b != want:
-            witnesses.append({"n": n, "expected": want.to_text()})
-    return ("pass" if not witnesses else "fail", witnesses, f"n<={bound}")
+@_identity("cor-3.2", "coefficient k of that distribution is [k=0] + C(n-1,k+1)", 10, first=1)
+def _cor32_rows(n: int):
+    return _crs_rows(n, closed_form("cor32", n), P123_132, P123_213)
 
 
-def _run_eq46(bound: int):
-    witnesses = []
-    q = QPoly.var()
-    one = QPoly.one()
-    for n in range(2, bound + 1):
-        whole = dist_poly(class_spec(n, avoid=P123_132), "crs")[0]
-        at_last = dist_poly(class_spec(n, avoid=P123_132, one_at=1), "crs")[0]
-        at_second = dist_poly(class_spec(n, avoid=P123_132, one_at=2), "crs")[0]
-        prev = dist_poly(class_spec(n - 1, avoid=P123_132), "crs")[0]
-        checks = {
-            "partition": whole == at_last + at_second,
-            "last_slot": at_last == prev,
-            "second_slot": at_second == q * prev + one - q,
-        }
-        if not all(checks.values()):
-            witnesses.append({"n": n, **{k: bool(v) for k, v in checks.items()}})
-    return ("pass" if not witnesses else "fail", witnesses, f"n<={bound}")
+@_identity("cor-3.4", "coefficient k of the one-at-2 distribution is C(n-2,k)", 10, first=2)
+def _cor34_rows(n: int):
+    return _one_at_2_rows(n, closed_form("cor34", n))
 
 
-def _run_eq7(bound: int):
-    witnesses = []
-    for n in range(2, bound + 1):
-        whole = dist_poly(class_spec(n, avoid=P213_312), "crs")[0]
-        starts = dist_poly(class_spec(n, avoid=P213_312, one_at=n), "crs")[0]
-        ends = dist_poly(class_spec(n, avoid=P213_312, one_at=1), "crs")[0]
-        if whole != starts + ends:
-            witnesses.append(
-                {
-                    "n": n,
-                    "whole": whole.to_text(),
-                    "split": (starts + ends).to_text(),
-                }
-            )
-    return ("pass" if not witnesses else "fail", witnesses, f"n<={bound}")
+@_identity(
+    "eq-4-6",
+    "position-of-1 partition of the (123,132) class and its two slot identities",
+    9,
+    first=2,
+)
+def _eq46_rows(n: int):
+    q, one = QPoly.var(), QPoly.one()
+    whole = _dist(n, P123_132)
+    at_last = _dist(n, P123_132, one_at=1)
+    at_second = _dist(n, P123_132, one_at=2)
+    prev = _dist(n - 1, P123_132)
+    laws = {
+        "partition": whole == at_last + at_second,
+        "last_slot": at_last == prev,
+        "second_slot": at_second == q * prev + one - q,
+    }
+    if not all(laws.values()):
+        yield {"n": n, **laws}
 
 
-def _run_prop41(bound: int):
-    witnesses = []
-    for n in range(1, bound + 1):
-        starts = dist_poly(class_spec(n, avoid=P213_312, one_at=n), "crs")[0]
-        prev = dist_poly(class_spec(n - 1, avoid=P213_312), "crs")[0]
-        if starts != prev:
-            witnesses.append({"n": n, "starts": starts.to_text(), "prev": prev.to_text()})
-    return ("pass" if not witnesses else "fail", witnesses, f"n<={bound}")
+@_identity("eq-7", "(213,312)-avoiders split by starting or ending with 1", 9, first=2)
+def _eq7_rows(n: int):
+    whole = _dist(n, P213_312)
+    split = _dist(n, P213_312, one_at=n) + _dist(n, P213_312, one_at=1)
+    if whole != split:
+        yield {"n": n, "whole": whole.to_text(), "split": split.to_text()}
 
 
+@_identity("prop-4.1", "members starting with 1 reproduce the size-(n-1) distribution", 9, first=1)
+def _prop41_rows(n: int):
+    starts = _dist(n, P213_312, one_at=n)
+    prev = _dist(n - 1, P213_312)
+    if starts != prev:
+        yield {"n": n, "starts": starts.to_text(), "prev": prev.to_text()}
+
+
+@_check(
+    "cor-4.3",
+    "adjudicate the two printed increment exponents for front insertion on tail classes",
+    9,
+    min_bound=1,
+)
 def _run_cor43(bound: int):
     report = adjudicate_cor43(bound)
     decisive = report.winner in ("statement", "proof")
@@ -563,347 +559,128 @@ def _run_cor43(bound: int):
     return (status, witnesses, f"n<={bound}, all k")
 
 
-def _run_prop44(bound: int):
-    witnesses = []
-    for n in range(2, bound + 1):
-        for k in range(1, n - 1):
-            lhs = dist_poly(class_spec(n, avoid=P213_312, tail=k), "crs")[0]
-            prev = dist_poly(class_spec(n - 1, avoid=P213_312, tail=k), "crs")[0]
-            nxt = dist_poly(class_spec(n, avoid=P213_312, tail=k + 1), "crs")[0]
-            rhs = QPoly.monomial(min(k - 1, n - 1 - k)) * prev + nxt
-            if lhs != rhs:
-                witnesses.append(
-                    {"n": n, "k": k, "lhs": lhs.to_text(), "rhs": rhs.to_text()}
-                )
-    return ("pass" if not witnesses else "fail", witnesses, f"n<={bound}, 1<=k<=n-2")
+@_identity(
+    "prop-4.4",
+    "tail-class recurrence with exponent min(k-1, n-1-k) against enumeration",
+    9,
+    first=3,
+    scope=", 1<=k<=n-2",
+)
+def _prop44_rows(n: int):
+    for k in range(1, n - 1):
+        lhs = _dist(n, P213_312, tail=k)
+        prev = _dist(n - 1, P213_312, tail=k)
+        rhs = QPoly.monomial(min(k - 1, n - 1 - k)) * prev + _dist(n, P213_312, tail=k + 1)
+        if lhs != rhs:
+            yield {"n": n, "k": k, "lhs": lhs.to_text(), "rhs": rhs.to_text()}
 
 
-def _run_eq8(bound: int):
-    witnesses = []
+@_identity("eq-8", "the full recurrence system for the (213,312) class", 9, first=1)
+def _eq8_rows(n: int):
+    """The boundary rows of the (213,312) recurrence system, then prop-4.4's rows."""
     one = QPoly.one()
-    for n in range(1, bound + 1):
-        tail_n = dist_poly(class_spec(n, avoid=P213_312, tail=n), "crs")[0]
-        ok = tail_n == one
-        if n >= 2:
-            tail_n1 = dist_poly(class_spec(n, avoid=P213_312, tail=n - 1), "crs")[0]
-            whole = dist_poly(class_spec(n, avoid=P213_312), "crs")[0]
-            prev = dist_poly(class_spec(n - 1, avoid=P213_312), "crs")[0]
-            first = dist_poly(class_spec(n, avoid=P213_312, tail=1), "crs")[0]
-            ok = ok and tail_n1 == one and whole == prev + first
-        for k in range(1, n - 1):
-            lhs = dist_poly(class_spec(n, avoid=P213_312, tail=k), "crs")[0]
-            prev_k = dist_poly(class_spec(n - 1, avoid=P213_312, tail=k), "crs")[0]
-            nxt = dist_poly(class_spec(n, avoid=P213_312, tail=k + 1), "crs")[0]
-            ok = ok and lhs == QPoly.monomial(min(k - 1, n - 1 - k)) * prev_k + nxt
-        if not ok:
-            witnesses.append({"n": n})
-    return ("pass" if not witnesses else "fail", witnesses, f"n<={bound}")
+    ok = _dist(n, P213_312, tail=n) == one
+    if n >= 2:
+        ok = (
+            ok
+            and _dist(n, P213_312, tail=n - 1) == one
+            and _dist(n, P213_312) == _dist(n - 1, P213_312) + _dist(n, P213_312, tail=1)
+        )
+    if not ok or any(_prop44_rows(n)):
+        yield {"n": n}
 
 
-def _run_thm46(bound: int):
-    witnesses = []
-    for n in range(bound + 1):
-        want = tableau_value(n + 1, 1)
-        for pats in (P213_231, P132_231):
-            got = dist_poly(class_spec(n, avoid=pats), "crs")[0]
-            if got != want:
-                witnesses.append(
-                    {
-                        "n": n,
-                        "patterns": _pat_text(pats),
-                        "actual": got.to_text(),
-                        "expected": want.to_text(),
-                    }
-                )
-    return ("pass" if not witnesses else "fail", witnesses, f"n<={bound}")
+@_identity(
+    "thm-4.6", "crs over (213,231)- and (132,231)-avoiders equals tableau cell (n+1, 1)", 9
+)
+def _thm46_rows(n: int):
+    return _crs_rows(n, tableau_value(n + 1, 1), P213_231, P132_231)
 
 
-def _run_prop51(bound: int):
-    witnesses = []
-    for n in range(bound + 1):
-        avoiders = list(class_words(class_spec(n, avoid=P321_231)))
-        bounded_drop = list(class_words(class_spec(n, maxdrop_le=1)))
-        if avoiders != bounded_drop:
-            only_avoid = set(avoiders) - set(bounded_drop)
-            only_drop = set(bounded_drop) - set(avoiders)
-            witnesses.append(
-                {
-                    "n": n,
-                    "only_avoiders": [_word_text(w) for w in sorted(only_avoid)][:3],
-                    "only_maxdrop": [_word_text(w) for w in sorted(only_drop)][:3],
-                }
-            )
-    return ("pass" if not witnesses else "fail", witnesses, f"n<={bound}")
+@_identity("prop-5.1", "(321,231)-avoiders are exactly the maxdrop<=1 permutations", 9)
+def _prop51_rows(n: int):
+    avoiders = list(class_words(class_spec(n, avoid=P321_231)))
+    drop = list(class_words(class_spec(n, maxdrop_le=1)))
+    if avoiders != drop:
+        yield {
+            "n": n,
+            "only_avoiders": [format_word(w) for w in sorted(set(avoiders) - set(drop))][:3],
+            "only_maxdrop": [format_word(w) for w in sorted(set(drop) - set(avoiders))][:3],
+        }
 
 
-def _run_inv_exc_crs(bound: int):
-    witnesses = []
-    for n in range(bound + 1):
-        for w in class_words(class_spec(n, avoid=P321_231)):
-            if inversion_count(w) != excedance_count(w) + crossing_count(w):
-                witnesses.append({"word": _word_text(w)})
-                if len(witnesses) >= 5:
-                    return ("fail", witnesses, f"n<={bound}")
-    return ("pass" if not witnesses else "fail", witnesses, f"n<={bound}")
+@_identity("inv-exc-crs", "inv = exc + crs on the (321,231) class", 9)
+def _inv_exc_crs_rows(n: int):
+    for w in class_words(class_spec(n, avoid=P321_231)):
+        if inversion_count(w) != excedance_count(w) + crossing_count(w):
+            yield {"word": format_word(w)}
 
 
-def _run_eq_dokos(bound: int):
-    witnesses = []
-    for n in range(1, bound + 1):
-        got = dist_poly(class_spec(n, avoid=P321_231), "inv")[0]
-        want = closed_form("dokos", n)
-        if got != want:
-            witnesses.append({"n": n, "actual": got.to_text(), "expected": want.to_text()})
-    return ("pass" if not witnesses else "fail", witnesses, f"n<={bound}")
+@_identity("eq-dokos", "inv distribution over the (321,231) class is (1+q)^(n-1)", 9, first=1)
+def _eq_dokos_rows(n: int):
+    got = _dist(n, P321_231, "inv")
+    want = closed_form("dokos", n)
+    if got != want:
+        yield {"n": n, "actual": got.to_text(), "expected": want.to_text()}
 
 
+@_check("eq-chung", "adjudicate which class the printed des/inv rational series counts", 9)
 def _run_eq_chung(bound: int):
     series = des_inv_series(bound)
-    candidates = {
-        "321,213": P321_213,
-        "321,231": P321_231,
+    matches = {
+        label: all(
+            joint_poly(class_spec(n, avoid=pats), "des", "inv")[0] == series.coefficient(n)
+            for n in range(bound + 1)
+        )
+        for label, pats in (("321,213", P321_213), ("321,231", P321_231))
     }
-    matches = {}
-    for label, pats in candidates.items():
-        ok = True
-        for n in range(bound + 1):
-            if joint_poly(class_spec(n, avoid=pats), "des", "inv")[0] != series.coefficient(n):
-                ok = False
-                break
-        matches[label] = ok
     matching = [label for label, ok in matches.items() if ok]
     record = {
         "printed_label": "321,213",
         "printed_label_matches": matches["321,213"],
         "matching_classes": matching,
     }
-    status = "pass" if matching else "fail"
-    return (status, [record], f"n<={bound}")
+    return ("pass" if matching else "fail", [record], f"n<={bound}")
 
 
-def _run_thm52(bound: int):
-    series = exc_crs_series(bound)
-    witnesses = []
-    for n in range(bound + 1):
-        brute = joint_poly(class_spec(n, avoid=P321_231), "exc", "crs")[0]
-        if brute != series.coefficient(n):
-            witnesses.append(
-                {
-                    "n": n,
-                    "series": series.coefficient(n).to_text(),
-                    "brute": brute.to_text(),
-                }
-            )
-    return ("pass" if not witnesses else "fail", witnesses, f"n<={bound}")
+@_identity("thm-5.2", "(1-qz)/(1-(1+q)z-(y-q)z^2) matches the joint exc/crs distribution", 9)
+def _thm52_rows(n: int):
+    series = exc_crs_series(n).coefficient(n)
+    brute = joint_poly(class_spec(n, avoid=P321_231), "exc", "crs")[0]
+    if brute != series:
+        yield {"n": n, "series": series.to_text(), "brute": brute.to_text()}
 
 
-def _run_cor53(bound: int):
-    witnesses = []
-    for n in range(bound + 1):
-        want = closed_form("cor53", n)
-        got_des = dist_poly(class_spec(n, avoid=P321_231), "des")[0]
-        got_exc = dist_poly(class_spec(n, avoid=P321_231), "exc")[0]
-        if got_des != want or got_exc != want:
-            witnesses.append(
-                {
-                    "n": n,
-                    "des": got_des.to_text(),
-                    "exc": got_exc.to_text(),
-                    "expected": want.to_text("y"),
-                }
-            )
-    return ("pass" if not witnesses else "fail", witnesses, f"n<={bound}")
+@_identity("cor-5.3", "des and exc distributions both give sum C(n,2k) y^k", 9)
+def _cor53_rows(n: int):
+    want = closed_form("cor53", n)
+    got_des = _dist(n, P321_231, "des")
+    got_exc = _dist(n, P321_231, "exc")
+    if got_des != want or got_exc != want:
+        yield {
+            "n": n,
+            "des": got_des.to_text(),
+            "exc": got_exc.to_text(),
+            "expected": want.to_text("y"),
+        }
 
 
-def _run_cor54(bound: int):
-    counts = [
-        dist_poly(class_spec(n, avoid=P321_231), "crs")[0].coefficient(0)
-        for n in range(bound + 1)
-    ]
-    series = exc_crs_series(bound)
-    witnesses = []
-    for n in range(2, bound + 1):
-        if counts[n] != counts[n - 1] + counts[n - 2]:
-            witnesses.append({"n": n, "counts": counts[: n + 1]})
-    for n in range(bound + 1):
-        via_series = series.coefficient(n).evaluate(y=1, q=0)
-        if via_series != counts[n]:
-            witnesses.append({"n": n, "series_q0": via_series, "count": counts[n]})
-    return ("pass" if not witnesses else "fail", witnesses, f"n<={bound}")
+def _noncrossing(n: int) -> int:
+    return _dist(n, P321_231).coefficient(0)
+
+
+@_identity("cor-5.4", "noncrossing counts follow the Fibonacci recurrence", 10)
+def _cor54_rows(n: int):
+    count = _noncrossing(n)
+    if n >= 2 and count != _noncrossing(n - 1) + _noncrossing(n - 2):
+        yield {"n": n, "counts": [_noncrossing(m) for m in range(n + 1)]}
+    via_series = exc_crs_series(n).coefficient(n).evaluate(y=1, q=0)
+    if via_series != count:
+        yield {"n": n, "series_q0": via_series, "count": count}
 
 
 # ---------------------------------------------------------------------------
-# registry
-
-
-def _entries() -> list[Check]:
-    return [
-        Check("fig-1", "crossing/nesting counts and witness pairs of 4735126", 7, _run_fig1),
-        Check("catalan", "single length-3 pattern classes have Catalan sizes", 9, _run_catalan),
-        Check("eq-1", "crs distribution agrees across the 321/132/213 classes", 9, _run_eq1),
-        Check(
-            "cfrac-321",
-            "continued fraction with levels q^floor((m-1)/2) vs brute force crs over 321-avoiders",
-            9,
-            _run_cfrac321,
-        ),
-        Check(
-            "thm-1.1",
-            "crs over (123,132)-avoiders with 1 second-to-last (and the ends-with-2 twin) is (1+q)^(n-2)",
-            10,
-            _run_thm11,
-            min_bound=2,
-        ),
-        Check(
-            "thm-1.2",
-            "tableau cells equal tail-constrained crs distributions for (213,312) and (132,312)",
-            9,
-            _run_thm12,
-        ),
-        Check("table-1", "printed tableau cells and the powers-of-two specialization", 12, _run_table1),
-        Check("cor-4.5", "tableau column 0 at q=0 gives the central polygonal numbers", 12, _run_cor45),
-        Check(
-            "rel-3",
-            "one-at-k distribution equals ends-with-k distribution of the rci-image class",
-            8,
-            _run_rel3,
-            min_bound=1,
-        ),
-        Check(
-            "sym-transport",
-            "f(S_n(T)) = S_n(f(T)) for all eight symmetries",
-            7,
-            _run_sym_transport,
-            min_bound=1,
-        ),
-        Check("lem-2.1", "appending a new minimum changes crs by ut - lt", 7, _run_lem21),
-        Check(
-            "lem-2.2",
-            "inserting a new minimum second-to-last changes crs by 1 - [sigma(n)=n] + ut - lt",
-            7,
-            _run_lem22,
-        ),
-        Check("lem-2.4", "inverse and rc-image change crs by ut - lt", 7, _run_lem24),
-        Check("lem-4.2", "front insertion changes crs by |A|+|B|-|C|", 7, _run_lem42),
-        Check("phi-psi", "phi_k and psi_k are injective into the one-at-k classes", 7, _run_phi_psi),
-        Check(
-            "prop-2.5",
-            "phi_1/psi_1 preserve crs; phi_2 adds 1 unless the last letter is the max",
-            8,
-            _run_prop25,
-            min_bound=1,
-        ),
-        Check(
-            "thm-2.6",
-            "one-at-1 distribution is F_n; one-at-2 is qF_n + (1-q)F_(n-1)",
-            8,
-            _run_thm26,
-            min_bound=1,
-        ),
-        Check(
-            "conj-2.7",
-            "open symmetry: one-at-k vs one-at-(n+1-k) distributions (finding, never gates)",
-            9,
-            _run_conj27,
-            min_bound=1,
-        ),
-        Check("thm-2.8", "F(312) * (1 - z F(231)) = 1 with enumerated coefficients", 9, _run_thm28),
-        Check(
-            "thm-3.1",
-            "crs over (123,132)- and (123,213)-avoiders is ((1+q)^(n-1)-1+q)/q",
-            10,
-            _run_thm31,
-            min_bound=1,
-        ),
-        Check(
-            "cor-3.2",
-            "coefficient k of that distribution is [k=0] + C(n-1,k+1)",
-            10,
-            _run_cor32,
-            min_bound=1,
-        ),
-        Check(
-            "cor-3.4",
-            "coefficient k of the one-at-2 distribution is C(n-2,k)",
-            10,
-            _run_cor34,
-            min_bound=2,
-        ),
-        Check(
-            "eq-4-6",
-            "position-of-1 partition of the (123,132) class and its two slot identities",
-            9,
-            _run_eq46,
-            min_bound=2,
-        ),
-        Check(
-            "eq-7",
-            "(213,312)-avoiders split by starting or ending with 1",
-            9,
-            _run_eq7,
-            min_bound=2,
-        ),
-        Check(
-            "prop-4.1",
-            "members starting with 1 reproduce the size-(n-1) distribution",
-            9,
-            _run_prop41,
-            min_bound=1,
-        ),
-        Check(
-            "cor-4.3",
-            "adjudicate the two printed increment exponents for front insertion on tail classes",
-            9,
-            _run_cor43,
-            min_bound=1,
-        ),
-        Check(
-            "prop-4.4",
-            "tail-class recurrence with exponent min(k-1, n-1-k) against enumeration",
-            9,
-            _run_prop44,
-            min_bound=3,
-        ),
-        Check(
-            "eq-8",
-            "the full recurrence system for the (213,312) class",
-            9,
-            _run_eq8,
-            min_bound=1,
-        ),
-        Check(
-            "thm-4.6",
-            "crs over (213,231)- and (132,231)-avoiders equals tableau cell (n+1, 1)",
-            9,
-            _run_thm46,
-        ),
-        Check("prop-5.1", "(321,231)-avoiders are exactly the maxdrop<=1 permutations", 9, _run_prop51),
-        Check("inv-exc-crs", "inv = exc + crs on the (321,231) class", 9, _run_inv_exc_crs),
-        Check(
-            "eq-dokos",
-            "inv distribution over the (321,231) class is (1+q)^(n-1)",
-            9,
-            _run_eq_dokos,
-            min_bound=1,
-        ),
-        Check(
-            "eq-chung",
-            "adjudicate which class the printed des/inv rational series counts",
-            9,
-            _run_eq_chung,
-        ),
-        Check(
-            "thm-5.2",
-            "(1-qz)/(1-(1+q)z-(y-q)z^2) matches the joint exc/crs distribution",
-            9,
-            _run_thm52,
-        ),
-        Check("cor-5.3", "des and exc distributions both give sum C(n,2k) y^k", 9, _run_cor53),
-        Check("cor-5.4", "noncrossing counts follow the Fibonacci recurrence", 10, _run_cor54),
-    ]
-
-
-CHECKS: dict[str, Check] = {c.check_id: c for c in _entries()}
+# running the registry
 
 
 def available_checks() -> tuple[str, ...]:
@@ -923,10 +700,14 @@ def _refuse_low_bound(checks: Iterable[Check], bound: int | None) -> None:
         raise CheckBoundError(f"check {needs}; bound {bound} leaves {them} nothing to compare")
 
 
-def run_check(check_id: str, bound: int | None = None) -> CheckResult:
+def _lookup(check_id: str) -> Check:
     if check_id not in CHECKS:
         raise KeyError(f"unknown check id {check_id!r}")
-    check = CHECKS[check_id]
+    return CHECKS[check_id]
+
+
+def run_check(check_id: str, bound: int | None = None) -> CheckResult:
+    check = _lookup(check_id)
     _refuse_low_bound([check], bound)
     effective = check.default_bound if bound is None else bound
     start = time.perf_counter()
@@ -940,15 +721,10 @@ def run_checks(
 ) -> list[CheckResult]:
     """Run a selection of checks and return results ordered by check id."""
     if ids == "all" or ids == ["all"]:
-        selected: Iterable[str] = available_checks()
-    else:
-        selected = ids
-        for check_id in selected:
-            if check_id not in CHECKS:
-                raise KeyError(f"unknown check id {check_id!r}")
-    selected = sorted(selected)
-    _refuse_low_bound([CHECKS[c] for c in selected], bound)  # before any check runs
-    return [run_check(check_id, bound) for check_id in selected]
+        ids = available_checks()
+    checks = sorted((_lookup(c) for c in ids), key=lambda c: c.check_id)
+    _refuse_low_bound(checks, bound)  # before any check runs
+    return [run_check(c.check_id, bound) for c in checks]
 
 
 def suite_passed(results: Sequence[CheckResult]) -> bool:

@@ -25,7 +25,7 @@ from .distributions import (
     joint_dist,
     joint_poly,
 )
-from .patterns import BoundExceededError, class_spec
+from .patterns import P321_231, BoundExceededError, class_spec
 from .perm import STAT_NAMES, Permutation, crossings, format_word, nestings, parse_word
 
 MAX_EXPAND_ORDER = 12
@@ -168,13 +168,13 @@ def _expand_rows(gf: str, order: int, bound: int | None):
     elif gf == "thm52":
         series = exc_crs_series(order)
         brute = tuple(
-            joint_poly(class_spec(n, avoid=((2, 3, 1), (3, 2, 1))), "exc", "crs", bound)[0]
+            joint_poly(class_spec(n, avoid=P321_231), "exc", "crs", bound)[0]
             for n in range(order + 1)
         )
     elif gf == "chung":
         series = des_inv_series(order)
         brute = tuple(
-            joint_poly(class_spec(n, avoid=((2, 3, 1), (3, 2, 1))), "des", "inv", bound)[0]
+            joint_poly(class_spec(n, avoid=P321_231), "des", "inv", bound)[0]
             for n in range(order + 1)
         )
     else:

@@ -23,7 +23,7 @@ from itertools import islice
 from math import comb
 from typing import Callable, Iterable, Sequence
 
-from .patterns import ClassSpec, class_spec, class_words
+from .patterns import P132_231, P132_312, P213_231, P213_312, ClassSpec, class_spec, class_words
 from .perm import MAX_PACKED_N, STATISTICS, position_column, stat_column
 from .polynomials import QPoly, YQPoly, ZSeries, cfrac_expand, rational_expand
 
@@ -206,26 +206,6 @@ def tableau_value(n: int, k: int) -> QPoly:
     return tableau_value(n - 1, 0) + tableau_value(n, 1)
 
 
-@dataclass(frozen=True)
-class QTableau:
-    n_max: int
-    rows: tuple[tuple[QPoly, ...], ...]
-
-    def value(self, n: int, k: int) -> QPoly:
-        if not 0 <= n <= self.n_max or not 0 <= k <= n:
-            raise ValueError(f"tableau cell ({n}, {k}) out of range")
-        return self.rows[n][k]
-
-
-def qtableau_build(n_max: int) -> QTableau:
-    if n_max < 0:
-        raise ValueError("tableau size must be nonnegative")
-    rows = tuple(
-        tuple(tableau_value(n, k) for k in range(n + 1)) for n in range(n_max + 1)
-    )
-    return QTableau(n_max, rows)
-
-
 # ---------------------------------------------------------------------------
 # closed forms
 
@@ -276,12 +256,6 @@ def closed_form(form: str, n: int, k: int | None = None) -> QPoly:
 
 # ---------------------------------------------------------------------------
 # tableau vs. enumerated classes
-
-
-P213_312 = ((2, 1, 3), (3, 1, 2))
-P132_312 = ((1, 3, 2), (3, 1, 2))
-P213_231 = ((2, 1, 3), (2, 3, 1))
-P132_231 = ((1, 3, 2), (2, 3, 1))
 
 
 def tableau_vs_class(n: int, k: int, bound: int | None = None):

@@ -31,6 +31,16 @@ CONSTRAINT_KINDS = ("one_at", "ends_with", "tail", "maxdrop_le")
 FULL_GROUP_BOUND = 10
 PATTERN_CLASS_BOUND = 12
 
+#: The pattern pairs of the paper, each as the pair of forbidden patterns.
+P123_132 = ((1, 2, 3), (1, 3, 2))
+P123_213 = ((1, 2, 3), (2, 1, 3))
+P213_312 = ((2, 1, 3), (3, 1, 2))
+P132_312 = ((1, 3, 2), (3, 1, 2))
+P213_231 = ((2, 1, 3), (2, 3, 1))
+P132_231 = ((1, 3, 2), (2, 3, 1))
+P321_231 = ((2, 3, 1), (3, 2, 1))
+P321_213 = ((2, 1, 3), (3, 2, 1))
+
 
 class BoundExceededError(RuntimeError):
     """Raised when an enumeration would exceed the configured size bound."""

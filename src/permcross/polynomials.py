@@ -481,14 +481,6 @@ def _as_ring(ring: type, value):
     raise TypeError(f"cannot view {value!r} as {ring.__name__}")
 
 
-def series_mul(a: ZSeries, b: ZSeries) -> ZSeries:
-    return a * b
-
-
-def series_reciprocal(a: ZSeries) -> ZSeries:
-    return a.reciprocal()
-
-
 def cfrac_expand(levels: Sequence[QPoly], order: int) -> ZSeries:
     """Expand 1/(1 - a_1 z/(1 - a_2 z/(...))) truncated at z^order.
 

@@ -11,7 +11,7 @@ from permcross.bijections import (
     phi,
     psi,
 )
-from permcross.patterns import class_spec, class_words
+from permcross.patterns import P213_312, class_spec, class_words
 from permcross.perm import (
     apply_symmetry,
     crossing_count,
@@ -19,8 +19,6 @@ from permcross.perm import (
     insert,
     transients,
 )
-
-P213_312 = ((2, 1, 3), (3, 1, 2))
 
 
 def oracle_insertion_sets(w, j):

@@ -1,15 +1,26 @@
 import json
+from pathlib import Path
 
+import jsonschema
 import pytest
 
+from permcross import bijections, checks
+from permcross.bijections import ResidualReport
 from permcross.checks import (
     CHECKS,
+    WITNESS_CAP,
     CheckBoundError,
     CheckResult,
     available_checks,
     run_check,
     run_checks,
     suite_passed,
+)
+from permcross.distributions import CrsProfile
+from permcross.polynomials import QPoly, ZSeries
+
+SCHEMA = json.loads(
+    (Path(checks.__file__).parent / "schemas" / "check_result.schema.json").read_text()
 )
 
 # every numbered statement in scope resolves to a registered check
@@ -66,14 +77,122 @@ def test_unknown_check_id():
         run_checks(["fig-1", "nope"])
 
 
+# (check_id, bound text, status) of every check at bound 5
+PASS_AT_BOUND_5 = [
+    ("catalan", "n<=5", "pass"),
+    ("cfrac-321", "n<=5", "pass"),
+    ("conj-2.7", "n<=5", "pass"),
+    ("cor-3.2", "n<=5", "pass"),
+    ("cor-3.4", "n<=5", "pass"),
+    ("cor-4.3", "n<=5, all k", "pass"),
+    ("cor-4.5", "n<=5", "pass"),
+    ("cor-5.3", "n<=5", "pass"),
+    ("cor-5.4", "n<=5", "pass"),
+    ("eq-1", "n<=5", "pass"),
+    ("eq-4-6", "n<=5", "pass"),
+    ("eq-7", "n<=5", "pass"),
+    ("eq-8", "n<=5", "pass"),
+    ("eq-chung", "n<=5", "pass"),
+    ("eq-dokos", "n<=5", "pass"),
+    ("fig-1", "n=7", "pass"),
+    ("inv-exc-crs", "n<=5", "pass"),
+    ("lem-2.1", "n<=5 exhaustive, 1000 random at n=10", "pass"),
+    ("lem-2.2", "n<=5 exhaustive, 1000 random at n=10", "pass"),
+    ("lem-2.4", "n<=5 exhaustive, 1000 random at n=10", "pass"),
+    ("lem-4.2", "n<=5 exhaustive, 1000 random at n=10", "pass"),
+    ("phi-psi", "n<=5, all k", "pass"),
+    ("prop-2.5", "n<=5", "pass"),
+    ("prop-4.1", "n<=5", "pass"),
+    ("prop-4.4", "n<=5, 1<=k<=n-2", "pass"),
+    ("prop-5.1", "n<=5", "pass"),
+    ("rel-3", "n<=5, |T|<=2", "pass"),
+    ("sym-transport", "n<=5, |T|<=2", "pass"),
+    ("table-1", "22 cells, q=1 check n<=5", "pass"),
+    ("thm-1.1", "n<=5", "pass"),
+    ("thm-1.2", "n<=5", "pass"),
+    ("thm-2.6", "n<=5", "pass"),
+    ("thm-2.8", "mod z^6", "pass"),
+    ("thm-3.1", "n<=5", "pass"),
+    ("thm-4.6", "n<=5", "pass"),
+    ("thm-5.2", "n<=5", "pass"),
+]
+
+
 def test_all_checks_pass_at_small_bound():
     results = run_checks("all", bound=5)
     assert [r.check_id for r in results] == sorted(REQUIRED_CHECK_IDS)
+    assert [(r.check_id, r.bound, r.status) for r in results] == PASS_AT_BOUND_5
     for r in results:
-        assert r.status in ("pass", "finding")
-        if r.status == "fail":
-            assert r.witnesses
-        json.dumps(r.to_json())  # witnesses must be serializable
+        jsonschema.validate(r.to_json(), SCHEMA)
+
+
+def _failing_lemma(lemma, w, **image):
+    return ResidualReport(lemma, tuple(w), (), 0, 1, False)
+
+
+def _failing_lemma42(w, j):
+    return ResidualReport("lem-4.2", tuple(w), (("j", j),), 0, 1, False)
+
+
+def _asymmetric_profile(n, forbidden=(), bound=None):
+    by_pos1 = tuple(QPoly.monomial(p) for p in range(n))
+    return CrsProfile(n, by_pos1, by_pos1, QPoly.zero())
+
+
+# one broken input per kind of check: (check_id, module, name, replacement, status)
+BROKEN_INPUTS = [
+    ("thm-3.1", checks, "closed_form", lambda form, n: QPoly.zero(), "fail"),
+    ("cor-3.2", checks, "closed_form", lambda form, n: QPoly.zero(), "fail"),
+    ("thm-1.1", checks, "closed_form", lambda form, n: QPoly.zero(), "fail"),
+    ("cor-3.4", checks, "closed_form", lambda form, n: QPoly.zero(), "fail"),
+    ("eq-dokos", checks, "closed_form", lambda form, n: QPoly.zero(), "fail"),
+    ("rel-3", checks, "apply_symmetry_to_patterns", lambda tag, pats: pats, "fail"),
+    ("sym-transport", checks, "apply_symmetry", lambda tag, w: tuple(w), "fail"),
+    ("conj-2.7", checks, "crs_profile", _asymmetric_profile, "finding"),
+    ("lem-2.1", checks, "check_lemma", _failing_lemma, "fail"),
+    ("lem-2.2", checks, "check_lemma", _failing_lemma, "fail"),
+    ("lem-2.4", checks, "check_lemma", _failing_lemma, "fail"),
+    ("lem-4.2", checks, "check_lemma42", _failing_lemma42, "fail"),
+    (
+        "thm-2.8",
+        checks,
+        "crossing_gf_by_class",
+        lambda pats, order: ZSeries(QPoly, (QPoly.one(),) * (order + 1)),
+        "fail",
+    ),
+    ("fig-1", checks, "crossings", lambda w: (0, ()), "fail"),
+    ("cor-4.3", bijections, "crossing_count", lambda w: 0, "fail"),
+]
+
+
+@pytest.mark.parametrize(
+    "check_id, module, name, broken, status", BROKEN_INPUTS, ids=[b[0] for b in BROKEN_INPUTS]
+)
+def test_a_broken_input_is_reported_with_capped_witnesses(
+    monkeypatch, check_id, module, name, broken, status
+):
+    passing = run_check(check_id, 4)
+    assert passing.status == "pass"
+    monkeypatch.setattr(module, name, broken)
+    broken_run = run_check(check_id, 4)
+    assert broken_run.status == status
+    assert 1 <= len(broken_run.witnesses) <= WITNESS_CAP
+    assert broken_run.bound == passing.bound  # a failure states the same range
+    jsonschema.validate(broken_run.to_json(), SCHEMA)
+
+
+def test_witnesses_stop_at_the_cap(monkeypatch):
+    # 2 classes x 9 sizes mismatch; only the first WITNESS_CAP are kept, in order
+    monkeypatch.setattr(checks, "closed_form", lambda form, n: QPoly.zero())
+    result = run_check("thm-3.1", 9)
+    assert len(result.witnesses) == WITNESS_CAP
+    assert [(w["n"], w["patterns"]) for w in result.witnesses] == [
+        (1, "123,132"),
+        (1, "123,213"),
+        (2, "123,132"),
+        (2, "123,213"),
+        (3, "123,132"),
+    ]
 
 
 def test_bound_below_a_checks_minimum_is_refused():

@@ -13,19 +13,22 @@ from permcross.distributions import (
     dist_poly,
     joint_dist,
     joint_poly,
-    qtableau_build,
     tableau_value,
     tableau_vs_class,
 )
-from permcross.patterns import class_spec, class_words
+from permcross.patterns import (
+    P123_132,
+    P123_213,
+    P132_312,
+    P213_312,
+    P321_231,
+    class_spec,
+    class_words,
+)
 from permcross.perm import STATISTICS, crossing_count
 from permcross.polynomials import QPoly, YQPoly, ZSeries
 
-P123_132 = ((1, 2, 3), (1, 3, 2))
-P213_312 = ((2, 1, 3), (3, 1, 2))
-P321_231 = ((2, 3, 1), (3, 2, 1))
-P123_213 = ((1, 2, 3), (2, 1, 3))
-PAPER_PAIRS = (P123_132, P123_213, P213_312, ((1, 3, 2), (3, 1, 2)))
+PAPER_PAIRS = (P123_132, P123_213, P213_312, P132_312)
 
 
 def test_dist_examples():
@@ -165,14 +168,13 @@ def test_tableau_central_polygonal_at_zero():
         assert tableau_value(n, 0).evaluate(0) == comb(n, 2) + 1
 
 
-def test_qtableau_build():
-    tab = qtableau_build(6)
-    assert tab.value(6, 0).to_text() == "16+9q+5q^2+2q^3"
-    assert tab.value(0, 0) == QPoly.one()
+def test_tableau_value_cells():
+    assert tableau_value(6, 0).to_text() == "16+9q+5q^2+2q^3"
+    assert tableau_value(0, 0) == QPoly.one()
     with pytest.raises(ValueError):
-        tab.value(7, 0)
+        tableau_value(-1, 0)
     with pytest.raises(ValueError):
-        tab.value(3, 4)
+        tableau_value(3, 4)
     with pytest.raises(ValueError):
         tableau_value(2, 3)
 
