@@ -23,41 +23,79 @@ with, for a size-n word sigma (all positions/values 1-based):
 Both strict inequalities against j are load-bearing: relaxing either one makes
 the law fail (first at sigma=312, j=2), and the exhaustive checks pin this
 down.
+
+The maps and the laws exist twice.  :func:`phi`, :func:`psi`,
+:func:`check_lemma`, :func:`check_lemma42` and :func:`check_prop25` take one
+word; they are the public per-word API and the oracle.  :func:`phi_block`,
+:func:`psi_block` and :func:`residual_columns` take a packed block of words
+(see :func:`permcross.perm.stat_column`) and are what the checks run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 from .patterns import P213_312, class_spec, class_words
 from .perm import (
     Permutation,
+    _Lanes,
     apply_symmetry,
     as_word,
     crossing_count,
     insert,
+    insert_block,
     insert_of_inverse,
+    inverse_block,
     invert,
+    rc_block,
     transients,
 )
 
 LEMMA_IDS = ("lem-2.1", "lem-2.2", "lem-2.4", "lem-4.2")
 
 
+def _check_k(k: int, n: int) -> None:
+    if not 1 <= k <= n + 1:
+        raise ValueError(f"k={k} out of range 1..{n + 1}")
+
+
 def phi(k: int, p) -> Permutation:
     w = as_word(p)
     n = len(w)
-    if not 1 <= k <= n + 1:
-        raise ValueError(f"k={k} out of range 1..{n + 1}")
+    _check_k(k, n)
     return insert_of_inverse(w, n + 2 - k, 1)
 
 
 def psi(k: int, p) -> Permutation:
     w = as_word(p)
     n = len(w)
-    if not 1 <= k <= n + 1:
-        raise ValueError(f"k={k} out of range 1..{n + 1}")
+    _check_k(k, n)
     return insert(apply_symmetry("rc", w), n + 2 - k, 1)
+
+
+def phi_block(k: int, block: bytes, count: int) -> bytes:
+    """:func:`phi` of every word of a packed block, as a packed block.
+
+    >>> list(phi_block(3, bytes((3, 1, 5, 4, 2)), 1))
+    [3, 6, 2, 1, 5, 4]
+    """
+    image = inverse_block(block, count)
+    n = len(block) // count
+    _check_k(k, n)
+    return insert_block(image, count, n + 2 - k, 1)
+
+
+def psi_block(k: int, block: bytes, count: int) -> bytes:
+    """:func:`psi` of every word of a packed block, as a packed block.
+
+    >>> list(psi_block(3, bytes((3, 1, 5, 4, 2)), 1))
+    [5, 3, 2, 1, 6, 4]
+    """
+    image = rc_block(block, count)
+    n = len(block) // count
+    _check_k(k, n)
+    return insert_block(image, count, n + 2 - k, 1)
 
 
 @dataclass(frozen=True)
@@ -158,6 +196,110 @@ def check_lemma42(p, j: int) -> ResidualReport:
     lhs = crossing_count(insert(w, 1, j).word)
     rhs = crossing_count(w) + len(sets.a) + len(sets.b) - len(sets.c)
     return ResidualReport("lem-4.2", w, (("j", j),), lhs, rhs, lhs == rhs)
+
+
+def check_prop25(p) -> tuple[ResidualReport, ...]:
+    """prop-2.5 on one word: crs of phi_1, psi_1 and phi_2 against crs, crs
+    and crs + 1 - [sigma(n)=n]."""
+    w = as_word(p)
+    n = len(w)
+    if n == 0:
+        raise ValueError("prop-2.5 needs a nonempty permutation")
+    base = crossing_count(w)
+    claims = (
+        ("phi", phi, 1, base),
+        ("psi", psi, 1, base),
+        ("phi", phi, 2, base + 1 - (1 if w[-1] == n else 0)),
+    )
+    reports = []
+    for name, fn, k, rhs in claims:
+        lhs = crossing_count(fn(k, w).word)
+        params = (("map", name), ("k", k))
+        reports.append(ResidualReport("prop-2.5", w, params, lhs, rhs, lhs == rhs))
+    return tuple(reports)
+
+
+# ---------------------------------------------------------------------------
+# the laws over packed blocks
+
+RESIDUAL_LAWS = (*LEMMA_IDS, "prop-2.5")
+
+
+def residual_columns(
+    law: str, block: bytes, count: int
+) -> list[tuple[Sequence[int], Sequence[int]]]:
+    """Both sides of every instance of a law over a packed block of words
+    (see :func:`permcross.perm.stat_column`), as (lhs, rhs) columns.
+
+    The instances are those of the per-word oracle, in its order:
+    :func:`check_lemma` for lem-2.1 and lem-2.2, lem-2.4 with image "i" then
+    "rc", :func:`check_lemma42` for j = 1..n, and :func:`check_prop25`.  The
+    negative terms of a right side are added to both sides instead, so no
+    lane goes negative: lem-4.2 compares crs(sigma^(1,j)) + |C_j| with
+    crs(sigma) + |A_j| + |B_j|.  Lane by lane, lhs - rhs is the oracle's
+    lhs - rhs.  Each side is at most n(n+3)/2, which sets the lane width.
+
+    >>> [(list(lhs), list(rhs)) for lhs, rhs in residual_columns("lem-2.1", bytes((3, 1, 2)), 1)]
+    [([1], [1])]
+    """
+    if law not in RESIDUAL_LAWS:
+        raise ValueError(f"unknown law {law!r}; expected one of {RESIDUAL_LAWS}")
+    word = _Lanes(block, count)
+    n = word.n
+    if n == 0:
+        raise ValueError(f"{law} needs nonempty words")
+    if n * (n + 3) // 2 > 0xFF:
+        word = _Lanes(block, count, min_width=2)
+
+    def crs_of(image: bytes) -> int:
+        return _Lanes(image, count, min_width=word.width).stat("crs")
+
+    crs = word.stat("crs")
+    if law == "lem-4.2":
+        sides = [
+            (crs_of(insert_block(block, count, 1, j)) + c, crs + a + b)
+            for j, a, b, c in _insertion_set_sizes(word)
+        ]
+    elif law == "prop-2.5":
+        ends_with_n = word.equal(n - 1, n)
+        sides = [
+            (crs_of(phi_block(1, block, count)), crs),
+            (crs_of(psi_block(1, block, count)), crs),
+            (crs_of(phi_block(2, block, count)) + ends_with_n, crs + word.ones),
+        ]
+    else:
+        ut, lt = word.stat("ut"), word.stat("lt")
+        if law == "lem-2.1":
+            sides = [(crs_of(insert_block(block, count, n + 1, 1)) + lt, crs + ut)]
+        elif law == "lem-2.2":
+            ends_with_n = word.equal(n - 1, n)
+            image = insert_block(block, count, n, 1)
+            sides = [(crs_of(image) + ends_with_n + lt, crs + word.ones + ut)]
+        else:
+            images = (inverse_block(block, count), rc_block(block, count))
+            sides = [(crs_of(image) + lt, crs + ut) for image in images]
+    return [(word.unpack(lhs), word.unpack(rhs)) for lhs, rhs in sides]
+
+
+def _insertion_set_sizes(word: _Lanes) -> Iterator[tuple[int, int, int, int]]:
+    """(j, |A_j|, |B_j|, |C_j|) for j = 1..n as lane sums: the sets of
+    :func:`insertion_sets` as lane comparisons against the word's columns
+    and its inverse columns.  B_j and C_j grow by the index j-2 as j grows.
+    """
+    xt, top, shift, const = word.xt, word.top, word.shift, word.const
+    # post[v-1]: the position of the letter v, with the top bit set
+    post = [word.position(v) | top for v in range(1, word.n + 1)]
+    b = c = 0
+    for j in range(1, word.n + 1):
+        i = j - 2
+        if i >= 1:
+            # B: sigma(i) <= i and i+1 <= sigma^-1(i+1)
+            b += (~(xt[i - 1] - const(i + 1)) & (post[i] - const(i + 1)) & top) >> shift
+            # C (m = i): sigma^-1(m+1) < m and sigma(m) > m+1
+            c += (~(post[i] - const(i)) & (xt[i - 1] - const(i + 2)) & top) >> shift
+        # A: i+1 < j and sigma(i) >= j
+        a = sum(((xt[p] - const(j)) & top) >> shift for p in range(j - 2))
+        yield j, a, b, c
 
 
 # ---------------------------------------------------------------------------

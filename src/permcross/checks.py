@@ -19,11 +19,22 @@ import random
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, islice, permutations
-from math import comb
+from itertools import combinations, islice, permutations
+from math import comb, factorial
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .bijections import adjudicate_cor43, check_lemma, check_lemma42, phi, psi
+from .bijections import (
+    ResidualReport,
+    adjudicate_cor43,
+    check_lemma,
+    check_lemma42,
+    check_prop25,
+    phi,
+    phi_block,
+    psi,
+    psi_block,
+    residual_columns,
+)
 from .distributions import (
     closed_form,
     crossing_cfrac_series,
@@ -33,6 +44,7 @@ from .distributions import (
     dist_poly,
     exc_crs_series,
     joint_poly,
+    packed_blocks,
     tableau_value,
     tableau_vs_class,
 )
@@ -154,16 +166,23 @@ def _identity(
 
 def _law(check_id: str, description: str, default_bound: int):
     """Register a lemma evaluated on all of S_1..S_bound plus a fixed random
-    batch at n = RANDOM_SAMPLE_N; the decorated ``residuals(w)`` yields the
-    ResidualReports of word w."""
+    batch at n = RANDOM_SAMPLE_N, a packed block at a time by
+    :func:`residual_columns`; the decorated ``residuals(w)`` yields the
+    ResidualReports of word w, which confirm and report a flagged word."""
 
-    def register(residuals: Callable[[tuple[int, ...]], Iterable]):
+    def register(residuals: Callable[[tuple[int, ...]], Iterable[ResidualReport]]):
         def run(bound: int):
-            words = chain(
-                chain.from_iterable(permutations(range(1, n + 1)) for n in range(1, bound + 1)),
-                _random_words(check_id, RANDOM_SAMPLE_N, RANDOM_SAMPLE_SIZE),
+            sizes = [(n, permutations(range(1, n + 1))) for n in range(1, bound + 1)]
+            sizes.append(
+                (RANDOM_SAMPLE_N, _random_words(check_id, RANDOM_SAMPLE_N, RANDOM_SAMPLE_SIZE))
             )
-            found = (r.to_json() for w in words for r in residuals(w) if not r.passed)
+            found = (
+                r.to_json()
+                for n, words in sizes
+                for reports in _flagged(check_id, words, n, residuals)
+                for r in reports
+                if not r.passed
+            )
             sample = f"{RANDOM_SAMPLE_SIZE} random at n={RANDOM_SAMPLE_N}"
             return _verdict(found, f"n<={bound} exhaustive, {sample}")
 
@@ -171,6 +190,39 @@ def _law(check_id: str, description: str, default_bound: int):
         return residuals
 
     return register
+
+
+def _flagged(
+    law: str,
+    words: Iterable[tuple[int, ...]],
+    n: int,
+    oracle: Callable[[tuple[int, ...]], Iterable[ResidualReport]],
+) -> Iterator[list[ResidualReport]]:
+    """The per-word reports ``oracle(w)`` of every word that the block
+    residuals of ``law`` flag, in word order.
+
+    The size-n ``words`` are checked a packed block at a time: an instance
+    flags a word where its two residual columns differ.  The oracle must fail
+    exactly the flagged instances of the word; if not, the block kernels are
+    at fault, and this raises rather than drop or invent a witness.
+    """
+    for block, count in packed_blocks(words, n):
+        flags: dict[int, list[int]] = {}
+        for instance, (lhs, rhs) in enumerate(residual_columns(law, block, count)):
+            if lhs != rhs:
+                for lane, (left, right) in enumerate(zip(lhs, rhs)):
+                    if left != right:
+                        flags.setdefault(lane, []).append(instance)
+        for lane in sorted(flags):
+            word = tuple(block[lane * n : (lane + 1) * n])
+            reports = list(oracle(word))
+            failed = [i for i, r in enumerate(reports) if not r.passed]
+            if failed != flags[lane]:
+                raise AssertionError(
+                    f"{law}: the block residuals flag instances {flags[lane]} of "
+                    f"{format_word(word)}, the per-word check fails {failed}"
+                )
+            yield reports
 
 
 def _pat_text(pats) -> str:
@@ -380,20 +432,41 @@ def _lem42(w):
     "phi-psi", "phi_k and psi_k are injective into the one-at-k classes", 7, scope=", all k"
 )
 def _phi_psi_rows(n: int):
-    group = list(permutations(range(1, n + 1)))
+    """Images a packed block at a time: injective when the distinct image
+    slices number n!, and in the one-at-k class when the image column at
+    position n+2-k is all 1s.  A failure is reported by the per-word maps."""
+    m = n + 1
+    blocks = list(packed_blocks(permutations(range(1, n + 1)), n))
     for k in range(1, n + 2):
-        for name, fn in (("phi", phi), ("psi", psi)):
-            images = {fn(k, w).word for w in group}
-            misplaced = [w for w in images if w[n + 1 - k] != 1]
-            if len(images) != len(group) or misplaced:
-                yield {
-                    "map": name,
-                    "n": n,
-                    "k": k,
-                    "distinct_images": len(images),
-                    "expected": len(group),
-                    "misplaced": [format_word(w) for w in misplaced[:3]],
-                }
+        for name, image_block in (("phi", phi_block), ("psi", psi_block)):
+            images: set[bytes] = set()
+            placed = True
+            for block, count in blocks:
+                image = image_block(k, block, count)
+                images.update(image[t : t + m] for t in range(0, len(image), m))
+                placed = placed and image[n + 1 - k :: m] == b"\x01" * count
+            if len(images) != factorial(n) or not placed:
+                yield _phi_psi_witness(name, n, k)
+
+
+def _phi_psi_witness(name: str, n: int, k: int) -> dict:
+    """The phi-psi witness of one map at (n, k), from the per-word map."""
+    fn = phi if name == "phi" else psi
+    group = list(permutations(range(1, n + 1)))
+    images = {fn(k, w).word for w in group}
+    misplaced = [w for w in images if w[n + 1 - k] != 1]
+    if len(images) == len(group) and not misplaced:
+        raise AssertionError(
+            f"phi-psi: the block images of {name}_{k} fail at n={n}, the per-word map passes"
+        )
+    return {
+        "map": name,
+        "n": n,
+        "k": k,
+        "distinct_images": len(images),
+        "expected": len(group),
+        "misplaced": [format_word(w) for w in misplaced[:3]],
+    }
 
 
 @_identity(
@@ -403,15 +476,8 @@ def _phi_psi_rows(n: int):
     first=1,
 )
 def _prop25_rows(n: int):
-    for w in permutations(range(1, n + 1)):
-        base = crossing_count(w)
-        ok = (
-            crossing_count(phi(1, w).word) == base
-            and crossing_count(psi(1, w).word) == base
-            and crossing_count(phi(2, w).word) == base + 1 - (1 if w[-1] == n else 0)
-        )
-        if not ok:
-            yield {"word": format_word(w)}
+    for reports in _flagged("prop-2.5", permutations(range(1, n + 1)), n, check_prop25):
+        yield {"word": format_word(reports[0].word)}
 
 
 def _f_full(n: int) -> QPoly:

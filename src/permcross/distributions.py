@@ -16,12 +16,13 @@ word by word on this path.
 
 from __future__ import annotations
 
+import inspect
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import islice
 from math import comb
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .patterns import P132_231, P132_312, P213_231, P213_312, ClassSpec, class_spec, class_words
 from .perm import MAX_PACKED_N, STATISTICS, position_column, stat_column
@@ -80,27 +81,52 @@ def _check_stat(stat: str) -> None:
 BLOCK_WORDS = 2048
 
 
-def _fold(spec: ClassSpec, bound: int | None, keys: Callable[[bytes, int], Iterable]) -> Counter:
-    """Histogram of per-word keys over a class.
+def packed_blocks(words: Iterable[Sequence[int]], n: int) -> Iterator[tuple[bytes, int]]:
+    """(block, count) for the size-n ``words`` in blocks of up to
+    ``BLOCK_WORDS``, packed one letter per byte as they stream (see
+    :func:`permcross.perm.stat_column`); the words are never held as tuples.
 
-    The class streams in blocks of up to ``BLOCK_WORDS`` words, packed one
-    letter per byte; ``keys(block, count)`` gives the key of every word of a
-    block, in order, from the column kernels of :mod:`permcross.perm`.
+    >>> list(packed_blocks([(2, 1), (1, 2)], 2))
+    [(b'\\x02\\x01\\x01\\x02', 2)]
     """
-    words = class_words(spec, bound)
-    n = spec.n
     if n > MAX_PACKED_N:
         raise ValueError(f"words are packed one letter per byte; n={n} exceeds {MAX_PACKED_N}")
-    counts: Counter = Counter()
+    words = iter(words)
     if n == 0:  # empty words pack to nothing, so count them instead
         size = sum(1 for _ in words)
         if size:
-            counts.update(keys(b"", size))
-        return counts
-    # the words are packed as they stream, never held as tuples
+            yield b"", size
+        return
     while block := b"".join(map(bytes, islice(words, BLOCK_WORDS))):
-        counts.update(keys(block, len(block) // n))
+        yield block, len(block) // n
+
+
+def _fold(spec: ClassSpec, bound: int | None, keys: Callable[[bytes, int], Iterable]) -> Counter:
+    """Histogram of per-word keys over a class, a packed block at a time;
+    ``keys(block, count)`` gives the key of every word of a block, in order,
+    from the column kernels of :mod:`permcross.perm`."""
+    counts: Counter = Counter()
+    for block, count in packed_blocks(class_words(spec, bound), spec.n):
+        counts.update(keys(block, count))
     return counts
+
+
+def _memo(fn):
+    """``lru_cache`` keyed on every parameter with its default filled in, so
+    ``f(spec, "crs")`` and ``f(spec, "crs", None)`` are one entry.  The result
+    carries the cache's ``cache_info`` and ``cache_clear``."""
+    signature = inspect.signature(fn)
+    cached = lru_cache(maxsize=None)(fn)
+
+    @wraps(fn)
+    def call(*args, **kwargs):
+        key = signature.bind(*args, **kwargs)
+        key.apply_defaults()
+        return cached(*key.args)
+
+    call.cache_info = cached.cache_info
+    call.cache_clear = cached.cache_clear
+    return call
 
 
 def _qpoly(counts: Counter) -> QPoly:
@@ -108,7 +134,7 @@ def _qpoly(counts: Counter) -> QPoly:
     return QPoly(tuple(counts.get(e, 0) for e in range(top)))
 
 
-@lru_cache(maxsize=None)
+@_memo
 def dist_poly(spec: ClassSpec, stat: str, bound: int | None = None) -> tuple[QPoly, int]:
     """(distribution polynomial, class size) of one statistic over a class."""
     _check_stat(stat)
@@ -116,7 +142,7 @@ def dist_poly(spec: ClassSpec, stat: str, bound: int | None = None) -> tuple[QPo
     return _qpoly(counts), sum(counts.values())
 
 
-@lru_cache(maxsize=None)
+@_memo
 def joint_poly(
     spec: ClassSpec, stat_y: str, stat_q: str, bound: int | None = None
 ) -> tuple[YQPoly, int]:
@@ -158,7 +184,7 @@ class CrsProfile:
     total: QPoly
 
 
-@lru_cache(maxsize=None)
+@_memo
 def crs_profile(n: int, forbidden: tuple = (), bound: int | None = None) -> CrsProfile:
     if n == 0:
         return CrsProfile(0, (), (), QPoly.one())

@@ -18,7 +18,11 @@ The statistics of interest pair positions with values through arcs i -> sigma(i)
 Each statistic exists twice.  The functions of :data:`STATISTICS` take one
 word; they are the public per-word API and the oracle.  :func:`stat_column`
 computes a statistic for a whole packed block of words at once, with lane
-arithmetic on big integers, and is what the distribution folds use.
+arithmetic on big integers, and is what the distribution folds use.  The
+inverse, the rc image and insertion have block forms too
+(:func:`inverse_block`, :func:`rc_block`, :func:`insert_block`), which map a
+packed block to a packed block, so the crossing-change laws are checked a
+block at a time.
 """
 
 from __future__ import annotations
@@ -355,21 +359,100 @@ def stat_column(block: bytes, count: int, stat: str) -> Sequence[int]:
     statistic is a sum of 0/1 lanes.  The per-word functions of
     :data:`STATISTICS` are the oracle the kernels are tested against.
     Returns ``bytes`` for one-byte lanes, else an array.
+
+    >>> list(stat_column(bytes((4, 7, 3, 5, 1, 2, 6, 2, 1, 3, 4, 5, 6, 7)), 2, "crs"))
+    [3, 0]
     """
     if stat not in _LANE_KERNELS:
         raise ValueError(f"unknown statistic {stat!r}; expected one of {sorted(STATISTICS)}")
     lanes = _Lanes(block, count)
-    return lanes.unpack(_LANE_KERNELS[stat](lanes))
+    return lanes.unpack(lanes.stat(stat))
 
 
 def position_column(block: bytes, count: int, letter: int) -> Sequence[int]:
     """The 1-based position of ``letter`` in every word of a packed block
-    (see :func:`stat_column`), 0 where a word does not contain it."""
-    lanes = _Lanes(block, count)
-    total = 0
-    for p, column in enumerate(lanes.columns, 1):
-        total += lanes.as_int(column.translate(_position_table(letter, p)))
-    return lanes.unpack(total)
+    (see :func:`stat_column`), 0 where a word does not contain it.
+
+    >>> list(position_column(bytes((2, 3, 1, 3, 1, 2)), 2, 1))
+    [3, 2]
+    """
+    n = _word_size(block, count)
+    return _positions([block[p::n] for p in range(n)], count, letter)
+
+
+def inverse_block(block: bytes, count: int) -> bytes:
+    """The inverse of every word of a packed block (see :func:`stat_column`),
+    packed the same way: column v of the result is the position of the
+    letter v.
+
+    >>> list(inverse_block(bytes((2, 3, 1, 3, 1, 2)), 2))
+    [3, 1, 2, 2, 3, 1]
+    """
+    n = _word_size(block, count)
+    columns = [block[p::n] for p in range(n)]
+    out = bytearray(len(block))
+    for v in range(1, n + 1):
+        out[v - 1 :: n] = _positions(columns, count, v)
+    return bytes(out)
+
+
+def rc_block(block: bytes, count: int) -> bytes:
+    """The rc image (reverse of the complement) of every word of a packed
+    block: the columns in reverse order, then one ``translate`` v -> n+1-v.
+
+    >>> list(rc_block(bytes((4, 1, 3, 5, 7, 6, 2)), 1))
+    [6, 2, 1, 3, 5, 7, 4]
+    """
+    n = _word_size(block, count)
+    out = bytearray(len(block))
+    for p in range(n):
+        out[p::n] = block[n - 1 - p :: n]
+    return bytes(out.translate(_complement_table(n)))
+
+
+def insert_block(block: bytes, count: int, a: int, b: int) -> bytes:
+    """:func:`insert` of the letter b at position a into every word of a
+    packed block: one ``translate`` bumps the letters >= b, the columns move
+    to their new positions and a constant column of b fills position a.
+
+    >>> list(insert_block(bytes((3, 1, 4, 2)), 1, 2, 3))
+    [4, 3, 1, 5, 2]
+    """
+    n = _word_size(block, count)
+    m = n + 1
+    if m > MAX_PACKED_N:
+        raise ValueError(f"packed words hold one letter per byte; n={m} exceeds {MAX_PACKED_N}")
+    if not 1 <= a <= m:
+        raise ValueError(f"insert position {a} out of range 1..{m}")
+    if not 1 <= b <= m:
+        raise ValueError(f"insert value {b} out of range 1..{m}")
+    bumped = block.translate(_bump_table(b))
+    out = bytearray(m * count)
+    out[a - 1 :: m] = bytes((b,)) * count
+    for p in range(n):
+        out[p + (p >= a - 1) :: m] = bumped[p::n]
+    return bytes(out)
+
+
+def _positions(columns: list[bytes], count: int, letter: int) -> bytes:
+    """The 1-based position of ``letter`` in each of the ``count`` lanes of
+    the columns, 0 where it is absent: one ``translate`` per column, summed
+    as one-byte lane integers, of which at most one is nonzero in a lane."""
+    total = sum(
+        int.from_bytes(c.translate(_position_table(letter, p)), "little")
+        for p, c in enumerate(columns, 1)
+    )
+    return total.to_bytes(count, "little")
+
+
+def _word_size(block: bytes, count: int) -> int:
+    """The length of the words of a packed block, which must be whole and packable."""
+    if count < 1 or len(block) % count:
+        raise ValueError(f"{len(block)} bytes do not pack {count} words of one length")
+    n = len(block) // count
+    if n > MAX_PACKED_N:
+        raise ValueError(f"packed words hold one letter per byte; n={n} exceeds {MAX_PACKED_N}")
+    return n
 
 
 class _Lanes:
@@ -379,18 +462,16 @@ class _Lanes:
     letters, ``xt`` the letters with the top bit set, and ``const(c)`` the
     value c in every lane, so ``(xt[i] - x[j]) & top`` is [w_i >= w_j] and
     ``(xt[p] - const(c)) & top`` is [w_p >= c].  ``>> shift`` turns top bits
-    into 0/1 lanes.
+    into 0/1 lanes.  Lanes are as wide as the statistics of n need, or
+    ``min_width`` bytes if wider: the residual kernels of
+    :mod:`permcross.bijections` add several statistics in one lane.
     """
 
-    def __init__(self, block: bytes, count: int):
-        if count < 1 or len(block) % count:
-            raise ValueError(f"{len(block)} bytes do not pack {count} words of one length")
-        n = len(block) // count
-        if n > MAX_PACKED_N:
-            raise ValueError(f"packed words hold one letter per byte; n={n} exceeds {MAX_PACKED_N}")
+    def __init__(self, block: bytes, count: int, min_width: int = 1):
+        n = _word_size(block, count)
         self.n = n
         self.count = count
-        self.width = 1 if n * (n - 1) // 2 <= 0xFF else 2
+        self.width = max(min_width, 1 if n * (n - 1) // 2 <= 0xFF else 2)
         self.columns = [block[p::n] for p in range(n)]
         self.ones = self.as_int(b"\x01" * count)
         self.shift = 8 * self.width - 1
@@ -413,6 +494,14 @@ class _Lanes:
         """[w_(p+1) == c] as 0/1 lanes."""
         return self.as_int(self.columns[p].translate(_position_table(c, 1)))
 
+    def position(self, letter: int) -> int:
+        """The 1-based position of ``letter`` in each lane, 0 where it is absent."""
+        return self.as_int(_positions(self.columns, self.count, letter))
+
+    def stat(self, name: str) -> int:
+        """The lane sum of one statistic."""
+        return _LANE_KERNELS[name](self)
+
     def unpack(self, total: int) -> Sequence[int]:
         raw = total.to_bytes(self.width * self.count, "little")
         if self.width == 1:
@@ -430,6 +519,20 @@ def _position_table(letter: int, position: int) -> bytes:
     table = bytearray(256)
     table[letter] = position
     return bytes(table)
+
+
+@lru_cache(maxsize=None)
+def _complement_table(n: int) -> bytes:
+    """``bytes.translate`` table: v -> n+1-v for the letters 1..n."""
+    table = bytearray(range(256))
+    table[1 : n + 1] = range(n, 0, -1)
+    return bytes(table)
+
+
+@lru_cache(maxsize=None)
+def _bump_table(b: int) -> bytes:
+    """``bytes.translate`` table: the letters >= b up by one (255 stays)."""
+    return bytes(min(v + (v >= b), 0xFF) for v in range(256))
 
 
 # Each kernel maps a block's lanes to the lane sum of one statistic.  Positions

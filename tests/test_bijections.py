@@ -2,15 +2,24 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from permcross import distributions
 from permcross.bijections import (
+    RESIDUAL_LAWS,
     adjudicate_cor43,
     check_lemma,
     check_lemma42,
+    check_prop25,
     insertion_sets,
     phi,
+    phi_block,
     psi,
+    psi_block,
+    residual_columns,
 )
+from permcross.distributions import packed_blocks
 from permcross.patterns import P213_312, class_spec, class_words
 from permcross.perm import (
     apply_symmetry,
@@ -252,3 +261,110 @@ def test_adjudication_matches_tableau_exponent():
             for w in class_words(class_spec(n - 1, avoid=P213_312, tail=k)):
                 got = crossing_count(insert(w, 1, k + 1).word) - crossing_count(w)
                 assert got == exponent
+
+
+# ---------------------------------------------------------------------------
+# the maps and the laws over packed blocks, against the per-word oracles
+
+
+def pack(words):
+    return b"".join(map(bytes, words))
+
+
+def oracle_reports(law, w):
+    """The per-word reports of one law, in instance order."""
+    if law == "lem-4.2":
+        return [check_lemma42(w, j) for j in range(1, len(w) + 1)]
+    if law == "lem-2.4":
+        return [check_lemma(law, w, image="i"), check_lemma(law, w, image="rc")]
+    if law == "prop-2.5":
+        return list(check_prop25(w))
+    return [check_lemma(law, w)]
+
+
+def oracle_shifts(law, w):
+    """What the block form adds to both sides of each instance: the negative
+    terms of the right side."""
+    n = len(w)
+    ut, lt = transients(w)
+    ends_with_n = 1 if w[-1] == n else 0
+    return {
+        "lem-2.1": [lt],
+        "lem-2.2": [ends_with_n + lt],
+        "lem-2.4": [lt, lt],
+        "lem-4.2": [len(insertion_sets(w, j).c) for j in range(1, n + 1)],
+        "prop-2.5": [0, 0, ends_with_n],
+    }[law]
+
+
+def assert_blocks_match(words):
+    block, count, n = pack(words), len(words), len(words[0])
+    for k in range(1, n + 2):
+        for fn, block_fn in ((phi, phi_block), (psi, psi_block)):
+            image = block_fn(k, block, count)
+            assert image == pack(fn(k, w).word for w in words), (fn.__name__, k)
+    for law in RESIDUAL_LAWS:
+        columns = residual_columns(law, block, count)
+        for t, w in enumerate(words):
+            reports = oracle_reports(law, w)
+            assert len(columns) == len(reports)
+            for (lhs, rhs), report, shift in zip(columns, reports, oracle_shifts(law, w)):
+                assert (lhs[t], rhs[t]) == (report.lhs + shift, report.rhs + shift), (law, w)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_blocks_match_per_word_maps_and_laws(n):
+    assert_blocks_match(list(permutations(range(1, n + 1))))
+
+
+@pytest.mark.parametrize("n", [22, 23, 24, 25])
+def test_blocks_across_the_lane_width_boundary(n):
+    # the sides reach n(n+3)/2: one-byte lanes hold them up to n = 21, and the
+    # crossings of a size-(n+1) image up to n = 22
+    rng = random.Random(n)
+    words = [tuple(range(n, 0, -1)), tuple(range(1, n + 1))]
+    words += [tuple(rng.sample(range(1, n + 1), n)) for _ in range(6)]
+    assert_blocks_match(words)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(10, 40).flatmap(
+        lambda n: st.lists(st.permutations(range(1, n + 1)), min_size=1, max_size=6)
+    )
+)
+def test_blocks_match_on_random_words(words):
+    assert_blocks_match([tuple(w) for w in words])
+
+
+@pytest.mark.parametrize("block", [120, 60, 119, 1])
+def test_residuals_at_block_edges(monkeypatch, block):
+    # S_5 has 120 words: whole blocks at 120 and 60, one word past at 119
+    monkeypatch.setattr(distributions, "BLOCK_WORDS", block)
+    words = list(permutations(range(1, 6)))
+    for law in RESIDUAL_LAWS:
+        lanes = []
+        for packed, count in packed_blocks(words, 5):
+            assert count <= block
+            columns = residual_columns(law, packed, count)
+            lanes += [[(lhs[t], rhs[t]) for lhs, rhs in columns] for t in range(count)]
+        want = [
+            [(r.lhs + s, r.rhs + s) for r, s in zip(oracle_reports(law, w), oracle_shifts(law, w))]
+            for w in words
+        ]
+        assert lanes == want, law
+
+
+def test_block_laws_reject_bad_input():
+    with pytest.raises(ValueError, match="unknown law"):
+        residual_columns("lem-9.9", b"\x01", 1)
+    with pytest.raises(ValueError, match="nonempty"):
+        residual_columns("lem-2.1", b"", 1)
+    with pytest.raises(ValueError, match="do not pack"):
+        residual_columns("lem-4.2", b"\x01\x02\x01", 2)
+    with pytest.raises(ValueError, match="k=4 out of range"):
+        phi_block(4, b"\x02\x01", 1)
+    with pytest.raises(ValueError, match="k=0 out of range"):
+        psi_block(0, b"\x02\x01", 1)
+    with pytest.raises(ValueError, match="nonempty"):
+        check_prop25(())

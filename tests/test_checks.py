@@ -1,10 +1,11 @@
 import json
+from itertools import permutations
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from permcross import bijections, checks
+from permcross import bijections, checks, distributions
 from permcross.bijections import ResidualReport
 from permcross.checks import (
     CHECKS,
@@ -134,46 +135,89 @@ def _failing_lemma42(w, j):
     return ResidualReport("lem-4.2", tuple(w), (("j", j),), 0, 1, False)
 
 
+def _failing_residuals(law, block, count):
+    """Block residuals whose right side is one too high in every lane."""
+    columns = bijections.residual_columns(law, block, count)
+    return [(lhs, [v + 1 for v in rhs]) for lhs, rhs in columns]
+
+
+def _phi_one_slot_early(k, w):
+    # the printed worked examples put the 1 one slot early
+    return bijections.insert_of_inverse(w, max(len(w) + 1 - k, 1), 1)
+
+
+def _phi_block_one_slot_early(k, block, count):
+    n = len(block) // count
+    image = bijections.inverse_block(block, count)
+    return bijections.insert_block(image, count, max(n + 1 - k, 1), 1)
+
+
 def _asymmetric_profile(n, forbidden=(), bound=None):
     by_pos1 = tuple(QPoly.monomial(p) for p in range(n))
     return CrsProfile(n, by_pos1, by_pos1, QPoly.zero())
 
 
-# one broken input per kind of check: (check_id, module, name, replacement, status)
+_ZERO_FORM = ((checks, "closed_form", lambda form, n: QPoly.zero()),)
+# the block residuals decide a law and the per-word oracle reports it, so a
+# broken law is broken in both
+_BROKEN_LEMMA = (
+    (checks, "residual_columns", _failing_residuals),
+    (checks, "check_lemma", _failing_lemma),
+)
+_BROKEN_LEMMA42 = (
+    (checks, "residual_columns", _failing_residuals),
+    (checks, "check_lemma42", _failing_lemma42),
+)
+
+# one broken input per kind of check: (check_id, ((module, name, replacement), ...), status)
 BROKEN_INPUTS = [
-    ("thm-3.1", checks, "closed_form", lambda form, n: QPoly.zero(), "fail"),
-    ("cor-3.2", checks, "closed_form", lambda form, n: QPoly.zero(), "fail"),
-    ("thm-1.1", checks, "closed_form", lambda form, n: QPoly.zero(), "fail"),
-    ("cor-3.4", checks, "closed_form", lambda form, n: QPoly.zero(), "fail"),
-    ("eq-dokos", checks, "closed_form", lambda form, n: QPoly.zero(), "fail"),
-    ("rel-3", checks, "apply_symmetry_to_patterns", lambda tag, pats: pats, "fail"),
-    ("sym-transport", checks, "apply_symmetry", lambda tag, w: tuple(w), "fail"),
-    ("conj-2.7", checks, "crs_profile", _asymmetric_profile, "finding"),
-    ("lem-2.1", checks, "check_lemma", _failing_lemma, "fail"),
-    ("lem-2.2", checks, "check_lemma", _failing_lemma, "fail"),
-    ("lem-2.4", checks, "check_lemma", _failing_lemma, "fail"),
-    ("lem-4.2", checks, "check_lemma42", _failing_lemma42, "fail"),
+    ("thm-3.1", _ZERO_FORM, "fail"),
+    ("cor-3.2", _ZERO_FORM, "fail"),
+    ("thm-1.1", _ZERO_FORM, "fail"),
+    ("cor-3.4", _ZERO_FORM, "fail"),
+    ("eq-dokos", _ZERO_FORM, "fail"),
+    ("rel-3", ((checks, "apply_symmetry_to_patterns", lambda tag, pats: pats),), "fail"),
+    ("sym-transport", ((checks, "apply_symmetry", lambda tag, w: tuple(w)),), "fail"),
+    ("conj-2.7", ((checks, "crs_profile", _asymmetric_profile),), "finding"),
+    ("lem-2.1", _BROKEN_LEMMA, "fail"),
+    ("lem-2.2", _BROKEN_LEMMA, "fail"),
+    ("lem-2.4", _BROKEN_LEMMA, "fail"),
+    ("lem-4.2", _BROKEN_LEMMA42, "fail"),
+    # psi in place of phi: psi_2 adds 1 - [sigma(1) = 1], not 1 - [sigma(n) = n]
     (
-        "thm-2.8",
-        checks,
-        "crossing_gf_by_class",
-        lambda pats, order: ZSeries(QPoly, (QPoly.one(),) * (order + 1)),
+        "prop-2.5",
+        ((bijections, "phi", bijections.psi), (bijections, "phi_block", bijections.psi_block)),
         "fail",
     ),
-    ("fig-1", checks, "crossings", lambda w: (0, ()), "fail"),
-    ("cor-4.3", bijections, "crossing_count", lambda w: 0, "fail"),
+    (
+        "phi-psi",
+        ((checks, "phi", _phi_one_slot_early), (checks, "phi_block", _phi_block_one_slot_early)),
+        "fail",
+    ),
+    (
+        "thm-2.8",
+        (
+            (
+                checks,
+                "crossing_gf_by_class",
+                lambda pats, order: ZSeries(QPoly, (QPoly.one(),) * (order + 1)),
+            ),
+        ),
+        "fail",
+    ),
+    ("fig-1", ((checks, "crossings", lambda w: (0, ())),), "fail"),
+    ("cor-4.3", ((bijections, "crossing_count", lambda w: 0),), "fail"),
 ]
 
 
 @pytest.mark.parametrize(
-    "check_id, module, name, broken, status", BROKEN_INPUTS, ids=[b[0] for b in BROKEN_INPUTS]
+    "check_id, patches, status", BROKEN_INPUTS, ids=[b[0] for b in BROKEN_INPUTS]
 )
-def test_a_broken_input_is_reported_with_capped_witnesses(
-    monkeypatch, check_id, module, name, broken, status
-):
+def test_a_broken_input_is_reported_with_capped_witnesses(monkeypatch, check_id, patches, status):
     passing = run_check(check_id, 4)
     assert passing.status == "pass"
-    monkeypatch.setattr(module, name, broken)
+    for module, name, broken in patches:
+        monkeypatch.setattr(module, name, broken)
     broken_run = run_check(check_id, 4)
     assert broken_run.status == status
     assert 1 <= len(broken_run.witnesses) <= WITNESS_CAP
@@ -193,6 +237,38 @@ def test_witnesses_stop_at_the_cap(monkeypatch):
         (2, "123,213"),
         (3, "123,132"),
     ]
+
+
+@pytest.mark.parametrize("check_id", ["lem-2.1", "lem-4.2"])
+def test_the_block_residuals_decide_and_the_oracle_confirms(monkeypatch, check_id):
+    # a broken per-word oracle alone is never consulted: no lane is flagged
+    monkeypatch.setattr(checks, "check_lemma", _failing_lemma)
+    monkeypatch.setattr(checks, "check_lemma42", _failing_lemma42)
+    assert run_check(check_id, 4).status == "pass"
+    # a flag the true oracle does not confirm is a kernel defect, never a witness
+    monkeypatch.undo()
+    monkeypatch.setattr(checks, "residual_columns", _failing_residuals)
+    with pytest.raises(AssertionError, match="block residuals flag instances"):
+        run_check(check_id, 4)
+
+
+def test_block_images_the_per_word_maps_pass_are_a_defect(monkeypatch):
+    monkeypatch.setattr(checks, "phi_block", _phi_block_one_slot_early)
+    with pytest.raises(AssertionError, match="the per-word map passes"):
+        run_check("phi-psi", 4)
+
+
+@pytest.mark.parametrize("block", [120, 60, 119, 1])
+def test_flagged_words_at_block_edges(monkeypatch, block):
+    # S_5 has 120 words: whole blocks at 120 and 60, one word past at 119
+    monkeypatch.setattr(bijections, "phi", bijections.psi)
+    monkeypatch.setattr(bijections, "phi_block", bijections.psi_block)
+    monkeypatch.setattr(distributions, "BLOCK_WORDS", block)
+    group = list(permutations(range(1, 6)))
+    oracle = bijections.check_prop25
+    flagged = [reports[0].word for reports in checks._flagged("prop-2.5", group, 5, oracle)]
+    assert flagged == [w for w in group if not all(r.passed for r in oracle(w))]
+    assert 0 < len(flagged) < len(group)
 
 
 def test_bound_below_a_checks_minimum_is_refused():

@@ -129,6 +129,30 @@ def test_folds_across_the_lane_width_boundary(n):
         assert_folds_match(class_spec(n, avoid=pats), bound=n, pairs=ALL_PAIRS)
 
 
+def test_defaulted_and_explicit_arguments_share_one_cache_entry(monkeypatch):
+    folds = []
+    fold = distributions._fold
+    monkeypatch.setattr(distributions, "_fold", lambda *args: folds.append(args) or fold(*args))
+    spec = class_spec(6, avoid=P213_312)
+    calls = (
+        (dist_poly, (spec, "crs"), (spec, "crs", None), {"bound": None}),
+        (joint_poly, (spec, "exc", "crs"), (spec, "exc", "crs", None), {"bound": None}),
+        (crs_profile, (6,), (6, ()), {"forbidden": (), "bound": None}),
+    )
+    for cached, defaulted, explicit, keywords in calls:
+        cached.cache_clear()
+        try:
+            first = cached(*defaulted)
+            assert cached(*explicit) is first
+            assert cached(*defaulted, **keywords) is first
+            assert cached(*defaulted) is first
+            info = cached.cache_info()
+            assert (info.misses, info.hits) == (1, 3)
+        finally:
+            cached.cache_clear()
+    assert len(folds) == len(calls)
+
+
 def test_fold_refuses_words_past_the_packing_limit():
     with pytest.raises(ValueError, match="n=256 exceeds 255"):
         dist_poly(class_spec(256, maxdrop_le=0), "crs", 256)

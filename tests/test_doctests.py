@@ -1,0 +1,40 @@
+import doctest
+import importlib
+import pkgutil
+
+import pytest
+
+import permcross
+
+MODULES = sorted(
+    m.name for m in pkgutil.iter_modules(permcross.__path__) if m.name != "__main__"
+)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_doctests(name):
+    module = importlib.import_module(f"permcross.{name}")
+    result = doctest.testmod(module)
+    assert result.failed == 0
+
+
+def test_the_kernels_have_doctests():
+    finder = doctest.DocTestFinder()
+    tested = {
+        test.name.rsplit(".", 1)[-1]
+        for name in MODULES
+        for test in finder.find(importlib.import_module(f"permcross.{name}"))
+        if test.examples
+    }
+    kernels = {
+        "stat_column",
+        "position_column",
+        "inverse_block",
+        "rc_block",
+        "insert_block",
+        "phi_block",
+        "psi_block",
+        "residual_columns",
+        "packed_blocks",
+    }
+    assert kernels <= tested

@@ -18,7 +18,9 @@ from permcross.perm import (
     format_word,
     identity,
     insert,
+    insert_block,
     insert_of_inverse,
+    inverse_block,
     invert,
     make_permutation,
     max_drop,
@@ -26,6 +28,7 @@ from permcross.perm import (
     nestings,
     parse_word,
     position_column,
+    rc_block,
     remove_value,
     skew_sum,
     stat_bundle,
@@ -161,6 +164,57 @@ def test_stat_columns_at_the_packing_limit():
     n = MAX_PACKED_N
     words = [tuple(range(n, 0, -1)), tuple(range(1, n + 1))]
     assert_columns_match(words)
+
+
+def unpack(block, count):
+    n = len(block) // count
+    return [tuple(block[t * n : (t + 1) * n]) for t in range(count)]
+
+
+def assert_block_images_match(words):
+    """The block inverse, rc image and insertions against the per-word maps:
+    every insertion up to n = 6, the first, second, middle and last two
+    positions and letters beyond."""
+    block, count, n = pack(words), len(words), len(words[0])
+    assert unpack(inverse_block(block, count), count) == [invert(w) for w in words]
+    assert unpack(rc_block(block, count), count) == [apply_symmetry("rc", w) for w in words]
+    slots = range(1, n + 2) if n <= 6 else sorted({1, 2, n // 2 + 1, n, n + 1})
+    for a in slots:
+        for b in slots:
+            image = insert_block(block, count, a, b)
+            assert unpack(image, count) == [insert(w, a, b).word for w in words], (a, b)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_block_images_match_per_word_maps(n):
+    assert_block_images_match(list(permutations(range(1, n + 1))))
+
+
+@pytest.mark.parametrize("n", [22, 23, 24, 25])
+def test_block_images_across_the_lane_width_boundary(n):
+    rng = random.Random(n)
+    words = [tuple(range(n, 0, -1)), tuple(range(1, n + 1))]
+    words += [tuple(rng.sample(range(1, n + 1), n)) for _ in range(6)]
+    assert_block_images_match(words)
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_blocks)
+def test_block_images_match_on_random_words(words):
+    assert_block_images_match([tuple(w) for w in words])
+
+
+def test_block_images_reject_bad_blocks():
+    with pytest.raises(ValueError, match="do not pack"):
+        inverse_block(b"\x01\x02\x02", 2)
+    with pytest.raises(ValueError, match="do not pack"):
+        rc_block(b"", 0)
+    with pytest.raises(ValueError, match="position 4 out of range"):
+        insert_block(b"\x01\x02", 1, 4, 1)
+    with pytest.raises(ValueError, match="value 0 out of range"):
+        insert_block(b"\x01\x02", 1, 1, 0)
+    with pytest.raises(ValueError, match="n=256 exceeds 255"):
+        insert_block(bytes(range(1, 256)), 1, 1, 1)
 
 
 def test_stat_column_rejects_bad_blocks():
