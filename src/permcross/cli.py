@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .checks import CHECKS, CheckBoundError, CheckResult, run_checks, suite_passed
+from .checks import CHECKS, CheckBoundError, CheckResult, iter_checks, suite_passed
 from .distributions import (
     DistributionReport,
     crossing_cfrac_series,
@@ -242,21 +242,26 @@ def _cmd_verify(args) -> int:
     ids = args.checks or ["all"]
     bound = _nonnegative_bound(args.bound, "--bound") if args.bound is not None else _env_bound()
     try:
-        results = run_checks("all" if ids == ["all"] else ids, bound)
+        stream = iter_checks("all" if ids == ["all"] else ids, bound)
     except (KeyError, CheckBoundError) as exc:
         raise CliError(exc.args[0]) from None
-    if args.json:
-        for r in results:
-            print(json.dumps(r.to_json(), sort_keys=True))
-    elif args.csv:
-        writer = csv.writer(sys.stdout)
+    if not (args.json or args.csv):
+        results = list(stream)  # the columns are as wide as the widest result
+        sys.stdout.write(_format_verify_human(results))
+        return 0 if suite_passed(results) else 1
+    writer = None if args.json else csv.writer(sys.stdout)
+    if writer is not None:
         writer.writerow(("check_id", "bound", "status", "witnesses", "runtime"))
-        for r in results:
+    results = []
+    for r in stream:  # each line is written as its check ends
+        results.append(r)
+        if writer is None:
+            print(json.dumps(r.to_json(), sort_keys=True))
+        else:
             writer.writerow(
                 (r.check_id, r.bound, r.status, json.dumps(list(r.witnesses)), f"{r.runtime:.6f}")
             )
-    else:
-        sys.stdout.write(_format_verify_human(results))
+        sys.stdout.flush()
     return 0 if suite_passed(results) else 1
 
 

@@ -7,11 +7,12 @@ expressions assembled in integer arithmetic.  All heavy computations are
 memoized; inputs are immutable so the caches are safe to share.
 
 ``dist_poly``, ``joint_poly`` and ``crs_profile`` are histograms from one
-fold (:func:`_fold`): the class streams in blocks of ``BLOCK_WORDS`` words
-packed one letter per byte, the column kernels of :mod:`permcross.perm`
-turn each block into statistic columns at once, and a ``Counter`` counts the
-columns, or tuples zipped from several of them.  No statistic is computed
-word by word on this path.
+fold (:func:`_fold`): the class comes in blocks of ``BLOCK_WORDS`` words
+packed one letter per byte (:func:`permcross.patterns.class_blocks`, sliced
+straight from the class table of a pattern class), the column kernels of
+:mod:`permcross.perm` turn each block into statistic columns at once, and a
+``Counter`` counts the columns, or tuples zipped from several of them.  No
+statistic is computed word by word on this path.
 """
 
 from __future__ import annotations
@@ -20,12 +21,19 @@ import inspect
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, wraps
-from itertools import islice
 from math import comb
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .patterns import P132_231, P132_312, P213_231, P213_312, ClassSpec, class_spec, class_words
-from .perm import MAX_PACKED_N, STATISTICS, position_column, stat_column
+from .patterns import (
+    P132_231,
+    P132_312,
+    P213_231,
+    P213_312,
+    ClassSpec,
+    class_blocks,
+    class_spec,
+)
+from .perm import STATISTICS, position_column, stat_column
 from .polynomials import QPoly, YQPoly, ZSeries, cfrac_expand, rational_expand
 
 
@@ -75,38 +83,12 @@ def _check_stat(stat: str) -> None:
         raise ValueError(f"unknown statistic {stat!r}; expected one of {sorted(STATISTICS)}")
 
 
-#: Words per packed block.  Larger blocks make fewer, longer lane operations
-#: but hold more memory: at 2048 the benchmark workloads peak within 0.1 MB
-#: of a per-word fold, at 4096 class-sweep peaks 0.4 MB higher.
-BLOCK_WORDS = 2048
-
-
-def packed_blocks(words: Iterable[Sequence[int]], n: int) -> Iterator[tuple[bytes, int]]:
-    """(block, count) for the size-n ``words`` in blocks of up to
-    ``BLOCK_WORDS``, packed one letter per byte as they stream (see
-    :func:`permcross.perm.stat_column`); the words are never held as tuples.
-
-    >>> list(packed_blocks([(2, 1), (1, 2)], 2))
-    [(b'\\x02\\x01\\x01\\x02', 2)]
-    """
-    if n > MAX_PACKED_N:
-        raise ValueError(f"words are packed one letter per byte; n={n} exceeds {MAX_PACKED_N}")
-    words = iter(words)
-    if n == 0:  # empty words pack to nothing, so count them instead
-        size = sum(1 for _ in words)
-        if size:
-            yield b"", size
-        return
-    while block := b"".join(map(bytes, islice(words, BLOCK_WORDS))):
-        yield block, len(block) // n
-
-
 def _fold(spec: ClassSpec, bound: int | None, keys: Callable[[bytes, int], Iterable]) -> Counter:
     """Histogram of per-word keys over a class, a packed block at a time;
     ``keys(block, count)`` gives the key of every word of a block, in order,
     from the column kernels of :mod:`permcross.perm`."""
     counts: Counter = Counter()
-    for block, count in packed_blocks(class_words(spec, bound), spec.n):
+    for block, count in class_blocks(spec, bound):
         counts.update(keys(block, count))
     return counts
 

@@ -3,14 +3,19 @@
 A class is described declaratively by :class:`ClassSpec`: a size n, a set of
 forbidden patterns, and at most one positional constraint.  Enumeration is
 always in lexicographic order of the word, so streams are reproducible and
-diffable.  :func:`class_words` has one path per kind of class: bare S_n comes
-from ``itertools.permutations``; S_n cut by ``one_at``, ``ends_with`` or
-``tail`` from the permutations of the free letters with the fixed ones
-inserted; S_n under a maxdrop bound from a backtracking generator
-(:func:`pruned_words`); and a pattern class from a generating tree that
-grows each size from the one below by prepending a first letter.
-:func:`filtered_words`, a plain filter over all n! words, is the oracle the
-other paths are tested against.
+diffable.  There is one path per kind of class: bare S_n comes from
+``itertools.permutations``; S_n cut by ``one_at``, ``ends_with`` or ``tail``
+from the permutations of the free letters with the fixed ones inserted; and
+every class closed under deleting the first letter -- a pattern class, S_n
+under a maxdrop bound, or both -- from a generating tree that grows each size
+from the one below by prepending a first letter.  A pattern class keeps its
+tree: one packed table per forbidden set and drop bound
+(:func:`_class_table`) grows to the largest size asked for, and a
+positional constraint filters its last level.  S_n under a maxdrop bound
+streams its last level and stores none.  :func:`class_blocks` hands a class
+out as packed blocks, :func:`class_words` as words; :func:`filtered_words`,
+a plain filter over all n! words, is the oracle the other paths are tested
+against.
 """
 
 from __future__ import annotations
@@ -18,8 +23,9 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
-from typing import Iterator, Sequence
+from itertools import combinations, islice, permutations
+from threading import RLock
+from typing import Iterable, Iterator, Sequence
 
 from .perm import MAX_PACKED_N, Permutation, as_word
 
@@ -202,61 +208,30 @@ def filtered_words(spec: ClassSpec) -> Iterator[tuple[int, ...]]:
             yield w
 
 
-def pruned_words(spec: ClassSpec) -> Iterator[tuple[int, ...]]:
-    """Backtracking generator in lex order for S_n under a maxdrop bound.
-
-    The bound prunes every prefix that leaves the smallest unused letter no
-    position it may still take.  Pattern classes go through the generating
-    tree of :func:`class_words`, and the fixed-letter constraints through
-    :func:`_fixed_letter_words`.
-    """
-    if spec.forbidden or (spec.constraint is not None and spec.constraint[0] != "maxdrop_le"):
-        raise ValueError("pruned_words enumerates pattern-free classes under a maxdrop bound only")
+def _fixed_run(spec: ClassSpec) -> tuple[int, bytes]:
+    """(offset, run) of the letters a ``one_at``, ``ends_with`` or ``tail``
+    constraint fixes: 1 at position n+1-k, k at the end, or the suffix
+    k, k-1, ..., 1.  A word obeys the constraint when its letters from the
+    0-based offset on start with the run."""
     n = spec.n
-    drop_bound = None if spec.constraint is None else spec.constraint[1]
-    word: list[int] = []
-    used = [False] * (n + 1)
-
-    def rec(pos: int, min_unused: int) -> Iterator[tuple[int, ...]]:
-        if pos > n:
-            yield tuple(word)
-            return
-        for v in range(1, n + 1):
-            if used[v]:
-                continue
-            if drop_bound is not None and pos - v > drop_bound:
-                continue
-            used[v] = True
-            word.append(v)
-            nxt = min_unused
-            while nxt <= n and used[nxt]:
-                nxt += 1
-            # the smallest unused value must still fit some later position
-            if drop_bound is None or nxt > n or pos + 1 - nxt <= drop_bound:
-                yield from rec(pos + 1, nxt)
-            word.pop()
-            used[v] = False
-
-    yield from rec(1, 1)
+    kind, arg = spec.constraint
+    if kind == "one_at":
+        return n - arg, bytes((1,))
+    if kind == "ends_with":
+        return n - 1, bytes((arg,))
+    return n - arg, bytes(range(arg, 0, -1))
 
 
 def _fixed_letter_words(spec: ClassSpec) -> Iterator[tuple[int, ...]]:
     """S_n cut by ``one_at``, ``ends_with`` or ``tail``, in lex order.
 
-    Each of these fixes a run of letters at fixed positions: 1 at position
-    n+1-k, k at the end, or the suffix k, k-1, ..., 1.  The words are the
-    permutations of the free letters with that run inserted; all words share
-    it, so the free letters' lex order is the words' lex order.
+    The words are the permutations of the free letters with the fixed run
+    (:func:`_fixed_run`) inserted; all words share it, so the free letters'
+    lex order is the words' lex order.
     """
-    n = spec.n
-    kind, arg = spec.constraint
-    if kind == "one_at":
-        at, run = n - arg, (1,)
-    elif kind == "ends_with":
-        at, run = n - 1, (arg,)
-    else:
-        at, run = n - arg, tuple(range(arg, 0, -1))
-    free = [v for v in range(1, n + 1) if v not in run]
+    at, run = _fixed_run(spec)
+    run = tuple(run)
+    free = [v for v in range(1, spec.n + 1) if v not in run]
     for rest in permutations(free):
         yield rest[:at] + run + rest[at:]
 
@@ -328,45 +303,71 @@ def _first_letters(u: bytes, rules, drop_bound: int | None) -> int:
     return allowed
 
 
-def _tree_words(spec: ClassSpec) -> Iterator[tuple[int, ...]]:
-    """Generating-tree enumeration of a pattern class, in lex order.
+class _ClassTable:
+    """The generating tree of one class closed under deleting the first
+    letter, grown on demand and kept.
 
     A classical class, and its intersection with a maxdrop bound, is closed
     under deleting the first letter.  So size k is grown from the sorted
     members u of size k-1 by prepending each allowed first letter a and
     shifting the letters >= a up by one.  Looping over a outside and u inside
-    yields size k in lex order without a sort.  Each level is packed: the
-    words one letter per byte in one ``bytes`` object, shifted for all
-    members at once with ``bytes.translate``, and the masks of allowed first
-    letters in an array.  The last level is streamed and never stored;
-    ``one_at``, ``ends_with`` and ``tail`` filter it.
+    yields size k in lex order without a sort.  ``levels[k]`` holds the
+    size-k members packed one letter per byte in one ``bytes`` object, shifted
+    for all members at once with ``bytes.translate``.  The masks of allowed
+    first letters of a level are computed when the level above is first
+    grown, so the largest level grown has none.  A lock keeps threads that
+    share a table from growing one level twice.
     """
-    n = spec.n
-    drop_bound = keep = None
-    if spec.constraint is not None:
-        if spec.constraint[0] == "maxdrop_le":
-            drop_bound = spec.constraint[1]
-        else:
-            keep = _constraint_predicate(spec)
-    rules = [_prepend_rule(p) for p in spec.forbidden]
+
+    def __init__(self, forbidden: tuple, drop_bound: int | None):
+        self.rules = [_prepend_rule(p) for p in forbidden]
+        self.drop_bound = drop_bound
+        self.levels = [b""]
+        self.counts = [1]
+        self.masks: list = []
+        self.lock = RLock()
+
+    def level(self, n: int) -> tuple[bytes, int]:
+        """(packed members, count) of size n, grown from the largest level so far."""
+        with self.lock:
+            for k in range(len(self.levels), n + 1):
+                grown = bytearray()
+                for u in _children(self.levels[k - 1], self.first_letter_masks(k - 1), k):
+                    grown += u
+                self.levels.append(bytes(grown))
+                self.counts.append(len(grown) // k)
+            return self.levels[n], self.counts[n]
+
+    def first_letter_masks(self, k: int) -> Sequence[int]:
+        """The masks of allowed first letters of the members of level k."""
+        with self.lock:
+            for j in range(len(self.masks), k + 1):
+                words = self.levels[j]
+                masks = array("Q") if j < 64 else []  # a mask has j+1 bits
+                for i in range(self.counts[j]):
+                    u = words[i * j : i * j + j]
+                    masks.append(_first_letters(u, self.rules, self.drop_bound))
+                self.masks.append(masks)
+            return self.masks[k]
+
+
+@lru_cache(maxsize=None)
+def _class_table(forbidden: tuple, drop_bound: int | None) -> _ClassTable:
+    """The one table of the pattern class of ``forbidden`` under a drop bound
+    (None for none), shared by every size, constraint and bound."""
+    return _ClassTable(forbidden, drop_bound)
+
+
+def _tree_words(drop_bound: int, n: int) -> Iterator[bytes]:
+    """S_n under a maxdrop bound in lex order, as packed words: the tree
+    with no pattern rules, grown to size n-1 in a table of its own that is
+    dropped afterwards, and size n streamed from it, never stored."""
     if n == 0:
-        yield ()
+        yield b""
         return
-    words = b""
-    masks = [_first_letters(words, rules, drop_bound)]
-    for k in range(1, n):
-        grown = bytearray()
-        grown_masks = array("Q") if n <= 64 else []  # a mask has n bits
-        for u in _children(words, masks, k):
-            grown += u
-            grown_masks.append(_first_letters(u, rules, drop_bound))
-        if not grown_masks:
-            return
-        words, masks = bytes(grown), grown_masks
-    for u in _children(words, masks, n):
-        w = tuple(u)
-        if keep is None or keep(w):
-            yield w
+    table = _ClassTable((), drop_bound)
+    words, _ = table.level(n - 1)
+    yield from _children(words, table.first_letter_masks(n - 1), n)
 
 
 def _children(words: bytes, masks, k: int) -> Iterator[bytes]:
@@ -386,23 +387,108 @@ def _shift_table(a: int) -> bytes:
     return bytes(range(a)) + bytes(range(a + 1, 256)) + b"\xff"
 
 
-def class_words(spec: ClassSpec, bound: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Lex-ordered stream of raw words in the class, bound-checked."""
+#: Words per packed block.  Larger blocks make fewer, longer lane operations
+#: but hold more memory: at 2048 the benchmark workloads peak within 0.1 MB
+#: of a per-word fold, at 4096 class-sweep peaks 0.4 MB higher.
+BLOCK_WORDS = 2048
+
+
+def packed_blocks(words: Iterable[Sequence[int]], n: int) -> Iterator[tuple[bytes, int]]:
+    """(block, count) for the size-n ``words`` in blocks of up to
+    ``BLOCK_WORDS``, packed one letter per byte as they stream (see
+    :func:`permcross.perm.stat_column`); the words are never held as tuples.
+
+    >>> list(packed_blocks([(2, 1), (1, 2)], 2))
+    [(b'\\x02\\x01\\x01\\x02', 2)]
+    """
+    if n > MAX_PACKED_N:
+        raise ValueError(f"words are packed one letter per byte; n={n} exceeds {MAX_PACKED_N}")
+    words = iter(words)
+    if n == 0:  # empty words pack to nothing, so count them instead
+        size = sum(1 for _ in words)
+        if size:
+            yield b"", size
+        return
+    while block := b"".join(map(bytes, islice(words, BLOCK_WORDS))):
+        yield block, len(block) // n
+
+
+def _drop_bound(spec: ClassSpec) -> int | None:
+    kind, arg = spec.constraint or (None, None)
+    return arg if kind == "maxdrop_le" else None
+
+
+def _table_blocks(spec: ClassSpec) -> Iterator[tuple[bytes, int]]:
+    """The blocks of a pattern class, sliced from its table's level n; a
+    ``one_at``, ``ends_with`` or ``tail`` constraint keeps the members whose
+    fixed run (:func:`_fixed_run`) is in place."""
+    n = spec.n
+    level, count = _class_table(spec.forbidden, _drop_bound(spec)).level(n)
+    if n == 0:
+        yield b"", count  # the empty word, which every class holds
+        return
+    if spec.constraint is None or spec.constraint[0] == "maxdrop_le":
+        step = BLOCK_WORDS * n
+        for start in range(0, len(level), step):
+            block = level[start : start + step]
+            yield block, len(block) // n
+        return
+    at, run = _fixed_run(spec)
+    column = level[at::n]
+    kept = bytearray()
+    i = column.find(run[0])
+    while i >= 0:
+        start = i * n
+        if level[start + at : start + at + len(run)] == run:
+            kept += level[start : start + n]
+            if len(kept) == BLOCK_WORDS * n:
+                yield bytes(kept), BLOCK_WORDS
+                kept = bytearray()
+        i = column.find(run[0], i + 1)
+    if kept:
+        yield bytes(kept), len(kept) // n
+
+
+def _check_bound(spec: ClassSpec, bound: int | None) -> None:
     limit = default_bound(spec) if bound is None else bound
     if spec.n > limit:
         raise BoundExceededError(spec.n, limit)
+
+
+def class_blocks(spec: ClassSpec, bound: int | None = None) -> Iterator[tuple[bytes, int]]:
+    """The class in lex order as (block, count): up to ``BLOCK_WORDS`` words
+    packed one letter per byte, the format of the column kernels of
+    :mod:`permcross.perm`.  A pattern class is sliced from its table, the
+    rest is packed as it streams.  Refused before any enumeration past the
+    bound or past ``MAX_PACKED_N``.
+    """
+    _check_bound(spec, bound)
+    if spec.n > MAX_PACKED_N:
+        raise ValueError(
+            f"classes are packed one letter per byte; n={spec.n} exceeds {MAX_PACKED_N}"
+        )
     if spec.forbidden:
-        if spec.n > MAX_PACKED_N:
-            raise ValueError(
-                f"pattern classes are enumerated one letter per byte; n={spec.n}"
-                f" exceeds {MAX_PACKED_N}"
-            )
-        return _tree_words(spec)
+        return _table_blocks(spec)
+    drop_bound = _drop_bound(spec)
+    if drop_bound is not None:
+        return packed_blocks(_tree_words(drop_bound, spec.n), spec.n)
+    return packed_blocks(class_words(spec, bound), spec.n)
+
+
+def class_words(spec: ClassSpec, bound: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Lex-ordered stream of raw words in the class, bound-checked."""
+    if spec.forbidden or _drop_bound(spec) is not None:  # grown by the tree
+        return _unpacked(class_blocks(spec, bound), spec.n)
+    _check_bound(spec, bound)
     if spec.constraint is None:
         return permutations(range(1, spec.n + 1))
-    if spec.constraint[0] == "maxdrop_le":
-        return pruned_words(spec)
     return _fixed_letter_words(spec)
+
+
+def _unpacked(blocks: Iterable[tuple[bytes, int]], n: int) -> Iterator[tuple[int, ...]]:
+    for block, count in blocks:
+        for i in range(count):
+            yield tuple(block[i * n : i * n + n])
 
 
 def enumerate_class(spec: ClassSpec, bound: int | None = None) -> Iterator[Permutation]:
@@ -413,4 +499,4 @@ def enumerate_class(spec: ClassSpec, bound: int | None = None) -> Iterator[Permu
 
 @lru_cache(maxsize=None)
 def class_size(spec: ClassSpec, bound: int | None = None) -> int:
-    return sum(1 for _ in class_words(spec, bound))
+    return sum(count for _, count in class_blocks(spec, bound))

@@ -403,11 +403,38 @@ def rc_block(block: bytes, count: int) -> bytes:
     >>> list(rc_block(bytes((4, 1, 3, 5, 7, 6, 2)), 1))
     [6, 2, 1, 3, 5, 7, 4]
     """
+    _word_size(block, count)  # a block of no words is refused here
+    return symmetry_block("rc", block, count)
+
+
+def symmetry_block(tag: str, block: bytes, count: int) -> bytes:
+    """:func:`apply_symmetry` of every word of a packed block (see
+    :func:`stat_column`), packed the same way.  The reverse puts the columns
+    in reverse order, the complement is one ``translate`` v -> n+1-v and the
+    inverse is :func:`inverse_block`; composite tags compose right to left.
+    A block of no words maps to itself.
+
+    >>> list(symmetry_block("ri", bytes((2, 3, 1, 3, 1, 2)), 2))
+    [2, 1, 3, 1, 3, 2]
+    >>> symmetry_block("c", b"", 0)
+    b''
+    """
+    if tag not in SYMMETRIES:
+        raise ValueError(f"unknown symmetry {tag!r}; expected one of {SYMMETRIES}")
+    if count == 0 and not block:
+        return b""
     n = _word_size(block, count)
-    out = bytearray(len(block))
-    for p in range(n):
-        out[p::n] = block[n - 1 - p :: n]
-    return bytes(out.translate(_complement_table(n)))
+    for letter in reversed(tag.replace("id", "")):
+        if letter == "r":
+            out = bytearray(len(block))
+            for p in range(n):
+                out[p::n] = block[n - 1 - p :: n]
+            block = bytes(out)
+        elif letter == "c":
+            block = block.translate(_complement_table(n))
+        else:
+            block = inverse_block(block, count)
+    return bytes(block)
 
 
 def insert_block(block: bytes, count: int, a: int, b: int) -> bytes:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permcross import distributions
+from permcross import patterns
 from permcross.bijections import (
     RESIDUAL_LAWS,
     adjudicate_cor43,
@@ -19,8 +19,7 @@ from permcross.bijections import (
     psi_block,
     residual_columns,
 )
-from permcross.distributions import packed_blocks
-from permcross.patterns import P213_312, class_spec, class_words
+from permcross.patterns import P213_312, class_spec, class_words, packed_blocks
 from permcross.perm import (
     apply_symmetry,
     crossing_count,
@@ -340,7 +339,7 @@ def test_blocks_match_on_random_words(words):
 @pytest.mark.parametrize("block", [120, 60, 119, 1])
 def test_residuals_at_block_edges(monkeypatch, block):
     # S_5 has 120 words: whole blocks at 120 and 60, one word past at 119
-    monkeypatch.setattr(distributions, "BLOCK_WORDS", block)
+    monkeypatch.setattr(patterns, "BLOCK_WORDS", block)
     words = list(permutations(range(1, 6)))
     for law in RESIDUAL_LAWS:
         lanes = []

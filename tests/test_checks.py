@@ -5,7 +5,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from permcross import bijections, checks, distributions
+from permcross import bijections, checks, patterns
 from permcross.bijections import ResidualReport
 from permcross.checks import (
     CHECKS,
@@ -152,6 +152,14 @@ def _phi_block_one_slot_early(k, block, count):
     return bijections.insert_block(image, count, max(n + 1 - k, 1), 1)
 
 
+def _identity_map(tag, w):
+    return tuple(w)
+
+
+def _identity_images(tag, block, count):
+    return block
+
+
 def _asymmetric_profile(n, forbidden=(), bound=None):
     by_pos1 = tuple(QPoly.monomial(p) for p in range(n))
     return CrsProfile(n, by_pos1, by_pos1, QPoly.zero())
@@ -177,7 +185,11 @@ BROKEN_INPUTS = [
     ("cor-3.4", _ZERO_FORM, "fail"),
     ("eq-dokos", _ZERO_FORM, "fail"),
     ("rel-3", ((checks, "apply_symmetry_to_patterns", lambda tag, pats: pats),), "fail"),
-    ("sym-transport", ((checks, "apply_symmetry", lambda tag, w: tuple(w)),), "fail"),
+    (
+        "sym-transport",
+        ((checks, "apply_symmetry", _identity_map), (checks, "symmetry_block", _identity_images)),
+        "fail",
+    ),
     ("conj-2.7", ((checks, "crs_profile", _asymmetric_profile),), "finding"),
     ("lem-2.1", _BROKEN_LEMMA, "fail"),
     ("lem-2.2", _BROKEN_LEMMA, "fail"),
@@ -258,12 +270,23 @@ def test_block_images_the_per_word_maps_pass_are_a_defect(monkeypatch):
         run_check("phi-psi", 4)
 
 
+def test_sym_transport_blocks_decide_and_the_per_word_map_confirms(monkeypatch):
+    # a broken per-word map alone is never consulted: every block image matches
+    monkeypatch.setattr(checks, "apply_symmetry", _identity_map)
+    assert run_check("sym-transport", 4).status == "pass"
+    # a block mismatch the true per-word map does not reproduce is a kernel defect
+    monkeypatch.undo()
+    monkeypatch.setattr(checks, "symmetry_block", _identity_images)
+    with pytest.raises(AssertionError, match="block images of r fail at n=3 for 123, the per-word"):
+        run_check("sym-transport", 4)
+
+
 @pytest.mark.parametrize("block", [120, 60, 119, 1])
 def test_flagged_words_at_block_edges(monkeypatch, block):
     # S_5 has 120 words: whole blocks at 120 and 60, one word past at 119
     monkeypatch.setattr(bijections, "phi", bijections.psi)
     monkeypatch.setattr(bijections, "phi_block", bijections.psi_block)
-    monkeypatch.setattr(distributions, "BLOCK_WORDS", block)
+    monkeypatch.setattr(patterns, "BLOCK_WORDS", block)
     group = list(permutations(range(1, 6)))
     oracle = bijections.check_prop25
     flagged = [reports[0].word for reports in checks._flagged("prop-2.5", group, 5, oracle)]

@@ -1,9 +1,13 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
+import pytest
 
+from permcross.checks import CHECKS
 from permcross.cli import main
+from permcross.patterns import BoundExceededError
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "src/permcross/schemas/check_result.schema.json").read_text()
@@ -170,6 +174,28 @@ def test_verify_human_and_csv(capsys):
     code, out, _ = run_cli(capsys, "verify", "fig-1", "--csv")
     assert code == 0
     assert out.splitlines()[0] == "check_id,bound,status,witnesses,runtime"
+
+
+@pytest.mark.parametrize("fmt", ["--json", "--csv"])
+def test_verify_streams_each_line_as_its_check_ends(capsys, monkeypatch, fmt):
+    written = []
+
+    def overrun(bound):
+        written.append(capsys.readouterr().out)  # stdout so far, as the check runs
+        raise BoundExceededError(bound + 1, bound)
+
+    monkeypatch.setitem(CHECKS, "eq-1", replace(CHECKS["eq-1"], run=overrun))
+    code, out, err = run_cli(capsys, "verify", "fig-1", "catalan", "eq-1", "cor-4.5", fmt)
+    assert code == 2 and out == ""
+    assert "error: enumeration of size 10 exceeds the bound n <= 9" in err
+    lines = written[0].splitlines()
+    if fmt == "--csv":
+        assert lines.pop(0) == "check_id,bound,status,witnesses,runtime"
+        ids = [line.split(",", 1)[0] for line in lines]
+    else:
+        ids = [json.loads(line)["check_id"] for line in lines]
+    # the checks before eq-1 in check-id order were written; fig-1 never ran
+    assert ids == ["catalan", "cor-4.5"]
 
 
 def test_verify_list(capsys):

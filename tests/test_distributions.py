@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from permcross import distributions
+from permcross import distributions, patterns
 from permcross.distributions import (
     closed_form,
     crossing_cfrac_series,
@@ -110,7 +110,7 @@ def test_folds_match_per_word_reference_on_paper_pairs(pats):
 @pytest.mark.parametrize("block", [120, 60, 119, 1])
 def test_fold_at_block_edges(monkeypatch, block):
     # S_5 has 120 words: whole blocks at 120 and 60, one word past at 119
-    monkeypatch.setattr(distributions, "BLOCK_WORDS", block)
+    monkeypatch.setattr(patterns, "BLOCK_WORDS", block)
     for fold in (dist_poly, joint_poly, crs_profile):
         fold.cache_clear()
     try:

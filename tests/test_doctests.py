@@ -31,6 +31,7 @@ def test_the_kernels_have_doctests():
         "position_column",
         "inverse_block",
         "rc_block",
+        "symmetry_block",
         "insert_block",
         "phi_block",
         "psi_block",

@@ -1,12 +1,17 @@
+import sys
+import threading
 from itertools import combinations, permutations
 from math import comb
 
 import pytest
 
+from permcross import patterns
 from permcross.patterns import (
     BoundExceededError,
     ClassSpec,
+    _class_table,
     avoids,
+    class_blocks,
     class_size,
     class_spec,
     class_words,
@@ -15,7 +20,6 @@ from permcross.patterns import (
     occurrence_positions,
     occurrences,
     pattern_of,
-    pruned_words,
 )
 from permcross.perm import (
     SYMMETRIES,
@@ -155,7 +159,9 @@ def test_generators_agree_small_all_constraints():
         specs = []
         for pats in [(), ((2, 3, 1),), ((1, 2, 3), (2, 1, 3)), ((2, 4, 1, 3), (3, 1, 4, 2))]:
             specs += [class_spec(n, avoid=pats)]
-            specs += [class_spec(n, avoid=pats, maxdrop_le=d) for d in range(4)]
+            # every drop bound d = 0..n of bare S_n, which the tree grows too
+            drops = range(max(4, n + 1)) if not pats else range(4)
+            specs += [class_spec(n, avoid=pats, maxdrop_le=d) for d in drops]
             for k in range(1, n + 1):
                 specs += [
                     class_spec(n, avoid=pats, one_at=k),
@@ -164,13 +170,6 @@ def test_generators_agree_small_all_constraints():
                 ]
         for spec in specs:
             assert list(class_words(spec)) == list(filtered_words(spec)), spec
-
-
-def test_pruned_words_refuses_pattern_classes():
-    with pytest.raises(ValueError, match="pattern-free"):
-        next(pruned_words(class_spec(4, avoid=[(3, 2, 1)])))
-    with pytest.raises(ValueError, match="maxdrop bound only"):
-        next(pruned_words(class_spec(4, one_at=2)))
 
 
 def test_bounds():
@@ -190,6 +189,28 @@ def test_pattern_class_beyond_one_byte_letters_is_refused():
     with pytest.raises(ValueError, match="n=256 exceeds 255"):
         class_words(spec, bound=256)
     assert next(class_words(class_spec(255, avoid=[(2, 1)]), bound=255)) == tuple(range(1, 256))
+
+
+def test_refusals_come_before_the_table_is_touched():
+    _class_table.cache_clear()
+    packed = [
+        lambda: class_blocks(class_spec(256), bound=256),
+        lambda: class_blocks(class_spec(256, maxdrop_le=0), bound=256),
+        lambda: class_blocks(class_spec(256, one_at=1), bound=256),
+        lambda: class_blocks(class_spec(256, avoid=[(2, 1)]), bound=256),
+        lambda: class_words(class_spec(256, maxdrop_le=3), bound=256),
+        lambda: class_words(class_spec(256, avoid=[(2, 1)], tail=2), bound=256),
+    ]
+    for request in packed:
+        with pytest.raises(ValueError, match="n=256 exceeds 255"):
+            request()
+    with pytest.raises(BoundExceededError, match="n <= 10"):
+        class_blocks(class_spec(11, maxdrop_le=2))
+    with pytest.raises(BoundExceededError, match="n <= 12"):
+        class_blocks(class_spec(13, avoid=[(3, 2, 1)], one_at=1))
+    with pytest.raises(BoundExceededError, match="n <= 7"):
+        class_blocks(class_spec(8, avoid=[(3, 2, 1)]), bound=7)
+    assert _class_table.cache_info().currsize == 0
 
 
 def test_length_one_pattern_empties_classes():
@@ -240,3 +261,140 @@ def test_maxdrop_class_matches_avoider_class():
         assert list(class_words(class_spec(n, maxdrop_le=1))) == list(
             class_words(class_spec(n, avoid=[(3, 2, 1), (2, 3, 1)]))
         )
+
+
+# ---------------------------------------------------------------------------
+# the class table
+
+
+#: Every nonempty set of at most two length-3 patterns, as ClassSpec stores it.
+TABLE_SETS = [class_spec(0, avoid=pats).forbidden for k in (1, 2) for pats in combinations(ALL3, k)]
+_ORACLE: dict = {}
+
+
+def _oracle(n: int, forbidden) -> list:
+    if (n, forbidden) not in _ORACLE:
+        _ORACLE[n, forbidden] = list(filtered_words(ClassSpec(n, forbidden)))
+    return _ORACLE[n, forbidden]
+
+
+def _obeys(w, kind: str, k: int) -> bool:
+    """The positional constraints, from their definitions."""
+    n = len(w)
+    if kind == "one_at":
+        return w[n - k] == 1
+    if kind == "ends_with":
+        return w[-1] == k
+    if kind == "tail":
+        return w[n - k :] == tuple(range(k, 0, -1))
+    return all(i - v <= k for i, v in enumerate(w, 1))
+
+
+@pytest.mark.parametrize("order", [(8, 5), (5, 8)], ids=["8-then-5", "5-then-8"])
+def test_class_table_levels_match_the_oracle_in_any_request_order(order):
+    for forbidden in TABLE_SETS:
+        _class_table.cache_clear()
+        for n in order:
+            list(class_blocks(ClassSpec(n, forbidden)))
+        table = _class_table(forbidden, None)
+        assert len(table.levels) == 9  # grown once, to the largest size asked for
+        for n in range(8):
+            want = _oracle(n, forbidden)
+            assert list(class_words(ClassSpec(n, forbidden))) == want, (n, forbidden)
+            for kind in ("one_at", "ends_with", "tail", "maxdrop_le"):
+                for k in range(0 if kind == "maxdrop_le" else 1, n + 1):
+                    spec = ClassSpec(n, forbidden, (kind, k))
+                    kept = [w for w in want if _obeys(w, kind, k)]
+                    assert list(class_words(spec)) == kept, spec
+                    blocks = list(class_blocks(spec))
+                    assert b"".join(b for b, _ in blocks) == b"".join(map(bytes, kept)), spec
+                    assert sum(c for _, c in blocks) == len(kept), spec
+        # one table per forbidden set and drop bound, whatever n, constraint or bound
+        assert _class_table.cache_info().currsize == 1 + 8
+        assert _class_table(forbidden, None) is table
+    _class_table.cache_clear()
+
+
+@pytest.mark.parametrize("block", [1, 7, 2048])
+def test_class_table_blocks_at_block_edges(monkeypatch, block):
+    monkeypatch.setattr(patterns, "BLOCK_WORDS", block)
+    spec = class_spec(7, avoid=[(2, 3, 1)], tail=1)
+    blocks = list(class_blocks(spec))
+    assert all(0 < count <= block and len(b) == 7 * count for b, count in blocks)
+    assert b"".join(b for b, _ in blocks) == b"".join(map(bytes, filtered_words(spec)))
+
+
+def test_class_table_cache_clear_empties_it():
+    _class_table.cache_clear()
+    spec = class_spec(6, avoid=[(1, 3, 2)])
+    assert class_size(spec) == 132
+    first = _class_table(spec.forbidden, None)
+    assert _class_table.cache_info().currsize == 1
+    _class_table.cache_clear()
+    assert _class_table.cache_info().currsize == 0
+    assert _class_table(spec.forbidden, None) is not first
+    _class_table.cache_clear()
+
+
+def test_class_table_cache_is_found_by_introspection():
+    # a cache is cleared by name wherever lru_caches are found on the module
+    caches = {
+        name
+        for name, obj in vars(patterns).items()
+        if hasattr(obj, "cache_info") and getattr(obj, "__module__", None) == "permcross.patterns"
+    }
+    assert "_class_table" in caches
+    assert callable(_class_table.cache_clear)
+
+
+def test_bare_symmetric_group_is_never_stored():
+    _class_table.cache_clear()
+    class_size.cache_clear()
+    for spec in (class_spec(6), class_spec(6, maxdrop_le=2), class_spec(6, one_at=2)):
+        assert sum(c for _, c in class_blocks(spec)) == class_size(spec) == len(
+            list(class_words(spec))
+        )
+    assert _class_table.cache_info().currsize == 0
+    class_size.cache_clear()
+
+
+def test_empty_levels_stay_empty():
+    # (123,321) has no member of size 5 or more (Erdos-Szekeres)
+    spec = class_spec(7, avoid=[(1, 2, 3), (3, 2, 1)])
+    assert list(class_blocks(spec)) == []
+    assert list(class_words(spec)) == []
+    assert class_size(class_spec(4, avoid=[(1, 2, 3), (3, 2, 1)])) == 4
+    assert list(class_blocks(class_spec(7, avoid=[(1, 2, 3), (3, 2, 1)], one_at=3))) == []
+
+
+def test_threads_sharing_a_table_grow_each_level_once():
+    # more threads than cores, switching often, ask one fresh table for
+    # sizes in different orders; a level grown twice would shift every size
+    forbidden = class_spec(0, avoid=[(1, 3, 2), (3, 2, 1)]).forbidden
+    want = {n: _oracle(n, forbidden) for n in range(8)}
+    _class_table.cache_clear()
+    table = _class_table(forbidden, None)
+    failures = []
+
+    def ask(sizes):
+        try:
+            for n in sizes:
+                assert list(class_words(ClassSpec(n, forbidden))) == want[n]
+        except AssertionError as exc:
+            failures.append(exc)
+
+    orders = [range(8), range(7, -1, -1), (3, 7, 1, 5), (7,), (6, 2, 4, 0)]
+    threads = [threading.Thread(target=ask, args=(sizes,)) for sizes in orders]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not failures
+    assert _class_table(forbidden, None) is table and len(table.levels) == 8
+    _class_table.cache_clear()

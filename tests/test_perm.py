@@ -33,6 +33,7 @@ from permcross.perm import (
     skew_sum,
     stat_bundle,
     stat_column,
+    symmetry_block,
     transients,
 )
 
@@ -172,12 +173,15 @@ def unpack(block, count):
 
 
 def assert_block_images_match(words):
-    """The block inverse, rc image and insertions against the per-word maps:
-    every insertion up to n = 6, the first, second, middle and last two
-    positions and letters beyond."""
+    """The block inverse, rc image, the eight symmetries and insertions
+    against the per-word maps: every insertion up to n = 6, the first,
+    second, middle and last two positions and letters beyond."""
     block, count, n = pack(words), len(words), len(words[0])
     assert unpack(inverse_block(block, count), count) == [invert(w) for w in words]
     assert unpack(rc_block(block, count), count) == [apply_symmetry("rc", w) for w in words]
+    for tag in SYMMETRIES:
+        image = symmetry_block(tag, block, count)
+        assert unpack(image, count) == [apply_symmetry(tag, w) for w in words], tag
     slots = range(1, n + 2) if n <= 6 else sorted({1, 2, n // 2 + 1, n, n + 1})
     for a in slots:
         for b in slots:
@@ -215,6 +219,17 @@ def test_block_images_reject_bad_blocks():
         insert_block(b"\x01\x02", 1, 1, 0)
     with pytest.raises(ValueError, match="n=256 exceeds 255"):
         insert_block(bytes(range(1, 256)), 1, 1, 1)
+    with pytest.raises(ValueError, match="unknown symmetry"):
+        symmetry_block("cr", b"\x01", 1)
+    with pytest.raises(ValueError, match="do not pack"):
+        symmetry_block("i", b"\x01\x02\x01", 2)
+
+
+def test_symmetry_block_maps_an_empty_level_to_itself():
+    for tag in SYMMETRIES:
+        assert symmetry_block(tag, b"", 0) == b""
+    # S_0 holds one empty word
+    assert symmetry_block("rci", b"", 1) == b""
 
 
 def test_stat_column_rejects_bad_blocks():
