@@ -173,14 +173,13 @@ def _law(check_id: str, description: str, default_bound: int):
 
     def register(residuals: Callable[[tuple[int, ...]], Iterable[ResidualReport]]):
         def run(bound: int):
-            sizes = [(n, permutations(range(1, n + 1))) for n in range(1, bound + 1)]
-            sizes.append(
-                (RANDOM_SAMPLE_N, _random_words(check_id, RANDOM_SAMPLE_N, RANDOM_SAMPLE_SIZE))
-            )
+            sizes = [(n, class_blocks(class_spec(n))) for n in range(1, bound + 1)]
+            batch = _random_words(check_id, RANDOM_SAMPLE_N, RANDOM_SAMPLE_SIZE)
+            sizes.append((RANDOM_SAMPLE_N, packed_blocks(batch, RANDOM_SAMPLE_N)))
             found = (
                 r.to_json()
-                for n, words in sizes
-                for reports in _flagged(check_id, words, n, residuals)
+                for n, blocks in sizes
+                for reports in _flagged(check_id, blocks, n, residuals)
                 for r in reports
                 if not r.passed
             )
@@ -195,19 +194,19 @@ def _law(check_id: str, description: str, default_bound: int):
 
 def _flagged(
     law: str,
-    words: Iterable[tuple[int, ...]],
+    blocks: Iterable[tuple[bytes, int]],
     n: int,
     oracle: Callable[[tuple[int, ...]], Iterable[ResidualReport]],
 ) -> Iterator[list[ResidualReport]]:
     """The per-word reports ``oracle(w)`` of every word that the block
     residuals of ``law`` flag, in word order.
 
-    The size-n ``words`` are checked a packed block at a time: an instance
+    The size-n words come as packed (block, count) pairs: an instance
     flags a word where its two residual columns differ.  The oracle must fail
     exactly the flagged instances of the word; if not, the block kernels are
     at fault, and this raises rather than drop or invent a witness.
     """
-    for block, count in packed_blocks(words, n):
+    for block, count in blocks:
         flags: dict[int, list[int]] = {}
         for instance, (lhs, rhs) in enumerate(residual_columns(law, block, count)):
             if lhs != rhs:
@@ -453,7 +452,7 @@ def _phi_psi_rows(n: int):
     slices number n!, and in the one-at-k class when the image column at
     position n+2-k is all 1s.  A failure is reported by the per-word maps."""
     m = n + 1
-    blocks = list(packed_blocks(permutations(range(1, n + 1)), n))
+    blocks = list(class_blocks(class_spec(n)))
     for k in range(1, n + 2):
         for name, image_block in (("phi", phi_block), ("psi", psi_block)):
             images: set[bytes] = set()
@@ -493,7 +492,7 @@ def _phi_psi_witness(name: str, n: int, k: int) -> dict:
     first=1,
 )
 def _prop25_rows(n: int):
-    for reports in _flagged("prop-2.5", permutations(range(1, n + 1)), n, check_prop25):
+    for reports in _flagged("prop-2.5", class_blocks(class_spec(n)), n, check_prop25):
         yield {"word": format_word(reports[0].word)}
 
 

@@ -8,11 +8,13 @@ memoized; inputs are immutable so the caches are safe to share.
 
 ``dist_poly``, ``joint_poly`` and ``crs_profile`` are histograms from one
 fold (:func:`_fold`): the class comes in blocks of ``BLOCK_WORDS`` words
-packed one letter per byte (:func:`permcross.patterns.class_blocks`, sliced
-straight from the class table of a pattern class), the column kernels of
-:mod:`permcross.perm` turn each block into statistic columns at once, and a
-``Counter`` counts the columns, or tuples zipped from several of them.  No
-statistic is computed word by word on this path.
+packed one letter per byte (:func:`permcross.patterns.class_blocks`: sliced
+straight from the class table of a pattern class, built by columns from a
+shifted S_(m-1) for bare S_n and its fixed-letter cuts), the column kernels
+of :mod:`permcross.perm` turn each block into statistic columns at once, and
+a ``Counter`` counts the columns, or tuples zipped from several of them.  No
+word is packed or has a statistic computed one at a time on this path,
+except S_n under a maxdrop bound, which streams from its tree.
 """
 
 from __future__ import annotations

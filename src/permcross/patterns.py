@@ -3,19 +3,21 @@
 A class is described declaratively by :class:`ClassSpec`: a size n, a set of
 forbidden patterns, and at most one positional constraint.  Enumeration is
 always in lexicographic order of the word, so streams are reproducible and
-diffable.  There is one path per kind of class: bare S_n comes from
-``itertools.permutations``; S_n cut by ``one_at``, ``ends_with`` or ``tail``
-from the permutations of the free letters with the fixed ones inserted; and
-every class closed under deleting the first letter -- a pattern class, S_n
-under a maxdrop bound, or both -- from a generating tree that grows each size
-from the one below by prepending a first letter.  A pattern class keeps its
-tree: one packed table per forbidden set and drop bound
+diffable.  There is one path per kind of class.  Bare S_n, and S_n cut by
+``one_at``, ``ends_with`` or ``tail``, is built in packed blocks by columns
+(:func:`_group_blocks`): the permutations of the m free letters are m shifted
+copies of packed S_(m-1), and the fixed letters go in as constant columns.
+Every class closed under deleting the first letter -- a pattern class, S_n
+under a maxdrop bound, or both -- comes from a generating tree that grows
+each size from the one below by prepending a first letter.  A pattern class
+keeps its tree: one packed table per forbidden set and drop bound
 (:func:`_class_table`) grows to the largest size asked for, and a
 positional constraint filters its last level.  S_n under a maxdrop bound
 streams its last level and stores none.  :func:`class_blocks` hands a class
-out as packed blocks, :func:`class_words` as words; :func:`filtered_words`,
-a plain filter over all n! words, is the oracle the other paths are tested
-against.
+out as packed blocks, :func:`class_words` as words (bare S_n as
+``itertools.permutations``, the rest unpacked from the blocks);
+:func:`filtered_words`, a plain filter over all n! words, is the oracle the
+other paths are tested against.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, islice, permutations
+from math import factorial
 from threading import RLock
 from typing import Iterable, Iterator, Sequence
 
@@ -222,20 +225,6 @@ def _fixed_run(spec: ClassSpec) -> tuple[int, bytes]:
     return n - arg, bytes(range(arg, 0, -1))
 
 
-def _fixed_letter_words(spec: ClassSpec) -> Iterator[tuple[int, ...]]:
-    """S_n cut by ``one_at``, ``ends_with`` or ``tail``, in lex order.
-
-    The words are the permutations of the free letters with the fixed run
-    (:func:`_fixed_run`) inserted; all words share it, so the free letters'
-    lex order is the words' lex order.
-    """
-    at, run = _fixed_run(spec)
-    run = tuple(run)
-    free = [v for v in range(1, spec.n + 1) if v not in run]
-    for rest in permutations(free):
-        yield rest[:at] + run + rest[at:]
-
-
 def _prepend_rule(pat: tuple[int, ...]):
     """How occurrences of ``std(pat[1:])`` forbid first letters.
 
@@ -413,6 +402,54 @@ def packed_blocks(words: Iterable[Sequence[int]], n: int) -> Iterator[tuple[byte
         yield block, len(block) // n
 
 
+def _group_blocks(n: int, at: int = 0, run: bytes = b"") -> Iterator[tuple[bytes, int]]:
+    """S_n in lex order as (block, count), or those of its words whose
+    letters from the 0-based offset ``at`` on start with ``run``, built by
+    columns rather than one word at a time.
+
+    In lex order the permutations of the m free letters are m copies of
+    packed S_(m-1): copy a is shifted by ``_shift_table(a)``, the step of
+    :func:`_children`, behind a constant first column a.  One ``translate``
+    does the shift and maps the ranks 1..m to the free letters.  A block
+    starts as copies of one frame word that holds the fixed run; the first
+    column and each other column of a piece of a copy are then filled by
+    one strided slice assignment each.  S_(m-1) is built the same way, level
+    by level; its (m-1)! (m-1) bytes are held only while the stream runs.
+    Blocks hold ``BLOCK_WORDS`` words, the last one fewer.
+
+    >>> [(block.hex(" ", -3), count) for block, count in _group_blocks(3)]
+    [('010203 010302 020103 020301 030102 030201', 6)]
+    >>> [(block.hex(" ", -4), count) for block, count in _group_blocks(4, 2, bytes((2, 1)))]
+    [('03040201 04030201', 2)]
+    """
+    free = bytes(v for v in range(1, n + 1) if v not in run)
+    m = len(free)
+    if m == 0:  # the empty word, or one word that is all fixed run
+        yield run, 1
+        return
+    rest = b"".join(block for block, _ in _group_blocks(m - 1))
+    width, count = m - 1, factorial(m - 1)
+    letters = bytes(1) + free + bytes(255 - m)
+    tables = [_shift_table(a).translate(letters) for a in range(1, m + 1)]
+    slots = [i if i < at else i + len(run) for i in range(m)]  # where free column i goes
+    frame = bytearray(n)
+    frame[at : at + len(run)] = run
+    for first in range(0, m * count, BLOCK_WORDS):
+        size = min(BLOCK_WORDS, m * count - first)
+        block = frame * size
+        done = 0
+        while done < size:  # one piece of a copy at a time
+            a, start = divmod(first + done, count)
+            part = min(size - done, count - start)
+            copy = rest[start * width : (start + part) * width].translate(tables[a])
+            lo, hi = done * n, (done + part) * n
+            block[lo + slots[0] : hi : n] = free[a : a + 1] * part
+            for c in range(width):
+                block[lo + slots[c + 1] : hi : n] = copy[c::width]
+            done += part
+        yield bytes(block), size
+
+
 def _drop_bound(spec: ClassSpec) -> int | None:
     kind, arg = spec.constraint or (None, None)
     return arg if kind == "maxdrop_le" else None
@@ -458,9 +495,10 @@ def _check_bound(spec: ClassSpec, bound: int | None) -> None:
 def class_blocks(spec: ClassSpec, bound: int | None = None) -> Iterator[tuple[bytes, int]]:
     """The class in lex order as (block, count): up to ``BLOCK_WORDS`` words
     packed one letter per byte, the format of the column kernels of
-    :mod:`permcross.perm`.  A pattern class is sliced from its table, the
-    rest is packed as it streams.  Refused before any enumeration past the
-    bound or past ``MAX_PACKED_N``.
+    :mod:`permcross.perm`.  A pattern class is sliced from its table, bare
+    and fixed-letter S_n are built by columns (:func:`_group_blocks`), and
+    S_n under a maxdrop bound is packed as it streams from the tree.  Refused
+    before any enumeration past the bound or past ``MAX_PACKED_N``.
     """
     _check_bound(spec, bound)
     if spec.n > MAX_PACKED_N:
@@ -472,17 +510,19 @@ def class_blocks(spec: ClassSpec, bound: int | None = None) -> Iterator[tuple[by
     drop_bound = _drop_bound(spec)
     if drop_bound is not None:
         return packed_blocks(_tree_words(drop_bound, spec.n), spec.n)
-    return packed_blocks(class_words(spec, bound), spec.n)
+    if spec.constraint is None:
+        return _group_blocks(spec.n)
+    return _group_blocks(spec.n, *_fixed_run(spec))
 
 
 def class_words(spec: ClassSpec, bound: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Lex-ordered stream of raw words in the class, bound-checked."""
-    if spec.forbidden or _drop_bound(spec) is not None:  # grown by the tree
+    """Lex-ordered stream of raw words in the class, bound-checked: bare S_n
+    from ``itertools.permutations``, every other class unpacked from
+    :func:`class_blocks`."""
+    if spec.forbidden or spec.constraint is not None:
         return _unpacked(class_blocks(spec, bound), spec.n)
     _check_bound(spec, bound)
-    if spec.constraint is None:
-        return permutations(range(1, spec.n + 1))
-    return _fixed_letter_words(spec)
+    return permutations(range(1, spec.n + 1))
 
 
 def _unpacked(blocks: Iterable[tuple[bytes, int]], n: int) -> Iterator[tuple[int, ...]]:

@@ -289,7 +289,8 @@ def test_flagged_words_at_block_edges(monkeypatch, block):
     monkeypatch.setattr(patterns, "BLOCK_WORDS", block)
     group = list(permutations(range(1, 6)))
     oracle = bijections.check_prop25
-    flagged = [reports[0].word for reports in checks._flagged("prop-2.5", group, 5, oracle)]
+    blocks = patterns.packed_blocks(group, 5)
+    flagged = [reports[0].word for reports in checks._flagged("prop-2.5", blocks, 5, oracle)]
     assert flagged == [w for w in group if not all(r.passed for r in oracle(w))]
     assert 0 < len(flagged) < len(group)
 

@@ -37,5 +37,6 @@ def test_the_kernels_have_doctests():
         "psi_block",
         "residual_columns",
         "packed_blocks",
+        "_group_blocks",
     }
     assert kernels <= tested

@@ -1,5 +1,6 @@
 import sys
 import threading
+from collections import Counter
 from itertools import combinations, permutations
 from math import comb
 
@@ -26,7 +27,9 @@ from permcross.perm import (
     Permutation,
     apply_symmetry,
     apply_symmetry_to_patterns,
+    crossing_count,
     direct_sum,
+    stat_column,
 )
 
 ALL3 = [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
@@ -206,6 +209,12 @@ def test_refusals_come_before_the_table_is_touched():
             request()
     with pytest.raises(BoundExceededError, match="n <= 10"):
         class_blocks(class_spec(11, maxdrop_le=2))
+    with pytest.raises(BoundExceededError, match="n <= 10"):
+        class_blocks(class_spec(11))
+    with pytest.raises(BoundExceededError, match="n <= 10"):
+        class_blocks(class_spec(11, ends_with=4))
+    with pytest.raises(BoundExceededError, match="n <= 8"):
+        class_words(class_spec(9, tail=2), bound=8)
     with pytest.raises(BoundExceededError, match="n <= 12"):
         class_blocks(class_spec(13, avoid=[(3, 2, 1)], one_at=1))
     with pytest.raises(BoundExceededError, match="n <= 7"):
@@ -315,13 +324,21 @@ def test_class_table_levels_match_the_oracle_in_any_request_order(order):
     _class_table.cache_clear()
 
 
-@pytest.mark.parametrize("block", [1, 7, 2048])
+@pytest.mark.parametrize("block", [1, 7, 119, 120, 2048])
 def test_class_table_blocks_at_block_edges(monkeypatch, block):
+    # a table slice, and bare S_n built by columns, where a block may span
+    # the copies of S_(m-1) (the first letter changes every 120 words here);
+    # no consumer may depend on where blocks end
+    specs = (class_spec(7, avoid=[(2, 3, 1)], tail=1), class_spec(6), class_spec(7, one_at=3))
+    want = {spec: list(filtered_words(spec)) for spec in specs}
     monkeypatch.setattr(patterns, "BLOCK_WORDS", block)
-    spec = class_spec(7, avoid=[(2, 3, 1)], tail=1)
-    blocks = list(class_blocks(spec))
-    assert all(0 < count <= block and len(b) == 7 * count for b, count in blocks)
-    assert b"".join(b for b, _ in blocks) == b"".join(map(bytes, filtered_words(spec)))
+    for spec in specs:
+        blocks = list(class_blocks(spec))
+        assert all(0 < count <= block and len(b) == spec.n * count for b, count in blocks)
+        assert b"".join(b for b, _ in blocks) == b"".join(map(bytes, want[spec]))
+        assert list(class_words(spec)) == want[spec]
+        crs = Counter(v for b, count in blocks for v in stat_column(b, count, "crs"))
+        assert crs == Counter(map(crossing_count, want[spec]))
 
 
 def test_class_table_cache_clear_empties_it():
@@ -356,6 +373,27 @@ def test_bare_symmetric_group_is_never_stored():
         )
     assert _class_table.cache_info().currsize == 0
     class_size.cache_clear()
+
+
+def test_group_blocks_match_the_oracle():
+    # the class_words tests never reach the column builder for bare S_n
+    tables, sizes = _class_table.cache_info().currsize, class_size.cache_info().currsize
+    for n in range(9):
+        cuts = [{kind: k} for k in range(1, n + 1) for kind in ("one_at", "ends_with", "tail")]
+        for spec in [class_spec(n)] + [class_spec(n, **cut) for cut in cuts]:
+            blocks = list(class_blocks(spec))
+            want = list(filtered_words(spec))
+            assert b"".join(b for b, _ in blocks) == b"".join(map(bytes, want)), spec
+            assert sum(c for _, c in blocks) == len(want), spec
+    # the edges: one empty word, one letter, and no free letter at all
+    assert list(class_blocks(class_spec(0))) == [(b"", 1)]
+    assert list(class_blocks(class_spec(1))) == [(b"\x01", 1)]
+    assert list(class_blocks(class_spec(1, tail=1))) == [(b"\x01", 1)]
+    assert list(class_blocks(class_spec(5, tail=5))) == [(bytes((5, 4, 3, 2, 1)), 1)]
+    assert list(class_words(class_spec(4, tail=4))) == [(4, 3, 2, 1)]
+    # S_(m-1) is held by the stream only, never in a cache
+    assert _class_table.cache_info().currsize == tables
+    assert class_size.cache_info().currsize == sizes
 
 
 def test_empty_levels_stay_empty():
