@@ -46,6 +46,7 @@ from .distributions import (
     tableau_value,
     tableau_vs_class,
 )
+from . import patterns
 from .patterns import (
     P123_132,
     P123_213,
@@ -71,6 +72,7 @@ from .perm import (
     format_word,
     inversion_count,
     nestings,
+    stat_column,
     symmetry_block,
 )
 from .polynomials import QPoly, ZSeries
@@ -86,6 +88,10 @@ RANDOM_SAMPLE_N = 10
 
 #: A failing check reports at most this many witnesses, the first ones found.
 WITNESS_CAP = 5
+
+#: What a check enumerates: S_n itself (bare, cut or under a maxdrop bound)
+#: or classes S_n(T) with forbidden patterns, each under its own size limit.
+GROUP, CLASSES = "S_n", "S_n(T)"
 
 
 @dataclass(frozen=True)
@@ -113,6 +119,16 @@ class Check:
     default_bound: int
     run: Callable[[int], tuple[str, list, str]]
     min_bound: int = 0  # below it the check has nothing to compare
+    reads: tuple[str, ...] = (CLASSES,)  # GROUP and/or CLASSES, up to size bound + reach
+    reach: int = 0
+
+    @property
+    def max_bound(self) -> int | None:
+        """The largest bound under which every class the check reads stays
+        within its enumeration limit (:func:`patterns.default_bound`); None
+        if it reads none."""
+        limits = {GROUP: patterns.FULL_GROUP_BOUND, CLASSES: patterns.PATTERN_CLASS_BOUND}
+        return min((limits[kind] - self.reach for kind in self.reads), default=None)
 
 
 CHECKS: dict[str, Check] = {}
@@ -129,11 +145,21 @@ def _verdict(witnesses: Iterable[dict], bound_text: str, status: str = "fail"):
     return (status if kept else "pass", kept, bound_text)
 
 
-def _check(check_id: str, description: str, default_bound: int, min_bound: int = 0):
-    """Register the decorated ``run(bound) -> (status, witnesses, bound_text)``."""
+def _check(
+    check_id: str,
+    description: str,
+    default_bound: int,
+    min_bound: int = 0,
+    reads: tuple[str, ...] = (CLASSES,),
+    reach: int = 0,
+):
+    """Register the decorated ``run(bound) -> (status, witnesses, bound_text)``,
+    which enumerates ``reads`` up to size bound + ``reach``."""
 
     def register(run):
-        CHECKS[check_id] = Check(check_id, description, default_bound, run, min_bound)
+        CHECKS[check_id] = Check(
+            check_id, description, default_bound, run, min_bound, reads, reach
+        )
         return run
 
     return register
@@ -146,6 +172,8 @@ def _identity(
     first: int = 0,
     scope: str = "",
     status: str = "fail",
+    reads: tuple[str, ...] = (CLASSES,),
+    reach: int = 0,
 ):
     """Register a statement compared for n = first..bound; the decorated
     ``rows(n)`` yields one witness per mismatch at size n.
@@ -159,7 +187,7 @@ def _identity(
             found = (w for n in range(first, bound + 1) for w in rows(n))
             return _verdict(found, f"n<={bound}{scope}", status)
 
-        _check(check_id, description, default_bound, min_bound=first)(run)
+        _check(check_id, description, default_bound, first, reads, reach)(run)
         return rows
 
     return register
@@ -186,7 +214,7 @@ def _law(check_id: str, description: str, default_bound: int):
             sample = f"{RANDOM_SAMPLE_SIZE} random at n={RANDOM_SAMPLE_N}"
             return _verdict(found, f"n<={bound} exhaustive, {sample}")
 
-        _check(check_id, description, default_bound)(run)
+        _check(check_id, description, default_bound, reads=(GROUP,))(run)
         return residuals
 
     return register
@@ -245,7 +273,7 @@ def _dist(n: int, pats, stat: str = "crs", **constraint) -> QPoly:
 # the checks, in the order of the paper
 
 
-@_check("fig-1", "crossing/nesting counts and witness pairs of 4735126", 7)
+@_check("fig-1", "crossing/nesting counts and witness pairs of 4735126", 7, reads=())
 def _run_fig1(bound: int):
     word = (4, 7, 3, 5, 1, 2, 6)
     crs, crs_pairs = crossings(word)
@@ -351,13 +379,15 @@ def _table1_witnesses(bound: int):
                 yield {"n": n, "k": k, "at_q1": got, "expected": 2 ** (n - 1 - k)}
 
 
-@_check("table-1", "printed tableau cells and the powers-of-two specialization", 12)
+@_check("table-1", "printed tableau cells and the powers-of-two specialization", 12, reads=())
 def _run_table1(bound: int):
     cells = sum(map(len, TABLE1))
     return _verdict(_table1_witnesses(bound), f"{cells} cells, q=1 check n<={bound}")
 
 
-@_identity("cor-4.5", "tableau column 0 at q=0 gives the central polygonal numbers", 12)
+@_identity(
+    "cor-4.5", "tableau column 0 at q=0 gives the central polygonal numbers", 12, reads=()
+)
 def _cor45_rows(n: int):
     got = tableau_value(n, 0).evaluate(0)
     want = comb(n, 2) + 1
@@ -371,6 +401,7 @@ def _cor45_rows(n: int):
     8,
     first=1,
     scope=", |T|<=2",
+    reads=(GROUP, CLASSES),
 )
 def _rel3_rows(n: int):
     for pats in PATTERN_SUBSETS:
@@ -388,7 +419,12 @@ def _rel3_rows(n: int):
 
 
 @_identity(
-    "sym-transport", "f(S_n(T)) = S_n(f(T)) for all eight symmetries", 7, first=1, scope=", |T|<=2"
+    "sym-transport",
+    "f(S_n(T)) = S_n(f(T)) for all eight symmetries",
+    7,
+    first=1,
+    scope=", |T|<=2",
+    reads=(GROUP, CLASSES),
 )
 def _sym_transport_rows(n: int):
     """Each symmetry maps the packed level of S_n(T) onto the level of
@@ -445,7 +481,11 @@ def _lem42(w):
 
 
 @_identity(
-    "phi-psi", "phi_k and psi_k are injective into the one-at-k classes", 7, scope=", all k"
+    "phi-psi",
+    "phi_k and psi_k are injective into the one-at-k classes",
+    7,
+    scope=", all k",
+    reads=(GROUP,),
 )
 def _phi_psi_rows(n: int):
     """Images a packed block at a time: injective when the distinct image
@@ -490,6 +530,7 @@ def _phi_psi_witness(name: str, n: int, k: int) -> dict:
     "phi_1/psi_1 preserve crs; phi_2 adds 1 unless the last letter is the max",
     8,
     first=1,
+    reads=(GROUP,),
 )
 def _prop25_rows(n: int):
     for reports in _flagged("prop-2.5", class_blocks(class_spec(n)), n, check_prop25):
@@ -501,7 +542,12 @@ def _f_full(n: int) -> QPoly:
 
 
 @_identity(
-    "thm-2.6", "one-at-1 distribution is F_n; one-at-2 is qF_n + (1-q)F_(n-1)", 8, first=1
+    "thm-2.6",
+    "one-at-1 distribution is F_n; one-at-2 is qF_n + (1-q)F_(n-1)",
+    8,
+    first=1,
+    reads=(GROUP,),
+    reach=1,
 )
 def _thm26_rows(n: int):
     q, one = QPoly.var(), QPoly.one()
@@ -525,6 +571,7 @@ def _thm26_rows(n: int):
     9,
     first=1,
     status="finding",
+    reads=(GROUP,),
 )
 def _conj27_rows(n: int):
     prof = crs_profile(n)
@@ -679,11 +726,19 @@ def _thm46_rows(n: int):
     return _crs_rows(n, tableau_value(n + 1, 1), P213_231, P132_231)
 
 
-@_identity("prop-5.1", "(321,231)-avoiders are exactly the maxdrop<=1 permutations", 9)
+@_identity(
+    "prop-5.1",
+    "(321,231)-avoiders are exactly the maxdrop<=1 permutations",
+    9,
+    reads=(GROUP, CLASSES),
+)
 def _prop51_rows(n: int):
-    avoiders = list(class_words(class_spec(n, avoid=P321_231)))
-    drop = list(class_words(class_spec(n, maxdrop_le=1)))
+    """The two classes compared as packed lex-order streams; only a
+    mismatch lists their words for the witness."""
+    specs = (class_spec(n, avoid=P321_231), class_spec(n, maxdrop_le=1))
+    avoiders, drop = (b"".join(b for b, _ in class_blocks(spec)) for spec in specs)
     if avoiders != drop:
+        avoiders, drop = (list(class_words(spec)) for spec in specs)
         yield {
             "n": n,
             "only_avoiders": [format_word(w) for w in sorted(set(avoiders) - set(drop))][:3],
@@ -693,9 +748,19 @@ def _prop51_rows(n: int):
 
 @_identity("inv-exc-crs", "inv = exc + crs on the (321,231) class", 9)
 def _inv_exc_crs_rows(n: int):
-    for w in class_words(class_spec(n, avoid=P321_231)):
-        if inversion_count(w) != excedance_count(w) + crossing_count(w):
-            yield {"word": format_word(w)}
+    """The inv column of each block against exc + crs; the per-word
+    statistics must confirm every word the columns flag."""
+    for block, count in class_blocks(class_spec(n, avoid=P321_231)):
+        columns = zip(*(stat_column(block, count, s) for s in ("inv", "exc", "crs")))
+        for lane, (inv, exc, crs) in enumerate(columns):
+            if inv != exc + crs:
+                w = tuple(block[lane * n : lane * n + n])
+                if inversion_count(w) == excedance_count(w) + crossing_count(w):
+                    raise AssertionError(
+                        f"inv-exc-crs: the block columns flag {format_word(w)}, "
+                        "the per-word statistics do not"
+                    )
+                yield {"word": format_word(w)}
 
 
 @_identity("eq-dokos", "inv distribution over the (321,231) class is (1+q)^(n-1)", 9, first=1)
@@ -770,16 +835,27 @@ def available_checks() -> tuple[str, ...]:
 
 
 class CheckBoundError(ValueError):
-    """A bound under which a selected check would have nothing to compare."""
+    """A bound under which a selected check would have nothing to compare, or
+    over which it would enumerate past a size limit."""
 
 
-def _refuse_low_bound(checks: Iterable[Check], bound: int | None) -> None:
-    """Raise CheckBoundError naming every check that ``bound`` leaves nothing to compare."""
-    low = [c for c in checks if bound is not None and bound < c.min_bound]
+def _refuse_bound(checks: Sequence[Check], bound: int | None) -> None:
+    """Raise CheckBoundError naming every check that ``bound`` leaves nothing
+    to compare, or else every check it would take past an enumeration limit."""
+    if bound is None:
+        return
+    low = [c for c in checks if bound < c.min_bound]
     if low:
         needs = ", ".join(f"{c.check_id} needs a bound of at least {c.min_bound}" for c in low)
         them = "it" if len(low) == 1 else "them"
         raise CheckBoundError(f"check {needs}; bound {bound} leaves {them} nothing to compare")
+    high = [c for c in checks if c.max_bound is not None and bound > c.max_bound]
+    if high:
+        takes = ", ".join(f"{c.check_id} takes a bound of at most {c.max_bound}" for c in high)
+        them = "it" if len(high) == 1 else "them"
+        raise CheckBoundError(
+            f"check {takes}; bound {bound} would take {them} past the enumeration limit"
+        )
 
 
 def _lookup(check_id: str) -> Check:
@@ -790,7 +866,7 @@ def _lookup(check_id: str) -> Check:
 
 def run_check(check_id: str, bound: int | None = None) -> CheckResult:
     check = _lookup(check_id)
-    _refuse_low_bound([check], bound)
+    _refuse_bound([check], bound)
     effective = check.default_bound if bound is None else bound
     start = time.perf_counter()
     status, witnesses, bound_text = check.run(effective)
@@ -802,12 +878,12 @@ def iter_checks(
     ids: Sequence[str] | str = "all", bound: int | None = None
 ) -> Iterator[CheckResult]:
     """Run a selection of checks in check-id order, yielding each result as
-    its check ends.  Unknown ids and a bound too low for a selected check are
-    refused here, before any check runs."""
+    its check ends.  Unknown ids and a bound too low or too high for a
+    selected check are refused here, before any check runs."""
     if ids == "all" or ids == ["all"]:
         ids = available_checks()
     checks = sorted((_lookup(c) for c in ids), key=lambda c: c.check_id)
-    _refuse_low_bound(checks, bound)
+    _refuse_bound(checks, bound)
     return (run_check(c.check_id, bound) for c in checks)
 
 

@@ -3,34 +3,33 @@
 A class is described declaratively by :class:`ClassSpec`: a size n, a set of
 forbidden patterns, and at most one positional constraint.  Enumeration is
 always in lexicographic order of the word, so streams are reproducible and
-diffable.  There is one path per kind of class.  Bare S_n, and S_n cut by
-``one_at``, ``ends_with`` or ``tail``, is built in packed blocks by columns
-(:func:`_group_blocks`): the permutations of the m free letters are m shifted
-copies of packed S_(m-1), and the fixed letters go in as constant columns.
+diffable.  There is one path per kind of class, and each builds packed
+blocks by columns rather than word by word.  Bare S_n, and S_n cut by
+``one_at``, ``ends_with`` or ``tail``, comes from :func:`_group_blocks`: the
+permutations of the m free letters are m shifted copies of packed S_(m-1).
 Every class closed under deleting the first letter -- a pattern class, S_n
-under a maxdrop bound, or both -- comes from a generating tree that grows
-each size from the one below by prepending a first letter.  A pattern class
-keeps its tree: one packed table per forbidden set and drop bound
-(:func:`_class_table`) grows to the largest size asked for, and a
-positional constraint filters its last level.  S_n under a maxdrop bound
-streams its last level and stores none.  :func:`class_blocks` hands a class
-out as packed blocks, :func:`class_words` as words (bare S_n as
-``itertools.permutations``, the rest unpacked from the blocks);
-:func:`filtered_words`, a plain filter over all n! words, is the oracle the
-other paths are tested against.
+under a maxdrop bound, or both -- comes from a generating tree
+(:class:`_ClassTable`) that grows each size from the one below by
+prepending a first letter; the letters each member may take are found by
+lane comparisons over a chunk of members at once, and no per-member mask is
+kept.  A pattern class keeps its tree, one table per forbidden set and drop
+bound (:func:`_class_table`), and a positional constraint filters its last
+level; S_n under a maxdrop bound streams its last level and stores none.
+:func:`class_blocks` hands a class out as packed blocks, :func:`class_words`
+as words; :func:`filtered_words`, a plain filter over all n! words, is the
+oracle the other paths are tested against.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, islice, permutations
+from itertools import combinations, permutations
 from math import factorial
 from threading import RLock
 from typing import Iterable, Iterator, Sequence
 
-from .perm import MAX_PACKED_N, Permutation, as_word
+from .perm import MAX_PACKED_N, Permutation, _Lanes, as_word
 
 CONSTRAINT_KINDS = ("one_at", "ends_with", "tail", "maxdrop_le")
 
@@ -168,15 +167,21 @@ def occurrences(p, pat) -> tuple[int, tuple[tuple[int, ...], ...]]:
 
 
 def avoids(p, pats) -> bool:
-    """True iff none of the patterns occurs; the empty set is avoided trivially."""
-    w = as_word(p)
+    """True iff none of the patterns occurs, in one pass over the subsequences
+    of each pattern length: a subsequence realizes a pattern when its letters
+    sort into the same order of positions.  The empty set is avoided trivially."""
+    orders: dict[int, set] = {}
     for pat in pats:
         q = as_word(pat)
-        m = len(q)
-        if m < 1:
+        if not q:
             raise ValueError("patterns must have size >= 1")
-        for idxs in combinations(range(len(w)), m):
-            if pattern_of([w[t] for t in idxs]) == q:
+        shapes = orders.setdefault(len(q), set())
+        if pattern_of(q) == q:  # anything else occurs nowhere
+            shapes.add(tuple(sorted(range(len(q)), key=q.__getitem__)))
+    w = as_word(p)
+    for m, shapes in orders.items():
+        for sub in combinations(w, m):
+            if tuple(sorted(range(m), key=sub.__getitem__)) in shapes:
                 return False
     return True
 
@@ -226,15 +231,13 @@ def _fixed_run(spec: ClassSpec) -> tuple[int, bytes]:
 
 
 def _prepend_rule(pat: tuple[int, ...]):
-    """How occurrences of ``std(pat[1:])`` forbid first letters.
-
-    Returns ``(bounds, jl, ju)``.  ``bounds[j]`` holds the indices of the
-    earlier letters of ``q = std(pat[1:])`` nearest to ``q[j]`` in value from
-    below and from above (-1 if none), so an occurrence is grown letter by
-    letter with one comparison on each side.  ``jl``/``ju`` index the letters
-    of q just below and just above ``pat[0]`` (-1 if none): a new first letter
-    ``a`` completes ``pat`` with an occurrence ``x`` exactly when
-    ``x[jl] < a <= x[ju]`` in the word before the shift.
+    """How occurrences of ``q = std(pat[1:])`` forbid first letters, as
+    ``(bounds, jl, ju)``.  ``bounds[j]`` indexes the earlier letters of q
+    nearest to ``q[j]`` in value from below and from above (-1 if none), so
+    an occurrence grows letter by letter with one comparison on each side.
+    A new first letter a completes ``pat`` with an occurrence x of q exactly
+    when ``x[jl] < a <= x[ju]`` in the word before the shift; ``jl``/``ju``
+    index the letters of q just below and just above ``pat[0]`` (-1 if none).
     """
     r = pat[0]
     q = tuple(v - (v > r) for v in pat[1:])
@@ -250,46 +253,55 @@ def _prepend_rule(pat: tuple[int, ...]):
     return tuple(bounds), jl, ju
 
 
-def _first_letters(u: bytes, rules, drop_bound: int | None) -> int:
-    """Bitmask (bit a-1) of the letters a that may be prepended to the member u."""
-    k = len(u)
-    allowed = (1 << (k + 1)) - 1
+def _allowed_letters(chunk: bytes, count: int, rules, drop_bound: int | None) -> list[bytes]:
+    """Which first letters the ``count`` size-k members u of a packed chunk
+    may take: for each letter a = 1..k+1, a 0/1 byte per member.
+
+    Each member is a lane of :class:`permcross.perm._Lanes`, wide enough to
+    hold a set of letters as bits 1..k+1 below its top bit.  The occurrences
+    of each rule's q grow one position at a time, compared on all lanes at
+    once, and a branch ends as soon as no lane holds it.
+
+    >>> [c.hex() for c in _allowed_letters(bytes((1, 2, 2, 1)), 2, [_prepend_rule((3, 2, 1))], None)]
+    ['0101', '0101', '0100']
+    """
+    k = len(chunk) // count
+    lanes = _Lanes(chunk, count, min_width=(k + 11) // 8)
+    x, xt, top, ones, shift = lanes.x, lanes.xt, lanes.top, lanes.ones, lanes.shift
+    fill = (1 << shift) - 1  # times a lane's low bit, every bit of the lane but its top
+    edge = [lanes.as_bits(c) for c in lanes.columns]  # 2^(u_p+1) in each lane
+    floor, ceil = ones << 1, ones << (k + 2)  # the edges of the letters 0 and k+1
+    forbidden = 0
     for bounds, jl, ju in rules:
-        last = len(bounds) - 1
-        if last < 0:
-            return 0  # a pattern of length 1 is completed by any first letter
-        x = [0] * (last + 1)
+        at, m = [0] * len(bounds), len(bounds)
 
-        def place(j: int, start: int) -> None:
-            # extend an occurrence of q in u by its letter j, at position >= start
-            nonlocal allowed
-            below, above = bounds[j]
-            floor = x[below] if below >= 0 else 0
-            ceil = x[above] if above >= 0 else k + 1
-            if j < last:
-                for i in range(start, k - last + j):
-                    v = u[i]
-                    if floor < v < ceil:
-                        x[j] = v
-                        place(j + 1, i + 1)
-                return
-            for v in u[start:]:
-                if floor < v < ceil:
-                    x[j] = v
-                    lo = x[jl] if jl >= 0 else 0
-                    hi = x[ju] if ju >= 0 else k + 1
-                    allowed &= ~((1 << hi) - (1 << lo))
+        def grow(j: int, start: int, held: int) -> int:
+            # the letters forbidden by the occurrences of q[:j] on the lanes
+            # of ``held``, grown by q[j] at positions from ``start`` on
+            if j == m:  # whole occurrences x, which forbid x[jl] < a <= x[ju]
+                low = edge[at[jl]] if jl >= 0 else floor
+                high = edge[at[ju]] if ju >= 0 else ceil
+                return (held >> shift) * fill & ((high | top) - low)
+            lo, hi = bounds[j]
+            out = 0
+            for i in range(start, k - m + j + 1):
+                ext = held & (xt[i] - x[at[lo]] if lo >= 0 else top)
+                ext &= (xt[at[hi]] - x[i] if hi >= 0 else top) & top
+                if ext:
+                    at[j] = i
+                    out |= grow(j + 1, i + 1, ext)
+            return out
 
-        place(0, 0)
-        if not allowed:
-            return 0
-    if drop_bound is not None:
-        # prepending a adds one to the drop of every letter below a, so a may
-        # not exceed the smallest letter whose drop is already at the bound
-        for i, v in enumerate(u, 1):
-            if i - v >= drop_bound:
-                allowed &= (1 << v) - 1
-    return allowed
+        forbidden |= grow(0, 0, top)
+    if drop_bound is not None:  # forbid every a > u_p whose drop p+1-u_p is at least d
+        for p in range(k):
+            held = top & ~(xt[p] - lanes.const(max(p + 2 - drop_bound, 0)))
+            forbidden |= (held >> shift) * fill & ((ceil | top) - edge[p])
+    step = lanes.width
+    return [
+        (((forbidden >> a) & ones) ^ ones).to_bytes(step * count, "little")[::step]
+        for a in range(1, k + 2)
+    ]
 
 
 class _ClassTable:
@@ -298,14 +310,12 @@ class _ClassTable:
 
     A classical class, and its intersection with a maxdrop bound, is closed
     under deleting the first letter.  So size k is grown from the sorted
-    members u of size k-1 by prepending each allowed first letter a and
-    shifting the letters >= a up by one.  Looping over a outside and u inside
-    yields size k in lex order without a sort.  ``levels[k]`` holds the
-    size-k members packed one letter per byte in one ``bytes`` object, shifted
-    for all members at once with ``bytes.translate``.  The masks of allowed
-    first letters of a level are computed when the level above is first
-    grown, so the largest level grown has none.  A lock keeps threads that
-    share a table from growing one level twice.
+    members of size k-1 by prepending each allowed first letter a and
+    shifting the letters >= a up by one; looping over a outside and the
+    members inside yields size k in lex order without a sort.  ``levels[k]``
+    holds the size-k members packed one letter per byte, grown by columns
+    (:meth:`children`) with no per-member mask or loop.  A lock keeps
+    threads that share a table from growing one level twice.
     """
 
     def __init__(self, forbidden: tuple, drop_bound: int | None):
@@ -313,31 +323,42 @@ class _ClassTable:
         self.drop_bound = drop_bound
         self.levels = [b""]
         self.counts = [1]
-        self.masks: list = []
         self.lock = RLock()
 
     def level(self, n: int) -> tuple[bytes, int]:
         """(packed members, count) of size n, grown from the largest level so far."""
         with self.lock:
             for k in range(len(self.levels), n + 1):
-                grown = bytearray()
-                for u in _children(self.levels[k - 1], self.first_letter_masks(k - 1), k):
-                    grown += u
-                self.levels.append(bytes(grown))
-                self.counts.append(len(grown) // k)
+                self.levels.append(b"".join(self.children(k)))
+                self.counts.append(len(self.levels[k]) // k)
             return self.levels[n], self.counts[n]
 
-    def first_letter_masks(self, k: int) -> Sequence[int]:
-        """The masks of allowed first letters of the members of level k."""
-        with self.lock:
-            for j in range(len(self.masks), k + 1):
-                words = self.levels[j]
-                masks = array("Q") if j < 64 else []  # a mask has j+1 bits
-                for i in range(self.counts[j]):
-                    u = words[i * j : i * j + j]
-                    masks.append(_first_letters(u, self.rules, self.drop_bound))
-                self.masks.append(masks)
-            return self.masks[k]
+    def children(self, k: int) -> Iterator[bytes]:
+        """The size-k members in lex order, packed, in pieces grown from level k-1.
+
+        Each chunk of ``BLOCK_WORDS`` members is framed as one integer, its
+        members behind a first column of 0xFF bytes.  The children of letter a
+        are the frame ANDed with 0xFF over the members that may take a
+        (:func:`_allowed_letters`); one ``translate`` drops the zeros, shifts
+        the letters and writes a over the 0xFF column.
+        """
+        words, count = self.level(k - 1)
+        width, chunks = k - 1, []
+        for first in range(0, count, BLOCK_WORDS):
+            size = min(BLOCK_WORDS, count - first)
+            chunk = words[first * width : (first + size) * width]
+            frame = bytearray(b"\xff") * (size * k)
+            for c in range(width):
+                frame[c + 1 :: k] = chunk[c::width]
+            allowed = _allowed_letters(chunk, size, self.rules, self.drop_bound)
+            chunks.append((int.from_bytes(frame, "little"), allowed, size))
+        spread = int.from_bytes(b"\xff" * k, "little")  # a member's first byte 1 -> 0xFF * k
+        for a in range(1, k + 1):
+            for frame, allowed, size in chunks:
+                mask = bytearray(size * k)
+                mask[::k] = allowed[a - 1]
+                kept = frame & int.from_bytes(mask, "little") * spread
+                yield kept.to_bytes(size * k, "little").translate(_shift_table(a), b"\0")
 
 
 @lru_cache(maxsize=None)
@@ -347,33 +368,25 @@ def _class_table(forbidden: tuple, drop_bound: int | None) -> _ClassTable:
     return _ClassTable(forbidden, drop_bound)
 
 
-def _tree_words(drop_bound: int, n: int) -> Iterator[bytes]:
-    """S_n under a maxdrop bound in lex order, as packed words: the tree
-    with no pattern rules, grown to size n-1 in a table of its own that is
-    dropped afterwards, and size n streamed from it, never stored."""
-    if n == 0:
-        yield b""
-        return
-    table = _ClassTable((), drop_bound)
-    words, _ = table.level(n - 1)
-    yield from _children(words, table.first_letter_masks(n - 1), n)
+def _reblocked(pieces: Iterable[bytes], n: int) -> Iterator[tuple[bytes, int]]:
+    """Pieces of packed size-n words cut into ``BLOCK_WORDS``-word blocks, the last one fewer."""
+    step, block = BLOCK_WORDS * n, bytearray()
+    for piece in pieces:
+        block += piece
+        while len(block) >= step:
+            yield bytes(block[:step]), BLOCK_WORDS
+            del block[:step]
+    if block:
+        yield bytes(block), len(block) // n
 
 
-def _children(words: bytes, masks, k: int) -> Iterator[bytes]:
-    """The size-k words grown from a packed level of size k-1, in lex order."""
-    width = k - 1
-    for a in range(1, k + 1):
-        shifted = words.translate(_shift_table(a))
-        head = bytes((a,))
-        bit = 1 << (a - 1)
-        for i, mask in enumerate(masks):
-            if mask & bit:
-                yield head + shifted[i * width : i * width + width]
+_BYTES = bytes(range(256))
 
 
 def _shift_table(a: int) -> bytes:
-    """``bytes.translate`` table raising every letter >= a by one."""
-    return bytes(range(a)) + bytes(range(a + 1, 256)) + b"\xff"
+    """``bytes.translate`` table raising every letter >= a by one, and
+    writing a over the frame byte 0xFF, which no packed letter takes."""
+    return _BYTES[:a] + _BYTES[a + 1 :] + _BYTES[a : a + 1]
 
 
 #: Words per packed block.  Larger blocks make fewer, longer lane operations
@@ -392,14 +405,12 @@ def packed_blocks(words: Iterable[Sequence[int]], n: int) -> Iterator[tuple[byte
     """
     if n > MAX_PACKED_N:
         raise ValueError(f"words are packed one letter per byte; n={n} exceeds {MAX_PACKED_N}")
-    words = iter(words)
     if n == 0:  # empty words pack to nothing, so count them instead
         size = sum(1 for _ in words)
         if size:
             yield b"", size
         return
-    while block := b"".join(map(bytes, islice(words, BLOCK_WORDS))):
-        yield block, len(block) // n
+    yield from _reblocked(map(bytes, words), n)
 
 
 def _group_blocks(n: int, at: int = 0, run: bytes = b"") -> Iterator[tuple[bytes, int]]:
@@ -409,7 +420,7 @@ def _group_blocks(n: int, at: int = 0, run: bytes = b"") -> Iterator[tuple[bytes
 
     In lex order the permutations of the m free letters are m copies of
     packed S_(m-1): copy a is shifted by ``_shift_table(a)``, the step of
-    :func:`_children`, behind a constant first column a.  One ``translate``
+    :meth:`_ClassTable.children`, behind a constant first column a.  One ``translate``
     does the shift and maps the ranks 1..m to the free letters.  A block
     starts as copies of one frame word that holds the fixed run; the first
     column and each other column of a piece of a copy are then filled by
@@ -456,34 +467,21 @@ def _drop_bound(spec: ClassSpec) -> int | None:
 
 
 def _table_blocks(spec: ClassSpec) -> Iterator[tuple[bytes, int]]:
-    """The blocks of a pattern class, sliced from its table's level n; a
+    """The blocks of a pattern class, cut from its table's level n; a
     ``one_at``, ``ends_with`` or ``tail`` constraint keeps the members whose
     fixed run (:func:`_fixed_run`) is in place."""
     n = spec.n
-    level, count = _class_table(spec.forbidden, _drop_bound(spec)).level(n)
-    if n == 0:
-        yield b"", count  # the empty word, which every class holds
-        return
-    if spec.constraint is None or spec.constraint[0] == "maxdrop_le":
-        step = BLOCK_WORDS * n
-        for start in range(0, len(level), step):
-            block = level[start : start + step]
-            yield block, len(block) // n
-        return
-    at, run = _fixed_run(spec)
-    column = level[at::n]
-    kept = bytearray()
-    i = column.find(run[0])
-    while i >= 0:
-        start = i * n
-        if level[start + at : start + at + len(run)] == run:
-            kept += level[start : start + n]
-            if len(kept) == BLOCK_WORDS * n:
-                yield bytes(kept), BLOCK_WORDS
-                kept = bytearray()
-        i = column.find(run[0], i + 1)
-    if kept:
-        yield bytes(kept), len(kept) // n
+    level, _ = _class_table(spec.forbidden, _drop_bound(spec)).level(n)
+    if spec.constraint is not None and spec.constraint[0] != "maxdrop_le":
+        at, run = _fixed_run(spec)
+        column = level[at::n]
+        i, kept = column.find(run[0]), bytearray()
+        while i >= 0:
+            if level[i * n + at : i * n + at + len(run)] == run:
+                kept += level[i * n : i * n + n]
+            i = column.find(run[0], i + 1)
+        level = kept
+    return _reblocked((level,), n)
 
 
 def _check_bound(spec: ClassSpec, bound: int | None) -> None:
@@ -495,9 +493,9 @@ def _check_bound(spec: ClassSpec, bound: int | None) -> None:
 def class_blocks(spec: ClassSpec, bound: int | None = None) -> Iterator[tuple[bytes, int]]:
     """The class in lex order as (block, count): up to ``BLOCK_WORDS`` words
     packed one letter per byte, the format of the column kernels of
-    :mod:`permcross.perm`.  A pattern class is sliced from its table, bare
+    :mod:`permcross.perm`.  A pattern class is cut from its table, bare
     and fixed-letter S_n are built by columns (:func:`_group_blocks`), and
-    S_n under a maxdrop bound is packed as it streams from the tree.  Refused
+    S_n under a maxdrop bound streams from a tree of its own.  Refused
     before any enumeration past the bound or past ``MAX_PACKED_N``.
     """
     _check_bound(spec, bound)
@@ -505,11 +503,13 @@ def class_blocks(spec: ClassSpec, bound: int | None = None) -> Iterator[tuple[by
         raise ValueError(
             f"classes are packed one letter per byte; n={spec.n} exceeds {MAX_PACKED_N}"
         )
+    if spec.n == 0:
+        return iter([(b"", 1)])  # the empty word, which every class holds
     if spec.forbidden:
         return _table_blocks(spec)
     drop_bound = _drop_bound(spec)
-    if drop_bound is not None:
-        return packed_blocks(_tree_words(drop_bound, spec.n), spec.n)
+    if drop_bound is not None:  # a tree of its own, whose last level is never stored
+        return _reblocked(_ClassTable((), drop_bound).children(spec.n), spec.n)
     if spec.constraint is None:
         return _group_blocks(spec.n)
     return _group_blocks(spec.n, *_fixed_run(spec))

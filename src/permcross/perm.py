@@ -508,11 +508,19 @@ class _Lanes:
 
     def as_int(self, column: bytes) -> int:
         """A column of byte values as a lane integer."""
-        if self.width == 2:
-            wide = bytearray(2 * len(column))
-            wide[::2] = column
+        if self.width > 1:
+            wide = bytearray(self.width * len(column))
+            wide[:: self.width] = column
             column = wide
         return int.from_bytes(column, "little")
+
+    def as_bits(self, column: bytes) -> int:
+        """2^(v+1) in each lane for the byte value v of a column, for lanes
+        wide enough to hold it below their top bit."""
+        bits = bytearray(self.width * len(column))
+        for b in range((min(column) + 1) // 8, (max(column) + 1) // 8 + 1):
+            bits[b :: self.width] = column.translate(_bit_table(b))
+        return int.from_bytes(bits, "little")
 
     def const(self, c: int) -> int:
         return c * self.ones
@@ -546,6 +554,12 @@ def _position_table(letter: int, position: int) -> bytes:
     table = bytearray(256)
     table[letter] = position
     return bytes(table)
+
+
+@lru_cache(maxsize=None)
+def _bit_table(b: int) -> bytes:
+    """``bytes.translate`` table: byte b of the little-endian 2^(v+1) for v."""
+    return bytes(1 << (v + 1 - 8 * b) if 0 <= v + 1 - 8 * b < 8 else 0 for v in range(256))
 
 
 @lru_cache(maxsize=None)

@@ -1,11 +1,12 @@
 import json
+from dataclasses import replace
 from itertools import permutations
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from permcross import bijections, checks, patterns
+from permcross import bijections, checks, distributions, patterns
 from permcross.bijections import ResidualReport
 from permcross.checks import (
     CHECKS,
@@ -18,6 +19,7 @@ from permcross.checks import (
     suite_passed,
 )
 from permcross.distributions import CrsProfile
+from permcross.perm import inversion_count, stat_column
 from permcross.polynomials import QPoly, ZSeries
 
 SCHEMA = json.loads(
@@ -165,6 +167,11 @@ def _asymmetric_profile(n, forbidden=(), bound=None):
     return CrsProfile(n, by_pos1, by_pos1, QPoly.zero())
 
 
+def _inv_one_high(block, count, stat):
+    column = stat_column(block, count, stat)
+    return [v + (stat == "inv") for v in column]
+
+
 _ZERO_FORM = ((checks, "closed_form", lambda form, n: QPoly.zero()),)
 # the block residuals decide a law and the per-word oracle reports it, so a
 # broken law is broken in both
@@ -218,6 +225,15 @@ BROKEN_INPUTS = [
         "fail",
     ),
     ("fig-1", ((checks, "crossings", lambda w: (0, ())),), "fail"),
+    ("prop-5.1", ((checks, "P321_231", ((3, 2, 1),)),), "fail"),
+    (
+        "inv-exc-crs",
+        (
+            (checks, "stat_column", _inv_one_high),
+            (checks, "inversion_count", lambda w: inversion_count(w) + 1),
+        ),
+        "fail",
+    ),
     ("cor-4.3", ((bijections, "crossing_count", lambda w: 0),), "fail"),
 ]
 
@@ -235,6 +251,18 @@ def test_a_broken_input_is_reported_with_capped_witnesses(monkeypatch, check_id,
     assert 1 <= len(broken_run.witnesses) <= WITNESS_CAP
     assert broken_run.bound == passing.bound  # a failure states the same range
     jsonschema.validate(broken_run.to_json(), SCHEMA)
+
+
+def test_inv_exc_crs_flags_must_be_confirmed_per_word(monkeypatch):
+    monkeypatch.setattr(checks, "stat_column", _inv_one_high)
+    with pytest.raises(AssertionError, match=r"the block columns flag \(\), the per-word"):
+        run_check("inv-exc-crs", 4)
+
+
+def test_prop_51_witness_names_the_words_on_each_side(monkeypatch):
+    monkeypatch.setattr(checks, "P321_231", ((3, 2, 1),))
+    witness = run_check("prop-5.1", 3).witnesses[0]
+    assert witness == {"n": 3, "only_avoiders": ["231"], "only_maxdrop": []}
 
 
 def test_witnesses_stop_at_the_cap(monkeypatch):
@@ -311,6 +339,72 @@ def test_bound_one_below_the_minimum_is_refused(check_id):
     needs = f"{check_id} needs a bound of at least {check.min_bound}"
     with pytest.raises(CheckBoundError, match=needs):
         run_check(check_id, check.min_bound - 1)
+
+
+def test_every_check_declares_a_bound_range_around_its_default():
+    for check in CHECKS.values():
+        if check.max_bound is not None:
+            assert check.min_bound <= check.default_bound <= check.max_bound, check.check_id
+    # thm-2.6 reads S_(n+1); the S_n checks stop at the full-group limit
+    assert CHECKS["thm-2.6"].max_bound == patterns.FULL_GROUP_BOUND - 1
+    assert CHECKS["prop-5.1"].max_bound == patterns.FULL_GROUP_BOUND
+    assert CHECKS["catalan"].max_bound == patterns.PATTERN_CLASS_BOUND
+    assert CHECKS["table-1"].max_bound is None
+
+
+@pytest.mark.parametrize(
+    "check_id", [c.check_id for c in CHECKS.values() if c.max_bound is not None]
+)
+def test_bound_one_above_the_maximum_is_refused(monkeypatch, check_id):
+    check = CHECKS[check_id]
+    ran = []
+    monkeypatch.setitem(CHECKS, check_id, replace(check, run=ran.append))
+    takes = f"{check_id} takes a bound of at most {check.max_bound}"
+    with pytest.raises(CheckBoundError, match=takes):
+        run_check(check_id, check.max_bound + 1)
+    assert ran == []
+
+
+def test_a_bound_too_high_is_refused_before_any_check_runs(monkeypatch):
+    ran = []
+    for check_id, check in list(CHECKS.items()):
+        monkeypatch.setitem(CHECKS, check_id, replace(check, run=ran.append))
+    with pytest.raises(CheckBoundError) as refused:
+        checks.iter_checks("all", bound=patterns.FULL_GROUP_BOUND)
+    assert str(refused.value) == (
+        "check thm-2.6 takes a bound of at most 9; bound 10 would take it past the "
+        "enumeration limit"
+    )
+    with pytest.raises(CheckBoundError) as refused:
+        run_checks("all", bound=patterns.FULL_GROUP_BOUND + 1)
+    named = {c.check_id for c in CHECKS.values() if checks.GROUP in c.reads}
+    assert {c for c in named if f"{c} takes a bound of at most" in str(refused.value)} == named
+    assert "catalan" not in str(refused.value)
+    assert ran == []
+
+
+def _clear_caches():
+    for module in (patterns, distributions, bijections, checks):
+        for obj in vars(module).values():
+            if callable(getattr(obj, "cache_clear", None)):
+                obj.cache_clear()
+
+
+def test_every_check_runs_at_its_maximum_bound(monkeypatch):
+    # with both enumeration limits lowered, each check's derived maximum must
+    # still keep every class it reads inside its limit; cold caches, so every
+    # class it reads is enumerated and bound-checked
+    monkeypatch.setattr(patterns, "FULL_GROUP_BOUND", 5)
+    monkeypatch.setattr(patterns, "PATTERN_CLASS_BOUND", 7)
+    _clear_caches()
+    try:
+        for check in CHECKS.values():
+            bound = check.default_bound if check.max_bound is None else check.max_bound
+            assert check.max_bound in (None, 4, 5, 7), check.check_id
+            result = run_check(check.check_id, bound)
+            assert result.status in ("pass", "finding"), check.check_id
+    finally:
+        _clear_caches()
 
 
 def test_results_are_deterministic_modulo_runtime():

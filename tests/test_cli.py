@@ -246,6 +246,20 @@ def test_verify_bound_below_thm11_minimum_is_a_usage_error(capsys):
     assert "thm-1.1 needs a bound of at least 2" in err
 
 
+@pytest.mark.parametrize("fmt", [[], ["--json"], ["--csv"]], ids=["human", "json", "csv"])
+def test_verify_bound_past_a_checks_limit_is_refused_before_any_output(capsys, monkeypatch, fmt):
+    ran = []
+    for check_id, check in list(CHECKS.items()):
+        monkeypatch.setitem(CHECKS, check_id, replace(check, run=ran.append))
+    code, out, err = run_cli(capsys, "verify", "all", "--bound", "10", *fmt)
+    assert code == 2 and out == "" and ran == []
+    assert "thm-2.6 takes a bound of at most 9" in err
+    monkeypatch.setenv("PERMCROSS_BOUND", "11")
+    code, out, err = run_cli(capsys, "verify", "conj-2.7", "catalan", "sym-transport", *fmt)
+    assert code == 2 and out == "" and ran == []
+    assert "conj-2.7 takes a bound of at most 10, sym-transport takes" in err
+
+
 def test_verify_determinism(capsys):
     code, out1, _ = run_cli(capsys, "verify", "fig-1", "conj-2.7", "--bound", "4", "--json")
     code2, out2, _ = run_cli(capsys, "verify", "fig-1", "conj-2.7", "--bound", "4", "--json")

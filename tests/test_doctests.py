@@ -38,5 +38,6 @@ def test_the_kernels_have_doctests():
         "residual_columns",
         "packed_blocks",
         "_group_blocks",
+        "_allowed_letters",
     }
     assert kernels <= tested

@@ -70,6 +70,10 @@ def test_occurrences_trivia():
         assert occurrences(w, (1,))[0] == len(w)
     assert avoids((2, 4, 1, 3), [])
     assert not avoids((4, 7, 3, 5, 1, 2, 6), [(1, 2, 3)])
+    # every pattern is read before any is looked for, so an empty one is refused
+    with pytest.raises(ValueError, match="size >= 1"):
+        avoids((1, 2), [(1, 2), ()])
+    assert avoids((1, 2, 3), [(2, 5)])  # a sequence that is no pattern occurs nowhere
 
 
 def test_class_spec_validation():
@@ -123,6 +127,8 @@ PAPER_PAIRS = [
 ORACLE_PATTERN_SETS = [
     pats for size in (1, 2, 3) for pats in combinations(ALL3, size)
 ] + [((1,),), ((2, 1),), ((1, 2),), ((1, 2, 3, 4),), ((2, 4, 1, 3), (3, 1, 4, 2)), ((1, 3, 2), (4, 2, 3, 1))]
+# patterns of length 5 and 6, whose occurrences the tree grows four and five letters deep
+LONG_PATTERN_SETS = [((2, 4, 1, 5, 3),), ((1, 3, 2), (4, 6, 5, 2, 1, 3))]
 
 
 @pytest.mark.parametrize(
@@ -136,6 +142,7 @@ ORACLE_PATTERN_SETS = [
         class_spec(8, maxdrop_le=1),
         class_spec(8, avoid=[(2, 3, 1), (3, 2, 1)], maxdrop_le=2),
     ]
+    + [class_spec(8, avoid=pats) for pats in LONG_PATTERN_SETS]
     + sorted(
         {
             class_spec(8, avoid=apply_symmetry_to_patterns(tag, pair))
@@ -150,7 +157,7 @@ def test_generators_agree_at_eight(spec):
     assert list(class_words(spec)) == list(filtered_words(spec))
 
 
-@pytest.mark.parametrize("pats", ORACLE_PATTERN_SETS, ids=str)
+@pytest.mark.parametrize("pats", ORACLE_PATTERN_SETS + LONG_PATTERN_SETS, ids=str)
 def test_generators_agree_small_pattern_classes(pats):
     for n in range(8):
         spec = class_spec(n, avoid=pats)
@@ -326,16 +333,26 @@ def test_class_table_levels_match_the_oracle_in_any_request_order(order):
 
 @pytest.mark.parametrize("block", [1, 7, 119, 120, 2048])
 def test_class_table_blocks_at_block_edges(monkeypatch, block):
-    # a table slice, and bare S_n built by columns, where a block may span
-    # the copies of S_(m-1) (the first letter changes every 120 words here);
-    # no consumer may depend on where blocks end
-    specs = (class_spec(7, avoid=[(2, 3, 1)], tail=1), class_spec(6), class_spec(7, one_at=3))
+    # a table slice, bare S_n built by columns, where a block may span the
+    # copies of S_(m-1) (the first letter changes every 120 words here), and
+    # the streamed last level of S_n under a drop bound (6,144 words at n=8,
+    # d=3), whose pieces per first letter and chunk are cut into blocks; no
+    # consumer may depend on where blocks end
+    specs = (
+        class_spec(7, avoid=[(2, 3, 1)], tail=1),
+        class_spec(6),
+        class_spec(7, one_at=3),
+        class_spec(7, maxdrop_le=2),
+        class_spec(8, maxdrop_le=3),
+    )
     want = {spec: list(filtered_words(spec)) for spec in specs}
     monkeypatch.setattr(patterns, "BLOCK_WORDS", block)
     for spec in specs:
         blocks = list(class_blocks(spec))
         assert all(0 < count <= block and len(b) == spec.n * count for b, count in blocks)
         assert b"".join(b for b, _ in blocks) == b"".join(map(bytes, want[spec]))
+        # the boundaries of packed_blocks: BLOCK_WORDS words a block, the last one fewer
+        assert blocks == list(patterns.packed_blocks(want[spec], spec.n))
         assert list(class_words(spec)) == want[spec]
         crs = Counter(v for b, count in blocks for v in stat_column(b, count, "crs"))
         assert crs == Counter(map(crossing_count, want[spec]))
@@ -394,6 +411,26 @@ def test_group_blocks_match_the_oracle():
     # S_(m-1) is held by the stream only, never in a cache
     assert _class_table.cache_info().currsize == tables
     assert class_size.cache_info().currsize == sizes
+
+
+def test_lanes_of_several_bytes_at_sizes_past_23():
+    # a member of size k is a lane of (k + 11) // 8 bytes, four bytes from
+    # k = 21 on; S_n(123,132,213) has F_(n+1) members
+    fib = [0, 1]
+    while len(fib) < 28:
+        fib.append(fib[-1] + fib[-2])
+    forbidden = [(1, 2, 3), (1, 3, 2), (2, 1, 3)]
+    for n in (24, 25, 26):
+        spec = class_spec(n, avoid=forbidden)
+        words = list(class_words(spec, bound=n))
+        assert len(words) == class_size(spec, bound=n) == fib[n + 1]
+        assert all(sorted(w) == list(range(1, n + 1)) for w in words)
+        assert all(a < b for a, b in zip(words, words[1:]))  # lex order, no repeats
+        # the definitional check on an even sample of the members, the ends included
+        sample = words[:: len(words) // 40] + [words[-1]]
+        assert all(avoids(w, forbidden) for w in sample)
+    assert class_size(class_spec(30, maxdrop_le=0), bound=30) == 1
+    _class_table.cache_clear()
 
 
 def test_empty_levels_stay_empty():
