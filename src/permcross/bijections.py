@@ -39,6 +39,7 @@ from typing import Iterator, Sequence
 from .patterns import P213_312, class_spec, class_words
 from .perm import (
     Permutation,
+    _columns,
     _Lanes,
     apply_symmetry,
     as_word,
@@ -244,15 +245,14 @@ def residual_columns(
     """
     if law not in RESIDUAL_LAWS:
         raise ValueError(f"unknown law {law!r}; expected one of {RESIDUAL_LAWS}")
-    word = _Lanes(block, count)
-    n = word.n
+    columns = _columns(block, count)
+    n = len(columns)
     if n == 0:
         raise ValueError(f"{law} needs nonempty words")
-    if n * (n + 3) // 2 > 0xFF:
-        word = _Lanes(block, count, min_width=2)
+    word = _Lanes(columns, count, min_width=1 if n * (n + 3) // 2 <= 0xFF else 2)
 
     def crs_of(image: bytes) -> int:
-        return _Lanes(image, count, min_width=word.width).stat("crs")
+        return _Lanes(_columns(image, count), count, min_width=word.width).stat("crs")
 
     crs = word.stat("crs")
     if law == "lem-4.2":
@@ -261,7 +261,7 @@ def residual_columns(
             for j, a, b, c in _insertion_set_sizes(word)
         ]
     elif law == "prop-2.5":
-        ends_with_n = word.equal(n - 1, n)
+        ends_with_n = ((word.xt[n - 1] - word.const(n)) & word.top) >> word.shift
         sides = [
             (crs_of(phi_block(1, block, count)), crs),
             (crs_of(psi_block(1, block, count)), crs),
@@ -272,7 +272,7 @@ def residual_columns(
         if law == "lem-2.1":
             sides = [(crs_of(insert_block(block, count, n + 1, 1)) + lt, crs + ut)]
         elif law == "lem-2.2":
-            ends_with_n = word.equal(n - 1, n)
+            ends_with_n = ((word.xt[n - 1] - word.const(n)) & word.top) >> word.shift
             image = insert_block(block, count, n, 1)
             sides = [(crs_of(image) + ends_with_n + lt, crs + word.ones + ut)]
         else:
@@ -288,7 +288,7 @@ def _insertion_set_sizes(word: _Lanes) -> Iterator[tuple[int, int, int, int]]:
     """
     xt, top, shift, const = word.xt, word.top, word.shift, word.const
     # post[v-1]: the position of the letter v, with the top bit set
-    post = [word.position(v) | top for v in range(1, word.n + 1)]
+    post = [word.as_int(word.position(v)) | top for v in range(1, word.n + 1)]
     b = c = 0
     for j in range(1, word.n + 1):
         i = j - 2

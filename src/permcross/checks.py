@@ -72,7 +72,7 @@ from .perm import (
     format_word,
     inversion_count,
     nestings,
-    stat_column,
+    stat_columns,
     symmetry_block,
 )
 from .polynomials import QPoly, ZSeries
@@ -751,7 +751,7 @@ def _inv_exc_crs_rows(n: int):
     """The inv column of each block against exc + crs; the per-word
     statistics must confirm every word the columns flag."""
     for block, count in class_blocks(class_spec(n, avoid=P321_231)):
-        columns = zip(*(stat_column(block, count, s) for s in ("inv", "exc", "crs")))
+        columns = zip(*stat_columns(block, count, ("inv", "exc", "crs")))
         for lane, (inv, exc, crs) in enumerate(columns):
             if inv != exc + crs:
                 w = tuple(block[lane * n : lane * n + n])

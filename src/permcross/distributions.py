@@ -7,14 +7,16 @@ expressions assembled in integer arithmetic.  All heavy computations are
 memoized; inputs are immutable so the caches are safe to share.
 
 ``dist_poly``, ``joint_poly`` and ``crs_profile`` are histograms from one
-fold (:func:`_fold`): the class comes in blocks of ``BLOCK_WORDS`` words
-packed one letter per byte (:func:`permcross.patterns.class_blocks`: sliced
-straight from the class table of a pattern class, built by columns from a
-shifted S_(m-1) for bare S_n and its fixed-letter cuts), the column kernels
-of :mod:`permcross.perm` turn each block into statistic columns at once, and
-a ``Counter`` counts the columns, or tuples zipped from several of them.  No
-word is packed or has a statistic computed one at a time on this path,
-except S_n under a maxdrop bound, which streams from its tree.
+fold (:func:`_fold`) over the class's columns: blocks of ``BLOCK_WORDS``
+words as their columns of letters (:func:`permcross.patterns.class_columns`:
+built as columns from a shifted S_(m-1) for bare S_n and its fixed-letter
+cuts, sliced from the packed blocks of the class table otherwise).  Each
+block becomes one set of lanes (:class:`permcross.perm._Lanes`), the column
+kernels turn it into statistic columns, and a ``Counter`` counts one key per
+word: the statistic itself, or every field of the word packed at fixed byte
+offsets into one integer (:func:`permcross.perm._packed_keys`), decoded once
+per distinct key.  No word is packed or has a statistic computed one at a
+time on this path.
 """
 
 from __future__ import annotations
@@ -32,10 +34,10 @@ from .patterns import (
     P213_231,
     P213_312,
     ClassSpec,
-    class_blocks,
+    class_columns,
     class_spec,
 )
-from .perm import STATISTICS, position_column, stat_column
+from .perm import STATISTICS, _Lanes, _lane_width, _packed_keys
 from .polynomials import QPoly, YQPoly, ZSeries, cfrac_expand, rational_expand
 
 
@@ -85,13 +87,13 @@ def _check_stat(stat: str) -> None:
         raise ValueError(f"unknown statistic {stat!r}; expected one of {sorted(STATISTICS)}")
 
 
-def _fold(spec: ClassSpec, bound: int | None, keys: Callable[[bytes, int], Iterable]) -> Counter:
-    """Histogram of per-word keys over a class, a packed block at a time;
-    ``keys(block, count)`` gives the key of every word of a block, in order,
-    from the column kernels of :mod:`permcross.perm`."""
+def _fold(spec: ClassSpec, bound: int | None, keys: Callable[[_Lanes], Iterable]) -> Counter:
+    """Histogram of per-word keys over a class, a block at a time;
+    ``keys(lanes)`` gives the key of every word of a block, in order, from
+    the block's one set of lanes."""
     counts: Counter = Counter()
-    for block, count in class_blocks(spec, bound):
-        counts.update(keys(block, count))
+    for columns, count in class_columns(spec, bound):
+        counts.update(keys(_Lanes(columns, count)))
     return counts
 
 
@@ -122,7 +124,7 @@ def _qpoly(counts: Counter) -> QPoly:
 def dist_poly(spec: ClassSpec, stat: str, bound: int | None = None) -> tuple[QPoly, int]:
     """(distribution polynomial, class size) of one statistic over a class."""
     _check_stat(stat)
-    counts = _fold(spec, bound, lambda block, count: stat_column(block, count, stat))
+    counts = _fold(spec, bound, lambda lanes: lanes.unpack(lanes.stat(stat)))
     return _qpoly(counts), sum(counts.values())
 
 
@@ -136,11 +138,12 @@ def joint_poly(
     counts = _fold(
         spec,
         bound,
-        lambda block, count: zip(
-            stat_column(block, count, stat_y), stat_column(block, count, stat_q)
+        lambda lanes: _packed_keys(
+            [lanes.as_bytes(lanes.stat(stat_y)), lanes.as_bytes(lanes.stat(stat_q))], lanes.count
         ),
     )
-    poly = YQPoly(tuple((ey, eq, c) for (ey, eq), c in counts.items()))
+    shift = 8 * _lane_width(spec.n)  # stat_y in the low bytes, stat_q above them
+    poly = YQPoly(tuple((key & ((1 << shift) - 1), key >> shift, c) for key, c in counts.items()))
     return poly, sum(counts.values())
 
 
@@ -175,15 +178,16 @@ def crs_profile(n: int, forbidden: tuple = (), bound: int | None = None) -> CrsP
     counts = _fold(
         ClassSpec(n, forbidden),
         bound,
-        lambda block, count: zip(
-            position_column(block, count, 1), block[n - 1 :: n], stat_column(block, count, "crs")
+        lambda lanes: _packed_keys(
+            [lanes.position(1), lanes.columns[-1], lanes.as_bytes(lanes.stat("crs"))], lanes.count
         ),
     )
     pos_counts: list[Counter] = [Counter() for _ in range(n)]
     last_counts: list[Counter] = [Counter() for _ in range(n)]
-    for (pos1, last, crs), c in counts.items():
-        pos_counts[pos1 - 1][crs] += c
-        last_counts[last - 1][crs] += c
+    for key, c in counts.items():  # the position of 1, the last letter, then crs
+        crs = key >> 16
+        pos_counts[(key & 0xFF) - 1][crs] += c
+        last_counts[(key >> 8 & 0xFF) - 1][crs] += c
     by_pos1 = tuple(map(_qpoly, pos_counts))
     by_last = tuple(map(_qpoly, last_counts))
     total = QPoly.zero()
@@ -231,34 +235,25 @@ def closed_form(form: str, n: int, k: int | None = None) -> QPoly:
     cor53   sum C(n, 2k) y^k                 des/exc over the (231,321) class
             ("cor52" is accepted as an alias)
     """
-    one_plus_q = QPoly((1, 1))
-    if form == "thm31":
-        if n < 1:
-            raise ValueError("thm31 requires n >= 1")
-        poly = (one_plus_q ** (n - 1) - QPoly.one() + QPoly.var()).div_exact(QPoly.var())
-    elif form == "main1":
-        if n < 2:
-            raise ValueError("main1 requires n >= 2")
-        poly = one_plus_q ** (n - 2)
-    elif form == "cor32":
-        if n < 1:
-            raise ValueError("cor32 requires n >= 1")
-        coeffs = [(1 if e == 0 else 0) + comb(n - 1, e + 1) for e in range(max(n - 1, 1))]
-        poly = QPoly(tuple(coeffs))
-    elif form == "cor34":
-        if n < 2:
-            raise ValueError("cor34 requires n >= 2")
-        poly = QPoly(tuple(comb(n - 2, e) for e in range(n - 1)))
-    elif form == "dokos":
-        if n < 1:
-            raise ValueError("dokos requires n >= 1")
-        poly = one_plus_q ** (n - 1)
-    elif form in ("cor53", "cor52"):
-        if n < 0:
-            raise ValueError("cor53 requires n >= 0")
-        poly = QPoly(tuple(comb(n, 2 * e) for e in range(n // 2 + 1)))
-    else:
+    one_plus_q, q = QPoly((1, 1)), QPoly.var()
+    forms = {  # form: (least n, the polynomial)
+        "thm31": (1, lambda: (one_plus_q ** (n - 1) - QPoly.one() + q).div_exact(q)),
+        "main1": (2, lambda: one_plus_q ** (n - 2)),
+        "cor32": (
+            1,
+            lambda: QPoly(tuple((e == 0) + comb(n - 1, e + 1) for e in range(max(n - 1, 1)))),
+        ),
+        "cor34": (2, lambda: QPoly(tuple(comb(n - 2, e) for e in range(n - 1)))),
+        "dokos": (1, lambda: one_plus_q ** (n - 1)),
+        "cor53": (0, lambda: QPoly(tuple(comb(n, 2 * e) for e in range(n // 2 + 1)))),
+    }
+    form = "cor53" if form == "cor52" else form
+    if form not in forms:
         raise ValueError(f"unknown closed form {form!r}")
+    least, build = forms[form]
+    if n < least:
+        raise ValueError(f"{form} requires n >= {least}")
+    poly = build()
     if k is not None:
         return QPoly.const(poly.coefficient(k))
     return poly

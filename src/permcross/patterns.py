@@ -3,10 +3,11 @@
 A class is described declaratively by :class:`ClassSpec`: a size n, a set of
 forbidden patterns, and at most one positional constraint.  Enumeration is
 always in lexicographic order of the word, so streams are reproducible and
-diffable.  There is one path per kind of class, and each builds packed
-blocks by columns rather than word by word.  Bare S_n, and S_n cut by
-``one_at``, ``ends_with`` or ``tail``, comes from :func:`_group_blocks`: the
-permutations of the m free letters are m shifted copies of packed S_(m-1).
+diffable.  There is one path per kind of class, and each builds blocks
+by columns rather than word by word.  Bare S_n, and S_n cut by ``one_at``,
+``ends_with`` or ``tail``, comes from :func:`_group_columns` as columns: the
+permutations of the m free letters are m shifted copies of S_(m-1), held by
+columns.
 Every class closed under deleting the first letter -- a pattern class, S_n
 under a maxdrop bound, or both -- comes from a generating tree
 (:class:`_ClassTable`) that grows each size from the one below by
@@ -15,8 +16,9 @@ lane comparisons over a chunk of members at once, and no per-member mask is
 kept.  A pattern class keeps its tree, one table per forbidden set and drop
 bound (:func:`_class_table`), and a positional constraint filters its last
 level; S_n under a maxdrop bound streams its last level and stores none.
-:func:`class_blocks` hands a class out as packed blocks, :func:`class_words`
-as words; :func:`filtered_words`, a plain filter over all n! words, is the
+:func:`class_blocks` hands a class out as packed blocks, :func:`class_columns`
+as the columns of those blocks, which the folds read, :func:`class_words` as
+words; :func:`filtered_words`, a plain filter over all n! words, is the
 oracle the other paths are tested against.
 """
 
@@ -29,7 +31,7 @@ from math import factorial
 from threading import RLock
 from typing import Iterable, Iterator, Sequence
 
-from .perm import MAX_PACKED_N, Permutation, _Lanes, as_word
+from .perm import MAX_PACKED_N, Permutation, _columns, _Lanes, _rows, as_word
 
 CONSTRAINT_KINDS = ("one_at", "ends_with", "tail", "maxdrop_le")
 
@@ -219,10 +221,12 @@ def filtered_words(spec: ClassSpec) -> Iterator[tuple[int, ...]]:
 def _fixed_run(spec: ClassSpec) -> tuple[int, bytes]:
     """(offset, run) of the letters a ``one_at``, ``ends_with`` or ``tail``
     constraint fixes: 1 at position n+1-k, k at the end, or the suffix
-    k, k-1, ..., 1.  A word obeys the constraint when its letters from the
-    0-based offset on start with the run."""
+    k, k-1, ..., 1; no letter without a constraint.  A word obeys the
+    constraint when its letters from the 0-based offset on start with the run."""
     n = spec.n
-    kind, arg = spec.constraint
+    kind, arg = spec.constraint or (None, 0)
+    if kind is None:
+        return 0, b""
     if kind == "one_at":
         return n - arg, bytes((1,))
     if kind == "ends_with":
@@ -253,20 +257,23 @@ def _prepend_rule(pat: tuple[int, ...]):
     return tuple(bounds), jl, ju
 
 
-def _allowed_letters(chunk: bytes, count: int, rules, drop_bound: int | None) -> list[bytes]:
-    """Which first letters the ``count`` size-k members u of a packed chunk
-    may take: for each letter a = 1..k+1, a 0/1 byte per member.
+def _allowed_letters(
+    columns: list[bytes], count: int, rules, drop_bound: int | None
+) -> list[bytes]:
+    """Which first letters the ``count`` size-k members u of a chunk, given
+    by its columns, may take: for each letter a = 1..k+1, a 0/1 byte each.
 
     Each member is a lane of :class:`permcross.perm._Lanes`, wide enough to
     hold a set of letters as bits 1..k+1 below its top bit.  The occurrences
     of each rule's q grow one position at a time, compared on all lanes at
     once, and a branch ends as soon as no lane holds it.
 
-    >>> [c.hex() for c in _allowed_letters(bytes((1, 2, 2, 1)), 2, [_prepend_rule((3, 2, 1))], None)]
+    >>> rules = [_prepend_rule((3, 2, 1))]
+    >>> [c.hex() for c in _allowed_letters([bytes((1, 2)), bytes((2, 1))], 2, rules, None)]
     ['0101', '0101', '0100']
     """
-    k = len(chunk) // count
-    lanes = _Lanes(chunk, count, min_width=(k + 11) // 8)
+    k = len(columns)
+    lanes = _Lanes(columns, count, min_width=(k + 11) // 8)
     x, xt, top, ones, shift = lanes.x, lanes.xt, lanes.top, lanes.ones, lanes.shift
     fill = (1 << shift) - 1  # times a lane's low bit, every bit of the lane but its top
     edge = [lanes.as_bits(c) for c in lanes.columns]  # 2^(u_p+1) in each lane
@@ -339,26 +346,28 @@ class _ClassTable:
         Each chunk of ``BLOCK_WORDS`` members is framed as one integer, its
         members behind a first column of 0xFF bytes.  The children of letter a
         are the frame ANDed with 0xFF over the members that may take a
-        (:func:`_allowed_letters`); one ``translate`` drops the zeros, shifts
-        the letters and writes a over the 0xFF column.
+        (:func:`_allowed_letters`), or the whole frame when all may and
+        nothing when none may; one ``translate`` drops the zeros, shifts the
+        letters and writes a over the 0xFF column.
         """
         words, count = self.level(k - 1)
-        width, chunks = k - 1, []
+        chunks = []
         for first in range(0, count, BLOCK_WORDS):
             size = min(BLOCK_WORDS, count - first)
-            chunk = words[first * width : (first + size) * width]
-            frame = bytearray(b"\xff") * (size * k)
-            for c in range(width):
-                frame[c + 1 :: k] = chunk[c::width]
-            allowed = _allowed_letters(chunk, size, self.rules, self.drop_bound)
+            columns = _columns(words[first * (k - 1) : (first + size) * (k - 1)], size)
+            frame = _rows([b"\xff" * size, *columns])
+            allowed = _allowed_letters(columns, size, self.rules, self.drop_bound)
             chunks.append((int.from_bytes(frame, "little"), allowed, size))
         spread = int.from_bytes(b"\xff" * k, "little")  # a member's first byte 1 -> 0xFF * k
         for a in range(1, k + 1):
             for frame, allowed, size in chunks:
-                mask = bytearray(size * k)
-                mask[::k] = allowed[a - 1]
-                kept = frame & int.from_bytes(mask, "little") * spread
-                yield kept.to_bytes(size * k, "little").translate(_shift_table(a), b"\0")
+                taken = allowed[a - 1].count(1)
+                if 0 < taken < size:
+                    mask = bytearray(size * k)
+                    mask[::k] = allowed[a - 1]
+                    frame &= int.from_bytes(mask, "little") * spread
+                if taken:
+                    yield frame.to_bytes(size * k, "little").translate(_shift_table(a), b"\0")
 
 
 @lru_cache(maxsize=None)
@@ -413,52 +422,54 @@ def packed_blocks(words: Iterable[Sequence[int]], n: int) -> Iterator[tuple[byte
     yield from _reblocked(map(bytes, words), n)
 
 
-def _group_blocks(n: int, at: int = 0, run: bytes = b"") -> Iterator[tuple[bytes, int]]:
-    """S_n in lex order as (block, count), or those of its words whose
-    letters from the 0-based offset ``at`` on start with ``run``, built by
-    columns rather than one word at a time.
+def _group_columns(n: int, at: int = 0, run: bytes = b"") -> Iterator[tuple[list[bytes], int]]:
+    """S_n in lex order, or its words whose letters from the 0-based offset
+    ``at`` on start with ``run``, as (columns, count): blocks of
+    ``BLOCK_WORDS`` words, the last one fewer, each as its n columns.
 
-    In lex order the permutations of the m free letters are m copies of
-    packed S_(m-1): copy a is shifted by ``_shift_table(a)``, the step of
-    :meth:`_ClassTable.children`, behind a constant first column a.  One ``translate``
-    does the shift and maps the ranks 1..m to the free letters.  A block
-    starts as copies of one frame word that holds the fixed run; the first
-    column and each other column of a piece of a copy are then filled by
-    one strided slice assignment each.  S_(m-1) is built the same way, level
-    by level; its (m-1)! (m-1) bytes are held only while the stream runs.
-    Blocks hold ``BLOCK_WORDS`` words, the last one fewer.
+    The permutations of the m free letters are m copies of S_(m-1), copy a
+    behind a constant column a and shifted by ``_shift_table(a)`` composed
+    with the map of the ranks 1..m to the free letters, so each column of a
+    piece of a copy is one ``translate`` of a slice of a column of S_(m-1).
+    S_(m-1) is held by columns, (m-1)! (m-1) bytes, while the stream runs.
 
-    >>> [(block.hex(" ", -3), count) for block, count in _group_blocks(3)]
-    [('010203 010302 020103 020301 030102 030201', 6)]
-    >>> [(block.hex(" ", -4), count) for block, count in _group_blocks(4, 2, bytes((2, 1)))]
-    [('03040201 04030201', 2)]
+    >>> [([c.hex() for c in cols], k) for cols, k in _group_columns(3)]
+    [(['010102020303', '020301030102', '030203010201'], 6)]
+    >>> [([c.hex() for c in cols], k) for cols, k in _group_columns(4, 2, bytes((2, 1)))]
+    [(['0304', '0403', '0202', '0101'], 2)]
     """
     free = bytes(v for v in range(1, n + 1) if v not in run)
     m = len(free)
     if m == 0:  # the empty word, or one word that is all fixed run
-        yield run, 1
+        yield [bytes((v,)) for v in run], 1
         return
-    rest = b"".join(block for block, _ in _group_blocks(m - 1))
-    width, count = m - 1, factorial(m - 1)
+    rest = [b"".join(parts) for parts in zip(*(c for c, _ in _group_columns(m - 1)))]
+    count = factorial(m - 1)
     letters = bytes(1) + free + bytes(255 - m)
     tables = [_shift_table(a).translate(letters) for a in range(1, m + 1)]
-    slots = [i if i < at else i + len(run) for i in range(m)]  # where free column i goes
-    frame = bytearray(n)
-    frame[at : at + len(run)] = run
     for first in range(0, m * count, BLOCK_WORDS):
         size = min(BLOCK_WORDS, m * count - first)
-        block = frame * size
-        done = 0
-        while done < size:  # one piece of a copy at a time
+        pieces, done = [], 0  # (a, start, stop): rows start..stop of copy a
+        while done < size:
             a, start = divmod(first + done, count)
             part = min(size - done, count - start)
-            copy = rest[start * width : (start + part) * width].translate(tables[a])
-            lo, hi = done * n, (done + part) * n
-            block[lo + slots[0] : hi : n] = free[a : a + 1] * part
-            for c in range(width):
-                block[lo + slots[c + 1] : hi : n] = copy[c::width]
+            pieces.append((a, start, start + part))
             done += part
-        yield bytes(block), size
+        columns = [b"".join(free[a : a + 1] * (stop - start) for a, start, stop in pieces)]
+        for column in rest:
+            columns.append(b"".join(column[i:j].translate(tables[a]) for a, i, j in pieces))
+        columns[at:at] = [bytes((v,)) * size for v in run]
+        yield columns, size
+
+
+def _group_blocks(n: int, at: int = 0, run: bytes = b"") -> Iterator[tuple[bytes, int]]:
+    """:func:`_group_columns` interleaved into packed blocks.
+
+    >>> [(block.hex(" ", -4), count) for block, count in _group_blocks(4, 2, bytes((2, 1)))]
+    [('03040201 04030201', 2)]
+    """
+    for columns, count in _group_columns(n, at, run):
+        yield _rows(columns), count
 
 
 def _drop_bound(spec: ClassSpec) -> int | None:
@@ -484,10 +495,14 @@ def _table_blocks(spec: ClassSpec) -> Iterator[tuple[bytes, int]]:
     return _reblocked((level,), n)
 
 
-def _check_bound(spec: ClassSpec, bound: int | None) -> None:
+def _check_packable(spec: ClassSpec, bound: int | None) -> None:
     limit = default_bound(spec) if bound is None else bound
     if spec.n > limit:
         raise BoundExceededError(spec.n, limit)
+    if spec.n > MAX_PACKED_N:
+        raise ValueError(
+            f"classes are packed one letter per byte; n={spec.n} exceeds {MAX_PACKED_N}"
+        )
 
 
 def class_blocks(spec: ClassSpec, bound: int | None = None) -> Iterator[tuple[bytes, int]]:
@@ -498,11 +513,7 @@ def class_blocks(spec: ClassSpec, bound: int | None = None) -> Iterator[tuple[by
     S_n under a maxdrop bound streams from a tree of its own.  Refused
     before any enumeration past the bound or past ``MAX_PACKED_N``.
     """
-    _check_bound(spec, bound)
-    if spec.n > MAX_PACKED_N:
-        raise ValueError(
-            f"classes are packed one letter per byte; n={spec.n} exceeds {MAX_PACKED_N}"
-        )
+    _check_packable(spec, bound)
     if spec.n == 0:
         return iter([(b"", 1)])  # the empty word, which every class holds
     if spec.forbidden:
@@ -510,19 +521,22 @@ def class_blocks(spec: ClassSpec, bound: int | None = None) -> Iterator[tuple[by
     drop_bound = _drop_bound(spec)
     if drop_bound is not None:  # a tree of its own, whose last level is never stored
         return _reblocked(_ClassTable((), drop_bound).children(spec.n), spec.n)
-    if spec.constraint is None:
-        return _group_blocks(spec.n)
     return _group_blocks(spec.n, *_fixed_run(spec))
 
 
+def class_columns(spec: ClassSpec, bound: int | None = None) -> Iterator[tuple[list[bytes], int]]:
+    """The blocks of :func:`class_blocks` as (columns, count), each cut into
+    its n columns; bare and fixed-letter S_n come by columns, never in rows."""
+    if spec.forbidden or _drop_bound(spec) is not None:
+        return ((_columns(block, count), count) for block, count in class_blocks(spec, bound))
+    _check_packable(spec, bound)
+    return _group_columns(spec.n, *_fixed_run(spec))
+
+
 def class_words(spec: ClassSpec, bound: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Lex-ordered stream of raw words in the class, bound-checked: bare S_n
-    from ``itertools.permutations``, every other class unpacked from
-    :func:`class_blocks`."""
-    if spec.forbidden or spec.constraint is not None:
-        return _unpacked(class_blocks(spec, bound), spec.n)
-    _check_bound(spec, bound)
-    return permutations(range(1, spec.n + 1))
+    """Lex-ordered stream of raw words in the class, bound-checked, unpacked
+    from :func:`class_blocks`."""
+    return _unpacked(class_blocks(spec, bound), spec.n)
 
 
 def _unpacked(blocks: Iterable[tuple[bytes, int]], n: int) -> Iterator[tuple[int, ...]]:

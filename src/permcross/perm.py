@@ -16,9 +16,11 @@ The statistics of interest pair positions with values through arcs i -> sigma(i)
   contributes a (lower) crossing pair.
 
 Each statistic exists twice.  The functions of :data:`STATISTICS` take one
-word; they are the public per-word API and the oracle.  :func:`stat_column`
-computes a statistic for a whole packed block of words at once, with lane
-arithmetic on big integers, and is what the distribution folds use.  The
+word; they are the public per-word API and the oracle.  The column kernels
+compute a statistic for a whole block of words at once, with lane arithmetic
+on big integers over the block's columns of letters (:class:`_Lanes`, built
+once per block), and are what the distribution folds use; a fold counts one
+integer key per word that packs several fields (:func:`_packed_keys`).  The
 inverse, the rc image and insertion have block forms too
 (:func:`inverse_block`, :func:`rc_block`, :func:`insert_block`), which map a
 packed block to a packed block, so the crossing-change laws are checked a
@@ -30,7 +32,7 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterator, Sequence
 
 SYMMETRIES = ("id", "r", "c", "i", "rc", "ri", "ci", "rci")
@@ -165,17 +167,7 @@ def crossings(p) -> tuple[int, tuple[tuple[int, int], ...]]:
     >>> crossings((4, 7, 3, 5, 1, 2, 6))[0]
     3
     """
-    w = as_word(p)
-    n = len(w)
-    pairs = []
-    for jj in range(1, n):
-        wj = w[jj]
-        j = jj + 1
-        for ii in range(jj):
-            wi = w[ii]
-            if (j < wi and wi < wj) or (wi < wj and wj <= ii + 1):
-                pairs.append((ii + 1, j))
-    return len(pairs), tuple(pairs)
+    return _arc_pairs(p, nest=False)
 
 
 def nestings(p) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -184,62 +176,50 @@ def nestings(p) -> tuple[int, tuple[tuple[int, int], ...]]:
     >>> nestings((4, 7, 3, 5, 1, 2, 6))[0]
     3
     """
+    return _arc_pairs(p, nest=True)
+
+
+def _arc_pairs(p, nest: bool) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The pairs i < j of the definitions, scanned one by one: with (lo, hi)
+    = (w_i, w_j) for a crossing and (w_j, w_i) for a nesting, lo < hi and
+    either j < lo (upper) or hi <= i (lower)."""
     w = as_word(p)
-    n = len(w)
-    pairs = []
-    for jj in range(1, n):
-        wj = w[jj]
-        j = jj + 1
-        for ii in range(jj):
-            wi = w[ii]
-            if (j < wj and wj < wi) or (wj < wi and wi <= ii + 1):
-                pairs.append((ii + 1, j))
-    return len(pairs), tuple(pairs)
+    pairs = tuple(
+        (i, j)
+        for j in range(2, len(w) + 1)
+        for i in range(1, j)
+        for lo, hi in [(w[j - 1], w[i - 1]) if nest else (w[i - 1], w[j - 1])]
+        if lo < hi and (j < lo or hi <= i)
+    )
+    return len(pairs), pairs
 
 
 def crossing_count(p) -> int:
     """Crossing count only, organized around short arc scans for bulk sweeps."""
-    w = as_word(p)
-    n = len(w)
-    count = 0
-    inv = [0] * (n + 1)
-    for idx, v in enumerate(w):
-        inv[v] = idx + 1
-    for ii in range(n):
-        i = ii + 1
-        wi = w[ii]
-        if wi > i:
-            # upper crossings led by i: j in (i, w(i)) with w(j) > w(i)
-            for j in range(i + 1, wi):
-                if w[j - 1] > wi:
-                    count += 1
-        else:
-            # lower crossings led by i: values v in (w(i), i] placed after i
-            for v in range(wi + 1, i + 1):
-                if inv[v] > i:
-                    count += 1
-    return count
+    return _arc_count(p, nest=False)
 
 
 def nesting_count(p) -> int:
     """Nesting count only, by the same arc scans as :func:`crossing_count`."""
+    return _arc_count(p, nest=True)
+
+
+def _arc_count(p, nest: bool) -> int:
+    """The pairs of :func:`_arc_pairs` led by each i: for w(i) > i the j in
+    (i, w(i)) with w(j) > w(i) (crossings) or j < w(j) < w(i) (nestings),
+    else the letters placed after i in (w(i), i] (crossings) or below w(i)."""
     w = as_word(p)
-    n = len(w)
-    count = 0
-    inv = [0] * (n + 1)
+    inv = [0] * (len(w) + 1)
     for idx, v in enumerate(w):
         inv[v] = idx + 1
-    for ii in range(n):
-        i = ii + 1
-        wi = w[ii]
+    count = 0
+    for i, wi in enumerate(w, 1):
         if wi > i:
-            # upper nestings led by i: j in (i, w(i)) with j < w(j) < w(i)
             for j in range(i + 1, wi):
-                if j < w[j - 1] < wi:
+                if (j < w[j - 1] < wi) if nest else w[j - 1] > wi:
                     count += 1
         else:
-            # lower nestings led by i: values v < w(i) placed after i
-            for v in range(1, wi):
+            for v in range(1, wi) if nest else range(wi + 1, i + 1):
                 if inv[v] > i:
                     count += 1
     return count
@@ -350,34 +330,29 @@ def stat_column(block: bytes, count: int, stat: str) -> Sequence[int]:
 
     A block is ``count`` words of one length n packed one letter per byte,
     ``b"".join(map(bytes, words))``, so ``block[p::n]`` is the column of
-    letters at position p+1.  A column becomes one integer X_p with a lane per
-    word: one byte while every statistic fits, n(n-1)/2 <= 255 (n <= 23),
-    and two bytes up to ``MAX_PACKED_N``.  Each step then acts on the whole
-    block.  ``[w_i >= w_j]`` is the top bit of each lane of
-    ``(X_i | 0x80..) - X_j``; ``[w_p > c]`` is the same with c+1 in every lane
-    in place of X_j; ``[w_p == c]`` is a ``bytes.translate`` table.  The
-    statistic is a sum of 0/1 lanes.  The per-word functions of
+    letters at position p+1 (:func:`_columns`).  A column becomes one
+    integer X_p with a lane per word: one byte while every statistic fits,
+    n(n-1)/2 <= 255 (n <= 23), and two bytes up to ``MAX_PACKED_N``.  Each
+    step then acts on the whole block.  ``[w_i >= w_j]`` is the top bit of
+    each lane of ``(X_i | 0x80..) - X_j``; ``[w_p > c]`` is the same with c+1
+    in every lane in place of X_j; ``[w_p == c]`` is a ``bytes.translate``
+    table.  The statistic is a sum of 0/1 lanes.  The per-word functions of
     :data:`STATISTICS` are the oracle the kernels are tested against.
     Returns ``bytes`` for one-byte lanes, else an array.
 
     >>> list(stat_column(bytes((4, 7, 3, 5, 1, 2, 6, 2, 1, 3, 4, 5, 6, 7)), 2, "crs"))
     [3, 0]
     """
-    if stat not in _LANE_KERNELS:
-        raise ValueError(f"unknown statistic {stat!r}; expected one of {sorted(STATISTICS)}")
-    lanes = _Lanes(block, count)
-    return lanes.unpack(lanes.stat(stat))
+    return stat_columns(block, count, (stat,))[0]
 
 
-def position_column(block: bytes, count: int, letter: int) -> Sequence[int]:
-    """The 1-based position of ``letter`` in every word of a packed block
-    (see :func:`stat_column`), 0 where a word does not contain it.
-
-    >>> list(position_column(bytes((2, 3, 1, 3, 1, 2)), 2, 1))
-    [3, 2]
-    """
-    n = _word_size(block, count)
-    return _positions([block[p::n] for p in range(n)], count, letter)
+def stat_columns(block: bytes, count: int, stats: Sequence[str]) -> list[Sequence[int]]:
+    """:func:`stat_column` of several statistics, from one set of lanes."""
+    for stat in stats:
+        if stat not in _LANE_KERNELS:
+            raise ValueError(f"unknown statistic {stat!r}; expected one of {sorted(STATISTICS)}")
+    lanes = _Lanes(_columns(block, count), count)
+    return [lanes.unpack(lanes.stat(stat)) for stat in stats]
 
 
 def inverse_block(block: bytes, count: int) -> bytes:
@@ -388,12 +363,8 @@ def inverse_block(block: bytes, count: int) -> bytes:
     >>> list(inverse_block(bytes((2, 3, 1, 3, 1, 2)), 2))
     [3, 1, 2, 2, 3, 1]
     """
-    n = _word_size(block, count)
-    columns = [block[p::n] for p in range(n)]
-    out = bytearray(len(block))
-    for v in range(1, n + 1):
-        out[v - 1 :: n] = _positions(columns, count, v)
-    return bytes(out)
+    columns = _columns(block, count)
+    return _rows([_positions(columns, count, v) for v in range(1, len(columns) + 1)])
 
 
 def rc_block(block: bytes, count: int) -> bytes:
@@ -426,10 +397,7 @@ def symmetry_block(tag: str, block: bytes, count: int) -> bytes:
     n = _word_size(block, count)
     for letter in reversed(tag.replace("id", "")):
         if letter == "r":
-            out = bytearray(len(block))
-            for p in range(n):
-                out[p::n] = block[n - 1 - p :: n]
-            block = bytes(out)
+            block = _rows(_columns(block, count)[::-1])
         elif letter == "c":
             block = block.translate(_complement_table(n))
         else:
@@ -445,20 +413,16 @@ def insert_block(block: bytes, count: int, a: int, b: int) -> bytes:
     >>> list(insert_block(bytes((3, 1, 4, 2)), 1, 2, 3))
     [4, 3, 1, 5, 2]
     """
-    n = _word_size(block, count)
-    m = n + 1
+    m = _word_size(block, count) + 1
     if m > MAX_PACKED_N:
         raise ValueError(f"packed words hold one letter per byte; n={m} exceeds {MAX_PACKED_N}")
     if not 1 <= a <= m:
         raise ValueError(f"insert position {a} out of range 1..{m}")
     if not 1 <= b <= m:
         raise ValueError(f"insert value {b} out of range 1..{m}")
-    bumped = block.translate(_bump_table(b))
-    out = bytearray(m * count)
-    out[a - 1 :: m] = bytes((b,)) * count
-    for p in range(n):
-        out[p + (p >= a - 1) :: m] = bumped[p::n]
-    return bytes(out)
+    columns = _columns(block.translate(_bump_table(b)), count)
+    columns.insert(a - 1, bytes((b,)) * count)
+    return _rows(columns)
 
 
 def _positions(columns: list[bytes], count: int, letter: int) -> bytes:
@@ -482,28 +446,66 @@ def _word_size(block: bytes, count: int) -> int:
     return n
 
 
+def _columns(block: bytes, count: int) -> list[bytes]:
+    """A packed block of ``count`` words cut into its columns of letters."""
+    n = _word_size(block, count)
+    return [block[p::n] for p in range(n)]
+
+
+def _rows(columns: Sequence[bytes]) -> bytes:
+    """Columns of one length interleaved into a packed block: :func:`_columns` undone."""
+    n = len(columns)
+    out = bytearray(n * len(columns[0]) if n else 0)
+    for p, column in enumerate(columns):
+        out[p::n] = column
+    return bytes(out)
+
+
+def _packed_keys(fields: Sequence[bytes], count: int) -> array:
+    """One integer key per word holding its value in every field, so one
+    ``Counter`` counts the words by all fields at once.  A field is
+    ``count`` little-endian values of one width; its bytes are columns of
+    the key, after those of the fields before it, in an array of the
+    narrowest code "H", "I" or "Q" that holds them.
+
+    >>> [hex(k) for k in _packed_keys([bytes((1, 2)), bytes((3, 0, 4, 5))], 2)]
+    ['0x301', '0x50402']
+    """
+    columns = [f[b :: len(f) // count] for f in fields for b in range(len(f) // count)]
+    keys = array(next(code for code in "HIQ" if array(code).itemsize >= len(columns)))
+    keys.frombytes(_rows(columns + [bytes(count)] * (keys.itemsize - len(columns))))
+    if sys.byteorder == "big":
+        keys.byteswap()
+    return keys
+
+
+def _lane_width(n: int) -> int:
+    """Bytes per lane of the statistics of size-n words, which reach n(n-1)/2."""
+    return 1 if n * (n - 1) // 2 <= 0xFF else 2
+
+
 class _Lanes:
-    """A packed block cut into columns, with the lane integers built from it.
+    """The columns of a block of ``count`` words, with the lane integers
+    built from them.
 
     Comparisons come out in the top bit of each lane: ``x`` holds the
     letters, ``xt`` the letters with the top bit set, and ``const(c)`` the
     value c in every lane, so ``(xt[i] - x[j]) & top`` is [w_i >= w_j] and
     ``(xt[p] - const(c)) & top`` is [w_p >= c].  ``>> shift`` turns top bits
-    into 0/1 lanes.  Lanes are as wide as the statistics of n need, or
-    ``min_width`` bytes if wider: the residual kernels of
-    :mod:`permcross.bijections` add several statistics in one lane.
+    into 0/1 lanes.  Lanes are as wide as the statistics of n need
+    (:func:`_lane_width`), or ``min_width`` bytes if wider: the residual
+    kernels of :mod:`permcross.bijections` add several statistics in one lane.
     """
 
-    def __init__(self, block: bytes, count: int, min_width: int = 1):
-        n = _word_size(block, count)
-        self.n = n
+    def __init__(self, columns: list[bytes], count: int, min_width: int = 1):
+        self.n = n = len(columns)
         self.count = count
-        self.width = max(min_width, 1 if n * (n - 1) // 2 <= 0xFF else 2)
-        self.columns = [block[p::n] for p in range(n)]
+        self.width = max(min_width, _lane_width(n))
+        self.columns = columns
         self.ones = self.as_int(b"\x01" * count)
         self.shift = 8 * self.width - 1
         self.top = self.ones << self.shift
-        self.x = [self.as_int(c) for c in self.columns]
+        self.x = [self.as_int(c) for c in columns]
         self.xt = [v | self.top for v in self.x]
 
     def as_int(self, column: bytes) -> int:
@@ -522,30 +524,36 @@ class _Lanes:
             bits[b :: self.width] = column.translate(_bit_table(b))
         return int.from_bytes(bits, "little")
 
+    def as_bytes(self, total: int) -> bytes:
+        """A lane integer as ``count`` little-endian values of ``width`` bytes."""
+        return total.to_bytes(self.width * self.count, "little")
+
     def const(self, c: int) -> int:
         return c * self.ones
 
-    def equal(self, p: int, c: int) -> int:
-        """[w_(p+1) == c] as 0/1 lanes."""
-        return self.as_int(self.columns[p].translate(_position_table(c, 1)))
+    def position(self, letter: int) -> bytes:
+        """The 1-based position of ``letter`` in each word, a byte each, 0 where it is absent."""
+        return _positions(self.columns, self.count, letter)
 
-    def position(self, letter: int) -> int:
-        """The 1-based position of ``letter`` in each lane, 0 where it is absent."""
-        return self.as_int(_positions(self.columns, self.count, letter))
+    @cached_property
+    def early(self) -> list[int]:
+        """[the letter p+1 sits before position p+1] as 0/1 lanes, for each p.
+        The letters v that sit before position v are bit v-2-8b of the low
+        byte of each lane of plane b, the sum over the columns q of a
+        ``translate`` that sets the bits of the letters v > q+1."""
+        planes = [
+            sum(self.as_int(c.translate(_early_table(q, b))) for q, c in enumerate(self.columns))
+            for b in range((self.n + 6) // 8)
+        ]
+        return [0] + [planes[(p - 1) // 8] >> (p - 1) % 8 & self.ones for p in range(1, self.n)]
 
     def stat(self, name: str) -> int:
         """The lane sum of one statistic."""
         return _LANE_KERNELS[name](self)
 
     def unpack(self, total: int) -> Sequence[int]:
-        raw = total.to_bytes(self.width * self.count, "little")
-        if self.width == 1:
-            return raw
-        values = array("H")
-        values.frombytes(raw)
-        if sys.byteorder == "big":
-            values.byteswap()
-        return values
+        raw = self.as_bytes(total)
+        return raw if self.width == 1 else _packed_keys([raw], self.count)
 
 
 @lru_cache(maxsize=None)
@@ -554,6 +562,13 @@ def _position_table(letter: int, position: int) -> bytes:
     table = bytearray(256)
     table[letter] = position
     return bytes(table)
+
+
+@lru_cache(maxsize=None)
+def _early_table(q: int, b: int) -> bytes:
+    """``bytes.translate`` table: bit v-2-8b for a letter v > q+1 of plane b, else 0."""
+    bits = [v - 2 - 8 * b if v > q + 1 else -1 for v in range(256)]
+    return bytes(1 << bit if 0 <= bit < 8 else 0 for bit in bits)
 
 
 @lru_cache(maxsize=None)
@@ -581,24 +596,30 @@ def _bump_table(b: int) -> bytes:
 
 
 def _crs_lanes(b: _Lanes) -> int:
-    # (i, j) crosses when w_i < w_j and (w_i > j or w_j <= i)
+    # (i, j) crosses when w_i < w_j and (w_i > j or w_j <= i): [w_i >= bar[j]]
+    # and [low[i] >= w_j] are top bits, hoisted out of the pair loop
     x, xt, top, shift = b.x, b.xt, b.top, b.shift
-    bar = [b.const(c + 2) for c in range(b.n)]  # [w >= bar[c]] is [w > c+1]
+    bar = [b.const(c + 2) for c in range(b.n)]
+    low = [b.const(c + 1) | top for c in range(b.n)]
     total = 0
     for j in range(1, b.n):
+        xj, xtj, barj = x[j], xt[j], bar[j]
         for i in range(j):
-            total += ((xt[j] - x[i]) & ((xt[i] - bar[j]) | ~(xt[j] - bar[i])) & top) >> shift
+            total += ((xtj - x[i]) & ((xt[i] - barj) | (low[i] - xj)) & top) >> shift
     return total
 
 
 def _nes_lanes(b: _Lanes) -> int:
-    # (i, j) nests when w_i > w_j and (w_j > j or w_i <= i)
+    # (i, j) nests when w_i > w_j and (w_j > j or w_i <= i); [w_p > p+1] is one
+    # top-bit mask per position, and its complement the other half
     x, xt, top, shift = b.x, b.xt, b.top, b.shift
-    bar = [b.const(c + 2) for c in range(b.n)]
+    up = [(xt[p] - b.const(p + 2)) & top for p in range(b.n)]
+    down = [v ^ top for v in up]
     total = 0
     for j in range(1, b.n):
+        xj, upj = x[j], up[j]
         for i in range(j):
-            total += ((xt[i] - x[j]) & ((xt[j] - bar[j]) | ~(xt[i] - bar[i])) & top) >> shift
+            total += ((xt[i] - xj) & (upj | down[i])) >> shift
     return total
 
 
@@ -617,19 +638,11 @@ def _exc_lanes(b: _Lanes) -> int:
     return sum(((xt[p] - b.const(p + 2)) & top) >> shift for p in range(b.n))
 
 
-def _before(b: _Lanes, p: int) -> int:
-    """[the letter p+1 sits before position p+1] as 0/1 lanes."""
-    before = 0
-    for q in range(p):
-        before |= b.equal(q, p + 1)
-    return before
-
-
 def _ut_lanes(b: _Lanes) -> int:
     # sigma^-1(i) < i < sigma(i)
     xt, top, shift = b.xt, b.top, b.shift
     return sum(
-        (((xt[p] - b.const(p + 2)) & top) >> shift) & _before(b, p) for p in range(b.n)
+        (((xt[p] - b.const(p + 2)) & top) >> shift) & b.early[p] for p in range(b.n)
     )
 
 
@@ -638,7 +651,7 @@ def _lt_lanes(b: _Lanes) -> int:
     # so it sits after i exactly when it does not sit before
     xt, top, shift, ones = b.xt, b.top, b.shift, b.ones
     return sum(
-        ((~(xt[p] - b.const(p + 1)) & top) >> shift) & (_before(b, p) ^ ones)
+        ((~(xt[p] - b.const(p + 1)) & top) >> shift) & (b.early[p] ^ ones)
         for p in range(b.n)
     )
 

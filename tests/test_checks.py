@@ -19,7 +19,7 @@ from permcross.checks import (
     suite_passed,
 )
 from permcross.distributions import CrsProfile
-from permcross.perm import inversion_count, stat_column
+from permcross.perm import inversion_count, stat_columns
 from permcross.polynomials import QPoly, ZSeries
 
 SCHEMA = json.loads(
@@ -167,9 +167,9 @@ def _asymmetric_profile(n, forbidden=(), bound=None):
     return CrsProfile(n, by_pos1, by_pos1, QPoly.zero())
 
 
-def _inv_one_high(block, count, stat):
-    column = stat_column(block, count, stat)
-    return [v + (stat == "inv") for v in column]
+def _inv_one_high(block, count, stats):
+    columns = stat_columns(block, count, stats)
+    return [[v + (stat == "inv") for v in column] for stat, column in zip(stats, columns)]
 
 
 _ZERO_FORM = ((checks, "closed_form", lambda form, n: QPoly.zero()),)
@@ -229,7 +229,7 @@ BROKEN_INPUTS = [
     (
         "inv-exc-crs",
         (
-            (checks, "stat_column", _inv_one_high),
+            (checks, "stat_columns", _inv_one_high),
             (checks, "inversion_count", lambda w: inversion_count(w) + 1),
         ),
         "fail",
@@ -254,7 +254,7 @@ def test_a_broken_input_is_reported_with_capped_witnesses(monkeypatch, check_id,
 
 
 def test_inv_exc_crs_flags_must_be_confirmed_per_word(monkeypatch):
-    monkeypatch.setattr(checks, "stat_column", _inv_one_high)
+    monkeypatch.setattr(checks, "stat_columns", _inv_one_high)
     with pytest.raises(AssertionError, match=r"the block columns flag \(\), the per-word"):
         run_check("inv-exc-crs", 4)
 

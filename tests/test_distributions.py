@@ -129,6 +129,19 @@ def test_folds_across_the_lane_width_boundary(n):
         assert_folds_match(class_spec(n, avoid=pats), bound=n, pairs=ALL_PAIRS)
 
 
+@pytest.mark.parametrize("n", [24, 25, 26])
+@pytest.mark.parametrize("pats", [[(1, 3, 2), (3, 2, 1)], [(1, 2, 3), (2, 3, 1)]], ids=str)
+def test_packed_keys_with_two_byte_statistics(n, pats):
+    # statistic lanes are two bytes wide from n = 24 on, so a joint key packs
+    # two two-byte fields and a profile key 1 + 1 + 2 bytes; both classes
+    # have C(n, 2) + 1 members
+    spec = class_spec(n, avoid=pats)
+    pairs = ALL_PAIRS if n == 24 else (("exc", "crs"), ("inv", "nes"), ("crs", "inv"))
+    assert_folds_match(spec, bound=n, pairs=pairs)
+    assert joint_poly(spec, "inv", "crs", n)[1] == comb(n, 2) + 1
+    patterns._class_table.cache_clear()
+
+
 def test_defaulted_and_explicit_arguments_share_one_cache_entry(monkeypatch):
     folds = []
     fold = distributions._fold

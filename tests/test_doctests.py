@@ -28,7 +28,6 @@ def test_the_kernels_have_doctests():
     }
     kernels = {
         "stat_column",
-        "position_column",
         "inverse_block",
         "rc_block",
         "symmetry_block",
@@ -38,6 +37,8 @@ def test_the_kernels_have_doctests():
         "residual_columns",
         "packed_blocks",
         "_group_blocks",
+        "_group_columns",
+        "_packed_keys",
         "_allowed_letters",
     }
     assert kernels <= tested

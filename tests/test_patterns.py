@@ -13,6 +13,7 @@ from permcross.patterns import (
     _class_table,
     avoids,
     class_blocks,
+    class_columns,
     class_size,
     class_spec,
     class_words,
@@ -411,6 +412,27 @@ def test_group_blocks_match_the_oracle():
     # S_(m-1) is held by the stream only, never in a cache
     assert _class_table.cache_info().currsize == tables
     assert class_size.cache_info().currsize == sizes
+
+
+@pytest.mark.parametrize("block", [1, 7, 119, 120, 2048])
+def test_group_columns_match_group_blocks_and_permutations(monkeypatch, block):
+    # S_5 copies of 24 and S_6 copies of 120 words: blocks that end inside a
+    # copy, on its edge and past several copies
+    monkeypatch.setattr(patterns, "BLOCK_WORDS", block)
+    for n in range(8):
+        cuts = [{kind: k} for k in range(1, n + 1) for kind in ("one_at", "ends_with", "tail")]
+        for spec in [class_spec(n)] + [class_spec(n, **cut) for cut in cuts]:
+            args = (n, *patterns._fixed_run(spec))
+            columns = list(patterns._group_columns(*args))
+            blocks = list(patterns._group_blocks(*args))
+            assert [count for _, count in columns] == [count for _, count in blocks], spec
+            for (cols, count), (rows, _) in zip(columns, blocks):
+                assert len(cols) == n and all(len(c) == count for c in cols), spec
+                assert cols == [rows[p::n] for p in range(n)], spec
+            keep = patterns._constraint_predicate(spec)
+            want = [w for w in permutations(range(1, n + 1)) if keep(w)]
+            assert blocks == list(patterns.packed_blocks(want, n)), spec
+            assert list(class_columns(spec)) == columns, spec
 
 
 def test_lanes_of_several_bytes_at_sizes_past_23():

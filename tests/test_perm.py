@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permcross.perm import (
+    _columns,
+    _Lanes,
     INVOLUTIONS,
     MAX_PACKED_N,
     STATISTICS,
@@ -27,12 +29,12 @@ from permcross.perm import (
     nesting_count,
     nestings,
     parse_word,
-    position_column,
     rc_block,
     remove_value,
     skew_sum,
     stat_bundle,
     stat_column,
+    stat_columns,
     symmetry_block,
     transients,
 )
@@ -133,7 +135,7 @@ def assert_columns_match(words):
         assert list(stat_column(block, len(words), stat)) == [fn(w) for w in words], stat
     if words[0]:
         want = [w.index(1) + 1 for w in words]
-        assert list(position_column(block, len(words), 1)) == want
+        assert list(_Lanes(_columns(block, len(words)), len(words)).position(1)) == want
 
 
 @pytest.mark.parametrize("n", range(8))
@@ -159,6 +161,18 @@ random_blocks = st.integers(10, 40).flatmap(
 @given(random_blocks)
 def test_stat_columns_match_on_random_words(words):
     assert_columns_match([tuple(w) for w in words])
+
+
+@pytest.mark.parametrize("n", [*range(1, 10), *range(22, 41)])
+def test_stat_columns_match_on_seeded_random_words(n):
+    # one-byte lanes up to n = 23, two-byte lanes from 24 on
+    rng = random.Random(1000 + n)
+    words = [tuple(rng.sample(range(1, n + 1), n)) for _ in range(40)]
+    assert_columns_match(words)
+    names = list(STATISTICS)
+    assert stat_columns(pack(words), len(words), names) == [
+        stat_column(pack(words), len(words), stat) for stat in names
+    ]
 
 
 def test_stat_columns_at_the_packing_limit():
