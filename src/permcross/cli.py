@@ -37,6 +37,24 @@ class CliError(Exception):
     pass
 
 
+class _Once(argparse.Action):
+    """Store an option's value, and refuse the option a second time."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = namespace.__dict__.setdefault("_given", set())
+        if self.dest in given:
+            raise argparse.ArgumentError(self, "given more than once")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
+def _output_formats(parser: argparse.ArgumentParser) -> None:
+    """``--json`` and ``--csv``, at most one of them."""
+    formats = parser.add_mutually_exclusive_group()
+    formats.add_argument("--json", action="store_true")
+    formats.add_argument("--csv", action="store_true")
+
+
 def _env_bound() -> int | None:
     raw = os.environ.get("PERMCROSS_BOUND")
     if raw is None:
@@ -61,10 +79,9 @@ def _parse_perm(text: str) -> Permutation:
         raise CliError(str(exc)) from None
 
 
-def _parse_patterns(text: str | None):
-    if not text:
-        return ()
-    return tuple(parse_word(part) for part in text.split(","))
+def _parse_patterns(texts: list[str] | None):
+    """The patterns of every ``--avoid``, each a comma-separated list."""
+    return tuple(parse_word(part) for text in texts or () if text for part in text.split(","))
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -282,29 +299,30 @@ def _parser() -> argparse.ArgumentParser:
     p_stats.set_defaults(func=_cmd_stats)
 
     p_dist = sub.add_parser("dist", help="distribution polynomial over a class")
-    p_dist.add_argument("--avoid", default="", help="comma-separated forbidden patterns")
-    p_dist.add_argument("--stat", default="crs", help="statistic, or two for a joint distribution")
-    p_dist.add_argument("--n", required=True, help="size or range, e.g. 6 or 1..8")
-    p_dist.add_argument("--one-at", dest="one_at", type=int, help="letter 1 at position n+1-k")
-    p_dist.add_argument("--ends-with", dest="ends_with", type=int, help="last letter is k")
-    p_dist.add_argument("--tail", type=int, help="word ends with k,k-1,...,1")
-    p_dist.add_argument("--maxdrop", type=int, help="max drop at most d")
-    p_dist.add_argument("--json", action="store_true")
-    p_dist.add_argument("--csv", action="store_true")
+    p_dist.add_argument(
+        "--avoid", action="append", help="comma-separated forbidden patterns; repeats add up"
+    )
+    p_dist.add_argument(
+        "--stat", action=_Once, default="crs", help="statistic, or two for a joint distribution"
+    )
+    p_dist.add_argument("--n", action=_Once, required=True, help="size or range, e.g. 6 or 1..8")
+    p_dist.add_argument("--one-at", action=_Once, type=int, help="letter 1 at position n+1-k")
+    p_dist.add_argument("--ends-with", action=_Once, type=int, help="last letter is k")
+    p_dist.add_argument("--tail", action=_Once, type=int, help="word ends with k,k-1,...,1")
+    p_dist.add_argument("--maxdrop", action=_Once, type=int, help="max drop at most d")
+    _output_formats(p_dist)
     p_dist.set_defaults(func=_cmd_dist)
 
     p_expand = sub.add_parser("expand", help="expand a generating function with a brute-force column")
     p_expand.add_argument("gf", choices=EXPAND_IDS)
     p_expand.add_argument("--order", type=int, required=True)
-    p_expand.add_argument("--json", action="store_true")
-    p_expand.add_argument("--csv", action="store_true")
+    _output_formats(p_expand)
     p_expand.set_defaults(func=_cmd_expand)
 
     p_verify = sub.add_parser("verify", help="run verification checks")
     p_verify.add_argument("checks", nargs="*", help="check ids, or 'all' (default)")
     p_verify.add_argument("--bound", type=int, help="override every selected check's bound")
-    p_verify.add_argument("--json", action="store_true")
-    p_verify.add_argument("--csv", action="store_true")
+    _output_formats(p_verify)
     p_verify.add_argument(
         "--list", action="store_true", help="list available checks and exit"
     )

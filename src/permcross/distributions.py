@@ -11,12 +11,13 @@ fold (:func:`_fold`) over the class's columns: blocks of ``BLOCK_WORDS``
 words as their columns of letters (:func:`permcross.patterns.class_columns`:
 built as columns from a shifted S_(m-1) for bare S_n and its fixed-letter
 cuts, sliced from the packed blocks of the class table otherwise).  Each
-block becomes one set of lanes (:class:`permcross.perm._Lanes`), the column
-kernels turn it into statistic columns, and a ``Counter`` counts one key per
-word: the statistic itself, or every field of the word packed at fixed byte
-offsets into one integer (:func:`permcross.perm._packed_keys`), decoded once
-per distinct key.  No word is packed or has a statistic computed one at a
-time on this path.
+block becomes one set of lanes (:class:`permcross.perm._Lanes`), and the
+column kernels turn it into one key per word: the statistic itself, or every
+field of the word packed at fixed byte offsets into one integer
+(:func:`permcross.perm._packed_keys`), decoded once per distinct key.  A
+one-byte statistic column is counted by value, one ``bytes.count`` per value
+(:func:`_tally`); two-byte and packed keys still go through ``Counter``.  No
+word is packed or has a statistic computed one at a time on this path.
 """
 
 from __future__ import annotations
@@ -87,13 +88,37 @@ def _check_stat(stat: str) -> None:
         raise ValueError(f"unknown statistic {stat!r}; expected one of {sorted(STATISTICS)}")
 
 
-def _fold(spec: ClassSpec, bound: int | None, keys: Callable[[_Lanes], Iterable]) -> Counter:
+def _tally(counts: Counter, keys: Iterable[int]) -> None:
+    """Add one block's keys to ``counts``.  A ``bytes`` column is counted by
+    value: one ``bytes.count`` for v = 0, 1, 2, ... until every word is
+    counted; any other keys go through ``Counter.update``, word by word.
+
+    >>> counts = Counter({3: 1})
+    >>> _tally(counts, bytes((3, 0, 3, 1)))
+    >>> sorted(counts.items())
+    [(0, 1), (1, 1), (3, 3)]
+    """
+    if not isinstance(keys, bytes):
+        counts.update(keys)
+        return
+    left, v = len(keys), 0
+    while left:
+        c = keys.count(v)
+        if c:
+            counts[v] += c
+            left -= c
+        v += 1
+
+
+def _fold(spec: ClassSpec, bound: int | None, keys: Callable[[_Lanes], Iterable[int]]) -> Counter:
     """Histogram of per-word keys over a class, a block at a time;
     ``keys(lanes)`` gives the key of every word of a block, in order, from
-    the block's one set of lanes."""
+    the block's one set of lanes: a ``bytes`` column of one-byte
+    statistics, counted by value, or an array of wider or packed keys,
+    counted by ``Counter`` (:func:`_tally`)."""
     counts: Counter = Counter()
     for columns, count in class_columns(spec, bound):
-        counts.update(keys(_Lanes(columns, count)))
+        _tally(counts, keys(_Lanes(columns, count)))
     return counts
 
 

@@ -104,6 +104,50 @@ def test_dist_errors(capsys):
     assert code == 2 and "n <= 10" in err
 
 
+def test_dist_repeated_avoid_adds_up(capsys):
+    code, out, _ = run_cli(capsys, "dist", "--n", "5", "--avoid", "123", "--avoid", "132")
+    assert code == 0
+    assert out.splitlines()[1].split() == ["5", "5+6q+4q^2+q^3", "16"]
+    assert run_cli(capsys, "dist", "--n", "5", "--avoid", "123,132") == (0, out, "")
+    code, out, _ = run_cli(capsys, "dist", "--n", "5", "--avoid", "132", "--avoid", "")
+    assert out.splitlines()[1].split() == ["5", "16+12q+9q^2+4q^3+q^4", "42"]
+
+
+@pytest.mark.parametrize(
+    "flag, first, second",
+    [
+        ("--n", "5", "4"),
+        ("--stat", "crs", "crs"),
+        ("--one-at", "2", "3"),
+        ("--ends-with", "2", "3"),
+        ("--tail", "1", "2"),
+        ("--maxdrop", "1", "2"),
+    ],
+)
+def test_dist_refuses_a_repeated_single_valued_option(capsys, flag, first, second):
+    argv = ["dist", flag, first, flag, second]
+    if flag != "--n":
+        argv += ["--n", "5"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"argument {flag}: given more than once" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dist", "--n", "3", "--json", "--csv"),
+        ("expand", "thm52", "--order", "3", "--csv", "--json"),
+        ("verify", "fig-1", "--json", "--csv"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_json_and_csv_are_mutually_exclusive(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "not allowed with argument" in err
+
+
 def test_dist_env_bound(capsys, monkeypatch):
     monkeypatch.setenv("PERMCROSS_BOUND", "3")
     code, _, err = run_cli(capsys, "dist", "--stat", "crs", "--n", "5")

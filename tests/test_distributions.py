@@ -2,6 +2,8 @@ from collections import Counter
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permcross import distributions, patterns
 from permcross.distributions import (
@@ -107,17 +109,41 @@ def test_folds_match_per_word_reference_on_paper_pairs(pats):
     assert_folds_match(class_spec(7, avoid=pats, tail=2))
 
 
-@pytest.mark.parametrize("block", [120, 60, 119, 1])
+@pytest.mark.parametrize("block", [120, 60, 119, 1, 7, 2048])
 def test_fold_at_block_edges(monkeypatch, block):
-    # S_5 has 120 words: whole blocks at 120 and 60, one word past at 119
+    # S_5 has 120 words and S_6 720: whole blocks at 120 and 60, one word
+    # past at 119, a short last block at 7, and one short block at 2048
     monkeypatch.setattr(patterns, "BLOCK_WORDS", block)
     for fold in (dist_poly, joint_poly, crs_profile):
         fold.cache_clear()
     try:
         assert_folds_match(class_spec(5))
+        assert_folds_match(class_spec(6))
     finally:
         for fold in (dist_poly, joint_poly, crs_profile):
             fold.cache_clear()
+
+
+def test_folds_of_an_empty_class():
+    empty = class_spec(3, avoid=[(1,)])
+    assert dist_poly(empty, "crs") == (QPoly(()), 0)
+    assert joint_poly(empty, "exc", "crs") == (YQPoly(()), 0)
+    profile = crs_profile(3, empty.forbidden)
+    assert profile.total == QPoly(()) and set(profile.by_pos1 + profile.by_last) == {QPoly(())}
+
+
+byte_strings = st.one_of(
+    st.binary(max_size=5000),
+    st.lists(st.integers(253, 255), max_size=5000).map(bytes),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(byte_strings)
+def test_tally_counts_bytes_like_counter(raw):
+    counts = Counter({0: 1})
+    distributions._tally(counts, raw)
+    assert counts == Counter(raw) + Counter({0: 1})
 
 
 @pytest.mark.parametrize("n", [23, 24])

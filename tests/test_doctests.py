@@ -40,5 +40,6 @@ def test_the_kernels_have_doctests():
         "_group_columns",
         "_packed_keys",
         "_allowed_letters",
+        "_tally",
     }
     assert kernels <= tested
