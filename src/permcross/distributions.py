@@ -124,16 +124,23 @@ def _fold(spec: ClassSpec, bound: int | None, keys: Callable[[_Lanes], Iterable[
 
 def _memo(fn):
     """``lru_cache`` keyed on every parameter with its default filled in, so
-    ``f(spec, "crs")`` and ``f(spec, "crs", None)`` are one entry.  The result
-    carries the cache's ``cache_info`` and ``cache_clear``."""
+    ``f(spec, "crs")`` and ``f(spec, "crs", None)`` are one entry.  The names
+    and defaults are read from the signature once; a call that misses an
+    argument or passes an unknown or repeated one is left to ``bind``, which
+    raises its ``TypeError``.  The result carries the cache's ``cache_info``
+    and ``cache_clear``."""
     signature = inspect.signature(fn)
+    names = tuple(signature.parameters)
+    defaults = tuple(p.default for p in signature.parameters.values())
     cached = lru_cache(maxsize=None)(fn)
 
     @wraps(fn)
     def call(*args, **kwargs):
-        key = signature.bind(*args, **kwargs)
-        key.apply_defaults()
-        return cached(*key.args)
+        given = len(args)
+        key = args + tuple(map(kwargs.get, names[given:], defaults[given:]))
+        if given > len(names) or inspect.Parameter.empty in key or kwargs.keys() - names[given:]:
+            signature.bind(*args, **kwargs)
+        return cached(*key)
 
     call.cache_info = cached.cache_info
     call.cache_clear = cached.cache_clear

@@ -19,8 +19,11 @@ Each statistic exists twice.  The functions of :data:`STATISTICS` take one
 word; they are the public per-word API and the oracle.  The column kernels
 compute a statistic for a whole block of words at once, with lane arithmetic
 on big integers over the block's columns of letters (:class:`_Lanes`, built
-once per block), and are what the distribution folds use; a fold counts one
-integer key per word that packs several fields (:func:`_packed_keys`).  The
+once per block, its lane integers only when a kernel reads them), and are
+what the distribution folds use; a fold counts one integer key per word that
+packs several fields (:func:`_packed_keys`).  Crossings are counted from
+prefix letter sets, in O(n) operations per block (:func:`stat_column`; the
+arcs of Corteel, "Crossings and alignments of permutations", 2007).  The
 inverse, the rc image and insertion have block forms too
 (:func:`inverse_block`, :func:`rc_block`, :func:`insert_block`), which map a
 packed block to a packed block, so the crossing-change laws are checked a
@@ -336,8 +339,13 @@ def stat_column(block: bytes, count: int, stat: str) -> Sequence[int]:
     step then acts on the whole block.  ``[w_i >= w_j]`` is the top bit of
     each lane of ``(X_i | 0x80..) - X_j``; ``[w_p > c]`` is the same with c+1
     in every lane in place of X_j; ``[w_p == c]`` is a ``bytes.translate``
-    table.  The statistic is a sum of 0/1 lanes.  The per-word functions of
-    :data:`STATISTICS` are the oracle the kernels are tested against.
+    table.  Such a statistic is a sum of 0/1 lanes.  ``crs`` is counted
+    from sets of letters instead, one bit per letter 2..n-1 in byte planes
+    of eight: S, the letters before position I, grows by one ``translate``
+    per position, one more gives the letters of (I, w_I) and (w_I, I], and
+    the crossings at I are the popcount of the letters of S in the first
+    interval and of those not in S in the second.  The per-word functions
+    of :data:`STATISTICS` are the oracle the kernels are tested against.
     Returns ``bytes`` for one-byte lanes, else an array.
 
     >>> list(stat_column(bytes((4, 7, 3, 5, 1, 2, 6, 2, 1, 3, 4, 5, 6, 7)), 2, "crs"))
@@ -486,7 +494,7 @@ def _lane_width(n: int) -> int:
 
 class _Lanes:
     """The columns of a block of ``count`` words, with the lane integers
-    built from them.
+    built from them when a kernel first reads them.
 
     Comparisons come out in the top bit of each lane: ``x`` holds the
     letters, ``xt`` the letters with the top bit set, and ``const(c)`` the
@@ -505,8 +513,14 @@ class _Lanes:
         self.ones = self.as_int(b"\x01" * count)
         self.shift = 8 * self.width - 1
         self.top = self.ones << self.shift
-        self.x = [self.as_int(c) for c in columns]
-        self.xt = [v | self.top for v in self.x]
+
+    @cached_property
+    def x(self) -> list[int]:
+        return [self.as_int(c) for c in self.columns]
+
+    @cached_property
+    def xt(self) -> list[int]:
+        return [v | self.top for v in self.x]
 
     def as_int(self, column: bytes) -> int:
         """A column of byte values as a lane integer."""
@@ -517,10 +531,10 @@ class _Lanes:
         return int.from_bytes(column, "little")
 
     def as_bits(self, column: bytes) -> int:
-        """2^(v+1) in each lane for the byte value v of a column, for lanes
-        wide enough to hold it below their top bit."""
+        """2^(v+1) in each lane for the letter v of a column, 1 <= v <= n,
+        for lanes wide enough to hold 2^(n+1) below their top bit."""
         bits = bytearray(self.width * len(column))
-        for b in range((min(column) + 1) // 8, (max(column) + 1) // 8 + 1):
+        for b in range((self.n + 1) // 8 + 1):
             bits[b :: self.width] = column.translate(_bit_table(b))
         return int.from_bytes(bits, "little")
 
@@ -572,6 +586,25 @@ def _early_table(q: int, b: int) -> bytes:
 
 
 @lru_cache(maxsize=None)
+def _crossing_table(i: int, b: int) -> bytes:
+    """``bytes.translate`` table: for each letter w, the bits (as in
+    :func:`_early_table`) of the letters of plane b in (i, w) or in (w, i],
+    for 8b+1 <= i <= 8b+9.  Only the letters w = 8b+1..8b+10 differ from
+    their neighbours."""
+
+    def bits(lo: int, hi: int) -> int:  # the letters lo..hi-1
+        lo, hi = max(lo - 2 - 8 * b, 0), min(hi - 2 - 8 * b, 8)
+        return (1 << hi) - (1 << lo) if lo < hi else 0
+
+    edge = bytes(bits(i + 1, w) | bits(w + 1, i + 1) for w in range(8 * b + 1, 8 * b + 11))
+    return (edge[:1] * (8 * b + 1) + edge + edge[-1:] * 256)[:256]
+
+
+#: ``bytes.translate`` table: the number of bits set in each byte.
+_POPCOUNT = bytes(bin(v).count("1") for v in range(256))
+
+
+@lru_cache(maxsize=None)
 def _bit_table(b: int) -> bytes:
     """``bytes.translate`` table: byte b of the little-endian 2^(v+1) for v."""
     return bytes(1 << (v + 1 - 8 * b) if 0 <= v + 1 - 8 * b < 8 else 0 for v in range(256))
@@ -596,17 +629,37 @@ def _bump_table(b: int) -> bytes:
 
 
 def _crs_lanes(b: _Lanes) -> int:
-    # (i, j) crosses when w_i < w_j and (w_i > j or w_j <= i): [w_i >= bar[j]]
-    # and [low[i] >= w_j] are top bits, hoisted out of the pair loop
-    x, xt, top, shift = b.x, b.xt, b.top, b.shift
-    bar = [b.const(c + 2) for c in range(b.n)]
-    low = [b.const(c + 1) | top for c in range(b.n)]
-    total = 0
-    for j in range(1, b.n):
-        xj, xtj, barj = x[j], xt[j], bar[j]
-        for i in range(j):
-            total += ((xtj - x[i]) & ((xt[i] - barj) | (low[i] - xj)) & top) >> shift
-    return total
+    # With S the letters before position I, the upper crossings that close at
+    # I are S & (I, w_I) and the lower ones that open at I are (w_I, I] - S.
+    # Only (w_I, I] holds I, so with C_I the union and F the lanes where C_I
+    # holds I, crs sums the popcount of (S ^ F) & C_I over I = 2..n-1.  The
+    # terms go into carry-save counters, bit k of each count in levels[k].
+    columns, count = b.columns, b.count
+    ones = b.ones if b.width == 1 else int.from_bytes(b"\x01" * count, "little")
+    levels: list[int] = []
+    for plane in range((b.n + 5) // 8):
+        low = 8 * plane + 2  # the letters of the plane are low..low+7
+        letter, before = _early_table(0, plane), 0
+        for p in range(1, b.n - 1):
+            before |= int.from_bytes(columns[p - 1].translate(letter), "little")
+            i = min(max(p + 1, low - 1), low + 7)  # past either end, the plane looks the same
+            term = int.from_bytes(columns[p].translate(_crossing_table(i, plane)), "little")
+            if i < low:
+                term &= before
+            else:
+                term &= before ^ (term >> (i - low) & ones) * 0xFF
+            for k, level in enumerate(levels):
+                levels[k] = level ^ term
+                term &= level
+                if not term:
+                    break
+            else:
+                if term:
+                    levels.append(term)
+    return sum(
+        b.as_int(level.to_bytes(count, "little").translate(_POPCOUNT)) << k
+        for k, level in enumerate(levels)
+    )
 
 
 def _nes_lanes(b: _Lanes) -> int:

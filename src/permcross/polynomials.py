@@ -417,11 +417,6 @@ class ZSeries:
             raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
         return self.coeffs[k]
 
-    def truncate(self, order: int) -> "ZSeries":
-        if order > self.order:
-            raise ValueError(f"cannot extend truncation {self.order} to {order}")
-        return ZSeries(self.ring, self.coeffs[: order + 1])
-
     def times_z(self, k: int = 1) -> "ZSeries":
         cs = (self.ring.zero(),) * k + self.coeffs
         return ZSeries(self.ring, cs[: self.order + 1])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permcross import distributions, patterns
+from permcross import distributions, patterns, perm
 from permcross.distributions import (
     closed_form,
     crossing_cfrac_series,
@@ -190,6 +190,37 @@ def test_defaulted_and_explicit_arguments_share_one_cache_entry(monkeypatch):
         finally:
             cached.cache_clear()
     assert len(folds) == len(calls)
+
+
+def test_memoized_folds_refuse_bad_arguments_before_the_cache():
+    spec = class_spec(4)
+    dist_poly.cache_clear()
+    bad_calls = (
+        ((spec,), {}),
+        ((spec, "crs", None, 4), {}),
+        ((spec, "crs"), {"stat": "crs"}),
+        ((spec, "crs"), {"size": 4}),
+        ((), {"stat": "crs"}),
+    )
+    for args, kwargs in bad_calls:
+        with pytest.raises(TypeError):
+            dist_poly(*args, **kwargs)
+    assert dist_poly.cache_info().misses == 0
+    assert dist_poly(stat="crs", spec=spec) is dist_poly(spec, "crs", None)
+    dist_poly.cache_clear()
+
+
+def test_crs_fold_never_builds_the_letter_lanes(monkeypatch):
+    def refuse(lanes):
+        raise AssertionError("the crs kernel read _Lanes.x")
+
+    monkeypatch.setattr(perm._Lanes, "x", property(refuse))
+    dist_poly.cache_clear()
+    try:
+        poly, size = dist_poly(class_spec(9), "crs")
+    finally:
+        dist_poly.cache_clear()
+    assert size == 362880 and poly.evaluate(1) == size
 
 
 def test_fold_refuses_words_past_the_packing_limit():

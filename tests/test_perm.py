@@ -181,6 +181,38 @@ def test_stat_columns_at_the_packing_limit():
     assert_columns_match(words)
 
 
+def lane_values(lanes, total):
+    raw = lanes.as_bytes(total)
+    return [int.from_bytes(raw[t : t + lanes.width], "little") for t in range(0, len(raw), lanes.width)]
+
+
+def test_crs_kernel_on_every_word_of_s8_in_full_blocks():
+    words = list(permutations(range(1, 9)))
+    for first in range(0, len(words), 2048):
+        block = words[first : first + 2048]
+        want = [crossing_count(w) for w in block]
+        assert list(stat_column(pack(block), len(block), "crs")) == want, first
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 17, 18, 19])
+def test_crs_kernel_where_the_letter_planes_cut_over(n):
+    # the letters 2..n-1 fill one byte plane up to n = 10, two up to 18
+    rng = random.Random(2000 + n)
+    words = [tuple(rng.sample(range(1, n + 1), n)) for _ in range(600)]
+    words += [tuple(range(n, 0, -1)), tuple(range(1, n + 1))]
+    assert list(stat_column(pack(words), len(words), "crs")) == [crossing_count(w) for w in words]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 10, 11, 19, 23, 24])
+def test_crs_kernel_in_two_byte_lanes(n):
+    # bijections.residual_columns widens the lanes of short words to hold sums
+    rng = random.Random(3000 + n)
+    words = [tuple(rng.sample(range(1, n + 1), n)) for _ in range(200)]
+    lanes = _Lanes(_columns(pack(words), len(words)), len(words), min_width=2)
+    assert lanes.width == 2
+    assert lane_values(lanes, lanes.stat("crs")) == [crossing_count(w) for w in words]
+
+
 def unpack(block, count):
     n = len(block) // count
     return [tuple(block[t * n : (t + 1) * n]) for t in range(count)]
