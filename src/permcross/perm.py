@@ -649,13 +649,11 @@ def _crs_lanes(b: _Lanes) -> int:
             else:
                 term &= before ^ (term >> (i - low) & ones) * 0xFF
             for k, level in enumerate(levels):
-                levels[k] = level ^ term
-                term &= level
+                levels[k], term = level ^ term, level & term
                 if not term:
                     break
             else:
-                if term:
-                    levels.append(term)
+                levels.append(term)
     return sum(
         b.as_int(level.to_bytes(count, "little").translate(_POPCOUNT)) << k
         for k, level in enumerate(levels)

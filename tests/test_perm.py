@@ -182,8 +182,8 @@ def test_stat_columns_at_the_packing_limit():
 
 
 def lane_values(lanes, total):
-    raw = lanes.as_bytes(total)
-    return [int.from_bytes(raw[t : t + lanes.width], "little") for t in range(0, len(raw), lanes.width)]
+    raw, step = lanes.as_bytes(total), lanes.width
+    return [int.from_bytes(raw[t : t + step], "little") for t in range(0, len(raw), step)]
 
 
 def test_crs_kernel_on_every_word_of_s8_in_full_blocks():
