@@ -343,10 +343,9 @@ class _ClassTable:
     def children(self, k: int) -> Iterator[bytes]:
         """The size-k members in lex order, packed, in pieces grown from level k-1.
 
-        Each chunk of ``BLOCK_WORDS`` members is framed, its members behind a
-        first column of 0xFF bytes, and held as one integer if some letter
-        is allowed to only part of it.  The children of letter a are the
-        frame ANDed with 0xFF over the members that may take a
+        Each chunk of ``BLOCK_WORDS`` members is framed as one integer, its
+        members behind a first column of 0xFF bytes.  The children of letter a
+        are the frame ANDed with 0xFF over the members that may take a
         (:func:`_allowed_letters`), or the whole frame when all may and
         nothing when none may; one ``translate`` drops the zeros, shifts the
         letters and writes a over the 0xFF column.
@@ -358,22 +357,17 @@ class _ClassTable:
             columns = _columns(words[first * (k - 1) : (first + size) * (k - 1)], size)
             frame = _rows([b"\xff" * size, *columns])
             allowed = _allowed_letters(columns, size, self.rules, self.drop_bound)
-            taken = [letter.count(1) for letter in allowed]
-            if any(0 < t < size for t in taken):  # a mask will pick from it
-                frame = int.from_bytes(frame, "little")
-            chunks.append((frame, allowed, taken, size))
+            chunks.append((int.from_bytes(frame, "little"), allowed, size))
         spread = int.from_bytes(b"\xff" * k, "little")  # a member's first byte 1 -> 0xFF * k
         for a in range(1, k + 1):
-            for frame, allowed, taken, size in chunks:
-                if 0 < taken[a - 1] < size:
+            for frame, allowed, size in chunks:
+                taken = allowed[a - 1].count(1)
+                if 0 < taken < size:
                     mask = bytearray(size * k)
                     mask[::k] = allowed[a - 1]
                     frame &= int.from_bytes(mask, "little") * spread
-                elif not taken[a - 1]:
-                    continue
-                if isinstance(frame, int):
-                    frame = frame.to_bytes(size * k, "little")
-                yield frame.translate(_shift_table(a), b"\0")
+                if taken:
+                    yield frame.to_bytes(size * k, "little").translate(_shift_table(a), b"\0")
 
 
 @lru_cache(maxsize=None)

@@ -534,7 +534,12 @@ class _Lanes:
         """2^(v+1) in each lane for the letter v of a column, 1 <= v <= n,
         for lanes wide enough to hold 2^(n+1) below their top bit."""
         bits = bytearray(self.width * len(column))
-        for b in range((self.n + 1) // 8 + 1):
+        # min and max cost about as many plane translates as the square root
+        # of the column's length (1 at one byte, 23 at 2,048 bytes), so the
+        # column's letter range picks the planes only where it may skip more
+        planes = (self.n + 1) // 8 + 1
+        lo, hi = (min(column), max(column)) if len(column) < planes * planes else (1, self.n)
+        for b in range((lo + 1) // 8, (hi + 1) // 8 + 1):
             bits[b :: self.width] = column.translate(_bit_table(b))
         return int.from_bytes(bits, "little")
 
