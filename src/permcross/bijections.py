@@ -27,8 +27,8 @@ down.
 The maps and the laws exist twice.  :func:`phi`, :func:`psi`,
 :func:`check_lemma`, :func:`check_lemma42` and :func:`check_prop25` take one
 word; they are the public per-word API and the oracle.  :func:`phi_block`,
-:func:`psi_block` and :func:`residual_columns` take a packed block of words
-(see :func:`permcross.perm.stat_column`) and are what the checks run.
+:func:`psi_block` and :func:`residual_columns` take a block of words as its
+columns (see :func:`permcross.perm.stat_columns`) and are what the checks run.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from typing import Iterator, Sequence
 from .patterns import P213_312, class_spec, class_words
 from .perm import (
     Permutation,
-    _columns,
     _Lanes,
+    _word_size,
     apply_symmetry,
     as_word,
     crossing_count,
@@ -49,7 +49,7 @@ from .perm import (
     insert_of_inverse,
     inverse_block,
     invert,
-    rc_block,
+    symmetry_block,
     transients,
 )
 
@@ -75,28 +75,26 @@ def psi(k: int, p) -> Permutation:
     return insert(apply_symmetry("rc", w), n + 2 - k, 1)
 
 
-def phi_block(k: int, block: bytes, count: int) -> bytes:
-    """:func:`phi` of every word of a packed block, as a packed block.
+def phi_block(k: int, columns: list[bytes], count: int) -> list[bytes]:
+    """:func:`phi` of every word of a block, as a block.
 
-    >>> list(phi_block(3, bytes((3, 1, 5, 4, 2)), 1))
+    >>> list(b"".join(phi_block(3, [bytes((v,)) for v in (3, 1, 5, 4, 2)], 1)))
     [3, 6, 2, 1, 5, 4]
     """
-    image = inverse_block(block, count)
-    n = len(block) // count
-    _check_k(k, n)
-    return insert_block(image, count, n + 2 - k, 1)
+    image = inverse_block(columns, count)
+    _check_k(k, len(columns))
+    return insert_block(image, count, len(columns) + 2 - k, 1)
 
 
-def psi_block(k: int, block: bytes, count: int) -> bytes:
-    """:func:`psi` of every word of a packed block, as a packed block.
+def psi_block(k: int, columns: list[bytes], count: int) -> list[bytes]:
+    """:func:`psi` of every word of a block, as a block.
 
-    >>> list(psi_block(3, bytes((3, 1, 5, 4, 2)), 1))
+    >>> list(b"".join(psi_block(3, [bytes((v,)) for v in (3, 1, 5, 4, 2)], 1)))
     [5, 3, 2, 1, 6, 4]
     """
-    image = rc_block(block, count)
-    n = len(block) // count
-    _check_k(k, n)
-    return insert_block(image, count, n + 2 - k, 1)
+    image = symmetry_block("rc", columns, count)
+    _check_k(k, len(columns))
+    return insert_block(image, count, len(columns) + 2 - k, 1)
 
 
 @dataclass(frozen=True)
@@ -221,16 +219,16 @@ def check_prop25(p) -> tuple[ResidualReport, ...]:
 
 
 # ---------------------------------------------------------------------------
-# the laws over packed blocks
+# the laws over blocks of columns
 
 RESIDUAL_LAWS = (*LEMMA_IDS, "prop-2.5")
 
 
 def residual_columns(
-    law: str, block: bytes, count: int
+    law: str, columns: list[bytes], count: int
 ) -> list[tuple[Sequence[int], Sequence[int]]]:
-    """Both sides of every instance of a law over a packed block of words
-    (see :func:`permcross.perm.stat_column`), as (lhs, rhs) columns.
+    """Both sides of every instance of a law over a block of words (see
+    :func:`permcross.perm.stat_columns`), as (lhs, rhs) columns.
 
     The instances are those of the per-word oracle, in its order:
     :func:`check_lemma` for lem-2.1 and lem-2.2, lem-2.4 with image "i" then
@@ -240,43 +238,43 @@ def residual_columns(
     crs(sigma) + |A_j| + |B_j|.  Lane by lane, lhs - rhs is the oracle's
     lhs - rhs.  Each side is at most n(n+3)/2, which sets the lane width.
 
-    >>> [(list(lhs), list(rhs)) for lhs, rhs in residual_columns("lem-2.1", bytes((3, 1, 2)), 1)]
+    >>> block = [bytes((3,)), bytes((1,)), bytes((2,))]
+    >>> [(list(lhs), list(rhs)) for lhs, rhs in residual_columns("lem-2.1", block, 1)]
     [([1], [1])]
     """
     if law not in RESIDUAL_LAWS:
         raise ValueError(f"unknown law {law!r}; expected one of {RESIDUAL_LAWS}")
-    columns = _columns(block, count)
-    n = len(columns)
+    n = _word_size(columns, count)
     if n == 0:
         raise ValueError(f"{law} needs nonempty words")
     word = _Lanes(columns, count, min_width=1 if n * (n + 3) // 2 <= 0xFF else 2)
 
-    def crs_of(image: bytes) -> int:
-        return _Lanes(_columns(image, count), count, min_width=word.width).stat("crs")
+    def crs_of(image: list[bytes]) -> int:
+        return _Lanes(image, count, min_width=word.width).stat("crs")
 
     crs = word.stat("crs")
     if law == "lem-4.2":
         sides = [
-            (crs_of(insert_block(block, count, 1, j)) + c, crs + a + b)
+            (crs_of(insert_block(columns, count, 1, j)) + c, crs + a + b)
             for j, a, b, c in _insertion_set_sizes(word)
         ]
     elif law == "prop-2.5":
         ends_with_n = ((word.xt[n - 1] - word.const(n)) & word.top) >> word.shift
         sides = [
-            (crs_of(phi_block(1, block, count)), crs),
-            (crs_of(psi_block(1, block, count)), crs),
-            (crs_of(phi_block(2, block, count)) + ends_with_n, crs + word.ones),
+            (crs_of(phi_block(1, columns, count)), crs),
+            (crs_of(psi_block(1, columns, count)), crs),
+            (crs_of(phi_block(2, columns, count)) + ends_with_n, crs + word.ones),
         ]
     else:
         ut, lt = word.stat("ut"), word.stat("lt")
         if law == "lem-2.1":
-            sides = [(crs_of(insert_block(block, count, n + 1, 1)) + lt, crs + ut)]
+            sides = [(crs_of(insert_block(columns, count, n + 1, 1)) + lt, crs + ut)]
         elif law == "lem-2.2":
             ends_with_n = ((word.xt[n - 1] - word.const(n)) & word.top) >> word.shift
-            image = insert_block(block, count, n, 1)
+            image = insert_block(columns, count, n, 1)
             sides = [(crs_of(image) + ends_with_n + lt, crs + word.ones + ut)]
         else:
-            images = (inverse_block(block, count), rc_block(block, count))
+            images = (inverse_block(columns, count), symmetry_block("rc", columns, count))
             sides = [(crs_of(image) + lt, crs + ut) for image in images]
     return [(word.unpack(lhs), word.unpack(rhs)) for lhs, rhs in sides]
 

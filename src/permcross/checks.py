@@ -64,6 +64,7 @@ from .patterns import (
 )
 from .perm import (
     SYMMETRIES,
+    _rows,
     apply_symmetry,
     apply_symmetry_to_patterns,
     crossing_count,
@@ -195,19 +196,19 @@ def _identity(
 
 def _law(check_id: str, description: str, default_bound: int):
     """Register a lemma evaluated on all of S_1..S_bound plus a fixed random
-    batch at n = RANDOM_SAMPLE_N, a packed block at a time by
+    batch at n = RANDOM_SAMPLE_N, a block at a time by
     :func:`residual_columns`; the decorated ``residuals(w)`` yields the
     ResidualReports of word w, which confirm and report a flagged word."""
 
     def register(residuals: Callable[[tuple[int, ...]], Iterable[ResidualReport]]):
         def run(bound: int):
-            sizes = [(n, class_blocks(class_spec(n))) for n in range(1, bound + 1)]
+            sizes = [class_blocks(class_spec(n)) for n in range(1, bound + 1)]
             batch = _random_words(check_id, RANDOM_SAMPLE_N, RANDOM_SAMPLE_SIZE)
-            sizes.append((RANDOM_SAMPLE_N, packed_blocks(batch, RANDOM_SAMPLE_N)))
+            sizes.append(packed_blocks(batch, RANDOM_SAMPLE_N))
             found = (
                 r.to_json()
-                for n, blocks in sizes
-                for reports in _flagged(check_id, blocks, n, residuals)
+                for blocks in sizes
+                for reports in _flagged(check_id, blocks, residuals)
                 for r in reports
                 if not r.passed
             )
@@ -222,27 +223,26 @@ def _law(check_id: str, description: str, default_bound: int):
 
 def _flagged(
     law: str,
-    blocks: Iterable[tuple[bytes, int]],
-    n: int,
+    blocks: Iterable[tuple[list[bytes], int]],
     oracle: Callable[[tuple[int, ...]], Iterable[ResidualReport]],
 ) -> Iterator[list[ResidualReport]]:
     """The per-word reports ``oracle(w)`` of every word that the block
     residuals of ``law`` flag, in word order.
 
-    The size-n words come as packed (block, count) pairs: an instance
-    flags a word where its two residual columns differ.  The oracle must fail
-    exactly the flagged instances of the word; if not, the block kernels are
-    at fault, and this raises rather than drop or invent a witness.
+    The words come as (columns, count) blocks: an instance flags a word
+    where its two residual columns differ.  The oracle must fail exactly the
+    flagged instances of the word; if not, the block kernels are at fault,
+    and this raises rather than drop or invent a witness.
     """
-    for block, count in blocks:
+    for columns, count in blocks:
         flags: dict[int, list[int]] = {}
-        for instance, (lhs, rhs) in enumerate(residual_columns(law, block, count)):
+        for instance, (lhs, rhs) in enumerate(residual_columns(law, columns, count)):
             if lhs != rhs:
                 for lane, (left, right) in enumerate(zip(lhs, rhs)):
                     if left != right:
                         flags.setdefault(lane, []).append(instance)
         for lane in sorted(flags):
-            word = tuple(block[lane * n : (lane + 1) * n])
+            word = tuple(c[lane] for c in columns)
             reports = list(oracle(word))
             failed = [i for i, r in enumerate(reports) if not r.passed]
             if failed != flags[lane]:
@@ -427,21 +427,24 @@ def _rel3_rows(n: int):
     reads=(GROUP, CLASSES),
 )
 def _sym_transport_rows(n: int):
-    """Each symmetry maps the packed level of S_n(T) onto the level of
-    S_n(f(T)): the image slices of every block, sorted, must be the image
-    class's level.  A failure is reported by the per-word map."""
+    """Each symmetry maps the level of S_n(T) onto the level of S_n(f(T)):
+    the packed image words of every block, sorted, must be the image
+    class's words.  A failure is reported by the per-word map."""
     for pats in PATTERN_SUBSETS:
         source = list(class_blocks(ClassSpec(n, pats)))
         for tag in SYMMETRIES:
-            images = [
-                image[t : t + n]
-                for block, count in source
-                for image in (symmetry_block(tag, block, count),)
-                for t in range(0, len(image), n)
-            ]
+            images: list[bytes] = []
+            for columns, count in source:
+                images += _packed_words(symmetry_block(tag, columns, count))
             target = ClassSpec(n, apply_symmetry_to_patterns(tag, pats))
-            if b"".join(sorted(images)) != b"".join(b for b, _ in class_blocks(target)):
+            if b"".join(sorted(images)) != b"".join(_rows(c) for c, _ in class_blocks(target)):
                 yield _sym_transport_witness(n, pats, tag)
+
+
+def _packed_words(columns: list[bytes]) -> list[bytes]:
+    """The words of a block of n >= 1 columns, each packed one letter per byte."""
+    rows, n = _rows(columns), len(columns)
+    return [rows[t : t + n] for t in range(0, len(rows), n)]
 
 
 def _sym_transport_witness(n: int, pats: tuple, tag: str) -> dict:
@@ -488,19 +491,18 @@ def _lem42(w):
     reads=(GROUP,),
 )
 def _phi_psi_rows(n: int):
-    """Images a packed block at a time: injective when the distinct image
-    slices number n!, and in the one-at-k class when the image column at
+    """Images a block at a time: injective when the distinct packed image
+    words number n!, and in the one-at-k class when the image column at
     position n+2-k is all 1s.  A failure is reported by the per-word maps."""
-    m = n + 1
     blocks = list(class_blocks(class_spec(n)))
     for k in range(1, n + 2):
         for name, image_block in (("phi", phi_block), ("psi", psi_block)):
             images: set[bytes] = set()
             placed = True
-            for block, count in blocks:
-                image = image_block(k, block, count)
-                images.update(image[t : t + m] for t in range(0, len(image), m))
-                placed = placed and image[n + 1 - k :: m] == b"\x01" * count
+            for columns, count in blocks:
+                image = image_block(k, columns, count)
+                images.update(_packed_words(image))
+                placed = placed and image[n + 1 - k] == b"\x01" * count
             if len(images) != factorial(n) or not placed:
                 yield _phi_psi_witness(name, n, k)
 
@@ -533,7 +535,7 @@ def _phi_psi_witness(name: str, n: int, k: int) -> dict:
     reads=(GROUP,),
 )
 def _prop25_rows(n: int):
-    for reports in _flagged("prop-2.5", class_blocks(class_spec(n)), n, check_prop25):
+    for reports in _flagged("prop-2.5", class_blocks(class_spec(n)), check_prop25):
         yield {"word": format_word(reports[0].word)}
 
 
@@ -733,10 +735,10 @@ def _thm46_rows(n: int):
     reads=(GROUP, CLASSES),
 )
 def _prop51_rows(n: int):
-    """The two classes compared as packed lex-order streams; only a
-    mismatch lists their words for the witness."""
+    """The two classes compared as lex-order streams of blocks, both cut at
+    the same edges; only a mismatch lists their words for the witness."""
     specs = (class_spec(n, avoid=P321_231), class_spec(n, maxdrop_le=1))
-    avoiders, drop = (b"".join(b for b, _ in class_blocks(spec)) for spec in specs)
+    avoiders, drop = (list(class_blocks(spec)) for spec in specs)
     if avoiders != drop:
         avoiders, drop = (list(class_words(spec)) for spec in specs)
         yield {
@@ -750,11 +752,11 @@ def _prop51_rows(n: int):
 def _inv_exc_crs_rows(n: int):
     """The inv column of each block against exc + crs; the per-word
     statistics must confirm every word the columns flag."""
-    for block, count in class_blocks(class_spec(n, avoid=P321_231)):
-        columns = zip(*stat_columns(block, count, ("inv", "exc", "crs")))
-        for lane, (inv, exc, crs) in enumerate(columns):
+    for columns, count in class_blocks(class_spec(n, avoid=P321_231)):
+        stats = zip(*stat_columns(columns, count, ("inv", "exc", "crs")))
+        for lane, (inv, exc, crs) in enumerate(stats):
             if inv != exc + crs:
-                w = tuple(block[lane * n : lane * n + n])
+                w = tuple(c[lane] for c in columns)
                 if inversion_count(w) == excedance_count(w) + crossing_count(w):
                     raise AssertionError(
                         f"inv-exc-crs: the block columns flag {format_word(w)}, "

@@ -7,13 +7,13 @@ expressions assembled in integer arithmetic.  All heavy computations are
 memoized; inputs are immutable so the caches are safe to share.
 
 ``dist_poly``, ``joint_poly`` and ``crs_profile`` are histograms from one
-fold (:func:`_fold`) over the class's columns: blocks of ``BLOCK_WORDS``
-words as their columns of letters (:func:`permcross.patterns.class_columns`:
-built as columns from a shifted S_(m-1) for bare S_n and its fixed-letter
-cuts, sliced from the packed blocks of the class table otherwise).  Each
-block becomes one set of lanes (:class:`permcross.perm._Lanes`), and the
-column kernels turn it into one key per word: the statistic itself, or every
-field of the word packed at fixed byte offsets into one integer
+fold (:func:`_fold`) over the class's blocks: up to ``BLOCK_WORDS`` words
+as their columns of letters (:func:`permcross.patterns.class_blocks`: built
+as columns from a shifted S_(m-1) for bare S_n and its fixed-letter cuts,
+cut from the rows of the class table otherwise).  Each block becomes one
+set of lanes (:class:`permcross.perm._Lanes`), and the column kernels turn
+it into one key per word: the statistic itself, or every field of the word
+packed at fixed byte offsets into one integer
 (:func:`permcross.perm._packed_keys`), decoded once per distinct key.  A
 one-byte statistic column is counted by value, one ``bytes.count`` per value
 (:func:`_tally`); two-byte and packed keys still go through ``Counter``.  No
@@ -35,7 +35,7 @@ from .patterns import (
     P213_231,
     P213_312,
     ClassSpec,
-    class_columns,
+    class_blocks,
     class_spec,
 )
 from .perm import STATISTICS, _Lanes, _lane_width, _packed_keys
@@ -117,7 +117,7 @@ def _fold(spec: ClassSpec, bound: int | None, keys: Callable[[_Lanes], Iterable[
     statistics, counted by value, or an array of wider or packed keys,
     counted by ``Counter`` (:func:`_tally`)."""
     counts: Counter = Counter()
-    for columns, count in class_columns(spec, bound):
+    for columns, count in class_blocks(spec, bound):
         _tally(counts, keys(_Lanes(columns, count)))
     return counts
 

@@ -3,11 +3,13 @@
 A class is described declaratively by :class:`ClassSpec`: a size n, a set of
 forbidden patterns, and at most one positional constraint.  Enumeration is
 always in lexicographic order of the word, so streams are reproducible and
-diffable.  There is one path per kind of class, and each builds blocks
-by columns rather than word by word.  Bare S_n, and S_n cut by ``one_at``,
-``ends_with`` or ``tail``, comes from :func:`_group_columns` as columns: the
-permutations of the m free letters are m shifted copies of S_(m-1), held by
-columns.
+diffable.  A class comes in blocks of one format, ``(columns, count)``:
+``count`` words as their columns of letters, one byte a letter (see
+:func:`permcross.perm.stat_columns`).  There is one path per kind of class,
+and each builds blocks by columns rather than word by word.  Bare S_n, and
+S_n cut by ``one_at``, ``ends_with`` or ``tail``, comes from
+:func:`_group_columns`: the permutations of the m free letters are m shifted
+copies of S_(m-1), held by columns.
 Every class closed under deleting the first letter -- a pattern class, S_n
 under a maxdrop bound, or both -- comes from a generating tree
 (:class:`_ClassTable`) that grows each size from the one below by
@@ -16,17 +18,17 @@ lane comparisons over a chunk of members at once, and no per-member mask is
 kept.  A pattern class keeps its tree, one table per forbidden set and drop
 bound (:func:`_class_table`), and a positional constraint filters its last
 level; S_n under a maxdrop bound streams its last level and stores none.
-:func:`class_blocks` hands a class out as packed blocks, :func:`class_columns`
-as the columns of those blocks, which the folds read, :func:`class_words` as
-words; :func:`filtered_words`, a plain filter over all n! words, is the
-oracle the other paths are tested against.
+A tree keeps its members as words packed one after another, and each block
+is cut into columns once on its way out.  :func:`class_blocks` hands a class
+out as blocks, :func:`class_words` as words; :func:`filtered_words`, a plain
+filter over all n! words, is the oracle the other paths are tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from math import factorial
 from threading import RLock
 from typing import Iterable, Iterator, Sequence
@@ -354,7 +356,7 @@ class _ClassTable:
         chunks = []
         for first in range(0, count, BLOCK_WORDS):
             size = min(BLOCK_WORDS, count - first)
-            columns = _columns(words[first * (k - 1) : (first + size) * (k - 1)], size)
+            columns = _columns(words[first * (k - 1) : (first + size) * (k - 1)], k - 1)
             frame = _rows([b"\xff" * size, *columns])
             allowed = _allowed_letters(columns, size, self.rules, self.drop_bound)
             chunks.append((int.from_bytes(frame, "little"), allowed, size))
@@ -398,28 +400,29 @@ def _shift_table(a: int) -> bytes:
     return _BYTES[:a] + _BYTES[a + 1 :] + _BYTES[a : a + 1]
 
 
-#: Words per packed block.  Larger blocks make fewer, longer lane operations
+#: Words per block.  Larger blocks make fewer, longer lane operations
 #: but hold more memory: at 2048 the benchmark workloads peak within 0.1 MB
 #: of a per-word fold, at 4096 class-sweep peaks 0.4 MB higher.
 BLOCK_WORDS = 2048
 
 
-def packed_blocks(words: Iterable[Sequence[int]], n: int) -> Iterator[tuple[bytes, int]]:
-    """(block, count) for the size-n ``words`` in blocks of up to
-    ``BLOCK_WORDS``, packed one letter per byte as they stream (see
-    :func:`permcross.perm.stat_column`); the words are never held as tuples.
+def packed_blocks(words: Iterable[Sequence[int]], n: int) -> Iterator[tuple[list[bytes], int]]:
+    """(columns, count) for the size-n ``words`` in blocks of up to
+    ``BLOCK_WORDS`` (see :func:`permcross.perm.stat_columns`), packed one
+    letter per byte as they stream; the words are never held as tuples.
 
     >>> list(packed_blocks([(2, 1), (1, 2)], 2))
-    [(b'\\x02\\x01\\x01\\x02', 2)]
+    [([b'\\x02\\x01', b'\\x01\\x02'], 2)]
     """
     if n > MAX_PACKED_N:
         raise ValueError(f"words are packed one letter per byte; n={n} exceeds {MAX_PACKED_N}")
-    if n == 0:  # empty words pack to nothing, so count them instead
+    if n == 0:  # empty words have no columns, so count them instead
         size = sum(1 for _ in words)
         if size:
-            yield b"", size
+            yield [], size
         return
-    yield from _reblocked(map(bytes, words), n)
+    for rows, count in _reblocked(map(bytes, words), n):
+        yield _columns(rows, n), count
 
 
 def _group_columns(n: int, at: int = 0, run: bytes = b"") -> Iterator[tuple[list[bytes], int]]:
@@ -462,25 +465,15 @@ def _group_columns(n: int, at: int = 0, run: bytes = b"") -> Iterator[tuple[list
         yield columns, size
 
 
-def _group_blocks(n: int, at: int = 0, run: bytes = b"") -> Iterator[tuple[bytes, int]]:
-    """:func:`_group_columns` interleaved into packed blocks.
-
-    >>> [(block.hex(" ", -4), count) for block, count in _group_blocks(4, 2, bytes((2, 1)))]
-    [('03040201 04030201', 2)]
-    """
-    for columns, count in _group_columns(n, at, run):
-        yield _rows(columns), count
-
-
 def _drop_bound(spec: ClassSpec) -> int | None:
     kind, arg = spec.constraint or (None, None)
     return arg if kind == "maxdrop_le" else None
 
 
-def _table_blocks(spec: ClassSpec) -> Iterator[tuple[bytes, int]]:
-    """The blocks of a pattern class, cut from its table's level n; a
-    ``one_at``, ``ends_with`` or ``tail`` constraint keeps the members whose
-    fixed run (:func:`_fixed_run`) is in place."""
+def _table_rows(spec: ClassSpec) -> Iterator[tuple[bytes, int]]:
+    """A pattern class in blocks of words packed one after another, cut from
+    its table's level n; a ``one_at``, ``ends_with`` or ``tail`` constraint
+    keeps the members whose fixed run (:func:`_fixed_run`) is in place."""
     n = spec.n
     level, _ = _class_table(spec.forbidden, _drop_bound(spec)).level(n)
     if spec.constraint is not None and spec.constraint[0] != "maxdrop_le":
@@ -505,44 +498,33 @@ def _check_packable(spec: ClassSpec, bound: int | None) -> None:
         )
 
 
-def class_blocks(spec: ClassSpec, bound: int | None = None) -> Iterator[tuple[bytes, int]]:
-    """The class in lex order as (block, count): up to ``BLOCK_WORDS`` words
-    packed one letter per byte, the format of the column kernels of
-    :mod:`permcross.perm`.  A pattern class is cut from its table, bare
-    and fixed-letter S_n are built by columns (:func:`_group_blocks`), and
-    S_n under a maxdrop bound streams from a tree of its own.  Refused
-    before any enumeration past the bound or past ``MAX_PACKED_N``.
+def class_blocks(spec: ClassSpec, bound: int | None = None) -> Iterator[tuple[list[bytes], int]]:
+    """The class in lex order as (columns, count): blocks of up to
+    ``BLOCK_WORDS`` words as their columns of letters, one byte a letter, the
+    format of the column kernels of :mod:`permcross.perm`.  Bare and
+    fixed-letter S_n are built as columns (:func:`_group_columns`); a
+    pattern class is cut from its table, and S_n under a maxdrop bound
+    streams from a tree of its own, each block cut into columns once.
+    Refused before any enumeration past the bound or past ``MAX_PACKED_N``.
     """
     _check_packable(spec, bound)
-    if spec.n == 0:
-        return iter([(b"", 1)])  # the empty word, which every class holds
+    n, drop_bound = spec.n, _drop_bound(spec)
+    if n == 0:
+        return iter([([], 1)])  # the empty word, which every class holds
     if spec.forbidden:
-        return _table_blocks(spec)
-    drop_bound = _drop_bound(spec)
-    if drop_bound is not None:  # a tree of its own, whose last level is never stored
-        return _reblocked(_ClassTable((), drop_bound).children(spec.n), spec.n)
-    return _group_blocks(spec.n, *_fixed_run(spec))
-
-
-def class_columns(spec: ClassSpec, bound: int | None = None) -> Iterator[tuple[list[bytes], int]]:
-    """The blocks of :func:`class_blocks` as (columns, count), each cut into
-    its n columns; bare and fixed-letter S_n come by columns, never in rows."""
-    if spec.forbidden or _drop_bound(spec) is not None:
-        return ((_columns(block, count), count) for block, count in class_blocks(spec, bound))
-    _check_packable(spec, bound)
-    return _group_columns(spec.n, *_fixed_run(spec))
+        rows = _table_rows(spec)
+    elif drop_bound is not None:  # a tree of its own, whose last level is never stored
+        rows = _reblocked(_ClassTable((), drop_bound).children(n), n)
+    else:
+        return _group_columns(n, *_fixed_run(spec))
+    return ((_columns(block, n), count) for block, count in rows)
 
 
 def class_words(spec: ClassSpec, bound: int | None = None) -> Iterator[tuple[int, ...]]:
     """Lex-ordered stream of raw words in the class, bound-checked, unpacked
     from :func:`class_blocks`."""
-    return _unpacked(class_blocks(spec, bound), spec.n)
-
-
-def _unpacked(blocks: Iterable[tuple[bytes, int]], n: int) -> Iterator[tuple[int, ...]]:
-    for block, count in blocks:
-        for i in range(count):
-            yield tuple(block[i * n : i * n + n])
+    blocks = class_blocks(spec, bound)  # refused here, not at the first word
+    return chain.from_iterable(zip(*c) if c else [()] * count for c, count in blocks)
 
 
 def enumerate_class(spec: ClassSpec, bound: int | None = None) -> Iterator[Permutation]:

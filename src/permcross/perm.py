@@ -17,17 +17,19 @@ The statistics of interest pair positions with values through arcs i -> sigma(i)
 
 Each statistic exists twice.  The functions of :data:`STATISTICS` take one
 word; they are the public per-word API and the oracle.  The column kernels
-compute a statistic for a whole block of words at once, with lane arithmetic
-on big integers over the block's columns of letters (:class:`_Lanes`, built
-once per block, its lane integers only when a kernel reads them), and are
-what the distribution folds use; a fold counts one integer key per word that
-packs several fields (:func:`_packed_keys`).  Crossings are counted from
-prefix letter sets, in O(n) operations per block (:func:`stat_column`; the
-arcs of Corteel, "Crossings and alignments of permutations", 2007).  The
-inverse, the rc image and insertion have block forms too
-(:func:`inverse_block`, :func:`rc_block`, :func:`insert_block`), which map a
-packed block to a packed block, so the crossing-change laws are checked a
-block at a time.
+compute a statistic for a whole block of words at once.  A block is one
+format everywhere, ``(columns, count)``: column p holds the letter at
+position p+1 of each of the ``count`` words, one byte each
+(:func:`stat_columns`).  The kernels do lane arithmetic on big integers over
+the columns (:class:`_Lanes`, built once per block, its lane integers only
+when a kernel reads them), and are what the distribution folds use; a fold
+counts one integer key per word that packs several fields
+(:func:`_packed_keys`).  Crossings are counted from prefix letter sets, in
+O(n) operations per block (the arcs of Corteel, "Crossings and alignments of
+permutations", 2007).  The inverse, the symmetries and insertion have block
+forms too (:func:`inverse_block`, :func:`symmetry_block`,
+:func:`insert_block`), which map a block to a block, so the crossing-change
+laws are checked a block at a time.
 """
 
 from __future__ import annotations
@@ -109,10 +111,6 @@ def as_word(p) -> tuple[int, ...]:
 
 def identity(n: int) -> tuple[int, ...]:
     return tuple(range(1, n + 1))
-
-
-def decreasing(n: int) -> tuple[int, ...]:
-    return tuple(range(n, 0, -1))
 
 
 def parse_word(text: str) -> tuple[int, ...]:
@@ -322,115 +320,99 @@ def stat_bundle(p) -> StatBundle:
 
 
 # ---------------------------------------------------------------------------
-# column kernels over packed blocks
+# column kernels over blocks of columns
 
 #: Packed blocks hold one letter per byte, so no packed word is longer.
 MAX_PACKED_N = 255
 
 
-def stat_column(block: bytes, count: int, stat: str) -> Sequence[int]:
-    """One statistic of every word of a packed block, in block order.
+def stat_columns(columns: list[bytes], count: int, stats: Sequence[str]) -> list[Sequence[int]]:
+    """Several statistics of every word of a block, in block order, from
+    one set of lanes.
 
-    A block is ``count`` words of one length n packed one letter per byte,
-    ``b"".join(map(bytes, words))``, so ``block[p::n]`` is the column of
-    letters at position p+1 (:func:`_columns`).  A column becomes one
-    integer X_p with a lane per word: one byte while every statistic fits,
-    n(n-1)/2 <= 255 (n <= 23), and two bytes up to ``MAX_PACKED_N``.  Each
-    step then acts on the whole block.  ``[w_i >= w_j]`` is the top bit of
-    each lane of ``(X_i | 0x80..) - X_j``; ``[w_p > c]`` is the same with c+1
-    in every lane in place of X_j; ``[w_p == c]`` is a ``bytes.translate``
-    table.  Such a statistic is a sum of 0/1 lanes.  ``crs`` is counted
-    from sets of letters instead, one bit per letter 2..n-1 in byte planes
-    of eight: S, the letters before position I, grows by one ``translate``
-    per position, one more gives the letters of (I, w_I) and (w_I, I], and
-    the crossings at I are the popcount of the letters of S in the first
-    interval and of those not in S in the second.  The per-word functions
-    of :data:`STATISTICS` are the oracle the kernels are tested against.
-    Returns ``bytes`` for one-byte lanes, else an array.
+    A block is ``count`` words of one length n given by their n columns of
+    letters: ``columns[p]`` holds the letter at position p+1 of every word,
+    one byte each, so ``[bytes(c) for c in zip(*words)]`` builds a block and
+    ``zip(*columns)`` gives its words back.  Every class comes in this format
+    (:func:`permcross.patterns.class_blocks`), and every block kernel here
+    maps blocks to blocks.  A column becomes one integer X_p with a lane per
+    word: one byte while every statistic fits, n(n-1)/2 <= 255 (n <= 23),
+    and two bytes up to ``MAX_PACKED_N``.  Each step then acts on the whole
+    block.  ``[w_i >= w_j]`` is the top bit of each lane of
+    ``(X_i | 0x80..) - X_j``; ``[w_p > c]`` is the same with c+1 in every
+    lane in place of X_j; ``[w_p == c]`` is a ``bytes.translate`` table.
+    Such a statistic is a sum of 0/1 lanes.  ``crs`` is counted from sets of
+    letters instead, one bit per letter 2..n-1 in byte planes of eight: S,
+    the letters before position I, grows by one ``translate`` per position,
+    one more gives the letters of (I, w_I) and (w_I, I], and the crossings
+    at I are the popcount of the letters of S in the first interval and of
+    those not in S in the second.  The per-word functions of
+    :data:`STATISTICS` are the oracle the kernels are tested against.  Each
+    statistic comes as ``bytes`` for one-byte lanes, else as an array.
 
-    >>> list(stat_column(bytes((4, 7, 3, 5, 1, 2, 6, 2, 1, 3, 4, 5, 6, 7)), 2, "crs"))
-    [3, 0]
+    >>> columns = [bytes(c) for c in zip((4, 7, 3, 5, 1, 2, 6), (2, 1, 3, 4, 5, 6, 7))]
+    >>> [list(c) for c in stat_columns(columns, 2, ("crs", "nes"))]
+    [[3, 0], [3, 0]]
     """
-    return stat_columns(block, count, (stat,))[0]
-
-
-def stat_columns(block: bytes, count: int, stats: Sequence[str]) -> list[Sequence[int]]:
-    """:func:`stat_column` of several statistics, from one set of lanes."""
     for stat in stats:
         if stat not in _LANE_KERNELS:
             raise ValueError(f"unknown statistic {stat!r}; expected one of {sorted(STATISTICS)}")
-    lanes = _Lanes(_columns(block, count), count)
+    _word_size(columns, count)
+    lanes = _Lanes(columns, count)
     return [lanes.unpack(lanes.stat(stat)) for stat in stats]
 
 
-def inverse_block(block: bytes, count: int) -> bytes:
-    """The inverse of every word of a packed block (see :func:`stat_column`),
-    packed the same way: column v of the result is the position of the
-    letter v.
+def inverse_block(columns: list[bytes], count: int) -> list[bytes]:
+    """The inverse of every word of a block (see :func:`stat_columns`):
+    column v of the result is the position of the letter v.
 
-    >>> list(inverse_block(bytes((2, 3, 1, 3, 1, 2)), 2))
-    [3, 1, 2, 2, 3, 1]
+    >>> [list(c) for c in inverse_block([bytes((2, 3)), bytes((3, 1)), bytes((1, 2))], 2)]
+    [[3, 2], [1, 3], [2, 1]]
     """
-    columns = _columns(block, count)
-    return _rows([_positions(columns, count, v) for v in range(1, len(columns) + 1)])
+    n = _word_size(columns, count)
+    return [_positions(columns, count, v) for v in range(1, n + 1)]
 
 
-def rc_block(block: bytes, count: int) -> bytes:
-    """The rc image (reverse of the complement) of every word of a packed
-    block: the columns in reverse order, then one ``translate`` v -> n+1-v.
-
-    >>> list(rc_block(bytes((4, 1, 3, 5, 7, 6, 2)), 1))
-    [6, 2, 1, 3, 5, 7, 4]
-    """
-    _word_size(block, count)  # a block of no words is refused here
-    return symmetry_block("rc", block, count)
-
-
-def symmetry_block(tag: str, block: bytes, count: int) -> bytes:
-    """:func:`apply_symmetry` of every word of a packed block (see
-    :func:`stat_column`), packed the same way.  The reverse puts the columns
-    in reverse order, the complement is one ``translate`` v -> n+1-v and the
+def symmetry_block(tag: str, columns: list[bytes], count: int) -> list[bytes]:
+    """:func:`apply_symmetry` of every word of a block (see
+    :func:`stat_columns`).  The reverse puts the columns in reverse order,
+    the complement is one ``translate`` v -> n+1-v per column and the
     inverse is :func:`inverse_block`; composite tags compose right to left.
-    A block of no words maps to itself.
 
-    >>> list(symmetry_block("ri", bytes((2, 3, 1, 3, 1, 2)), 2))
-    [2, 1, 3, 1, 3, 2]
-    >>> symmetry_block("c", b"", 0)
-    b''
+    >>> [list(c) for c in symmetry_block("ri", [bytes((2, 3)), bytes((3, 1)), bytes((1, 2))], 2)]
+    [[2, 1], [1, 3], [3, 2]]
     """
     if tag not in SYMMETRIES:
         raise ValueError(f"unknown symmetry {tag!r}; expected one of {SYMMETRIES}")
-    if count == 0 and not block:
-        return b""
-    n = _word_size(block, count)
+    n = _word_size(columns, count)
     for letter in reversed(tag.replace("id", "")):
         if letter == "r":
-            block = _rows(_columns(block, count)[::-1])
+            columns = columns[::-1]
         elif letter == "c":
-            block = block.translate(_complement_table(n))
+            columns = [c.translate(_complement_table(n)) for c in columns]
         else:
-            block = inverse_block(block, count)
-    return bytes(block)
+            columns = inverse_block(columns, count)
+    return list(columns)
 
 
-def insert_block(block: bytes, count: int, a: int, b: int) -> bytes:
+def insert_block(columns: list[bytes], count: int, a: int, b: int) -> list[bytes]:
     """:func:`insert` of the letter b at position a into every word of a
-    packed block: one ``translate`` bumps the letters >= b, the columns move
-    to their new positions and a constant column of b fills position a.
+    block (see :func:`stat_columns`): one ``translate`` per column bumps the
+    letters >= b, and a constant column of b goes in at position a.
 
-    >>> list(insert_block(bytes((3, 1, 4, 2)), 1, 2, 3))
+    >>> list(b"".join(insert_block([bytes((v,)) for v in (3, 1, 4, 2)], 1, 2, 3)))
     [4, 3, 1, 5, 2]
     """
-    m = _word_size(block, count) + 1
+    m = _word_size(columns, count) + 1
     if m > MAX_PACKED_N:
         raise ValueError(f"packed words hold one letter per byte; n={m} exceeds {MAX_PACKED_N}")
     if not 1 <= a <= m:
         raise ValueError(f"insert position {a} out of range 1..{m}")
     if not 1 <= b <= m:
         raise ValueError(f"insert value {b} out of range 1..{m}")
-    columns = _columns(block.translate(_bump_table(b)), count)
-    columns.insert(a - 1, bytes((b,)) * count)
-    return _rows(columns)
+    image = [c.translate(_bump_table(b)) for c in columns]
+    image.insert(a - 1, bytes((b,)) * count)
+    return image
 
 
 def _positions(columns: list[bytes], count: int, letter: int) -> bytes:
@@ -444,24 +426,24 @@ def _positions(columns: list[bytes], count: int, letter: int) -> bytes:
     return total.to_bytes(count, "little")
 
 
-def _word_size(block: bytes, count: int) -> int:
-    """The length of the words of a packed block, which must be whole and packable."""
-    if count < 1 or len(block) % count:
-        raise ValueError(f"{len(block)} bytes do not pack {count} words of one length")
-    n = len(block) // count
+def _word_size(columns: list[bytes], count: int) -> int:
+    """The length n of the words of a block, whose columns must each hold
+    ``count`` >= 1 letters, with n at most ``MAX_PACKED_N``."""
+    n, lengths = len(columns), sorted({len(c) for c in columns})
+    if count < 1 or lengths not in ([], [count]):
+        raise ValueError(f"columns of lengths {lengths} do not pack {count} words")
     if n > MAX_PACKED_N:
         raise ValueError(f"packed words hold one letter per byte; n={n} exceeds {MAX_PACKED_N}")
     return n
 
 
-def _columns(block: bytes, count: int) -> list[bytes]:
-    """A packed block of ``count`` words cut into its columns of letters."""
-    n = _word_size(block, count)
-    return [block[p::n] for p in range(n)]
+def _columns(rows: bytes, n: int) -> list[bytes]:
+    """Size-n words packed one after another cut into their n columns."""
+    return [rows[p::n] for p in range(n)]
 
 
 def _rows(columns: Sequence[bytes]) -> bytes:
-    """Columns of one length interleaved into a packed block: :func:`_columns` undone."""
+    """Columns of one length interleaved into packed words: :func:`_columns` undone."""
     n = len(columns)
     out = bytearray(n * len(columns[0]) if n else 0)
     for p, column in enumerate(columns):

@@ -263,11 +263,12 @@ def test_adjudication_matches_tableau_exponent():
 
 
 # ---------------------------------------------------------------------------
-# the maps and the laws over packed blocks, against the per-word oracles
+# the maps and the laws over blocks, against the per-word oracles
 
 
 def pack(words):
-    return b"".join(map(bytes, words))
+    """A block of words as its columns."""
+    return [bytes(c) for c in zip(*words)]
 
 
 def oracle_reports(law, w):
@@ -345,6 +346,7 @@ def test_residuals_at_block_edges(monkeypatch, block):
         lanes = []
         for packed, count in packed_blocks(words, 5):
             assert count <= block
+            assert packed == pack(words[len(lanes) : len(lanes) + count])
             columns = residual_columns(law, packed, count)
             lanes += [[(lhs[t], rhs[t]) for lhs, rhs in columns] for t in range(count)]
         want = [
@@ -356,14 +358,21 @@ def test_residuals_at_block_edges(monkeypatch, block):
 
 def test_block_laws_reject_bad_input():
     with pytest.raises(ValueError, match="unknown law"):
-        residual_columns("lem-9.9", b"\x01", 1)
+        residual_columns("lem-9.9", [b"\x01"], 1)
     with pytest.raises(ValueError, match="nonempty"):
-        residual_columns("lem-2.1", b"", 1)
-    with pytest.raises(ValueError, match="do not pack"):
-        residual_columns("lem-4.2", b"\x01\x02\x01", 2)
+        residual_columns("lem-2.1", [], 1)
+    with pytest.raises(ValueError, match="do not pack 2 words"):
+        residual_columns("lem-4.2", [b"\x01\x02", b"\x01"], 2)
+    with pytest.raises(ValueError, match="do not pack 0 words"):
+        residual_columns("lem-2.1", [], 0)
+    with pytest.raises(ValueError, match="n=256 exceeds 255"):
+        residual_columns("lem-2.1", [b"\x01"] * 256, 1)
     with pytest.raises(ValueError, match="k=4 out of range"):
-        phi_block(4, b"\x02\x01", 1)
+        phi_block(4, [b"\x02", b"\x01"], 1)
     with pytest.raises(ValueError, match="k=0 out of range"):
-        psi_block(0, b"\x02\x01", 1)
+        psi_block(0, [b"\x02", b"\x01"], 1)
+    for block_fn in (phi_block, psi_block):
+        with pytest.raises(ValueError, match="do not pack 1 words"):
+            block_fn(1, [b"\x02", b"\x01\x02"], 1)
     with pytest.raises(ValueError, match="nonempty"):
         check_prop25(())

@@ -137,10 +137,10 @@ def _failing_lemma42(w, j):
     return ResidualReport("lem-4.2", tuple(w), (("j", j),), 0, 1, False)
 
 
-def _failing_residuals(law, block, count):
+def _failing_residuals(law, columns, count):
     """Block residuals whose right side is one too high in every lane."""
-    columns = bijections.residual_columns(law, block, count)
-    return [(lhs, [v + 1 for v in rhs]) for lhs, rhs in columns]
+    sides = bijections.residual_columns(law, columns, count)
+    return [(lhs, [v + 1 for v in rhs]) for lhs, rhs in sides]
 
 
 def _phi_one_slot_early(k, w):
@@ -148,18 +148,17 @@ def _phi_one_slot_early(k, w):
     return bijections.insert_of_inverse(w, max(len(w) + 1 - k, 1), 1)
 
 
-def _phi_block_one_slot_early(k, block, count):
-    n = len(block) // count
-    image = bijections.inverse_block(block, count)
-    return bijections.insert_block(image, count, max(n + 1 - k, 1), 1)
+def _phi_block_one_slot_early(k, columns, count):
+    image = bijections.inverse_block(columns, count)
+    return bijections.insert_block(image, count, max(len(columns) + 1 - k, 1), 1)
 
 
 def _identity_map(tag, w):
     return tuple(w)
 
 
-def _identity_images(tag, block, count):
-    return block
+def _identity_images(tag, columns, count):
+    return columns
 
 
 def _asymmetric_profile(n, forbidden=(), bound=None):
@@ -167,9 +166,9 @@ def _asymmetric_profile(n, forbidden=(), bound=None):
     return CrsProfile(n, by_pos1, by_pos1, QPoly.zero())
 
 
-def _inv_one_high(block, count, stats):
-    columns = stat_columns(block, count, stats)
-    return [[v + (stat == "inv") for v in column] for stat, column in zip(stats, columns)]
+def _inv_one_high(columns, count, stats):
+    values = stat_columns(columns, count, stats)
+    return [[v + (stat == "inv") for v in column] for stat, column in zip(stats, values)]
 
 
 _ZERO_FORM = ((checks, "closed_form", lambda form, n: QPoly.zero()),)
@@ -318,7 +317,7 @@ def test_flagged_words_at_block_edges(monkeypatch, block):
     group = list(permutations(range(1, 6)))
     oracle = bijections.check_prop25
     blocks = patterns.packed_blocks(group, 5)
-    flagged = [reports[0].word for reports in checks._flagged("prop-2.5", blocks, 5, oracle)]
+    flagged = [reports[0].word for reports in checks._flagged("prop-2.5", blocks, oracle)]
     assert flagged == [w for w in group if not all(r.passed for r in oracle(w))]
     assert 0 < len(flagged) < len(group)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -313,6 +314,24 @@ def test_verify_determinism(capsys):
         for line in s.strip().splitlines()
     ]
     assert strip(out1) == strip(out2)
+
+
+#: sha256 of the default ``verify all --json`` records without their runtime,
+#: each dumped with sorted keys, joined by newlines: 36 records.
+VERIFY_ALL_DIGEST = "35f1c52ec83ccb59060539b1a61d83d6650a67b2063e76ca774ac47d93640287"
+
+
+def test_verify_all_output_is_pinned(capsys, monkeypatch):
+    # every field but the timing is deterministic, so any change to what a
+    # check reports, or to the set of checks, changes the digest
+    monkeypatch.delenv("PERMCROSS_BOUND", raising=False)
+    code, out, _ = run_cli(capsys, "verify", "all", "--json")
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    for record in records:
+        del record["runtime"]
+    text = "\n".join(json.dumps(record, sort_keys=True) for record in records)
+    assert code == 0 and len(records) == 36
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_ALL_DIGEST
 
 
 def test_usage_error_exit_code(capsys):

@@ -27,16 +27,14 @@ def test_the_kernels_have_doctests():
         if test.examples
     }
     kernels = {
-        "stat_column",
+        "stat_columns",
         "inverse_block",
-        "rc_block",
         "symmetry_block",
         "insert_block",
         "phi_block",
         "psi_block",
         "residual_columns",
         "packed_blocks",
-        "_group_blocks",
         "_group_columns",
         "_packed_keys",
         "_allowed_letters",

@@ -13,7 +13,6 @@ from permcross.patterns import (
     _class_table,
     avoids,
     class_blocks,
-    class_columns,
     class_size,
     class_spec,
     class_words,
@@ -30,7 +29,7 @@ from permcross.perm import (
     apply_symmetry_to_patterns,
     crossing_count,
     direct_sum,
-    stat_column,
+    stat_columns,
 )
 
 ALL3 = [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
@@ -295,6 +294,12 @@ def _oracle(n: int, forbidden) -> list:
     return _ORACLE[n, forbidden]
 
 
+def unpacked(blocks) -> list:
+    """The words of (columns, count) blocks, whose columns must each hold count letters."""
+    assert all(all(len(c) == count for c in columns) for columns, count in blocks)
+    return [w for columns, count in blocks for w in (zip(*columns) if columns else [()] * count)]
+
+
 def _obeys(w, kind: str, k: int) -> bool:
     """The positional constraints, from their definitions."""
     n = len(w)
@@ -324,7 +329,7 @@ def test_class_table_levels_match_the_oracle_in_any_request_order(order):
                     kept = [w for w in want if _obeys(w, kind, k)]
                     assert list(class_words(spec)) == kept, spec
                     blocks = list(class_blocks(spec))
-                    assert b"".join(b for b, _ in blocks) == b"".join(map(bytes, kept)), spec
+                    assert unpacked(blocks) == kept, spec
                     assert sum(c for _, c in blocks) == len(kept), spec
         # one table per forbidden set and drop bound, whatever n, constraint or bound
         assert _class_table.cache_info().currsize == 1 + 8
@@ -350,12 +355,12 @@ def test_class_table_blocks_at_block_edges(monkeypatch, block):
     monkeypatch.setattr(patterns, "BLOCK_WORDS", block)
     for spec in specs:
         blocks = list(class_blocks(spec))
-        assert all(0 < count <= block and len(b) == spec.n * count for b, count in blocks)
-        assert b"".join(b for b, _ in blocks) == b"".join(map(bytes, want[spec]))
+        assert all(0 < count <= block and len(cols) == spec.n for cols, count in blocks)
+        assert unpacked(blocks) == want[spec]
         # the boundaries of packed_blocks: BLOCK_WORDS words a block, the last one fewer
         assert blocks == list(patterns.packed_blocks(want[spec], spec.n))
         assert list(class_words(spec)) == want[spec]
-        crs = Counter(v for b, count in blocks for v in stat_column(b, count, "crs"))
+        crs = Counter(v for cols, count in blocks for v in stat_columns(cols, count, ["crs"])[0])
         assert crs == Counter(map(crossing_count, want[spec]))
 
 
@@ -401,13 +406,16 @@ def test_group_blocks_match_the_oracle():
         for spec in [class_spec(n)] + [class_spec(n, **cut) for cut in cuts]:
             blocks = list(class_blocks(spec))
             want = list(filtered_words(spec))
-            assert b"".join(b for b, _ in blocks) == b"".join(map(bytes, want)), spec
+            assert unpacked(blocks) == want, spec
             assert sum(c for _, c in blocks) == len(want), spec
     # the edges: one empty word, one letter, and no free letter at all
-    assert list(class_blocks(class_spec(0))) == [(b"", 1)]
-    assert list(class_blocks(class_spec(1))) == [(b"\x01", 1)]
-    assert list(class_blocks(class_spec(1, tail=1))) == [(b"\x01", 1)]
-    assert list(class_blocks(class_spec(5, tail=5))) == [(bytes((5, 4, 3, 2, 1)), 1)]
+    assert list(class_blocks(class_spec(0))) == [([], 1)]
+    assert list(class_blocks(class_spec(0, avoid=[(1,)]))) == [([], 1)]
+    assert list(class_words(class_spec(0))) == [()]
+    assert list(class_blocks(class_spec(1))) == [([b"\x01"], 1)]
+    assert list(class_blocks(class_spec(1, tail=1))) == [([b"\x01"], 1)]
+    suffix = [bytes((v,)) for v in (5, 4, 3, 2, 1)]
+    assert list(class_blocks(class_spec(5, tail=5))) == [(suffix, 1)]
     assert list(class_words(class_spec(4, tail=4))) == [(4, 3, 2, 1)]
     # S_(m-1) is held by the stream only, never in a cache
     assert _class_table.cache_info().currsize == tables
@@ -417,22 +425,19 @@ def test_group_blocks_match_the_oracle():
 @pytest.mark.parametrize("block", [1, 7, 119, 120, 2048])
 def test_group_columns_match_group_blocks_and_permutations(monkeypatch, block):
     # S_5 copies of 24 and S_6 copies of 120 words: blocks that end inside a
-    # copy, on its edge and past several copies
+    # copy, on its edge and past several copies; bare and cut S_n come from
+    # the column builder with the block edges of packed_blocks
     monkeypatch.setattr(patterns, "BLOCK_WORDS", block)
     for n in range(8):
         cuts = [{kind: k} for k in range(1, n + 1) for kind in ("one_at", "ends_with", "tail")]
         for spec in [class_spec(n)] + [class_spec(n, **cut) for cut in cuts]:
-            args = (n, *patterns._fixed_run(spec))
-            columns = list(patterns._group_columns(*args))
-            blocks = list(patterns._group_blocks(*args))
-            assert [count for _, count in columns] == [count for _, count in blocks], spec
-            for (cols, count), (rows, _) in zip(columns, blocks):
-                assert len(cols) == n and all(len(c) == count for c in cols), spec
-                assert cols == [rows[p::n] for p in range(n)], spec
+            blocks = list(class_blocks(spec))
+            assert blocks == list(patterns._group_columns(n, *patterns._fixed_run(spec))), spec
+            assert all(len(cols) == n for cols, _ in blocks), spec
             keep = patterns._constraint_predicate(spec)
             want = [w for w in permutations(range(1, n + 1)) if keep(w)]
+            assert unpacked(blocks) == want, spec
             assert blocks == list(patterns.packed_blocks(want, n)), spec
-            assert list(class_columns(spec)) == columns, spec
 
 
 def test_lanes_of_several_bytes_at_sizes_past_23():

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permcross.perm import (
-    _columns,
     _Lanes,
     INVOLUTIONS,
     MAX_PACKED_N,
@@ -29,11 +28,9 @@ from permcross.perm import (
     nesting_count,
     nestings,
     parse_word,
-    rc_block,
     remove_value,
     skew_sum,
     stat_bundle,
-    stat_column,
     stat_columns,
     symmetry_block,
     transients,
@@ -122,11 +119,16 @@ def test_fast_count_matches_definition_random_large():
 
 
 # ---------------------------------------------------------------------------
-# column kernels over packed blocks, against the per-word statistics
+# column kernels over blocks of columns, against the per-word statistics
 
 
 def pack(words):
-    return b"".join(map(bytes, words))
+    """A block of words as its columns."""
+    return [bytes(c) for c in zip(*words)]
+
+
+def stat_column(columns, count, stat):
+    return stat_columns(columns, count, (stat,))[0]
 
 
 def assert_columns_match(words):
@@ -135,7 +137,7 @@ def assert_columns_match(words):
         assert list(stat_column(block, len(words), stat)) == [fn(w) for w in words], stat
     if words[0]:
         want = [w.index(1) + 1 for w in words]
-        assert list(_Lanes(_columns(block, len(words)), len(words)).position(1)) == want
+        assert list(_Lanes(block, len(words)).position(1)) == want
 
 
 @pytest.mark.parametrize("n", range(8))
@@ -208,23 +210,22 @@ def test_crs_kernel_in_two_byte_lanes(n):
     # bijections.residual_columns widens the lanes of short words to hold sums
     rng = random.Random(3000 + n)
     words = [tuple(rng.sample(range(1, n + 1), n)) for _ in range(200)]
-    lanes = _Lanes(_columns(pack(words), len(words)), len(words), min_width=2)
+    lanes = _Lanes(pack(words), len(words), min_width=2)
     assert lanes.width == 2
     assert lane_values(lanes, lanes.stat("crs")) == [crossing_count(w) for w in words]
 
 
-def unpack(block, count):
-    n = len(block) // count
-    return [tuple(block[t * n : (t + 1) * n]) for t in range(count)]
+def unpack(columns, count):
+    assert all(len(c) == count for c in columns)
+    return list(zip(*columns)) if columns else [()] * count
 
 
 def assert_block_images_match(words):
-    """The block inverse, rc image, the eight symmetries and insertions
-    against the per-word maps: every insertion up to n = 6, the first,
-    second, middle and last two positions and letters beyond."""
+    """The block inverse, the eight symmetries and insertions against the
+    per-word maps: every insertion up to n = 6, the first, second, middle
+    and last two positions and letters beyond."""
     block, count, n = pack(words), len(words), len(words[0])
     assert unpack(inverse_block(block, count), count) == [invert(w) for w in words]
-    assert unpack(rc_block(block, count), count) == [apply_symmetry("rc", w) for w in words]
     for tag in SYMMETRIES:
         image = symmetry_block(tag, block, count)
         assert unpack(image, count) == [apply_symmetry(tag, w) for w in words], tag
@@ -255,40 +256,47 @@ def test_block_images_match_on_random_words(words):
 
 
 def test_block_images_reject_bad_blocks():
-    with pytest.raises(ValueError, match="do not pack"):
-        inverse_block(b"\x01\x02\x02", 2)
-    with pytest.raises(ValueError, match="do not pack"):
-        rc_block(b"", 0)
+    with pytest.raises(ValueError, match="do not pack 2 words"):
+        inverse_block([b"\x01\x02", b"\x02"], 2)
+    with pytest.raises(ValueError, match="do not pack 0 words"):
+        symmetry_block("rc", [], 0)
+    with pytest.raises(ValueError, match="do not pack 0 words"):
+        inverse_block([], 0)
     with pytest.raises(ValueError, match="position 4 out of range"):
-        insert_block(b"\x01\x02", 1, 4, 1)
+        insert_block([b"\x01", b"\x02"], 1, 4, 1)
     with pytest.raises(ValueError, match="value 0 out of range"):
-        insert_block(b"\x01\x02", 1, 1, 0)
+        insert_block([b"\x01", b"\x02"], 1, 1, 0)
     with pytest.raises(ValueError, match="n=256 exceeds 255"):
-        insert_block(bytes(range(1, 256)), 1, 1, 1)
+        insert_block([bytes((v,)) for v in range(1, 256)], 1, 1, 1)
+    with pytest.raises(ValueError, match="n=256 exceeds 255"):
+        inverse_block([b"\x01"] * 256, 1)
     with pytest.raises(ValueError, match="unknown symmetry"):
-        symmetry_block("cr", b"\x01", 1)
-    with pytest.raises(ValueError, match="do not pack"):
-        symmetry_block("i", b"\x01\x02\x01", 2)
+        symmetry_block("cr", [b"\x01"], 1)
+    with pytest.raises(ValueError, match="do not pack 2 words"):
+        symmetry_block("i", [b"\x01\x02", b"\x01"], 2)
+    with pytest.raises(ValueError, match="do not pack 1 words"):
+        insert_block([b"\x01", b"\x02\x01"], 1, 1, 1)
 
 
 def test_symmetry_block_maps_an_empty_level_to_itself():
+    # S_0 holds one empty word, which has no columns
     for tag in SYMMETRIES:
-        assert symmetry_block(tag, b"", 0) == b""
-    # S_0 holds one empty word
-    assert symmetry_block("rci", b"", 1) == b""
+        assert symmetry_block(tag, [], 1) == []
 
 
 def test_stat_column_rejects_bad_blocks():
     with pytest.raises(ValueError, match="unknown statistic"):
-        stat_column(b"\x01", 1, "major")
-    with pytest.raises(ValueError, match="do not pack"):
-        stat_column(b"\x01\x02\x02", 2, "crs")
-    with pytest.raises(ValueError, match="do not pack"):
-        stat_column(b"", 0, "crs")
+        stat_columns([b"\x01"], 1, ["major"])
+    with pytest.raises(ValueError, match="do not pack 2 words"):
+        stat_columns([b"\x01\x02", b"\x02"], 2, ["crs"])
+    with pytest.raises(ValueError, match="do not pack 2 words"):
+        stat_columns([b"\x01\x02", b"\x02\x01", b"\x03"], 2, ["inv", "crs"])
+    with pytest.raises(ValueError, match="do not pack 0 words"):
+        stat_columns([], 0, ["crs"])
     with pytest.raises(ValueError, match="n=256 exceeds 255"):
-        stat_column(bytes(256), 1, "crs")
+        stat_columns([b"\x00"] * 256, 1, ["crs"])
     # the empty word: every statistic is 0
-    assert list(stat_column(b"", 3, "maxdrop")) == [0, 0, 0]
+    assert list(stat_column([], 3, "maxdrop")) == [0, 0, 0]
 
 
 def test_transients():
