@@ -11,6 +11,12 @@ which always report their record.  Status is "pass", "fail", or "finding";
 "finding" is reserved for the open symmetry question (check conj-2.7), which
 reports a counterexample without ever gating the suite.  Checks are
 deterministic: random sampling uses fixed seeds derived from the check id.
+
+A check folds only what it compares: the one-at-k checks (thm-2.6,
+conj-2.7) fold the one-at-k cuts of S_n rather than its full crs profile,
+and the checks over images of whole words (sym-transport, phi-psi) map each
+block once per map and compare the images by integer word keys
+(:func:`permcross.perm._word_keys`), never word by word.
 """
 
 from __future__ import annotations
@@ -18,7 +24,8 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from itertools import combinations, islice, permutations
+from array import array
+from itertools import chain, combinations, islice, permutations
 from math import comb, factorial
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -29,9 +36,7 @@ from .bijections import (
     check_lemma42,
     check_prop25,
     phi,
-    phi_block,
     psi,
-    psi_block,
     residual_columns,
 )
 from .distributions import (
@@ -64,17 +69,20 @@ from .patterns import (
 )
 from .perm import (
     SYMMETRIES,
-    _rows,
+    _word_keys,
     apply_symmetry,
     apply_symmetry_to_patterns,
     crossing_count,
     crossings,
     excedance_count,
     format_word,
+    insert_block,
+    inverse_block,
     inversion_count,
     nestings,
     stat_columns,
     symmetry_block,
+    symmetry_images,
 )
 from .polynomials import QPoly, ZSeries
 
@@ -428,23 +436,21 @@ def _rel3_rows(n: int):
 )
 def _sym_transport_rows(n: int):
     """Each symmetry maps the level of S_n(T) onto the level of S_n(f(T)):
-    the packed image words of every block, sorted, must be the image
-    class's words.  A failure is reported by the per-word map."""
+    the word keys of the images of every block, sorted, must be the keys of
+    the image class, which are those of its identity images, in lex order.
+    A failure is reported by the per-word map."""
+    images: dict[tuple, dict[str, list[array]]] = {}
     for pats in PATTERN_SUBSETS:
-        source = list(class_blocks(ClassSpec(n, pats)))
-        for tag in SYMMETRIES:
-            images: list[bytes] = []
-            for columns, count in source:
-                images += _packed_words(symmetry_block(tag, columns, count))
-            target = ClassSpec(n, apply_symmetry_to_patterns(tag, pats))
-            if b"".join(sorted(images)) != b"".join(_rows(c) for c, _ in class_blocks(target)):
+        images[pats] = {tag: [] for tag in SYMMETRIES}
+        for columns, count in class_blocks(ClassSpec(n, pats)):
+            for tag, image in symmetry_images(columns, count).items():
+                images[pats][tag].append(_word_keys(image, count))
+    levels = {pats: array("Q", chain.from_iterable(keys["id"])) for pats, keys in images.items()}
+    for pats, keys in images.items():
+        for tag, parts in keys.items():
+            target = levels[apply_symmetry_to_patterns(tag, pats)]
+            if array("Q", sorted(chain.from_iterable(parts))) != target:
                 yield _sym_transport_witness(n, pats, tag)
-
-
-def _packed_words(columns: list[bytes]) -> list[bytes]:
-    """The words of a block of n >= 1 columns, each packed one letter per byte."""
-    rows, n = _rows(columns), len(columns)
-    return [rows[t : t + n] for t in range(0, len(rows), n)]
 
 
 def _sym_transport_witness(n: int, pats: tuple, tag: str) -> dict:
@@ -491,19 +497,26 @@ def _lem42(w):
     reads=(GROUP,),
 )
 def _phi_psi_rows(n: int):
-    """Images a block at a time: injective when the distinct packed image
-    words number n!, and in the one-at-k class when the image column at
-    position n+2-k is all 1s.  A failure is reported by the per-word maps."""
+    """Images a block at a time: phi_k is the inverse and psi_k the rc
+    image, each with 1 inserted at position n+2-k, so both are computed
+    once per block and each k adds one :func:`insert_block`.  A map is
+    injective when its image words have n! distinct keys, and lands in the
+    one-at-k class when the image column at position n+2-k is all 1s.  A
+    failure is reported by the per-word maps."""
     blocks = list(class_blocks(class_spec(n)))
+    bases = {
+        "phi": [(inverse_block(columns, count), count) for columns, count in blocks],
+        "psi": [(symmetry_block("rc", columns, count), count) for columns, count in blocks],
+    }
     for k in range(1, n + 2):
-        for name, image_block in (("phi", phi_block), ("psi", psi_block)):
-            images: set[bytes] = set()
+        for name, base in bases.items():
+            keys: set[int] = set()
             placed = True
-            for columns, count in blocks:
-                image = image_block(k, columns, count)
-                images.update(_packed_words(image))
+            for columns, count in base:
+                image = insert_block(columns, count, n + 2 - k, 1)
+                keys.update(_word_keys(image, count))
                 placed = placed and image[n + 1 - k] == b"\x01" * count
-            if len(images) != factorial(n) or not placed:
+            if len(keys) != factorial(n) or not placed:
                 yield _phi_psi_witness(name, n, k)
 
 
@@ -539,10 +552,6 @@ def _prop25_rows(n: int):
         yield {"word": format_word(reports[0].word)}
 
 
-def _f_full(n: int) -> QPoly:
-    return QPoly.one() if n == 0 else crs_profile(n).total
-
-
 @_identity(
     "thm-2.6",
     "one-at-1 distribution is F_n; one-at-2 is qF_n + (1-q)F_(n-1)",
@@ -553,10 +562,9 @@ def _f_full(n: int) -> QPoly:
 )
 def _thm26_rows(n: int):
     q, one = QPoly.var(), QPoly.one()
-    prof = crs_profile(n + 1)
-    first, want_first = prof.by_pos1[n], _f_full(n)
-    second = prof.by_pos1[n - 1]
-    want_second = q * _f_full(n) + (one - q) * _f_full(n - 1)
+    first, want_first = _dist(n + 1, (), one_at=1), _dist(n, ())
+    second = _dist(n + 1, (), one_at=2)
+    want_second = q * _dist(n, ()) + (one - q) * _dist(n - 1, ())
     if first != want_first or second != want_second:
         yield {
             "n": n,
@@ -576,15 +584,15 @@ def _thm26_rows(n: int):
     reads=(GROUP,),
 )
 def _conj27_rows(n: int):
-    prof = crs_profile(n)
     for k in range(1, n + 1):
         mirror = n + 1 - k
-        if prof.by_pos1[n - k] != prof.by_pos1[n - mirror]:
+        dist_k, dist_mirror = _dist(n, (), one_at=k), _dist(n, (), one_at=mirror)
+        if dist_k != dist_mirror:
             yield {
                 "n": n,
                 "k": k,
-                "dist_k": prof.by_pos1[n - k].to_text(),
-                "dist_mirror": prof.by_pos1[n - mirror].to_text(),
+                "dist_k": dist_k.to_text(),
+                "dist_mirror": dist_mirror.to_text(),
             }
 
 

@@ -535,4 +535,12 @@ def enumerate_class(spec: ClassSpec, bound: int | None = None) -> Iterator[Permu
 
 @lru_cache(maxsize=None)
 def class_size(spec: ClassSpec, bound: int | None = None) -> int:
+    """The number of words of the class.  A tree class is counted from its
+    table: the level's count, or the kept rows under a fixed-letter
+    constraint; S_n is counted from its blocks."""
+    _check_packable(spec, bound)
+    if spec.forbidden and spec.n:
+        if spec.constraint is None or spec.constraint[0] == "maxdrop_le":
+            return _class_table(spec.forbidden, _drop_bound(spec)).level(spec.n)[1]
+        return sum(count for _, count in _table_rows(spec))
     return sum(count for _, count in class_blocks(spec, bound))

@@ -29,7 +29,10 @@ O(n) operations per block (the arcs of Corteel, "Crossings and alignments of
 permutations", 2007).  The inverse, the symmetries and insertion have block
 forms too (:func:`inverse_block`, :func:`symmetry_block`,
 :func:`insert_block`), which map a block to a block, so the crossing-change
-laws are checked a block at a time.
+laws are checked a block at a time; :func:`symmetry_images` gives all eight
+symmetries of a block from one inverse.  Whole words are compared by one
+integer key each (:func:`_word_keys`), the letters packed big-endian, so
+that numeric order is lex order.
 """
 
 from __future__ import annotations
@@ -364,13 +367,27 @@ def stat_columns(columns: list[bytes], count: int, stats: Sequence[str]) -> list
 
 def inverse_block(columns: list[bytes], count: int) -> list[bytes]:
     """The inverse of every word of a block (see :func:`stat_columns`):
-    column v of the result is the position of the letter v.
+    column v of the result is the position of the letter v.  Bit k of that
+    position is whether v is among the letters at the positions p with bit
+    k set, so per byte plane of eight letters one ``translate`` per column
+    gives each letter as a bit, the sums over those positions give one set
+    per bit of the position, and each letter's column is read off the sets.
 
     >>> [list(c) for c in inverse_block([bytes((2, 3)), bytes((3, 1)), bytes((1, 2))], 2)]
     [[3, 2], [1, 3], [2, 1]]
     """
     n = _word_size(columns, count)
-    return [_positions(columns, count, v) for v in range(1, n + 1)]
+    ones = int.from_bytes(b"\x01" * count, "little")
+    image = []
+    for plane in range((n + 7) // 8):
+        bits = [int.from_bytes(c.translate(_letter_table(plane)), "little") for c in columns]
+        sets = [
+            sum(bits[p - 1] for p in range(1, n + 1) if p >> k & 1) for k in range(n.bit_length())
+        ]
+        for j in range(min(8, n - 8 * plane)):  # the letter 8 plane + j + 1
+            total = sum(((s >> j) & ones) << k for k, s in enumerate(sets))
+            image.append(total.to_bytes(count, "little"))
+    return image
 
 
 def symmetry_block(tag: str, columns: list[bytes], count: int) -> list[bytes]:
@@ -395,6 +412,32 @@ def symmetry_block(tag: str, columns: list[bytes], count: int) -> list[bytes]:
     return list(columns)
 
 
+def symmetry_images(columns: list[bytes], count: int) -> dict[str, list[bytes]]:
+    """:func:`symmetry_block` of a block under all eight tags, from one
+    :func:`inverse_block`: r is the columns reversed, c one ``translate``
+    per column, and i, ri, ci and rci compose them on the inverse.
+
+    >>> images = symmetry_images([bytes((2, 3)), bytes((3, 1)), bytes((1, 2))], 2)
+    >>> [list(c) for c in images["ri"]]
+    [[2, 1], [1, 3], [3, 2]]
+    """
+    n = _word_size(columns, count)
+    table = _complement_table(n)
+    inverse = inverse_block(columns, count)
+    complement = [c.translate(table) for c in columns]
+    complement_inverse = [c.translate(table) for c in inverse]
+    return {
+        "id": list(columns),
+        "r": columns[::-1],
+        "c": complement,
+        "i": inverse,
+        "rc": complement[::-1],
+        "ri": inverse[::-1],
+        "ci": complement_inverse,
+        "rci": complement_inverse[::-1],
+    }
+
+
 def insert_block(columns: list[bytes], count: int, a: int, b: int) -> list[bytes]:
     """:func:`insert` of the letter b at position a into every word of a
     block (see :func:`stat_columns`): one ``translate`` per column bumps the
@@ -413,17 +456,6 @@ def insert_block(columns: list[bytes], count: int, a: int, b: int) -> list[bytes
     image = [c.translate(_bump_table(b)) for c in columns]
     image.insert(a - 1, bytes((b,)) * count)
     return image
-
-
-def _positions(columns: list[bytes], count: int, letter: int) -> bytes:
-    """The 1-based position of ``letter`` in each of the ``count`` lanes of
-    the columns, 0 where it is absent: one ``translate`` per column, summed
-    as one-byte lane integers, of which at most one is nonzero in a lane."""
-    total = sum(
-        int.from_bytes(c.translate(_position_table(letter, p)), "little")
-        for p, c in enumerate(columns, 1)
-    )
-    return total.to_bytes(count, "little")
 
 
 def _word_size(columns: list[bytes], count: int) -> int:
@@ -467,6 +499,35 @@ def _packed_keys(fields: Sequence[bytes], count: int) -> array:
     if sys.byteorder == "big":
         keys.byteswap()
     return keys
+
+
+def _word_keys(columns: list[bytes], count: int) -> array:
+    """One integer key per word of a block, whose numeric order is the lex
+    order of the words: the letters big-endian, one byte each for n <= 8
+    and one nibble each for n <= 15, as the fields of :func:`_packed_keys`.
+
+    >>> [hex(k) for k in _word_keys([bytes((2, 1)), bytes((1, 3)), bytes((3, 2))], 2)]
+    ['0x20103', '0x10302']
+    """
+    n = _word_size(columns, count)
+    if n > 15:
+        raise ValueError(f"word keys hold letters up to 15; n={n} is too long")
+    fields = columns[::-1]  # the last letter in the low byte
+    if n > 8:  # two letters a byte, the later one in the low nibble
+        fields = [
+            (
+                int.from_bytes(fields[j], "little")
+                | int.from_bytes(fields[j + 1].translate(_HIGH_NIBBLE), "little")
+            ).to_bytes(count, "little")
+            if j + 1 < n
+            else fields[j]
+            for j in range(0, n, 2)
+        ]
+    return _packed_keys(fields, count)
+
+
+#: ``bytes.translate`` table: a letter up to 15 moved to the high nibble.
+_HIGH_NIBBLE = bytes((v << 4) & 0xFF for v in range(256))
 
 
 def _lane_width(n: int) -> int:
@@ -533,8 +594,14 @@ class _Lanes:
         return c * self.ones
 
     def position(self, letter: int) -> bytes:
-        """The 1-based position of ``letter`` in each word, a byte each, 0 where it is absent."""
-        return _positions(self.columns, self.count, letter)
+        """The 1-based position of ``letter`` in each word, a byte each, 0
+        where it is absent: one ``translate`` per column, summed as one-byte
+        lane integers, of which at most one is nonzero in a lane."""
+        total = sum(
+            int.from_bytes(c.translate(_position_table(letter, p)), "little")
+            for p, c in enumerate(self.columns, 1)
+        )
+        return total.to_bytes(self.count, "little")
 
     @cached_property
     def early(self) -> list[int]:
@@ -563,6 +630,12 @@ def _position_table(letter: int, position: int) -> bytes:
     table = bytearray(256)
     table[letter] = position
     return bytes(table)
+
+
+@lru_cache(maxsize=None)
+def _letter_table(b: int) -> bytes:
+    """``bytes.translate`` table: bit v-1-8b for a letter v of plane b, else 0."""
+    return bytes(1 << (v - 1 - 8 * b) if 0 <= v - 1 - 8 * b < 8 else 0 for v in range(256))
 
 
 @lru_cache(maxsize=None)

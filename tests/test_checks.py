@@ -18,8 +18,7 @@ from permcross.checks import (
     run_checks,
     suite_passed,
 )
-from permcross.distributions import CrsProfile
-from permcross.perm import inversion_count, stat_columns
+from permcross.perm import SYMMETRIES, apply_symmetry, insert_block, inversion_count, stat_columns
 from permcross.polynomials import QPoly, ZSeries
 
 SCHEMA = json.loads(
@@ -148,22 +147,26 @@ def _phi_one_slot_early(k, w):
     return bijections.insert_of_inverse(w, max(len(w) + 1 - k, 1), 1)
 
 
-def _phi_block_one_slot_early(k, columns, count):
-    image = bijections.inverse_block(columns, count)
-    return bijections.insert_block(image, count, max(len(columns) + 1 - k, 1), 1)
+def _psi_one_slot_early(k, w):
+    return bijections.insert(apply_symmetry("rc", w), max(len(w) + 1 - k, 1), 1)
+
+
+def _insert_one_slot_early(columns, count, a, b):
+    # the per-k insert of phi-psi, one slot early like the maps above
+    return insert_block(columns, count, max(a - 1, 1), b)
 
 
 def _identity_map(tag, w):
     return tuple(w)
 
 
-def _identity_images(tag, columns, count):
-    return columns
+def _identity_images(columns, count):
+    return {tag: columns for tag in SYMMETRIES}
 
 
-def _asymmetric_profile(n, forbidden=(), bound=None):
-    by_pos1 = tuple(QPoly.monomial(p) for p in range(n))
-    return CrsProfile(n, by_pos1, by_pos1, QPoly.zero())
+def _asymmetric_dist(n, pats, stat="crs", **constraint):
+    # every one-at-k cut gets its own distribution q^k
+    return QPoly.monomial(constraint.get("one_at", 0))
 
 
 def _inv_one_high(columns, count, stats):
@@ -193,10 +196,10 @@ BROKEN_INPUTS = [
     ("rel-3", ((checks, "apply_symmetry_to_patterns", lambda tag, pats: pats),), "fail"),
     (
         "sym-transport",
-        ((checks, "apply_symmetry", _identity_map), (checks, "symmetry_block", _identity_images)),
+        ((checks, "apply_symmetry", _identity_map), (checks, "symmetry_images", _identity_images)),
         "fail",
     ),
-    ("conj-2.7", ((checks, "crs_profile", _asymmetric_profile),), "finding"),
+    ("conj-2.7", ((checks, "_dist", _asymmetric_dist),), "finding"),
     ("lem-2.1", _BROKEN_LEMMA, "fail"),
     ("lem-2.2", _BROKEN_LEMMA, "fail"),
     ("lem-2.4", _BROKEN_LEMMA, "fail"),
@@ -209,7 +212,11 @@ BROKEN_INPUTS = [
     ),
     (
         "phi-psi",
-        ((checks, "phi", _phi_one_slot_early), (checks, "phi_block", _phi_block_one_slot_early)),
+        (
+            (checks, "phi", _phi_one_slot_early),
+            (checks, "psi", _psi_one_slot_early),
+            (checks, "insert_block", _insert_one_slot_early),
+        ),
         "fail",
     ),
     (
@@ -292,7 +299,7 @@ def test_the_block_residuals_decide_and_the_oracle_confirms(monkeypatch, check_i
 
 
 def test_block_images_the_per_word_maps_pass_are_a_defect(monkeypatch):
-    monkeypatch.setattr(checks, "phi_block", _phi_block_one_slot_early)
+    monkeypatch.setattr(checks, "insert_block", _insert_one_slot_early)
     with pytest.raises(AssertionError, match="the per-word map passes"):
         run_check("phi-psi", 4)
 
@@ -303,7 +310,7 @@ def test_sym_transport_blocks_decide_and_the_per_word_map_confirms(monkeypatch):
     assert run_check("sym-transport", 4).status == "pass"
     # a block mismatch the true per-word map does not reproduce is a kernel defect
     monkeypatch.undo()
-    monkeypatch.setattr(checks, "symmetry_block", _identity_images)
+    monkeypatch.setattr(checks, "symmetry_images", _identity_images)
     with pytest.raises(AssertionError, match="block images of r fail at n=3 for 123, the per-word"):
         run_check("sym-transport", 4)
 

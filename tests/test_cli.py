@@ -334,6 +334,25 @@ def test_verify_all_output_is_pinned(capsys, monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_ALL_DIGEST
 
 
+#: ``verify conj-2.7 thm-2.6 phi-psi sym-transport --bound 8 --json`` without
+#: ``runtime``: the checks that read cut classes and compare word keys, pinned
+#: past their default bounds to the output of the crs profile and the packed
+#: image words they replaced
+FOUR_CHECKS_DIGEST = "020bffac73be97d1234a99a4afce66a6d0c1132121ce1c3c85205b4b6a4dd0c6"
+
+
+def test_the_cut_and_word_key_checks_are_pinned_at_bound_8(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "conj-2.7", "thm-2.6", "phi-psi", "sym-transport", "--bound", "8", "--json"
+    )
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    for record in records:
+        del record["runtime"]
+    text = "\n".join(json.dumps(record, sort_keys=True) for record in records)
+    assert code == 0 and len(records) == 4
+    assert hashlib.sha256(text.encode()).hexdigest() == FOUR_CHECKS_DIGEST
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["frobnicate"]) == 2
     assert main([]) == 2

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permcross import distributions, patterns, perm
+from permcross.checks import PATTERN_SUBSETS
 from permcross.distributions import (
     closed_form,
     crossing_cfrac_series,
@@ -403,3 +404,15 @@ def test_eulerian_refinement_small():
         want = closed_form("cor53", n)
         assert dist_poly(class_spec(n, avoid=P321_231), "des")[0] == want
         assert dist_poly(class_spec(n, avoid=P321_231), "exc")[0] == want
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_cut_classes_match_the_crs_profile(n):
+    # conj-2.7 and thm-2.6 fold the cut classes, rel-3 reads the profile
+    for pats in PATTERN_SUBSETS:
+        profile = crs_profile(n, pats)
+        for k in range(1, n + 1):
+            one_at = dist_poly(class_spec(n, avoid=pats, one_at=k), "crs")[0]
+            ends_with = dist_poly(class_spec(n, avoid=pats, ends_with=k), "crs")[0]
+            assert one_at == profile.by_pos1[n - k], (pats, k)
+            assert ends_with == profile.by_last[k - 1], (pats, k)

@@ -30,6 +30,7 @@ def test_the_kernels_have_doctests():
         "stat_columns",
         "inverse_block",
         "symmetry_block",
+        "symmetry_images",
         "insert_block",
         "phi_block",
         "psi_block",
@@ -37,6 +38,7 @@ def test_the_kernels_have_doctests():
         "packed_blocks",
         "_group_columns",
         "_packed_keys",
+        "_word_keys",
         "_allowed_letters",
         "_tally",
     }

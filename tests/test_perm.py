@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from permcross.perm import (
     _Lanes,
+    _word_keys,
     INVOLUTIONS,
     MAX_PACKED_N,
     STATISTICS,
@@ -33,6 +34,7 @@ from permcross.perm import (
     stat_bundle,
     stat_columns,
     symmetry_block,
+    symmetry_images,
     transients,
 )
 
@@ -282,6 +284,55 @@ def test_symmetry_block_maps_an_empty_level_to_itself():
     # S_0 holds one empty word, which has no columns
     for tag in SYMMETRIES:
         assert symmetry_block(tag, [], 1) == []
+
+
+def test_symmetry_images_match_the_per_word_maps():
+    # every word of S_6 in one block, and seeded random blocks at n = 9, 10
+    rng = random.Random(2026)
+    blocks = [list(permutations(range(1, 7)))]
+    blocks += [[tuple(rng.sample(range(1, n + 1), n)) for _ in range(500)] for n in (9, 10)]
+    for words in blocks:
+        images = symmetry_images(pack(words), len(words))
+        assert list(images) == list(SYMMETRIES)
+        for tag, image in images.items():
+            assert unpack(image, len(words)) == [apply_symmetry(tag, w) for w in words], tag
+            assert image == symmetry_block(tag, pack(words), len(words)), tag
+    assert symmetry_images([], 1) == {tag: [] for tag in SYMMETRIES}
+
+
+def block_keys(words, size=2048):
+    """The word keys of ``words`` cut into blocks of ``size`` words."""
+    return [
+        key
+        for first in range(0, len(words), size)
+        for key in _word_keys(pack(words[first : first + size]), len(words[first : first + size]))
+    ]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_word_keys_are_distinct_and_ordered_like_the_words(n):
+    # all of S_n up to n = 7 (S_7 spans three blocks), else seeded random
+    # words with both ends of the lex order; n = 9, 10 take the nibble path
+    if n <= 7:
+        words = list(permutations(range(1, n + 1)))
+    else:
+        rng = random.Random(n)
+        picked = {tuple(rng.sample(range(1, n + 1), n)) for _ in range(5000)}
+        words = sorted(picked | {tuple(range(1, n + 1)), tuple(range(n, 0, -1))})
+    keys = block_keys(words)
+    assert all(a < b for a, b in zip(keys, keys[1:]))  # distinct, and lex order
+    base = 256 if n <= 8 else 16
+    assert keys[-1] == sum(v * base ** (n - 1 - p) for p, v in enumerate(words[-1]))
+
+
+def test_word_keys_across_a_block_edge_and_up_to_15_letters():
+    rng = random.Random(15)
+    for n in (8, 9, 15):
+        words = sorted({tuple(rng.sample(range(1, n + 1), n)) for _ in range(40)})
+        keys = block_keys(words, size=7)
+        assert keys == block_keys(words) == sorted(keys) and len(set(keys)) == len(words)
+    with pytest.raises(ValueError, match="n=16 is too long"):
+        _word_keys([bytes((v,)) for v in range(16, 0, -1)], 1)
 
 
 def test_stat_column_rejects_bad_blocks():
