@@ -14,10 +14,13 @@ cut from the rows of the class table otherwise).  Each block becomes one
 set of lanes (:class:`permcross.perm._Lanes`), and the column kernels turn
 it into one key per word: the statistic itself, or every field of the word
 packed at fixed byte offsets into one integer
-(:func:`permcross.perm._packed_keys`), decoded once per distinct key.  A
-one-byte statistic column is counted by value, one ``bytes.count`` per value
-(:func:`_tally`); two-byte and packed keys still go through ``Counter``.  No
-word is packed or has a statistic computed one at a time on this path.
+(:func:`permcross.perm._packed_keys`), decoded once per distinct key.
+One-byte statistics are counted by value (:func:`_tally`): a column with
+one ``bytes.count`` per value, and the two columns of a joint distribution
+by masking the second to the words that hold each value of the first.
+Two-byte statistics and the three fields of a crossing profile still go
+through ``Counter``.  No word is packed or has a statistic computed one at
+a time on this path.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 from math import comb
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .patterns import (
     P132_231,
@@ -88,33 +91,66 @@ def _check_stat(stat: str) -> None:
         raise ValueError(f"unknown statistic {stat!r}; expected one of {sorted(STATISTICS)}")
 
 
-def _tally(counts: Counter, keys: Iterable[int]) -> None:
-    """Add one block's keys to ``counts``.  A ``bytes`` column is counted by
-    value: one ``bytes.count`` for v = 0, 1, 2, ... until every word is
-    counted; any other keys go through ``Counter.update``, word by word.
+def _values(column: bytes) -> Iterator[tuple[int, int]]:
+    """(v, how many bytes of ``column`` are v) for every value v it holds,
+    one ``bytes.count`` for v = 0, 1, 2, ... until every byte is counted."""
+    left, v = len(column), 0
+    while left:
+        c = column.count(v)
+        if c:
+            yield v, c
+            left -= c
+        v += 1
+
+
+#: The keys of a block's words: a one-byte column, a pair of them, or wider keys.
+_Keys = bytes | tuple[bytes, bytes] | Iterable[int]
+
+
+def _tally(counts: Counter, keys: _Keys) -> None:
+    """Add one block's keys to ``counts``.
+
+    A ``bytes`` column is counted by value (:func:`_values`).  A pair
+    ``(y, q)`` of one-byte columns, whose values are below 0xFF, adds the
+    key ``e | v << 8`` for every word with e in y and v in q: for each value
+    e of y, q is masked to 0xFF where y is not e (one ``translate`` of y and
+    one ``|`` of the lane integers), the masked bytes are dropped, and the
+    rest is counted by value.  Any other keys go through ``Counter.update``,
+    word by word.
 
     >>> counts = Counter({3: 1})
     >>> _tally(counts, bytes((3, 0, 3, 1)))
     >>> sorted(counts.items())
     [(0, 1), (1, 1), (3, 3)]
+    >>> pairs = Counter()
+    >>> _tally(pairs, (bytes((1, 0, 1, 1)), bytes((2, 5, 2, 0))))
+    >>> sorted((key & 0xFF, key >> 8, c) for key, c in pairs.items())
+    [(0, 5, 1), (1, 0, 1), (1, 2, 2)]
     """
-    if not isinstance(keys, bytes):
-        counts.update(keys)
-        return
-    left, v = len(keys), 0
-    while left:
-        c = keys.count(v)
-        if c:
+    if isinstance(keys, bytes):
+        for v, c in _values(keys):
             counts[v] += c
-            left -= c
-        v += 1
+    elif isinstance(keys, tuple):
+        y, q = keys
+        count, q_lanes = len(y), int.from_bytes(q, "little")
+        for e, c in _values(y):
+            if c < count:
+                other = y.translate(b"\xff" * e + b"\0" + b"\xff" * (255 - e))
+                kept = q_lanes | int.from_bytes(other, "little")
+                held = kept.to_bytes(count, "little").translate(None, b"\xff")
+            else:
+                held = q
+            for v, d in _values(held):
+                counts[e | v << 8] += d
+    else:
+        counts.update(keys)
 
 
-def _fold(spec: ClassSpec, bound: int | None, keys: Callable[[_Lanes], Iterable[int]]) -> Counter:
+def _fold(spec: ClassSpec, bound: int | None, keys: Callable[[_Lanes], _Keys]) -> Counter:
     """Histogram of per-word keys over a class, a block at a time;
-    ``keys(lanes)`` gives the key of every word of a block, in order, from
-    the block's one set of lanes: a ``bytes`` column of one-byte
-    statistics, counted by value, or an array of wider or packed keys,
+    ``keys(lanes)`` gives the keys of a block's words, in order, from the
+    block's one set of lanes: a ``bytes`` column of one-byte statistics or a
+    pair of them, counted by value, or an array of wider or packed keys,
     counted by ``Counter`` (:func:`_tally`)."""
     counts: Counter = Counter()
     for columns, count in class_blocks(spec, bound):
@@ -167,13 +203,12 @@ def joint_poly(
     """(joint distribution y^stat_y q^stat_q, class size) over a class."""
     _check_stat(stat_y)
     _check_stat(stat_q)
-    counts = _fold(
-        spec,
-        bound,
-        lambda lanes: _packed_keys(
-            [lanes.as_bytes(lanes.stat(stat_y)), lanes.as_bytes(lanes.stat(stat_q))], lanes.count
-        ),
-    )
+
+    def keys(lanes: _Lanes) -> _Keys:
+        fields = [lanes.as_bytes(lanes.stat(stat_y)), lanes.as_bytes(lanes.stat(stat_q))]
+        return tuple(fields) if lanes.width == 1 else _packed_keys(fields, lanes.count)
+
+    counts = _fold(spec, bound, keys)
     shift = 8 * _lane_width(spec.n)  # stat_y in the low bytes, stat_q above them
     poly = YQPoly(tuple((key & ((1 << shift) - 1), key >> shift, c) for key, c in counts.items()))
     return poly, sum(counts.values())

@@ -26,9 +26,10 @@ filter over all n! words, is the oracle the other paths are tested against.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations, islice, permutations
 from math import factorial
 from threading import RLock
 from typing import Iterable, Iterator, Sequence
@@ -345,7 +346,7 @@ class _ClassTable:
     def children(self, k: int) -> Iterator[bytes]:
         """The size-k members in lex order, packed, in pieces grown from level k-1.
 
-        Each chunk of ``BLOCK_WORDS`` members is framed as one integer, its
+        Each chunk of ``CHUNK_MEMBERS`` members is framed as one integer, its
         members behind a first column of 0xFF bytes.  The children of letter a
         are the frame ANDed with 0xFF over the members that may take a
         (:func:`_allowed_letters`), or the whole frame when all may and
@@ -354,8 +355,8 @@ class _ClassTable:
         """
         words, count = self.level(k - 1)
         chunks = []
-        for first in range(0, count, BLOCK_WORDS):
-            size = min(BLOCK_WORDS, count - first)
+        for first in range(0, count, CHUNK_MEMBERS):
+            size = min(CHUNK_MEMBERS, count - first)
             columns = _columns(words[first * (k - 1) : (first + size) * (k - 1)], k - 1)
             frame = _rows([b"\xff" * size, *columns])
             allowed = _allowed_letters(columns, size, self.rules, self.drop_bound)
@@ -379,16 +380,38 @@ def _class_table(forbidden: tuple, drop_bound: int | None) -> _ClassTable:
     return _ClassTable(forbidden, drop_bound)
 
 
-def _reblocked(pieces: Iterable[bytes], n: int) -> Iterator[tuple[bytes, int]]:
-    """Pieces of packed size-n words cut into ``BLOCK_WORDS``-word blocks, the last one fewer."""
-    step, block = BLOCK_WORDS * n, bytearray()
+def _reblocked(pieces: Iterable[bytes], n: int) -> Iterator[tuple[list[bytes], int]]:
+    """Pieces of whole packed size-n words as blocks of ``BLOCK_WORDS``
+    words, the last one fewer, each as its n columns.  Each column is joined
+    from slices of the pieces, so no block is first copied out of them whole.
+
+    >>> pieces = [bytes((2, 1, 1, 2)), bytes((3, 1))]
+    >>> [([c.hex() for c in cols], k) for cols, k in _reblocked(pieces, 2)]
+    [(['020103', '010201'], 3)]
+    """
+    step, spans, held = BLOCK_WORDS * n, deque(), 0  # (piece, offset) not yet handed out
+
+    def cut(size: int) -> list[bytes]:  # the columns of the first ``size`` bytes held
+        parts = []
+        while size:
+            piece, start = spans[0]
+            stop = min(len(piece), start + size)
+            parts.append((piece, start, stop))
+            size -= stop - start
+            if stop < len(piece):
+                spans[0] = piece, stop
+            else:
+                spans.popleft()
+        return [b"".join(piece[i + p : j : n] for piece, i, j in parts) for p in range(n)]
+
     for piece in pieces:
-        block += piece
-        while len(block) >= step:
-            yield bytes(block[:step]), BLOCK_WORDS
-            del block[:step]
-    if block:
-        yield bytes(block), len(block) // n
+        spans.append((piece, 0))
+        held += len(piece)
+        while held >= step:
+            yield cut(step), BLOCK_WORDS
+            held -= step
+    if held:
+        yield cut(held), held // n
 
 
 _BYTES = bytes(range(256))
@@ -400,10 +423,19 @@ def _shift_table(a: int) -> bytes:
     return _BYTES[:a] + _BYTES[a + 1 :] + _BYTES[a : a + 1]
 
 
-#: Words per block.  Larger blocks make fewer, longer lane operations
-#: but hold more memory: at 2048 the benchmark workloads peak within 0.1 MB
-#: of a per-word fold, at 4096 class-sweep peaks 0.4 MB higher.
-BLOCK_WORDS = 2048
+#: Words per block.  Larger blocks make fewer, longer lane operations but
+#: hold more memory: at n = 10 a block's columns take 80 KB at 8,192 words,
+#: and the crs kernel's lanes as much again.  At 8,192 the ten group-stats
+#: folds of S_9 run about a quarter faster than at 2,048, and 16,384 is no
+#: faster; class-sweep's largest query, S_10 under ``maxdrop_le=3``, peaks
+#: 0.15 MB of allocations higher than at 2,048, and 321@10 0.09 MB lower.
+BLOCK_WORDS = 8192
+
+#: Members per chunk of :meth:`_ClassTable.children`.  The chunks of a level
+#: are held at once, so their size sets the peak memory of growing a tree,
+#: not the length of any lane a fold reads: S_10 under ``maxdrop_le=3``
+#: peaks 0.3 MB higher with chunks as large as the blocks.
+CHUNK_MEMBERS = 2048
 
 
 def packed_blocks(words: Iterable[Sequence[int]], n: int) -> Iterator[tuple[list[bytes], int]]:
@@ -421,8 +453,9 @@ def packed_blocks(words: Iterable[Sequence[int]], n: int) -> Iterator[tuple[list
         if size:
             yield [], size
         return
-    for rows, count in _reblocked(map(bytes, words), n):
-        yield _columns(rows, n), count
+    words = map(bytes, words)
+    while rows := b"".join(islice(words, BLOCK_WORDS)):
+        yield _columns(rows, n), len(rows) // n
 
 
 def _group_columns(n: int, at: int = 0, run: bytes = b"") -> Iterator[tuple[list[bytes], int]]:
@@ -470,10 +503,10 @@ def _drop_bound(spec: ClassSpec) -> int | None:
     return arg if kind == "maxdrop_le" else None
 
 
-def _table_rows(spec: ClassSpec) -> Iterator[tuple[bytes, int]]:
-    """A pattern class in blocks of words packed one after another, cut from
-    its table's level n; a ``one_at``, ``ends_with`` or ``tail`` constraint
-    keeps the members whose fixed run (:func:`_fixed_run`) is in place."""
+def _table_level(spec: ClassSpec) -> bytes:
+    """A pattern class packed one word after another: its table's level n,
+    of which a ``one_at``, ``ends_with`` or ``tail`` constraint keeps the
+    members whose fixed run (:func:`_fixed_run`) is in place."""
     n = spec.n
     level, _ = _class_table(spec.forbidden, _drop_bound(spec)).level(n)
     if spec.constraint is not None and spec.constraint[0] != "maxdrop_le":
@@ -484,8 +517,8 @@ def _table_rows(spec: ClassSpec) -> Iterator[tuple[bytes, int]]:
             if level[i * n + at : i * n + at + len(run)] == run:
                 kept += level[i * n : i * n + n]
             i = column.find(run[0], i + 1)
-        level = kept
-    return _reblocked((level,), n)
+        level = bytes(kept)
+    return level
 
 
 def _check_packable(spec: ClassSpec, bound: int | None) -> None:
@@ -512,12 +545,10 @@ def class_blocks(spec: ClassSpec, bound: int | None = None) -> Iterator[tuple[li
     if n == 0:
         return iter([([], 1)])  # the empty word, which every class holds
     if spec.forbidden:
-        rows = _table_rows(spec)
-    elif drop_bound is not None:  # a tree of its own, whose last level is never stored
-        rows = _reblocked(_ClassTable((), drop_bound).children(n), n)
-    else:
-        return _group_columns(n, *_fixed_run(spec))
-    return ((_columns(block, n), count) for block, count in rows)
+        return _reblocked((_table_level(spec),), n)
+    if drop_bound is not None:  # a tree of its own, whose last level is never stored
+        return _reblocked(_ClassTable((), drop_bound).children(n), n)
+    return _group_columns(n, *_fixed_run(spec))
 
 
 def class_words(spec: ClassSpec, bound: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -535,12 +566,10 @@ def enumerate_class(spec: ClassSpec, bound: int | None = None) -> Iterator[Permu
 
 @lru_cache(maxsize=None)
 def class_size(spec: ClassSpec, bound: int | None = None) -> int:
-    """The number of words of the class.  A tree class is counted from its
-    table: the level's count, or the kept rows under a fixed-letter
-    constraint; S_n is counted from its blocks."""
+    """The number of words of the class.  A pattern class is counted from
+    its table's level, or the rows a fixed-letter constraint keeps of it;
+    S_n is counted from its blocks."""
     _check_packable(spec, bound)
     if spec.forbidden and spec.n:
-        if spec.constraint is None or spec.constraint[0] == "maxdrop_le":
-            return _class_table(spec.forbidden, _drop_bound(spec)).level(spec.n)[1]
-        return sum(count for _, count in _table_rows(spec))
+        return len(_table_level(spec)) // spec.n
     return sum(count for _, count in class_blocks(spec, bound))

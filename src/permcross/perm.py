@@ -725,12 +725,11 @@ def _nes_lanes(b: _Lanes) -> int:
     # top-bit mask per position, and its complement the other half
     x, xt, top, shift = b.x, b.xt, b.top, b.shift
     up = [(xt[p] - b.const(p + 2)) & top for p in range(b.n)]
-    down = [v ^ top for v in up]
     total = 0
-    for j in range(1, b.n):
-        xj, upj = x[j], up[j]
-        for i in range(j):
-            total += ((xt[i] - xj) & (upj | down[i])) >> shift
+    for i in range(b.n - 1):
+        xti, down = xt[i], up[i] ^ top
+        for j in range(i + 1, b.n):
+            total += ((xti - x[j]) & (up[j] | down)) >> shift
     return total
 
 

@@ -2,7 +2,7 @@ from collections import Counter
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permcross import distributions, patterns, perm
@@ -145,6 +145,54 @@ def test_tally_counts_bytes_like_counter(raw):
     counts = Counter({0: 1})
     distributions._tally(counts, raw)
     assert counts == Counter(raw) + Counter({0: 1})
+
+
+def byte_column(count: int, low: int, high: int):
+    """``count`` bytes with values from low to high."""
+    table = bytes(low + v % (high - low + 1) for v in range(256))
+    return st.binary(min_size=count, max_size=count).map(lambda raw: raw.translate(table))
+
+
+# one-byte statistics reach 253 at n = 23; a y column may hold one value in every word
+byte_pairs = st.one_of(st.integers(0, 8), st.integers(0, 3000)).flatmap(
+    lambda count: st.tuples(
+        st.one_of(
+            byte_column(count, 0, 9),
+            byte_column(count, 0, 253),
+            st.integers(0, 253).map(lambda v: bytes((v,)) * count),
+        ),
+        st.one_of(byte_column(count, 0, 20), byte_column(count, 240, 253)),
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(byte_pairs)
+@example((bytes((4, 4, 9)), bytes((253, 0, 253))))
+def test_tally_counts_byte_pairs_like_counter(pair):
+    y, q = pair
+    counts = Counter({0: 1})
+    distributions._tally(counts, pair)
+    assert counts == Counter(e | v << 8 for e, v in zip(y, q)) + Counter({0: 1})
+
+
+def test_group_folds_do_not_depend_on_the_block_size(monkeypatch):
+    # S_8's 40,320 words in 5 blocks at the default size and in 20 at 2,048
+    spec = class_spec(8)
+
+    def folds():
+        for fold in (dist_poly, joint_poly, crs_profile):
+            fold.cache_clear()
+        out = [dist_poly(spec, stat) for stat in STATISTICS]
+        return out + [joint_poly(spec, "exc", "crs"), crs_profile(8)]
+
+    try:
+        default = folds()
+        monkeypatch.setattr(patterns, "BLOCK_WORDS", 2048)
+        assert folds() == default
+    finally:
+        for fold in (dist_poly, joint_poly, crs_profile):
+            fold.cache_clear()
 
 
 @pytest.mark.parametrize("n", [23, 24])

@@ -364,6 +364,31 @@ def test_class_table_blocks_at_block_edges(monkeypatch, block):
         assert crs == Counter(map(crossing_count, want[spec]))
 
 
+CHUNKED = (
+    class_spec(7, avoid=[(2, 3, 1)]),
+    class_spec(7, avoid=[(1, 2, 3, 4)]),
+    class_spec(7, avoid=[(3, 2, 1)], maxdrop_le=1),
+    class_spec(7, maxdrop_le=2),
+    class_spec(8, maxdrop_le=3),
+)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 119, 120])
+def test_class_tables_at_chunk_edges(monkeypatch, chunk):
+    # a table grows each size from chunks of CHUNK_MEMBERS members, apart
+    # from the blocks it hands out: 132 and 429 members of 231-avoiders at
+    # sizes 6 and 7, 1,536 of S_7 under a drop bound of 3 (the tree of
+    # S_8's streamed last level)
+    want = {spec: list(filtered_words(spec)) for spec in CHUNKED}
+    monkeypatch.setattr(patterns, "CHUNK_MEMBERS", chunk)
+    _class_table.cache_clear()
+    try:
+        for spec in CHUNKED:
+            assert unpacked(list(class_blocks(spec))) == want[spec], spec
+    finally:
+        _class_table.cache_clear()
+
+
 def test_class_table_cache_clear_empties_it():
     _class_table.cache_clear()
     spec = class_spec(6, avoid=[(1, 3, 2)])
