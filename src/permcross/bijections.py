@@ -26,9 +26,10 @@ down.
 
 The maps and the laws exist twice.  :func:`phi`, :func:`psi`,
 :func:`check_lemma`, :func:`check_lemma42` and :func:`check_prop25` take one
-word; they are the public per-word API and the oracle.  :func:`phi_block`,
-:func:`psi_block` and :func:`residual_columns` take a block of words as its
-columns (see :func:`permcross.perm.stat_columns`) and are what the checks run.
+word; they are the public per-word API and the oracle.  The checks run
+:func:`residual_columns`, which takes a block of words as its columns (see
+:func:`permcross.perm.stat_columns`) and builds its images with
+:func:`permcross.perm.symmetry_images` and :func:`permcross.perm.insert_block`.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .perm import (
     insert_of_inverse,
     inverse_block,
     invert,
-    symmetry_block,
+    symmetry_images,
     transients,
 )
 
@@ -73,28 +74,6 @@ def psi(k: int, p) -> Permutation:
     n = len(w)
     _check_k(k, n)
     return insert(apply_symmetry("rc", w), n + 2 - k, 1)
-
-
-def phi_block(k: int, columns: list[bytes], count: int) -> list[bytes]:
-    """:func:`phi` of every word of a block, as a block.
-
-    >>> list(b"".join(phi_block(3, [bytes((v,)) for v in (3, 1, 5, 4, 2)], 1)))
-    [3, 6, 2, 1, 5, 4]
-    """
-    image = inverse_block(columns, count)
-    _check_k(k, len(columns))
-    return insert_block(image, count, len(columns) + 2 - k, 1)
-
-
-def psi_block(k: int, columns: list[bytes], count: int) -> list[bytes]:
-    """:func:`psi` of every word of a block, as a block.
-
-    >>> list(b"".join(psi_block(3, [bytes((v,)) for v in (3, 1, 5, 4, 2)], 1)))
-    [5, 3, 2, 1, 6, 4]
-    """
-    image = symmetry_block("rc", columns, count)
-    _check_k(k, len(columns))
-    return insert_block(image, count, len(columns) + 2 - k, 1)
 
 
 @dataclass(frozen=True)
@@ -259,11 +238,13 @@ def residual_columns(
             for j, a, b, c in _insertion_set_sizes(word)
         ]
     elif law == "prop-2.5":
+        # phi_k and psi_k insert 1 at position n+2-k into the inverse and the rc image
+        images = symmetry_images(columns, count)
         ends_with_n = ((word.xt[n - 1] - word.const(n)) & word.top) >> word.shift
         sides = [
-            (crs_of(phi_block(1, columns, count)), crs),
-            (crs_of(psi_block(1, columns, count)), crs),
-            (crs_of(phi_block(2, columns, count)) + ends_with_n, crs + word.ones),
+            (crs_of(insert_block(images["i"], count, n + 1, 1)), crs),
+            (crs_of(insert_block(images["rc"], count, n + 1, 1)), crs),
+            (crs_of(insert_block(images["i"], count, n, 1)) + ends_with_n, crs + word.ones),
         ]
     else:
         ut, lt = word.stat("ut"), word.stat("lt")
@@ -274,8 +255,8 @@ def residual_columns(
             image = insert_block(columns, count, n, 1)
             sides = [(crs_of(image) + ends_with_n + lt, crs + word.ones + ut)]
         else:
-            images = (inverse_block(columns, count), symmetry_block("rc", columns, count))
-            sides = [(crs_of(image) + lt, crs + ut) for image in images]
+            images = symmetry_images(columns, count)
+            sides = [(crs_of(images[tag]) + lt, crs + ut) for tag in ("i", "rc")]
     return [(word.unpack(lhs), word.unpack(rhs)) for lhs, rhs in sides]
 
 
@@ -286,7 +267,7 @@ def _insertion_set_sizes(word: _Lanes) -> Iterator[tuple[int, int, int, int]]:
     """
     xt, top, shift, const = word.xt, word.top, word.shift, word.const
     # post[v-1]: the position of the letter v, with the top bit set
-    post = [word.as_int(word.position(v)) | top for v in range(1, word.n + 1)]
+    post = _Lanes(inverse_block(word.columns, word.count), word.count, min_width=word.width).xt
     b = c = 0
     for j in range(1, word.n + 1):
         i = j - 2

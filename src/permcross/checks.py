@@ -77,11 +77,9 @@ from .perm import (
     excedance_count,
     format_word,
     insert_block,
-    inverse_block,
     inversion_count,
     nestings,
     stat_columns,
-    symmetry_block,
     symmetry_images,
 )
 from .polynomials import QPoly, ZSeries
@@ -498,16 +496,16 @@ def _lem42(w):
 )
 def _phi_psi_rows(n: int):
     """Images a block at a time: phi_k is the inverse and psi_k the rc
-    image, each with 1 inserted at position n+2-k, so both are computed
-    once per block and each k adds one :func:`insert_block`.  A map is
-    injective when its image words have n! distinct keys, and lands in the
-    one-at-k class when the image column at position n+2-k is all 1s.  A
-    failure is reported by the per-word maps."""
-    blocks = list(class_blocks(class_spec(n)))
-    bases = {
-        "phi": [(inverse_block(columns, count), count) for columns, count in blocks],
-        "psi": [(symmetry_block("rc", columns, count), count) for columns, count in blocks],
-    }
+    image, each with 1 inserted at position n+2-k, so both come from one
+    :func:`symmetry_images` per block and each k adds one
+    :func:`insert_block`.  A map is injective when its image words have n!
+    distinct keys, and lands in the one-at-k class when the image column at
+    position n+2-k is all 1s.  A failure is reported by the per-word maps."""
+    bases: dict[str, list] = {"phi": [], "psi": []}
+    for columns, count in class_blocks(class_spec(n)):
+        images = symmetry_images(columns, count)
+        bases["phi"].append((images["i"], count))
+        bases["psi"].append((images["rc"], count))
     for k in range(1, n + 2):
         for name, base in bases.items():
             keys: set[int] = set()
@@ -887,12 +885,12 @@ def run_check(check_id: str, bound: int | None = None) -> CheckResult:
 def iter_checks(
     ids: Sequence[str] | str = "all", bound: int | None = None
 ) -> Iterator[CheckResult]:
-    """Run a selection of checks in check-id order, yielding each result as
-    its check ends.  Unknown ids and a bound too low or too high for a
-    selected check are refused here, before any check runs."""
+    """Run a selection of checks once each, in check-id order, yielding each
+    result as its check ends.  Unknown ids and a bound too low or too high
+    for a selected check are refused here, before any check runs."""
     if ids == "all" or ids == ["all"]:
         ids = available_checks()
-    checks = sorted((_lookup(c) for c in ids), key=lambda c: c.check_id)
+    checks = [_lookup(c) for c in sorted(set(ids))]
     _refuse_bound(checks, bound)
     return (run_check(c.check_id, bound) for c in checks)
 

@@ -333,9 +333,14 @@ def _parser() -> argparse.ArgumentParser:
 
 def _cmd_verify_or_list(args) -> int:
     if args.list:
-        width = max(len(c) for c in CHECKS)
-        for check_id in sorted(CHECKS):
-            print(f"{check_id:<{width}}  {CHECKS[check_id].description}")
+        rows = [(check_id, CHECKS[check_id].description) for check_id in sorted(CHECKS)]
+        if args.csv:
+            csv.writer(sys.stdout).writerows([("check_id", "description"), *rows])
+        elif args.json:
+            print("\n".join(json.dumps({"check_id": c, "description": d}) for c, d in rows))
+        else:
+            width = max(len(c) for c in CHECKS)
+            print("\n".join(f"{c:<{width}}  {d}" for c, d in rows))
         return 0
     return _cmd_verify(args)
 

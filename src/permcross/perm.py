@@ -27,12 +27,12 @@ counts one integer key per word that packs several fields
 (:func:`_packed_keys`).  Crossings are counted from prefix letter sets, in
 O(n) operations per block (the arcs of Corteel, "Crossings and alignments of
 permutations", 2007).  The inverse, the symmetries and insertion have block
-forms too (:func:`inverse_block`, :func:`symmetry_block`,
-:func:`insert_block`), which map a block to a block, so the crossing-change
-laws are checked a block at a time; :func:`symmetry_images` gives all eight
-symmetries of a block from one inverse.  Whole words are compared by one
-integer key each (:func:`_word_keys`), the letters packed big-endian, so
-that numeric order is lex order.
+forms too, which map a block to a block: :func:`inverse_block`,
+:func:`insert_block`, and :func:`symmetry_images`, all eight symmetries of a
+block from one inverse.  So the crossing-change laws are checked a block at
+a time.  Whole words are compared by one integer key each
+(:func:`_word_keys`), the letters packed big-endian, so that numeric order
+is lex order.
 """
 
 from __future__ import annotations
@@ -390,30 +390,9 @@ def inverse_block(columns: list[bytes], count: int) -> list[bytes]:
     return image
 
 
-def symmetry_block(tag: str, columns: list[bytes], count: int) -> list[bytes]:
-    """:func:`apply_symmetry` of every word of a block (see
-    :func:`stat_columns`).  The reverse puts the columns in reverse order,
-    the complement is one ``translate`` v -> n+1-v per column and the
-    inverse is :func:`inverse_block`; composite tags compose right to left.
-
-    >>> [list(c) for c in symmetry_block("ri", [bytes((2, 3)), bytes((3, 1)), bytes((1, 2))], 2)]
-    [[2, 1], [1, 3], [3, 2]]
-    """
-    if tag not in SYMMETRIES:
-        raise ValueError(f"unknown symmetry {tag!r}; expected one of {SYMMETRIES}")
-    n = _word_size(columns, count)
-    for letter in reversed(tag.replace("id", "")):
-        if letter == "r":
-            columns = columns[::-1]
-        elif letter == "c":
-            columns = [c.translate(_complement_table(n)) for c in columns]
-        else:
-            columns = inverse_block(columns, count)
-    return list(columns)
-
-
 def symmetry_images(columns: list[bytes], count: int) -> dict[str, list[bytes]]:
-    """:func:`symmetry_block` of a block under all eight tags, from one
+    """:func:`apply_symmetry` of every word of a block (see
+    :func:`stat_columns`) under all eight tags, from one
     :func:`inverse_block`: r is the columns reversed, c one ``translate``
     per column, and i, ri, ci and rci compose them on the inverse.
 

@@ -14,9 +14,7 @@ from permcross.bijections import (
     check_prop25,
     insertion_sets,
     phi,
-    phi_block,
     psi,
-    psi_block,
     residual_columns,
 )
 from permcross.patterns import P213_312, class_spec, class_words, packed_blocks
@@ -25,6 +23,8 @@ from permcross.perm import (
     crossing_count,
     identity,
     insert,
+    insert_block,
+    symmetry_images,
     transients,
 )
 
@@ -299,9 +299,11 @@ def oracle_shifts(law, w):
 
 def assert_blocks_match(words):
     block, count, n = pack(words), len(words), len(words[0])
+    images = symmetry_images(block, count)
     for k in range(1, n + 2):
-        for fn, block_fn in ((phi, phi_block), (psi, psi_block)):
-            image = block_fn(k, block, count)
+        # the block forms of phi_k and psi_k that residual_columns and phi-psi build
+        for fn, tag in ((phi, "i"), (psi, "rc")):
+            image = insert_block(images[tag], count, n + 2 - k, 1)
             assert image == pack(fn(k, w).word for w in words), (fn.__name__, k)
     for law in RESIDUAL_LAWS:
         columns = residual_columns(law, block, count)
@@ -367,12 +369,5 @@ def test_block_laws_reject_bad_input():
         residual_columns("lem-2.1", [], 0)
     with pytest.raises(ValueError, match="n=256 exceeds 255"):
         residual_columns("lem-2.1", [b"\x01"] * 256, 1)
-    with pytest.raises(ValueError, match="k=4 out of range"):
-        phi_block(4, [b"\x02", b"\x01"], 1)
-    with pytest.raises(ValueError, match="k=0 out of range"):
-        psi_block(0, [b"\x02", b"\x01"], 1)
-    for block_fn in (phi_block, psi_block):
-        with pytest.raises(ValueError, match="do not pack 1 words"):
-            block_fn(1, [b"\x02", b"\x01\x02"], 1)
     with pytest.raises(ValueError, match="nonempty"):
         check_prop25(())

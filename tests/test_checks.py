@@ -18,7 +18,14 @@ from permcross.checks import (
     run_checks,
     suite_passed,
 )
-from permcross.perm import SYMMETRIES, apply_symmetry, insert_block, inversion_count, stat_columns
+from permcross.perm import (
+    SYMMETRIES,
+    apply_symmetry,
+    insert_block,
+    inversion_count,
+    stat_columns,
+    symmetry_images,
+)
 from permcross.polynomials import QPoly, ZSeries
 
 SCHEMA = json.loads(
@@ -164,6 +171,12 @@ def _identity_images(columns, count):
     return {tag: columns for tag in SYMMETRIES}
 
 
+def _rc_as_inverse(columns, count):
+    # the block phi_k built from psi_k's base, to go with phi -> psi per word
+    images = symmetry_images(columns, count)
+    return {**images, "i": images["rc"]}
+
+
 def _asymmetric_dist(n, pats, stat="crs", **constraint):
     # every one-at-k cut gets its own distribution q^k
     return QPoly.monomial(constraint.get("one_at", 0))
@@ -207,7 +220,7 @@ BROKEN_INPUTS = [
     # psi in place of phi: psi_2 adds 1 - [sigma(1) = 1], not 1 - [sigma(n) = n]
     (
         "prop-2.5",
-        ((bijections, "phi", bijections.psi), (bijections, "phi_block", bijections.psi_block)),
+        ((bijections, "phi", bijections.psi), (bijections, "symmetry_images", _rc_as_inverse)),
         "fail",
     ),
     (
@@ -319,7 +332,7 @@ def test_sym_transport_blocks_decide_and_the_per_word_map_confirms(monkeypatch):
 def test_flagged_words_at_block_edges(monkeypatch, block):
     # S_5 has 120 words: whole blocks at 120 and 60, one word past at 119
     monkeypatch.setattr(bijections, "phi", bijections.psi)
-    monkeypatch.setattr(bijections, "phi_block", bijections.psi_block)
+    monkeypatch.setattr(bijections, "symmetry_images", _rc_as_inverse)
     monkeypatch.setattr(patterns, "BLOCK_WORDS", block)
     group = list(permutations(range(1, 6)))
     oracle = bijections.check_prop25

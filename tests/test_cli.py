@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -249,6 +251,27 @@ def test_verify_list(capsys):
     assert "conj-2.7" in out and "table-1" in out
 
 
+def test_verify_list_in_json_and_csv(capsys):
+    want = [(check_id, CHECKS[check_id].description) for check_id in sorted(CHECKS)]
+    code, out, _ = run_cli(capsys, "verify", "--list", "--json")
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    assert code == 0
+    assert [(r["check_id"], r["description"]) for r in records] == want
+    assert all(sorted(r) == ["check_id", "description"] for r in records)
+    code, out, _ = run_cli(capsys, "verify", "--list", "--csv")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert code == 0
+    assert rows == [["check_id", "description"]] + [list(row) for row in want]
+
+
+def test_verify_runs_a_repeated_check_once(capsys):
+    code, out, _ = run_cli(capsys, "verify", "fig-1", "cor-4.5", "fig-1", "--json")
+    ids = [json.loads(line)["check_id"] for line in out.strip().splitlines()]
+    assert code == 0 and ids == ["cor-4.5", "fig-1"]
+    code, out, _ = run_cli(capsys, "verify", "fig-1", "fig-1")
+    assert code == 0 and "1 checks: 1 pass" in out
+
+
 def test_verify_bound_flag_is_reflected(capsys):
     code, out, _ = run_cli(capsys, "verify", "eq-1", "--bound", "4", "--json")
     assert code == 0
@@ -316,6 +339,18 @@ def test_verify_determinism(capsys):
     assert strip(out1) == strip(out2)
 
 
+def verify_digest(capsys, *argv):
+    """The exit code, the record count and the sha256 of the ``verify
+    --json`` records without their runtime, each dumped with sorted keys,
+    joined by newlines."""
+    code, out, _ = run_cli(capsys, "verify", *argv, "--json")
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    for record in records:
+        del record["runtime"]
+    text = "\n".join(json.dumps(record, sort_keys=True) for record in records)
+    return code, len(records), hashlib.sha256(text.encode()).hexdigest()
+
+
 #: sha256 of the default ``verify all --json`` records without their runtime,
 #: each dumped with sorted keys, joined by newlines: 36 records.
 VERIFY_ALL_DIGEST = "35f1c52ec83ccb59060539b1a61d83d6650a67b2063e76ca774ac47d93640287"
@@ -325,13 +360,7 @@ def test_verify_all_output_is_pinned(capsys, monkeypatch):
     # every field but the timing is deterministic, so any change to what a
     # check reports, or to the set of checks, changes the digest
     monkeypatch.delenv("PERMCROSS_BOUND", raising=False)
-    code, out, _ = run_cli(capsys, "verify", "all", "--json")
-    records = [json.loads(line) for line in out.strip().splitlines()]
-    for record in records:
-        del record["runtime"]
-    text = "\n".join(json.dumps(record, sort_keys=True) for record in records)
-    assert code == 0 and len(records) == 36
-    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_ALL_DIGEST
+    assert verify_digest(capsys, "all") == (0, 36, VERIFY_ALL_DIGEST)
 
 
 #: ``verify conj-2.7 thm-2.6 phi-psi sym-transport --bound 8 --json`` without
@@ -342,15 +371,19 @@ FOUR_CHECKS_DIGEST = "020bffac73be97d1234a99a4afce66a6d0c1132121ce1c3c85205b4b6a
 
 
 def test_the_cut_and_word_key_checks_are_pinned_at_bound_8(capsys):
-    code, out, _ = run_cli(
-        capsys, "verify", "conj-2.7", "thm-2.6", "phi-psi", "sym-transport", "--bound", "8", "--json"
-    )
-    records = [json.loads(line) for line in out.strip().splitlines()]
-    for record in records:
-        del record["runtime"]
-    text = "\n".join(json.dumps(record, sort_keys=True) for record in records)
-    assert code == 0 and len(records) == 4
-    assert hashlib.sha256(text.encode()).hexdigest() == FOUR_CHECKS_DIGEST
+    checks = ("conj-2.7", "thm-2.6", "phi-psi", "sym-transport")
+    assert verify_digest(capsys, *checks, "--bound", "8") == (0, 4, FOUR_CHECKS_DIGEST)
+
+
+#: ``verify lem-2.1 lem-2.2 lem-2.4 lem-4.2 prop-2.5 --bound 8 --json`` without
+#: ``runtime``: the laws whose image blocks come from ``symmetry_images``,
+#: ``inverse_block`` and ``insert_block``, pinned past their default bounds
+FIVE_LAWS_DIGEST = "d6f63e31c56570f08a60edf402706245d2cd844af6fa9bc69e8d807c3029a799"
+
+
+def test_the_block_image_laws_are_pinned_at_bound_8(capsys):
+    laws = ("lem-2.1", "lem-2.2", "lem-2.4", "lem-4.2", "prop-2.5")
+    assert verify_digest(capsys, *laws, "--bound", "8") == (0, 5, FIVE_LAWS_DIGEST)
 
 
 def test_usage_error_exit_code(capsys):

@@ -29,11 +29,8 @@ def test_the_kernels_have_doctests():
     kernels = {
         "stat_columns",
         "inverse_block",
-        "symmetry_block",
         "symmetry_images",
         "insert_block",
-        "phi_block",
-        "psi_block",
         "residual_columns",
         "packed_blocks",
         "_group_columns",

@@ -33,7 +33,6 @@ from permcross.perm import (
     skew_sum,
     stat_bundle,
     stat_columns,
-    symmetry_block,
     symmetry_images,
     transients,
 )
@@ -228,8 +227,7 @@ def assert_block_images_match(words):
     and last two positions and letters beyond."""
     block, count, n = pack(words), len(words), len(words[0])
     assert unpack(inverse_block(block, count), count) == [invert(w) for w in words]
-    for tag in SYMMETRIES:
-        image = symmetry_block(tag, block, count)
+    for tag, image in symmetry_images(block, count).items():
         assert unpack(image, count) == [apply_symmetry(tag, w) for w in words], tag
     slots = range(1, n + 2) if n <= 6 else sorted({1, 2, n // 2 + 1, n, n + 1})
     for a in slots:
@@ -261,7 +259,7 @@ def test_block_images_reject_bad_blocks():
     with pytest.raises(ValueError, match="do not pack 2 words"):
         inverse_block([b"\x01\x02", b"\x02"], 2)
     with pytest.raises(ValueError, match="do not pack 0 words"):
-        symmetry_block("rc", [], 0)
+        symmetry_images([], 0)
     with pytest.raises(ValueError, match="do not pack 0 words"):
         inverse_block([], 0)
     with pytest.raises(ValueError, match="position 4 out of range"):
@@ -272,18 +270,15 @@ def test_block_images_reject_bad_blocks():
         insert_block([bytes((v,)) for v in range(1, 256)], 1, 1, 1)
     with pytest.raises(ValueError, match="n=256 exceeds 255"):
         inverse_block([b"\x01"] * 256, 1)
-    with pytest.raises(ValueError, match="unknown symmetry"):
-        symmetry_block("cr", [b"\x01"], 1)
     with pytest.raises(ValueError, match="do not pack 2 words"):
-        symmetry_block("i", [b"\x01\x02", b"\x01"], 2)
+        symmetry_images([b"\x01\x02", b"\x01"], 2)
     with pytest.raises(ValueError, match="do not pack 1 words"):
         insert_block([b"\x01", b"\x02\x01"], 1, 1, 1)
 
 
-def test_symmetry_block_maps_an_empty_level_to_itself():
+def test_symmetry_images_map_an_empty_level_to_itself():
     # S_0 holds one empty word, which has no columns
-    for tag in SYMMETRIES:
-        assert symmetry_block(tag, [], 1) == []
+    assert symmetry_images([], 1) == {tag: [] for tag in SYMMETRIES}
 
 
 def test_symmetry_images_match_the_per_word_maps():
@@ -296,8 +291,6 @@ def test_symmetry_images_match_the_per_word_maps():
         assert list(images) == list(SYMMETRIES)
         for tag, image in images.items():
             assert unpack(image, len(words)) == [apply_symmetry(tag, w) for w in words], tag
-            assert image == symmetry_block(tag, pack(words), len(words)), tag
-    assert symmetry_images([], 1) == {tag: [] for tag in SYMMETRIES}
 
 
 def block_keys(words, size=2048):
