@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .patterns import P213_312, class_spec, class_words
+from .patterns import P213_312, class_blocks, class_spec
 from .perm import (
     Permutation,
     _Lanes,
@@ -50,6 +50,7 @@ from .perm import (
     insert_of_inverse,
     inverse_block,
     invert,
+    stat_columns,
     symmetry_images,
     transients,
 )
@@ -328,14 +329,19 @@ class Cor43Report:
 
 
 def adjudicate_cor43(n_max: int, bound: int | None = None) -> Cor43Report:
+    """crs(sigma^(1,k+1)) - crs(sigma) over each tail class, from the crs
+    kernel on each block and its :func:`permcross.perm.insert_block` image,
+    subtracted unpacked so that a negative increment borrows from no lane."""
     rows = []
     for n in range(1, n_max + 1):
         for k in range(1, n + 1):
             increments = set()
             size = 0
-            for w in class_words(class_spec(n, avoid=P213_312, tail=k), bound):
-                size += 1
-                increments.add(crossing_count(insert(w, 1, k + 1).word) - crossing_count(w))
+            for columns, count in class_blocks(class_spec(n, avoid=P213_312, tail=k), bound):
+                size += count
+                (before,) = stat_columns(columns, count, ("crs",))
+                (after,) = stat_columns(insert_block(columns, count, 1, k + 1), count, ("crs",))
+                increments.update(map(int.__sub__, after, before))
             statement = min(k - 1, n - k)
             proof = min(k - 1, n - 1 - k)
             rows.append(

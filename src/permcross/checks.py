@@ -882,17 +882,24 @@ def run_check(check_id: str, bound: int | None = None) -> CheckResult:
     return CheckResult(check_id, bound_text, status, tuple(witnesses), elapsed)
 
 
+def _select(ids: Sequence[str] | str, bound: int | None) -> list[Check]:
+    """The checks that ``ids`` names, each once, in check-id order; "all",
+    wherever it appears, names every check.  Unknown ids and a bound too low
+    or too high for a selected check are refused."""
+    names = set()
+    for check_id in [ids] if isinstance(ids, str) else ids:
+        names.update(CHECKS if check_id == "all" else (check_id,))
+    checks = [_lookup(c) for c in sorted(names)]
+    _refuse_bound(checks, bound)
+    return checks
+
+
 def iter_checks(
     ids: Sequence[str] | str = "all", bound: int | None = None
 ) -> Iterator[CheckResult]:
-    """Run a selection of checks once each, in check-id order, yielding each
-    result as its check ends.  Unknown ids and a bound too low or too high
-    for a selected check are refused here, before any check runs."""
-    if ids == "all" or ids == ["all"]:
-        ids = available_checks()
-    checks = [_lookup(c) for c in sorted(set(ids))]
-    _refuse_bound(checks, bound)
-    return (run_check(c.check_id, bound) for c in checks)
+    """Run the checks of :func:`_select`, refused before any runs, yielding
+    each result as its check ends."""
+    return (run_check(c.check_id, bound) for c in _select(ids, bound))
 
 
 def run_checks(

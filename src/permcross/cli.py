@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .checks import CHECKS, CheckBoundError, CheckResult, iter_checks, suite_passed
+from .checks import CheckBoundError, CheckResult, _select, run_check, suite_passed
 from .distributions import (
     DistributionReport,
     crossing_cfrac_series,
@@ -256,12 +256,22 @@ def _format_verify_human(results: list[CheckResult]) -> str:
 
 
 def _cmd_verify(args) -> int:
-    ids = args.checks or ["all"]
     bound = _nonnegative_bound(args.bound, "--bound") if args.bound is not None else _env_bound()
     try:
-        stream = iter_checks("all" if ids == ["all"] else ids, bound)
+        checks = _select(args.checks or "all", bound)
     except (KeyError, CheckBoundError) as exc:
         raise CliError(exc.args[0]) from None
+    if args.list:
+        rows = [(c.check_id, c.description) for c in checks]
+        if args.csv:
+            csv.writer(sys.stdout).writerows([("check_id", "description"), *rows])
+        elif args.json:
+            print("\n".join(json.dumps({"check_id": c, "description": d}) for c, d in rows))
+        else:
+            width = max(len(c) for c, _ in rows)
+            print("\n".join(f"{c:<{width}}  {d}" for c, d in rows))
+        return 0
+    stream = (run_check(c.check_id, bound) for c in checks)
     if not (args.json or args.csv):
         results = list(stream)  # the columns are as wide as the widest result
         sys.stdout.write(_format_verify_human(results))
@@ -324,25 +334,11 @@ def _parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--bound", type=int, help="override every selected check's bound")
     _output_formats(p_verify)
     p_verify.add_argument(
-        "--list", action="store_true", help="list available checks and exit"
+        "--list", action="store_true", help="list the selected checks and exit"
     )
-    p_verify.set_defaults(func=_cmd_verify_or_list)
+    p_verify.set_defaults(func=_cmd_verify)
 
     return parser
-
-
-def _cmd_verify_or_list(args) -> int:
-    if args.list:
-        rows = [(check_id, CHECKS[check_id].description) for check_id in sorted(CHECKS)]
-        if args.csv:
-            csv.writer(sys.stdout).writerows([("check_id", "description"), *rows])
-        elif args.json:
-            print("\n".join(json.dumps({"check_id": c, "description": d}) for c, d in rows))
-        else:
-            width = max(len(c) for c in CHECKS)
-            print("\n".join(f"{c:<{width}}  {d}" for c, d in rows))
-        return 0
-    return _cmd_verify(args)
 
 
 def main(argv=None) -> int:

@@ -257,10 +257,7 @@ def crs_profile(n: int, forbidden: tuple = (), bound: int | None = None) -> CrsP
         last_counts[(key >> 8 & 0xFF) - 1][crs] += c
     by_pos1 = tuple(map(_qpoly, pos_counts))
     by_last = tuple(map(_qpoly, last_counts))
-    total = QPoly.zero()
-    for p in by_pos1:
-        total = total + p
-    return CrsProfile(n, by_pos1, by_last, total)
+    return CrsProfile(n, by_pos1, by_last, sum(by_pos1, QPoly.zero()))
 
 
 # ---------------------------------------------------------------------------

@@ -479,8 +479,13 @@ def _group_columns(n: int, at: int = 0, run: bytes = b"") -> Iterator[tuple[list
     if m == 0:  # the empty word, or one word that is all fixed run
         yield [bytes((v,)) for v in run], 1
         return
-    rest = [b"".join(parts) for parts in zip(*(c for c, _ in _group_columns(m - 1)))]
     count = factorial(m - 1)
+    rest, done = [bytearray(count) for _ in range(m - 1)], 0
+    for columns, size in _group_columns(m - 1):  # joined in place as its blocks stream
+        for held, column in zip(rest, columns):
+            held[done : done + size] = column
+        done += size
+        del columns  # so that the next block is not made while this one is held
     letters = bytes(1) + free + bytes(255 - m)
     tables = [_shift_table(a).translate(letters) for a in range(1, m + 1)]
     for first in range(0, m * count, BLOCK_WORDS):

@@ -1,10 +1,13 @@
 """Exact integer polynomial arithmetic in q and in (y, q), plus truncated z-series.
 
 QPoly is dense (distribution degrees stay small); YQPoly is sparse because the
-y- and q-degrees grow independently.  ZSeries is a truncated power series in z
-whose coefficients live in either ring; all arithmetic is exact over the
-integers modulo z^(order+1).  Python ints are arbitrary precision, so there is
-no overflow to guard against.
+y- and q-degrees grow independently.  Both follow one ring protocol,
+:class:`_Ring`, which derives the rest of the arithmetic from each ring's
+``_add``, ``__neg__``, ``_mul`` and ``const``, and one coercion rule,
+``_coerce``: an int joins either ring, and a QPoly joins YQPoly.  ZSeries is a
+truncated power series in z whose coefficients live in either ring; all
+arithmetic is exact over the integers modulo z^(order+1).  Python ints are
+arbitrary precision, so there is no overflow to guard against.
 """
 
 from __future__ import annotations
@@ -14,8 +17,61 @@ from dataclasses import dataclass
 from typing import Sequence
 
 
+class _Ring:
+    """The arithmetic that follows from ``_add``, ``__neg__``, ``_mul``,
+    ``const`` and ``_coerce``."""
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    @classmethod
+    def one(cls):
+        return cls.const(1)
+
+    @classmethod
+    def _coerce(cls, value):
+        """``value`` as an element of this ring, or None if it is none."""
+        if isinstance(value, cls):
+            return value
+        if isinstance(value, int):
+            return cls.const(value)
+        return None
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is None else self._add(other)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is None else self._add(-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is None else self._mul(other)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative powers are not defined")
+        out = self.one()
+        base = self
+        while n:
+            if n & 1:
+                out = out._mul(base)
+            base = base._mul(base)
+            n >>= 1
+        return out
+
+
 @dataclass(frozen=True)
-class QPoly:
+class QPoly(_Ring):
     """Integer polynomial in one variable, coefficients by ascending exponent."""
 
     coeffs: tuple[int, ...] = ()
@@ -25,14 +81,6 @@ class QPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(int(c) for c in cs))
-
-    @classmethod
-    def zero(cls) -> "QPoly":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "QPoly":
-        return cls((1,))
 
     @classmethod
     def const(cls, c: int) -> "QPoly":
@@ -63,11 +111,7 @@ class QPoly:
             acc = acc * value + c
         return acc
 
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = QPoly.const(other)
-        if not isinstance(other, QPoly):
-            return NotImplemented
+    def _add(self, other: "QPoly") -> "QPoly":
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -76,48 +120,16 @@ class QPoly:
             out[i] += c
         return QPoly(tuple(out))
 
-    __radd__ = __add__
-
     def __neg__(self):
         return QPoly(tuple(-c for c in self.coeffs))
 
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = QPoly.const(other)
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return QPoly(tuple(other * c for c in self.coeffs))
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return QPoly.zero()
+    def _mul(self, other: "QPoly") -> "QPoly":
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
         return QPoly(tuple(out))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not defined")
-        out = QPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def div_exact(self, other: "QPoly") -> "QPoly":
         """Exact division over the integers; raises if any step fails or a
@@ -165,7 +177,7 @@ class QPoly:
 
 
 @dataclass(frozen=True)
-class YQPoly:
+class YQPoly(_Ring):
     """Integer polynomial in y and q, stored sparsely as (y_exp, q_exp, coeff)."""
 
     terms: tuple[tuple[int, int, int], ...] = ()
@@ -180,14 +192,6 @@ class YQPoly:
             (ey, eq, c) for (ey, eq), c in sorted(merged.items()) if c
         )
         object.__setattr__(self, "terms", normal)
-
-    @classmethod
-    def zero(cls) -> "YQPoly":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "YQPoly":
-        return cls(((0, 0, 1),))
 
     @classmethod
     def const(cls, c: int) -> "YQPoly":
@@ -238,70 +242,32 @@ class YQPoly:
         """Collapse to a one-variable polynomial; the other exponent must be 0."""
         out: dict[int, int] = {}
         for ey, eq, c in self.terms:
-            if var == "q":
-                if ey:
-                    raise ValueError("polynomial still involves y")
-                out[eq] = c
-            else:
-                if eq:
-                    raise ValueError("polynomial still involves q")
-                out[ey] = c
+            kept, other = (eq, ey) if var == "q" else (ey, eq)
+            if other:
+                raise ValueError(f"polynomial still involves {'y' if var == 'q' else 'q'}")
+            out[kept] = c
         size = max(out) + 1 if out else 0
         return QPoly(tuple(out.get(e, 0) for e in range(size)))
 
-    def _coerced(self, other):
-        if isinstance(other, int):
-            return YQPoly.const(other)
-        if isinstance(other, QPoly):
-            return YQPoly.from_qpoly(other)
-        if isinstance(other, YQPoly):
-            return other
-        return None
+    @classmethod
+    def _coerce(cls, value):
+        if isinstance(value, QPoly):
+            return cls.from_qpoly(value)
+        return super()._coerce(value)
 
-    def __add__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
+    def _add(self, other: "YQPoly") -> "YQPoly":
         return YQPoly(self.terms + other.terms)
-
-    __radd__ = __add__
 
     def __neg__(self):
         return YQPoly(tuple((ey, eq, -c) for ey, eq, c in self.terms))
 
-    def __sub__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
+    def _mul(self, other: "YQPoly") -> "YQPoly":
         acc: dict[tuple[int, int], int] = {}
         for ey, eq, c in self.terms:
             for fy, fq, d in other.terms:
                 key = (ey + fy, eq + fq)
                 acc[key] = acc.get(key, 0) + c * d
         return YQPoly(tuple((ey, eq, c) for (ey, eq), c in acc.items()))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not defined")
-        out = YQPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def to_text(self) -> str:
         # q before y inside each term; terms ascend by (y_exp, q_exp)
@@ -445,7 +411,7 @@ class ZSeries:
         order = min(self.order, other.order)
         out = [self.ring.zero()] * (order + 1)
         for i, a in enumerate(self.coeffs[: order + 1]):
-            if getattr(a, "is_zero", lambda: False)():
+            if a.is_zero():
                 continue
             for j in range(order + 1 - i):
                 out[i + j] = out[i + j] + a * other.coeffs[j]
@@ -459,21 +425,16 @@ class ZSeries:
             raise ValueError("series reciprocal requires constant term 1")
         out = [self.ring.one()]
         for k in range(1, self.order + 1):
-            acc = self.ring.zero()
-            for m in range(1, k + 1):
-                acc = acc + self.coeffs[m] * out[k - m]
-            out.append(-acc)
+            terms = (self.coeffs[m] * out[k - m] for m in range(1, k + 1))
+            out.append(-sum(terms, self.ring.zero()))
         return ZSeries(self.ring, tuple(out))
 
 
 def _as_ring(ring: type, value):
-    if isinstance(value, ring):
-        return value
-    if ring is YQPoly and isinstance(value, QPoly):
-        return YQPoly.from_qpoly(value)
-    if isinstance(value, int):
-        return ring.const(value)
-    raise TypeError(f"cannot view {value!r} as {ring.__name__}")
+    out = ring._coerce(value)
+    if out is None:
+        raise TypeError(f"cannot view {value!r} as {ring.__name__}")
+    return out
 
 
 def cfrac_expand(levels: Sequence[QPoly], order: int) -> ZSeries:

@@ -251,6 +251,22 @@ def test_adjudication_is_decisive_for_the_statement():
     assert len(data["rows"]) == sum(n for n in range(1, 8))
 
 
+@pytest.mark.parametrize("block", [3, patterns.BLOCK_WORDS])
+def test_adjudication_rows_match_a_per_word_reference(monkeypatch, block):
+    # the rows come from the crs kernel over blocks; here each word of each
+    # tail class is walked and measured by the per-word functions
+    monkeypatch.setattr(patterns, "BLOCK_WORDS", block)
+    want = []
+    for n in range(1, 8):
+        members = [w for w in permutations(range(1, n + 1)) if patterns.avoids(w, P213_312)]
+        for k in range(1, n + 1):
+            words = [w for w in members if w[n - k :] == tuple(range(k, 0, -1))]
+            increments = {crossing_count(insert(w, 1, k + 1).word) - crossing_count(w) for w in words}
+            want.append((n, k, len(words), tuple(sorted(increments))))
+    report = adjudicate_cor43(7)
+    assert [(r.n, r.k, r.size, r.increments) for r in report.rows] == want
+
+
 def test_adjudication_matches_tableau_exponent():
     # applying the winning increment at source size n-1 reproduces exactly the
     # exponent min(k-1, n-1-k) that the tableau recurrence uses at size n

@@ -253,7 +253,7 @@ BROKEN_INPUTS = [
         ),
         "fail",
     ),
-    ("cor-4.3", ((bijections, "crossing_count", lambda w: 0),), "fail"),
+    ("cor-4.3", ((bijections, "stat_columns", lambda columns, count, stats: [bytes(count)]),), "fail"),
 ]
 
 
@@ -424,6 +424,33 @@ def test_every_check_runs_at_its_maximum_bound(monkeypatch):
             assert result.status in ("pass", "finding"), check.check_id
     finally:
         _clear_caches()
+
+
+@pytest.mark.parametrize("check_id", sorted(CHECKS))
+def test_each_check_enumerates_what_its_reads_and_reach_declare(monkeypatch, check_id):
+    # every class_blocks and class_size call passes through _check_packable;
+    # with cold caches, the specs it sees are every class the check enumerates
+    check = CHECKS[check_id]
+    bound = max(6, check.min_bound)
+    seen = []
+
+    def spy(spec, limit):
+        seen.append(spec)
+        return packable(spec, limit)
+
+    packable = patterns._check_packable
+    monkeypatch.setattr(patterns, "_check_packable", spy)
+    _clear_caches()
+    try:
+        run_check(check_id, bound)
+    finally:
+        _clear_caches()
+    kinds = {checks.CLASSES if spec.forbidden else checks.GROUP for spec in seen}
+    assert kinds == set(check.reads)
+    if check.reads:
+        assert max(spec.n for spec in seen) == bound + check.reach
+    else:
+        assert seen == []
 
 
 def test_results_are_deterministic_modulo_runtime():

@@ -264,6 +264,24 @@ def test_verify_list_in_json_and_csv(capsys):
     assert rows == [["check_id", "description"]] + [list(row) for row in want]
 
 
+def test_verify_list_takes_the_selection_and_bound_of_verify(capsys, monkeypatch):
+    monkeypatch.delenv("PERMCROSS_BOUND", raising=False)
+    code, out, _ = run_cli(capsys, "verify", "--list", "fig-1", "fig-1")
+    assert code == 0 and out == f"fig-1  {CHECKS['fig-1'].description}\n"
+    code, out, err = run_cli(capsys, "verify", "--list", "nosuch")
+    assert code == 2 and out == "" and "unknown check id 'nosuch'" in err
+    code, out, err = run_cli(capsys, "verify", "--list", "--bound", "99")
+    assert code == 2 and out == ""
+    assert err == run_cli(capsys, "verify", "--bound", "99")[2]
+
+
+def test_verify_all_with_other_ids_runs_every_check_once(capsys, monkeypatch):
+    monkeypatch.delenv("PERMCROSS_BOUND", raising=False)
+    assert verify_digest(capsys, "all", "fig-1") == (0, 36, VERIFY_ALL_DIGEST)
+    code, out, _ = run_cli(capsys, "verify", "--list", "fig-1", "all")
+    assert code == 0 and out == run_cli(capsys, "verify", "--list")[1]
+
+
 def test_verify_runs_a_repeated_check_once(capsys):
     code, out, _ = run_cli(capsys, "verify", "fig-1", "cor-4.5", "fig-1", "--json")
     ids = [json.loads(line)["check_id"] for line in out.strip().splitlines()]

@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 from itertools import combinations, permutations
 from math import comb
@@ -463,6 +464,18 @@ def test_group_columns_match_group_blocks_and_permutations(monkeypatch, block):
             want = [w for w in permutations(range(1, n + 1)) if keep(w)]
             assert unpacked(blocks) == want, spec
             assert blocks == list(patterns.packed_blocks(want, n)), spec
+
+
+def test_group_columns_hold_one_copy_of_the_smaller_group():
+    # the first block of S_9 needs S_8 held by columns, 8 * 8! = 322,560
+    # bytes; joining S_8 from all of its blocks at once peaked at 633 KB
+    tracemalloc.start()
+    try:
+        next(patterns._group_columns(9))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
 
 
 def test_lanes_of_several_bytes_at_sizes_past_23():
