@@ -742,7 +742,10 @@ def _thm46_rows(n: int):
 )
 def _prop51_rows(n: int):
     """The two classes compared as lex-order streams of blocks, both cut at
-    the same edges; only a mismatch lists their words for the witness."""
+    the same edges, from two independent enumeration paths: the avoiders
+    from the pattern tree, the maxdrop class from the threshold columns of
+    :func:`permcross.patterns._drop_columns`.  Only a mismatch lists their
+    words for the witness."""
     specs = (class_spec(n, avoid=P321_231), class_spec(n, maxdrop_le=1))
     avoiders, drop = (list(class_blocks(spec)) for spec in specs)
     if avoiders != drop:

@@ -9,17 +9,20 @@ diffable.  A class comes in blocks of one format, ``(columns, count)``:
 and each builds blocks by columns rather than word by word.  Bare S_n, and
 S_n cut by ``one_at``, ``ends_with`` or ``tail``, comes from
 :func:`_group_columns`: the permutations of the m free letters are m shifted
-copies of S_(m-1), held by columns.
-Every class closed under deleting the first letter -- a pattern class, S_n
-under a maxdrop bound, or both -- comes from a generating tree
-(:class:`_ClassTable`) that grows each size from the one below by
+copies of S_(m-1), held by columns.  S_n under a maxdrop bound d comes from
+:func:`_drop_columns` up to n = 15: each member u may be prepended the first
+letters 1..t(u), a threshold computed by columns, so each size is one
+``translate`` per column and first letter of the size below, and the last
+size streams.
+A pattern class, with or without a drop bound, comes from a generating tree
+(:class:`_ClassTable`), one per forbidden set and drop bound
+(:func:`_class_table`), which grows each size from the one below by
 prepending a first letter; the letters each member may take are found by
 lane comparisons over a chunk of members at once, and no per-member mask is
-kept.  A pattern class keeps its tree, one table per forbidden set and drop
-bound (:func:`_class_table`), and a positional constraint filters its last
-level; S_n under a maxdrop bound streams its last level and stores none.
-A tree keeps its members as words packed one after another, and each block
-is cut into columns once on its way out.  :func:`class_blocks` hands a class
+kept.  A positional constraint filters its last level.  A tree keeps its
+members as words packed one after another, and each block is cut into
+columns once on its way out; past n = 15 it also streams S_n under a drop
+bound, storing no last level.  :func:`class_blocks` hands a class
 out as blocks, :func:`class_words` as words; :func:`filtered_words`, a plain
 filter over all n! words, is the oracle the other paths are tested against.
 """
@@ -346,12 +349,13 @@ class _ClassTable:
     def children(self, k: int) -> Iterator[bytes]:
         """The size-k members in lex order, packed, in pieces grown from level k-1.
 
-        Each chunk of ``CHUNK_MEMBERS`` members is framed as one integer, its
-        members behind a first column of 0xFF bytes.  The children of letter a
-        are the frame ANDed with 0xFF over the members that may take a
-        (:func:`_allowed_letters`), or the whole frame when all may and
-        nothing when none may; one ``translate`` drops the zeros, shifts the
-        letters and writes a over the 0xFF column.
+        Each chunk of ``CHUNK_MEMBERS`` members is framed as packed rows, its
+        members behind a first column of 0xFF bytes, and as the same rows in
+        one integer.  The children of letter a are the integer ANDed with
+        0xFF over the members that may take a (:func:`_allowed_letters`), or
+        the rows as they are when all may and nothing when none may; one
+        ``translate`` drops the zeros, shifts the letters and writes a over
+        the 0xFF column.
         """
         words, count = self.level(k - 1)
         chunks = []
@@ -360,17 +364,18 @@ class _ClassTable:
             columns = _columns(words[first * (k - 1) : (first + size) * (k - 1)], k - 1)
             frame = _rows([b"\xff" * size, *columns])
             allowed = _allowed_letters(columns, size, self.rules, self.drop_bound)
-            chunks.append((int.from_bytes(frame, "little"), allowed, size))
+            chunks.append((frame, int.from_bytes(frame, "little"), allowed, size))
         spread = int.from_bytes(b"\xff" * k, "little")  # a member's first byte 1 -> 0xFF * k
         for a in range(1, k + 1):
-            for frame, allowed, size in chunks:
+            for rows, frame, allowed, size in chunks:
                 taken = allowed[a - 1].count(1)
                 if 0 < taken < size:
                     mask = bytearray(size * k)
                     mask[::k] = allowed[a - 1]
-                    frame &= int.from_bytes(mask, "little") * spread
+                    kept = frame & int.from_bytes(mask, "little") * spread
+                    rows = kept.to_bytes(size * k, "little")
                 if taken:
-                    yield frame.to_bytes(size * k, "little").translate(_shift_table(a), b"\0")
+                    yield rows.translate(_shift_table(a), b"\0")
 
 
 @lru_cache(maxsize=None)
@@ -427,14 +432,15 @@ def _shift_table(a: int) -> bytes:
 #: hold more memory: at n = 10 a block's columns take 80 KB at 8,192 words,
 #: and the crs kernel's lanes as much again.  At 8,192 the ten group-stats
 #: folds of S_9 run about a quarter faster than at 2,048, and 16,384 is no
-#: faster; class-sweep's largest query, S_10 under ``maxdrop_le=3``, peaks
-#: 0.15 MB of allocations higher than at 2,048, and 321@10 0.09 MB lower.
+#: faster; the traced peak of a ``crs`` fold of 321@10 is the same as at
+#: 2,048 (0.91 MB), and that of 1234@8 17 KB higher.
 BLOCK_WORDS = 8192
 
 #: Members per chunk of :meth:`_ClassTable.children`.  The chunks of a level
 #: are held at once, so their size sets the peak memory of growing a tree,
-#: not the length of any lane a fold reads: S_10 under ``maxdrop_le=3``
-#: peaks 0.3 MB higher with chunks as large as the blocks.
+#: not the length of any lane a fold reads: with chunks as large as the
+#: blocks, a ``crs`` fold of 321@10 peaks 0.15 MB higher and one of 321@12
+#: 4.3 MB higher.
 CHUNK_MEMBERS = 2048
 
 
@@ -503,6 +509,68 @@ def _group_columns(n: int, at: int = 0, run: bytes = b"") -> Iterator[tuple[list
         yield columns, size
 
 
+def _drop_columns(n: int, d: int) -> Iterator[tuple[list[bytes], int]]:
+    """S_n under the drop bound d in lex order, 1 <= n <= 15, as blocks of
+    ``BLOCK_WORDS`` words, the last one fewer, each as its n columns.
+
+    Prepending a first letter a to a member u of size k-1 and raising its
+    letters >= a adds one to the drop of each letter below a, so the child
+    keeps every drop <= d exactly when a <= t(u): the least of k and of the
+    letters v at drop d, u_(v+d) = v.  Level k-1 is held by columns of bytes
+    ``t << 4 | letter``; segment a of level k, its members that start with
+    a, is one ``translate`` of each column that deletes the members with
+    t < a and raises the letters >= a.  The sets t >= a are nested, so the
+    segments stop at the first empty one, and level n streams one segment
+    at a time.
+
+    >>> [([c.hex() for c in cols], k) for cols, k in _drop_columns(3, 1)]
+    [(['01010203', '02030101', '03020302'], 4)]
+    """
+    segments = iter([([b"\x01"], 1)])  # level 1
+    for k in range(2, n + 1):
+        parts = list(segments)  # level k-1, by columns
+        columns = [b"".join(part) for part in zip(*(cols for cols, _ in parts))]
+        count = sum(size for _, size in parts)
+        del parts
+        ones = int.from_bytes(b"\x01" * count, "little")
+        t = ones * k
+        for p in range(k - 2, d - 1, -1):  # where the letter at p+1 is p+1-d, t is that letter
+            v = p + 1 - d
+            hit = columns[p].translate(bytes(v) + b"\xff" + bytes(255 - v))  # 0xFF where u_p = v
+            hit = int.from_bytes(hit, "little")
+            t = t & ~hit | hit & ones * v
+        t <<= 4
+        tagged = [(t | int.from_bytes(c, "little")).to_bytes(count, "little") for c in columns]
+        del columns
+        segments = _drop_segments(tagged, k)
+    rest, held = [b""] * n, 0  # the words not yet handed out, as columns
+    for cols, size in segments:
+        start = 0
+        while held + size - start >= BLOCK_WORDS:
+            stop = start + BLOCK_WORDS - held
+            yield [r + c[start:stop] for r, c in zip(rest, cols)], BLOCK_WORDS
+            rest, held, start = [b""] * n, 0, stop
+        rest = [r + c[start:] for r, c in zip(rest, cols)]
+        held += size - start
+        del cols  # so that the next segment is not made while this one is held
+    if held:
+        yield rest, held
+
+
+def _drop_segments(tagged: list[bytes], k: int) -> Iterator[tuple[list[bytes], int]]:
+    """The segments a = 1, 2, ... of level k from the tagged columns of
+    level k-1 (see :func:`_drop_columns`), each as (columns, count)."""
+    letters = bytes(range(16)) * 16  # each byte to its low nibble
+    for a in range(1, k + 1):
+        table, gone = letters.translate(_shift_table(a)), _BYTES[: a << 4]
+        columns = [c.translate(table, gone) for c in tagged]
+        size = len(columns[0])
+        if not size:
+            return
+        yield [bytes((a,)) * size, *columns], size
+        del columns  # so that the next segment is not made while this one is held
+
+
 def _drop_bound(spec: ClassSpec) -> int | None:
     kind, arg = spec.constraint or (None, None)
     return arg if kind == "maxdrop_le" else None
@@ -540,9 +608,10 @@ def class_blocks(spec: ClassSpec, bound: int | None = None) -> Iterator[tuple[li
     """The class in lex order as (columns, count): blocks of up to
     ``BLOCK_WORDS`` words as their columns of letters, one byte a letter, the
     format of the column kernels of :mod:`permcross.perm`.  Bare and
-    fixed-letter S_n are built as columns (:func:`_group_columns`); a
-    pattern class is cut from its table, and S_n under a maxdrop bound
-    streams from a tree of its own, each block cut into columns once.
+    fixed-letter S_n are built as columns (:func:`_group_columns`), and so
+    is S_n under a maxdrop bound up to n = 15 (:func:`_drop_columns`); a
+    pattern class is cut from its table, and S_n under a maxdrop bound past
+    n = 15 streams from a tree of its own, each block cut into columns once.
     Refused before any enumeration past the bound or past ``MAX_PACKED_N``.
     """
     _check_packable(spec, bound)
@@ -551,6 +620,8 @@ def class_blocks(spec: ClassSpec, bound: int | None = None) -> Iterator[tuple[li
         return iter([([], 1)])  # the empty word, which every class holds
     if spec.forbidden:
         return _reblocked((_table_level(spec),), n)
+    if drop_bound is not None and n <= 15:  # t and a letter share one byte
+        return _drop_columns(n, drop_bound)
     if drop_bound is not None:  # a tree of its own, whose last level is never stored
         return _reblocked(_ClassTable((), drop_bound).children(n), n)
     return _group_columns(n, *_fixed_run(spec))

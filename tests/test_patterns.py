@@ -3,7 +3,7 @@ import threading
 import tracemalloc
 from collections import Counter
 from itertools import combinations, permutations
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -170,7 +170,7 @@ def test_generators_agree_small_all_constraints():
         specs = []
         for pats in [(), ((2, 3, 1),), ((1, 2, 3), (2, 1, 3)), ((2, 4, 1, 3), (3, 1, 4, 2))]:
             specs += [class_spec(n, avoid=pats)]
-            # every drop bound d = 0..n of bare S_n, which the tree grows too
+            # every drop bound d = 0..n of bare S_n, built from threshold columns
             drops = range(max(4, n + 1)) if not pats else range(4)
             specs += [class_spec(n, avoid=pats, maxdrop_le=d) for d in drops]
             for k in range(1, n + 1):
@@ -301,6 +301,11 @@ def unpacked(blocks) -> list:
     return [w for columns, count in blocks for w in (zip(*columns) if columns else [()] * count)]
 
 
+def _drop_tree(n: int, d: int) -> list:
+    """The blocks of S_n under the drop bound d grown by the generating tree."""
+    return list(patterns._reblocked(patterns._ClassTable((), d).children(n), n))
+
+
 def _obeys(w, kind: str, k: int) -> bool:
     """The positional constraints, from their definitions."""
     n = len(w)
@@ -343,7 +348,7 @@ def test_class_table_blocks_at_block_edges(monkeypatch, block):
     # a table slice, bare S_n built by columns, where a block may span the
     # copies of S_(m-1) (the first letter changes every 120 words here), and
     # the streamed last level of S_n under a drop bound (6,144 words at n=8,
-    # d=3), whose pieces per first letter and chunk are cut into blocks; no
+    # d=3), whose segments per first letter are cut into blocks; no
     # consumer may depend on where blocks end
     specs = (
         class_spec(7, avoid=[(2, 3, 1)], tail=1),
@@ -379,13 +384,17 @@ def test_class_tables_at_chunk_edges(monkeypatch, chunk):
     # a table grows each size from chunks of CHUNK_MEMBERS members, apart
     # from the blocks it hands out: 132 and 429 members of 231-avoiders at
     # sizes 6 and 7, 1,536 of S_7 under a drop bound of 3 (the tree of
-    # S_8's streamed last level)
+    # S_8's streamed last level, which class_blocks takes only past n = 15)
     want = {spec: list(filtered_words(spec)) for spec in CHUNKED}
     monkeypatch.setattr(patterns, "CHUNK_MEMBERS", chunk)
     _class_table.cache_clear()
     try:
         for spec in CHUNKED:
-            assert unpacked(list(class_blocks(spec))) == want[spec], spec
+            if spec.forbidden:
+                blocks = list(class_blocks(spec))
+            else:
+                blocks = _drop_tree(spec.n, spec.constraint[1])
+            assert unpacked(blocks) == want[spec], spec
     finally:
         _class_table.cache_clear()
 
@@ -538,3 +547,61 @@ def test_threads_sharing_a_table_grow_each_level_once():
     assert not failures
     assert _class_table(forbidden, None) is table and len(table.levels) == 8
     _class_table.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# S_n under a drop bound, built from threshold columns
+
+
+def test_drop_columns_match_the_oracle():
+    for n in range(9):
+        for d in range(n + 1):
+            spec = class_spec(n, maxdrop_le=d)
+            blocks = list(class_blocks(spec))
+            want = list(filtered_words(spec))
+            assert unpacked(blocks) == want, spec
+            assert blocks == list(patterns.packed_blocks(want, n)), spec
+
+
+@pytest.mark.parametrize("n", [9, 10, 11])
+def test_drop_columns_match_the_tree_block_for_block(n):
+    for d in range(5):
+        assert list(class_blocks(class_spec(n, maxdrop_le=d), bound=n)) == _drop_tree(n, d), d
+
+
+def test_drop_bounds_past_n_minus_one_give_the_whole_group():
+    for n in range(10):
+        whole = list(class_blocks(class_spec(n)))
+        for d in range(max(n - 1, 0), n + 2):
+            assert list(class_blocks(class_spec(n, maxdrop_le=d))) == whole, (n, d)
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_drop_columns_at_block_edges(monkeypatch, block):
+    # the segments of the last level differ in size (S_6 under a drop bound
+    # of 2: 72, 72 and 36 words), so blocks straddle their edges
+    monkeypatch.setattr(patterns, "BLOCK_WORDS", block)
+    for n in range(1, 8):
+        for d in range(4):
+            spec = class_spec(n, maxdrop_le=d)
+            blocks = list(class_blocks(spec))
+            assert blocks == _drop_tree(n, d), spec
+            assert blocks == list(patterns.packed_blocks(filtered_words(spec), n)), spec
+
+
+@pytest.mark.parametrize("n", [15, 16])
+def test_drop_columns_on_both_sides_of_one_byte_per_threshold_and_letter(n):
+    # t and a letter share a byte up to n = 15; S_16 grows by the tree.  A
+    # threshold too high lets the class grow towards n!, so fail small first
+    assert class_size(class_spec(9, maxdrop_le=1)) == 2 ** 8
+    blocks = list(class_blocks(class_spec(n, maxdrop_le=1), bound=n))
+    assert sum(count for _, count in blocks) == 2 ** (n - 1)
+    assert blocks == _drop_tree(n, 1)
+
+
+def test_drop_class_sizes_match_the_closed_form():
+    # Chung, Claesson, Dukes and Graham: (d+1)^(n-d) d! words for n > d
+    for n in range(11):
+        for d in range(n + 2):
+            want = (d + 1) ** (n - d) * factorial(d) if n > d else factorial(n)
+            assert class_size(class_spec(n, maxdrop_le=d)) == want, (n, d)
