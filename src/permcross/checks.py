@@ -264,10 +264,19 @@ def _pat_text(pats) -> str:
 
 
 def _random_words(seed_tag: str, n: int, count: int) -> Iterator[tuple[int, ...]]:
-    rng = random.Random(f"permcross:{seed_tag}")
+    """``count`` words of size n, each the one before shuffled in place, the
+    same words as ``random.Random(f"permcross:{seed_tag}").shuffle`` gives:
+    its swap loop inlined, each swap index drawn from ``getrandbits`` of
+    the bit length of i+1 and drawn again while it exceeds i."""
+    bits = random.Random(f"permcross:{seed_tag}").getrandbits
+    swaps = [(i, (i + 1).bit_length()) for i in range(n - 1, 0, -1)]
     base = list(range(1, n + 1))
     for _ in range(count):
-        rng.shuffle(base)
+        for i, k in swaps:
+            j = bits(k)
+            while j > i:
+                j = bits(k)
+            base[i], base[j] = base[j], base[i]
         yield tuple(base)
 
 

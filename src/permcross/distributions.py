@@ -18,9 +18,11 @@ packed at fixed byte offsets into one integer
 One-byte statistics are counted by value (:func:`_tally`): a column with
 one ``bytes.count`` per value, and the two columns of a joint distribution
 by masking the second to the words that hold each value of the first.
-Two-byte statistics and the three fields of a crossing profile still go
-through ``Counter``.  No word is packed or has a statistic computed one at
-a time on this path.
+The crossing profile of bare S_n is folded over its cuts by the position
+of 1 and the last letter instead, each cut's crs column counted by value;
+only two-byte statistics and the profiles of pattern classes go through
+``Counter``.  No word is packed or has a statistic computed one at a time
+on this path.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .patterns import (
     P213_231,
     P213_312,
     ClassSpec,
+    _one_last_cuts,
     class_blocks,
     class_spec,
 )
@@ -240,21 +243,42 @@ class CrsProfile:
 
 @_memo
 def crs_profile(n: int, forbidden: tuple = (), bound: int | None = None) -> CrsProfile:
+    """The crossing distributions of S_n(forbidden) by the position of 1
+    and by the last letter, in one of two folds chosen on purpose.
+
+    Bare S_n is folded over its cuts (1 at position p, last letter v)
+    (:func:`permcross.patterns._one_last_cuts`): every word of a cut falls
+    in the buckets p and v, so each block is one crs kernel and one tally
+    by value, added to both, and no word is keyed by its position of 1 or
+    its last letter.  A pattern class packs (position of 1, last letter,
+    crs) into one key per word (:func:`permcross.perm._packed_keys`) and
+    counts the keys with ``Counter``: the only pattern classes folded here
+    are ``rel-3``'s, at n <= 8 with at most 1,430 members, where
+    (n-1)^2 + 1 tiny cut folds (50 at n = 8) would cost more than one pass.
+    """
     if n == 0:
         return CrsProfile(0, (), (), QPoly.one())
-    counts = _fold(
-        ClassSpec(n, forbidden),
-        bound,
-        lambda lanes: _packed_keys(
-            [lanes.position(1), lanes.columns[-1], lanes.as_bytes(lanes.stat("crs"))], lanes.count
-        ),
-    )
     pos_counts: list[Counter] = [Counter() for _ in range(n)]
     last_counts: list[Counter] = [Counter() for _ in range(n)]
-    for key, c in counts.items():  # the position of 1, the last letter, then crs
-        crs = key >> 16
-        pos_counts[(key & 0xFF) - 1][crs] += c
-        last_counts[(key >> 8 & 0xFF) - 1][crs] += c
+    if not forbidden:
+        for p, v, columns, count in _one_last_cuts(n, bound):
+            lanes, cut = _Lanes(columns, count), Counter()
+            _tally(cut, lanes.unpack(lanes.stat("crs")))
+            pos_counts[p - 1].update(cut)
+            last_counts[v - 1].update(cut)
+    else:
+        counts = _fold(
+            ClassSpec(n, forbidden),
+            bound,
+            lambda lanes: _packed_keys(
+                [lanes.position(1), lanes.columns[-1], lanes.as_bytes(lanes.stat("crs"))],
+                lanes.count,
+            ),
+        )
+        for key, c in counts.items():  # the position of 1, the last letter, then crs
+            crs = key >> 16
+            pos_counts[(key & 0xFF) - 1][crs] += c
+            last_counts[(key >> 8 & 0xFF) - 1][crs] += c
     by_pos1 = tuple(map(_qpoly, pos_counts))
     by_last = tuple(map(_qpoly, last_counts))
     return CrsProfile(n, by_pos1, by_last, sum(by_pos1, QPoly.zero()))

@@ -9,11 +9,13 @@ diffable.  A class comes in blocks of one format, ``(columns, count)``:
 and each builds blocks by columns rather than word by word.  Bare S_n, and
 S_n cut by ``one_at``, ``ends_with`` or ``tail``, comes from
 :func:`_group_columns`: the permutations of the m free letters are m shifted
-copies of S_(m-1), held by columns.  S_n under a maxdrop bound d comes from
-:func:`_drop_columns` up to n = 15: each member u may be prepended the first
-letters 1..t(u), a threshold computed by columns, so each size is one
-``translate`` per column and first letter of the size below, and the last
-size streams.
+copies of S_(m-1), held by columns; so does S_n under a drop bound d >= n-1,
+and so do the cuts of S_n by the position of 1 and the last letter
+(:func:`_one_last_cuts`) that a crossing profile is folded over.  S_n under
+any other maxdrop bound d comes from :func:`_drop_columns` up to n = 15:
+each member u may be prepended the first letters 1..t(u), a threshold
+computed by columns, so each size is one ``translate`` per column and first
+letter of the size below, and the last size streams.
 A pattern class, with or without a drop bound, comes from a generating tree
 (:class:`_ClassTable`), one per forbidden set and drop bound
 (:func:`_class_table`), which grows each size from the one below by
@@ -509,6 +511,34 @@ def _group_columns(n: int, at: int = 0, run: bytes = b"") -> Iterator[tuple[list
         yield columns, size
 
 
+def _one_last_cuts(n: int, bound: int | None = None) -> Iterator[tuple[int, int, list[bytes], int]]:
+    """S_n, n >= 1, cut by the position p of the letter 1 and the last
+    letter v, as (p, v, columns, count): blocks of up to ``BLOCK_WORDS``
+    words of one cut each, every cut in one or more blocks.  Refused before
+    any enumeration past the bound or past ``MAX_PACKED_N``.
+
+    The cut v = 1 is the words that end with 1.  For v >= 2, the words that
+    end with 1, v (:func:`_group_columns`) give every cut (p, v) with p < n
+    by moving their constant column of 1 to position p; moving a column
+    builds nothing, so each block is enumerated once for its n-1 cuts.
+
+    >>> [(p, v, list(zip(*cols))) for p, v, cols, _ in _one_last_cuts(3)][:3]
+    [(3, 1, [(2, 3, 1), (3, 2, 1)]), (1, 2, [(1, 3, 2)]), (2, 2, [(3, 1, 2)])]
+    """
+    _check_packable(ClassSpec(n), bound)
+
+    def cuts() -> Iterator[tuple[int, int, list[bytes], int]]:
+        for columns, count in _group_columns(n, n - 1, b"\x01"):
+            yield n, 1, columns, count
+        for v in range(2, n + 1):
+            for columns, count in _group_columns(n, n - 2, bytes((1, v))):
+                rest, one, last = columns[: n - 2], columns[n - 2], columns[n - 1]
+                for p in range(1, n):
+                    yield p, v, [*rest[: p - 1], one, *rest[p - 1 :], last], count
+
+    return cuts()
+
+
 def _drop_columns(n: int, d: int) -> Iterator[tuple[list[bytes], int]]:
     """S_n under the drop bound d in lex order, 1 <= n <= 15, as blocks of
     ``BLOCK_WORDS`` words, the last one fewer, each as its n columns.
@@ -608,10 +638,11 @@ def class_blocks(spec: ClassSpec, bound: int | None = None) -> Iterator[tuple[li
     """The class in lex order as (columns, count): blocks of up to
     ``BLOCK_WORDS`` words as their columns of letters, one byte a letter, the
     format of the column kernels of :mod:`permcross.perm`.  Bare and
-    fixed-letter S_n are built as columns (:func:`_group_columns`), and so
-    is S_n under a maxdrop bound up to n = 15 (:func:`_drop_columns`); a
-    pattern class is cut from its table, and S_n under a maxdrop bound past
-    n = 15 streams from a tree of its own, each block cut into columns once.
+    fixed-letter S_n are built as columns (:func:`_group_columns`), as is S_n
+    under a drop bound d >= n-1, which is all of S_n, and S_n under any other
+    maxdrop bound up to n = 15 (:func:`_drop_columns`); a pattern class is
+    cut from its table, and S_n under a maxdrop bound past n = 15 streams
+    from a tree of its own, each block cut into columns once.
     Refused before any enumeration past the bound or past ``MAX_PACKED_N``.
     """
     _check_packable(spec, bound)
@@ -620,6 +651,8 @@ def class_blocks(spec: ClassSpec, bound: int | None = None) -> Iterator[tuple[li
         return iter([([], 1)])  # the empty word, which every class holds
     if spec.forbidden:
         return _reblocked((_table_level(spec),), n)
+    if drop_bound is not None and drop_bound >= n - 1:  # no drop exceeds n-1: all of S_n
+        return _group_columns(n)
     if drop_bound is not None and n <= 15:  # t and a letter share one byte
         return _drop_columns(n, drop_bound)
     if drop_bound is not None:  # a tree of its own, whose last level is never stored

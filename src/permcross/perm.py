@@ -349,9 +349,12 @@ def stat_columns(columns: list[bytes], count: int, stats: Sequence[str]) -> list
     the letters before position I, grows by one ``translate`` per position,
     one more gives the letters of (I, w_I) and (w_I, I], and the crossings
     at I are the popcount of the letters of S in the first interval and of
-    those not in S in the second.  The per-word functions of
-    :data:`STATISTICS` are the oracle the kernels are tested against.  Each
-    statistic comes as ``bytes`` for one-byte lanes, else as an array.
+    those not in S in the second.  ``maxdrop`` is a popcount too: one
+    ``translate`` per position sets a bit for each drop up to that of its
+    letter, in byte planes of eight drops, ORed over the positions.  The
+    per-word functions of :data:`STATISTICS` are the oracle the kernels are
+    tested against.  Each statistic comes as ``bytes`` for one-byte lanes,
+    else as an array.
 
     >>> columns = [bytes(c) for c in zip((4, 7, 3, 5, 1, 2, 6), (2, 1, 3, 4, 5, 6, 7))]
     >>> [list(c) for c in stat_columns(columns, 2, ("crs", "nes"))]
@@ -746,15 +749,24 @@ def _lt_lanes(b: _Lanes) -> int:
 
 
 def _maxdrop_lanes(b: _Lanes) -> int:
-    # max(i - sigma(i), 0) is the number of d >= 1 with some i - sigma(i) >= d
-    xt, top, shift = b.xt, b.top, b.shift
+    # max(i - sigma(i), 0) is the number of d >= 1 with some i - sigma(i) >= d:
+    # the drops d of plane k are bits d-1-8k of a byte, the letter at position
+    # p sets those up to its drop p+1-w_p, and the OR over the positions holds
+    # as many bits as the largest drop reaches into the plane
     total = 0
-    for d in range(1, b.n):
-        missed = top  # top bit kept while no position has w_p <= p+1-d
-        for p in range(d, b.n):
-            missed &= xt[p] - b.const(p + 2 - d)
-        total += ((missed & top) ^ top) >> shift
+    for plane in range((b.n + 6) // 8):
+        reached = 0
+        for p in range(8 * plane + 1, b.n):  # no drop before position p+1 reaches 8k+1
+            column = b.columns[p].translate(_drop_table(p - 8 * plane))
+            reached |= int.from_bytes(column, "little")
+        total += b.as_int(reached.to_bytes(b.count, "little").translate(_POPCOUNT))
     return total
+
+
+@lru_cache(maxsize=None)
+def _drop_table(reach: int) -> bytes:
+    """``bytes.translate`` table: the low min(reach+1-v, 8) bits for a letter v."""
+    return bytes((1 << min(max(reach + 1 - v, 0), 8)) - 1 for v in range(256))
 
 
 _LANE_KERNELS: dict[str, Callable[[_Lanes], int]] = {

@@ -1,4 +1,5 @@
 import json
+import random
 from dataclasses import replace
 from itertools import permutations
 from pathlib import Path
@@ -340,6 +341,17 @@ def test_flagged_words_at_block_edges(monkeypatch, block):
     flagged = [reports[0].word for reports in checks._flagged("prop-2.5", blocks, oracle)]
     assert flagged == [w for w in group if not all(r.passed for r in oracle(w))]
     assert 0 < len(flagged) < len(group)
+
+
+@pytest.mark.parametrize("tag", ["lem-2.1", "lem-2.2", "lem-2.4", "lem-4.2"])
+def test_random_words_are_the_shuffles_of_the_seeded_generator(tag):
+    # the words the four laws sample, and short words where the loop is empty
+    for n, count in ((checks.RANDOM_SAMPLE_N, checks.RANDOM_SAMPLE_SIZE), (0, 2), (1, 2), (2, 9)):
+        rng, base, want = random.Random(f"permcross:{tag}"), list(range(1, n + 1)), []
+        for _ in range(count):
+            rng.shuffle(base)
+            want.append(tuple(base))
+        assert list(checks._random_words(tag, n, count)) == want, n
 
 
 def test_bound_below_a_checks_minimum_is_refused():

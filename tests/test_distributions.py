@@ -77,8 +77,9 @@ def reference_profile(n, words):
     by_pos1 = [Counter() for _ in range(n)]
     by_last = [Counter() for _ in range(n)]
     for w in words:
-        by_pos1[w.index(1)][crossing_count(w)] += 1
-        by_last[w[-1] - 1][crossing_count(w)] += 1
+        crs = crossing_count(w)
+        by_pos1[w.index(1)][crs] += 1
+        by_last[w[-1] - 1][crs] += 1
     pack = lambda c: QPoly(tuple(c[e] for e in range(max(c) + 1 if c else 0)))
     return [pack(c) for c in by_pos1], [pack(c) for c in by_last]
 
@@ -218,9 +219,12 @@ def test_packed_keys_with_two_byte_statistics(n, pats):
 
 
 def test_defaulted_and_explicit_arguments_share_one_cache_entry(monkeypatch):
+    # every fold, by class blocks or by the cuts of S_n, checks its bound once
     folds = []
-    fold = distributions._fold
-    monkeypatch.setattr(distributions, "_fold", lambda *args: folds.append(args) or fold(*args))
+    packable = patterns._check_packable
+    monkeypatch.setattr(
+        patterns, "_check_packable", lambda *args: folds.append(args) or packable(*args)
+    )
     spec = class_spec(6, avoid=P213_312)
     calls = (
         (dist_poly, (spec, "crs"), (spec, "crs", None), {"bound": None}),
@@ -270,6 +274,47 @@ def test_crs_fold_never_builds_the_letter_lanes(monkeypatch):
     finally:
         dist_poly.cache_clear()
     assert size == 362880 and poly.evaluate(1) == size
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_group_profile_matches_the_per_word_reference(n):
+    words = list(class_words(class_spec(n)))
+    prof = crs_profile(n)
+    want = reference_profile(n, words) if n else ([], [])
+    assert (list(prof.by_pos1), list(prof.by_last)) == want
+    assert prof.total.evaluate(1) == len(words)
+
+
+def test_group_profile_is_folded_over_its_cuts(monkeypatch):
+    # every word of a cut shares its buckets, so none is keyed by its
+    # position of 1 or its last letter
+    def refuse(*args):
+        raise AssertionError("the group profile keyed its words")
+
+    monkeypatch.setattr(perm, "_packed_keys", refuse)
+    monkeypatch.setattr(distributions, "_packed_keys", refuse)
+    monkeypatch.setattr(perm._Lanes, "position", refuse)
+    crs_profile.cache_clear()
+    try:
+        for n in (1, 2, 3, 9):
+            prof = crs_profile(n)
+            assert prof.total == dist_poly(class_spec(n), "crs")[0], n
+    finally:
+        crs_profile.cache_clear()
+
+
+def test_group_profile_past_the_bound_is_refused_before_any_enumeration(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the group was enumerated past the bound")
+
+    monkeypatch.setattr(patterns, "_group_columns", refuse)
+    crs_profile.cache_clear()
+    try:
+        for n, bound in ((6, 5), (2, 1), (patterns.FULL_GROUP_BOUND + 1, None)):
+            with pytest.raises(patterns.BoundExceededError):
+                crs_profile(n, (), bound)
+    finally:
+        crs_profile.cache_clear()
 
 
 def test_fold_refuses_words_past_the_packing_limit():

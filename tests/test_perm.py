@@ -216,6 +216,20 @@ def test_crs_kernel_in_two_byte_lanes(n):
     assert lane_values(lanes, lanes.stat("crs")) == [crossing_count(w) for w in words]
 
 
+@pytest.mark.parametrize("n", [1, 2, 8, 9, 10, 16, 17, 18, 23, 24, 30])
+def test_maxdrop_kernel_where_the_drop_planes_cut_over(n):
+    # the drops 1..8 fill one byte plane, so a drop of n-1 reaches a second
+    # plane from n = 10 on and a third from n = 18; 1 at position k+1 after
+    # 2..k+1 is a word whose largest drop is k, for every k < n
+    rng = random.Random(4000 + n)
+    words = [tuple(rng.sample(range(1, n + 1), n)) for _ in range(300)]
+    words += [(*range(2, k + 2), 1, *range(k + 2, n + 1)) for k in range(n)]
+    words.append(tuple(range(n, 0, -1)))
+    for width in (1, 2):
+        lanes = _Lanes(pack(words), len(words), min_width=width)
+        assert lane_values(lanes, lanes.stat("maxdrop")) == [max_drop(w) for w in words], width
+
+
 def unpack(columns, count):
     assert all(len(c) == count for c in columns)
     return list(zip(*columns)) if columns else [()] * count
