@@ -10,8 +10,9 @@ memoized; inputs are immutable so the caches are safe to share.
 fold (:func:`_fold`) over the class's blocks: up to ``BLOCK_WORDS`` words
 as their columns of letters (:func:`permcross.patterns.class_blocks`: built
 as columns from a shifted S_(m-1) for bare S_n and its fixed-letter cuts,
-cut from the rows of the class table otherwise).  Each block becomes one
-set of lanes (:class:`permcross.perm._Lanes`), and the column kernels turn
+from threshold columns for S_n under a drop bound, and sliced from the
+columns of the class table of a pattern class).  Each block becomes one set
+of lanes (:class:`permcross.perm._Lanes`), and the column kernels turn
 it into one key per word: the statistic itself, or every field of the word
 packed at fixed byte offsets into one integer
 (:func:`permcross.perm._packed_keys`), decoded once per distinct key.

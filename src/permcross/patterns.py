@@ -21,17 +21,19 @@ A pattern class, with or without a drop bound, comes from a generating tree
 (:func:`_class_table`), which grows each size from the one below by
 prepending a first letter; the letters each member may take are found by
 lane comparisons over a chunk of members at once, and no per-member mask is
-kept.  A positional constraint filters its last level.  A tree keeps its
-members as words packed one after another, and each block is cut into
-columns once on its way out; past n = 15 it also streams S_n under a drop
-bound, storing no last level.  :func:`class_blocks` hands a class
+kept.  A tree keeps each size as (columns, count), the block format itself:
+the children of a first letter are each column ANDed with a mask over the
+members that may take it, and one ``translate``.  A positional constraint
+cuts the last level by one mask built from the columns it fixes.  Past
+n = 15 a tree also streams S_n under a drop bound, storing no last level;
+:func:`_reblocked` cuts the pieces of a tree or of the threshold columns
+into blocks.  :func:`class_blocks` hands a class
 out as blocks, :func:`class_words` as words; :func:`filtered_words`, a plain
 filter over all n! words, is the oracle the other paths are tested against.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, islice, permutations
@@ -39,7 +41,7 @@ from math import factorial
 from threading import RLock
 from typing import Iterable, Iterator, Sequence
 
-from .perm import MAX_PACKED_N, Permutation, _columns, _Lanes, _rows, as_word
+from .perm import _BYTES, MAX_PACKED_N, Permutation, _bump_table, _columns, _Lanes, as_word
 
 CONSTRAINT_KINDS = ("one_at", "ends_with", "tail", "maxdrop_le")
 
@@ -308,6 +310,7 @@ def _allowed_letters(
             return out
 
         forbidden |= grow(0, 0, top)
+        del grow  # it calls itself: a cycle that would hold the lanes until collected
     if drop_bound is not None:  # forbid every a > u_p whose drop p+1-u_p is at least d
         for p in range(k):
             held = top & ~(xt[p] - lanes.const(max(p + 2 - drop_bound, 0)))
@@ -328,56 +331,55 @@ class _ClassTable:
     members of size k-1 by prepending each allowed first letter a and
     shifting the letters >= a up by one; looping over a outside and the
     members inside yields size k in lex order without a sort.  ``levels[k]``
-    holds the size-k members packed one letter per byte, grown by columns
-    (:meth:`children`) with no per-member mask or loop.  A lock keeps
-    threads that share a table from growing one level twice.
+    holds the size-k members as (columns, count), the block format of the
+    kernels, grown by columns (:meth:`children`) with no per-member mask or
+    loop.  A lock keeps threads that share a table from growing one level
+    twice.
     """
 
     def __init__(self, forbidden: tuple, drop_bound: int | None):
         self.rules = [_prepend_rule(p) for p in forbidden]
         self.drop_bound = drop_bound
-        self.levels = [b""]
-        self.counts = [1]
+        self.levels: list[tuple[list[bytes], int]] = [([], 1)]
         self.lock = RLock()
 
-    def level(self, n: int) -> tuple[bytes, int]:
-        """(packed members, count) of size n, grown from the largest level so far."""
+    def level(self, n: int) -> tuple[list[bytes], int]:
+        """(columns, count) of the size-n members, grown from the largest level so far."""
         with self.lock:
             for k in range(len(self.levels), n + 1):
-                self.levels.append(b"".join(self.children(k)))
-                self.counts.append(len(self.levels[k]) // k)
-            return self.levels[n], self.counts[n]
+                self.levels.append(_joined(self.children(k), k))
+            return self.levels[n]
 
-    def children(self, k: int) -> Iterator[bytes]:
-        """The size-k members in lex order, packed, in pieces grown from level k-1.
+    def children(self, k: int) -> Iterator[tuple[list[bytes], int]]:
+        """The size-k members in lex order, as (columns, count) pieces grown
+        from level k-1.
 
-        Each chunk of ``CHUNK_MEMBERS`` members is framed as packed rows, its
-        members behind a first column of 0xFF bytes, and as the same rows in
-        one integer.  The children of letter a are the integer ANDed with
-        0xFF over the members that may take a (:func:`_allowed_letters`), or
-        the rows as they are when all may and nothing when none may; one
-        ``translate`` drops the zeros, shifts the letters and writes a over
-        the 0xFF column.
+        Level k-1 is cut into chunks of ``CHUNK_MEMBERS`` members, each kept
+        as its columns, the same columns as integers, and the first letters
+        its members may take (:func:`_allowed_letters`).  The children of
+        letter a in a chunk are a constant column of a before the chunk's
+        column integers, each ANDed with 0xFF over the members that may take
+        a, then one ``translate`` that deletes the zero bytes and raises the
+        letters >= a.  A chunk whose members all take a is only translated,
+        and one whose members all refuse a gives nothing.
         """
-        words, count = self.level(k - 1)
+        columns, count = self.level(k - 1)
         chunks = []
         for first in range(0, count, CHUNK_MEMBERS):
             size = min(CHUNK_MEMBERS, count - first)
-            columns = _columns(words[first * (k - 1) : (first + size) * (k - 1)], k - 1)
-            frame = _rows([b"\xff" * size, *columns])
-            allowed = _allowed_letters(columns, size, self.rules, self.drop_bound)
-            chunks.append((frame, int.from_bytes(frame, "little"), allowed, size))
-        spread = int.from_bytes(b"\xff" * k, "little")  # a member's first byte 1 -> 0xFF * k
+            part = [c[first : first + size] for c in columns]
+            allowed = _allowed_letters(part, size, self.rules, self.drop_bound)
+            chunks.append((part, [int.from_bytes(c, "little") for c in part], allowed, size))
         for a in range(1, k + 1):
-            for rows, frame, allowed, size in chunks:
+            table = _bump_table(a)
+            for part, ints, allowed, size in chunks:
                 taken = allowed[a - 1].count(1)
-                if 0 < taken < size:
-                    mask = bytearray(size * k)
-                    mask[::k] = allowed[a - 1]
-                    kept = frame & int.from_bytes(mask, "little") * spread
-                    rows = kept.to_bytes(size * k, "little")
-                if taken:
-                    yield rows.translate(_shift_table(a), b"\0")
+                if taken == size:
+                    yield [bytes((a,)) * size, *(c.translate(table) for c in part)], size
+                elif taken:
+                    mask = int.from_bytes(allowed[a - 1], "little") * 0xFF
+                    kept = ((c & mask).to_bytes(size, "little") for c in ints)
+                    yield [bytes((a,)) * taken, *(c.translate(table, b"\0") for c in kept)], taken
 
 
 @lru_cache(maxsize=None)
@@ -387,47 +389,39 @@ def _class_table(forbidden: tuple, drop_bound: int | None) -> _ClassTable:
     return _ClassTable(forbidden, drop_bound)
 
 
-def _reblocked(pieces: Iterable[bytes], n: int) -> Iterator[tuple[list[bytes], int]]:
-    """Pieces of whole packed size-n words as blocks of ``BLOCK_WORDS``
-    words, the last one fewer, each as its n columns.  Each column is joined
-    from slices of the pieces, so no block is first copied out of them whole.
+def _joined(pieces: Iterable[tuple[list[bytes], int]], n: int) -> tuple[list[bytes], int]:
+    """(columns, count) pieces of size-n words joined into one."""
+    pieces = list(pieces)
+    return [b"".join(cols[p] for cols, _ in pieces) for p in range(n)], sum(c for _, c in pieces)
 
-    >>> pieces = [bytes((2, 1, 1, 2)), bytes((3, 1))]
-    >>> [([c.hex() for c in cols], k) for cols, k in _reblocked(pieces, 2)]
-    [(['020103', '010201'], 3)]
+
+def _reblocked(
+    pieces: Iterable[tuple[list[bytes], int]], n: int
+) -> Iterator[tuple[list[bytes], int]]:
+    """(columns, count) pieces of size-n words as blocks of ``BLOCK_WORDS``
+    words, the last one fewer, each as its n columns.  The words a block
+    leaves are sliced off their piece, so each piece is let go before the
+    next one is built.
+
+    >>> one, two = bytes((1,)), bytes((2,))
+    >>> pieces = [([one * 8000, two * 8000], 8000), ([two * 500, one * 500], 500)]
+    >>> [(k, [c.count(1) for c in cols]) for cols, k in _reblocked(pieces, 2)]
+    [(8192, [8000, 192]), (308, [0, 308])]
     """
-    step, spans, held = BLOCK_WORDS * n, deque(), 0  # (piece, offset) not yet handed out
-
-    def cut(size: int) -> list[bytes]:  # the columns of the first ``size`` bytes held
-        parts = []
-        while size:
-            piece, start = spans[0]
-            stop = min(len(piece), start + size)
-            parts.append((piece, start, stop))
-            size -= stop - start
-            if stop < len(piece):
-                spans[0] = piece, stop
-            else:
-                spans.popleft()
-        return [b"".join(piece[i + p : j : n] for piece, i, j in parts) for p in range(n)]
-
-    for piece in pieces:
-        spans.append((piece, 0))
-        held += len(piece)
-        while held >= step:
-            yield cut(step), BLOCK_WORDS
-            held -= step
-    if held:
-        yield cut(held), held // n
-
-
-_BYTES = bytes(range(256))
-
-
-def _shift_table(a: int) -> bytes:
-    """``bytes.translate`` table raising every letter >= a by one, and
-    writing a over the frame byte 0xFF, which no packed letter takes."""
-    return _BYTES[:a] + _BYTES[a + 1 :] + _BYTES[a : a + 1]
+    held, count = [], 0  # the columns of the words not yet handed out, piece by piece
+    for columns, size in pieces:
+        start = 0
+        while count + size - start >= BLOCK_WORDS:
+            stop = start + BLOCK_WORDS - count
+            held.append([c[start:stop] for c in columns])
+            yield [b"".join(cols[p] for cols in held) for p in range(n)], BLOCK_WORDS
+            held, count, start = [], 0, stop
+        if start < size:
+            held.append([c[start:] for c in columns])
+            count += size - start
+        del columns  # so that the next piece is not built while this one is held
+    if count:
+        yield [b"".join(cols[p] for cols in held) for p in range(n)], count
 
 
 #: Words per block.  Larger blocks make fewer, longer lane operations but
@@ -435,14 +429,16 @@ def _shift_table(a: int) -> bytes:
 #: and the crs kernel's lanes as much again.  At 8,192 the ten group-stats
 #: folds of S_9 run about a quarter faster than at 2,048, and 16,384 is no
 #: faster; the traced peak of a ``crs`` fold of 321@10 is the same as at
-#: 2,048 (0.91 MB), and that of 1234@8 17 KB higher.
+#: 2,048 (0.41 MB), and that of 1234@8 15 KB higher.
 BLOCK_WORDS = 8192
 
-#: Members per chunk of :meth:`_ClassTable.children`.  The chunks of a level
-#: are held at once, so their size sets the peak memory of growing a tree,
-#: not the length of any lane a fold reads: with chunks as large as the
-#: blocks, a ``crs`` fold of 321@10 peaks 0.15 MB higher and one of 321@12
-#: 4.3 MB higher.
+#: Members per chunk of :meth:`_ClassTable.children`: the length of the
+#: lanes that find the first letters, not of any lane a fold reads.  The
+#: chunks of a level are held at once, but their lanes go chunk by chunk,
+#: so the size hardly moves the peak, which is the pieces and the joined
+#: columns of the last level: with chunks as large as the blocks, a ``crs``
+#: fold of 321@10 peaks 51 KB higher (0.46 MB) and one of 321@12 36 KB
+#: lower (5.9 MB).
 CHUNK_MEMBERS = 2048
 
 
@@ -472,7 +468,7 @@ def _group_columns(n: int, at: int = 0, run: bytes = b"") -> Iterator[tuple[list
     ``BLOCK_WORDS`` words, the last one fewer, each as its n columns.
 
     The permutations of the m free letters are m copies of S_(m-1), copy a
-    behind a constant column a and shifted by ``_shift_table(a)`` composed
+    behind a constant column a and shifted by ``_bump_table(a)`` composed
     with the map of the ranks 1..m to the free letters, so each column of a
     piece of a copy is one ``translate`` of a slice of a column of S_(m-1).
     S_(m-1) is held by columns, (m-1)! (m-1) bytes, while the stream runs.
@@ -495,7 +491,7 @@ def _group_columns(n: int, at: int = 0, run: bytes = b"") -> Iterator[tuple[list
         done += size
         del columns  # so that the next block is not made while this one is held
     letters = bytes(1) + free + bytes(255 - m)
-    tables = [_shift_table(a).translate(letters) for a in range(1, m + 1)]
+    tables = [_bump_table(a).translate(letters) for a in range(1, m + 1)]
     for first in range(0, m * count, BLOCK_WORDS):
         size = min(BLOCK_WORDS, m * count - first)
         pieces, done = [], 0  # (a, start, stop): rows start..stop of copy a
@@ -558,33 +554,18 @@ def _drop_columns(n: int, d: int) -> Iterator[tuple[list[bytes], int]]:
     """
     segments = iter([([b"\x01"], 1)])  # level 1
     for k in range(2, n + 1):
-        parts = list(segments)  # level k-1, by columns
-        columns = [b"".join(part) for part in zip(*(cols for cols, _ in parts))]
-        count = sum(size for _, size in parts)
-        del parts
+        columns, count = _joined(segments, k - 1)  # level k-1
         ones = int.from_bytes(b"\x01" * count, "little")
         t = ones * k
         for p in range(k - 2, d - 1, -1):  # where the letter at p+1 is p+1-d, t is that letter
             v = p + 1 - d
-            hit = columns[p].translate(bytes(v) + b"\xff" + bytes(255 - v))  # 0xFF where u_p = v
-            hit = int.from_bytes(hit, "little")
+            hit = _where(columns[p], v)
             t = t & ~hit | hit & ones * v
         t <<= 4
         tagged = [(t | int.from_bytes(c, "little")).to_bytes(count, "little") for c in columns]
         del columns
         segments = _drop_segments(tagged, k)
-    rest, held = [b""] * n, 0  # the words not yet handed out, as columns
-    for cols, size in segments:
-        start = 0
-        while held + size - start >= BLOCK_WORDS:
-            stop = start + BLOCK_WORDS - held
-            yield [r + c[start:stop] for r, c in zip(rest, cols)], BLOCK_WORDS
-            rest, held, start = [b""] * n, 0, stop
-        rest = [r + c[start:] for r, c in zip(rest, cols)]
-        held += size - start
-        del cols  # so that the next segment is not made while this one is held
-    if held:
-        yield rest, held
+    yield from _reblocked(segments, n)
 
 
 def _drop_segments(tagged: list[bytes], k: int) -> Iterator[tuple[list[bytes], int]]:
@@ -592,7 +573,7 @@ def _drop_segments(tagged: list[bytes], k: int) -> Iterator[tuple[list[bytes], i
     level k-1 (see :func:`_drop_columns`), each as (columns, count)."""
     letters = bytes(range(16)) * 16  # each byte to its low nibble
     for a in range(1, k + 1):
-        table, gone = letters.translate(_shift_table(a)), _BYTES[: a << 4]
+        table, gone = letters.translate(_bump_table(a)), _BYTES[: a << 4]
         columns = [c.translate(table, gone) for c in tagged]
         size = len(columns[0])
         if not size:
@@ -606,22 +587,32 @@ def _drop_bound(spec: ClassSpec) -> int | None:
     return arg if kind == "maxdrop_le" else None
 
 
-def _table_level(spec: ClassSpec) -> bytes:
-    """A pattern class packed one word after another: its table's level n,
-    of which a ``one_at``, ``ends_with`` or ``tail`` constraint keeps the
-    members whose fixed run (:func:`_fixed_run`) is in place."""
-    n = spec.n
-    level, _ = _class_table(spec.forbidden, _drop_bound(spec)).level(n)
-    if spec.constraint is not None and spec.constraint[0] != "maxdrop_le":
-        at, run = _fixed_run(spec)
-        column = level[at::n]
-        i, kept = column.find(run[0]), bytearray()
-        while i >= 0:
-            if level[i * n + at : i * n + at + len(run)] == run:
-                kept += level[i * n : i * n + n]
-            i = column.find(run[0], i + 1)
-        level = bytes(kept)
-    return level
+def _where(column: bytes, v: int) -> int:
+    """0xFF in each byte where ``column`` holds the letter v, else 0, as one integer."""
+    return int.from_bytes(column.translate(bytes(v) + b"\xff" + bytes(255 - v)), "little")
+
+
+def _table_level(spec: ClassSpec) -> tuple[list[bytes], int]:
+    """A pattern class as (columns, count): its table's level n, of which a
+    ``one_at``, ``ends_with`` or ``tail`` constraint keeps the members whose
+    fixed run (:func:`_fixed_run`) is in place.  The run's columns make one
+    mask, 0xFF over the members kept; every other column is ANDed with it
+    as one integer and one ``translate`` deletes the zero bytes, and the
+    run goes back in as constant columns."""
+    columns, count = _class_table(spec.forbidden, _drop_bound(spec)).level(spec.n)
+    if spec.constraint is None or spec.constraint[0] == "maxdrop_le":
+        return columns, count
+    at, run = _fixed_run(spec)
+    mask = -1
+    for p, v in enumerate(run, at):
+        mask &= _where(columns[p], v)
+    size = mask.bit_count() // 8
+    kept = [
+        (int.from_bytes(c, "little") & mask).to_bytes(count, "little").translate(None, b"\0")
+        for c in columns[:at] + columns[at + len(run) :]
+    ]
+    kept[at:at] = [bytes((v,)) * size for v in run]
+    return kept, size
 
 
 def _check_packable(spec: ClassSpec, bound: int | None) -> None:
@@ -641,8 +632,8 @@ def class_blocks(spec: ClassSpec, bound: int | None = None) -> Iterator[tuple[li
     fixed-letter S_n are built as columns (:func:`_group_columns`), as is S_n
     under a drop bound d >= n-1, which is all of S_n, and S_n under any other
     maxdrop bound up to n = 15 (:func:`_drop_columns`); a pattern class is
-    cut from its table, and S_n under a maxdrop bound past n = 15 streams
-    from a tree of its own, each block cut into columns once.
+    sliced from the columns of its table, and S_n under a maxdrop bound past
+    n = 15 streams from a tree of its own, its pieces joined into blocks.
     Refused before any enumeration past the bound or past ``MAX_PACKED_N``.
     """
     _check_packable(spec, bound)
@@ -676,9 +667,9 @@ def enumerate_class(spec: ClassSpec, bound: int | None = None) -> Iterator[Permu
 @lru_cache(maxsize=None)
 def class_size(spec: ClassSpec, bound: int | None = None) -> int:
     """The number of words of the class.  A pattern class is counted from
-    its table's level, or the rows a fixed-letter constraint keeps of it;
+    its table's level, or the members a fixed-letter constraint keeps of it;
     S_n is counted from its blocks."""
     _check_packable(spec, bound)
-    if spec.forbidden and spec.n:
-        return len(_table_level(spec)) // spec.n
+    if spec.forbidden:
+        return _table_level(spec)[1]
     return sum(count for _, count in class_blocks(spec, bound))

@@ -660,10 +660,12 @@ def _complement_table(n: int) -> bytes:
     return bytes(table)
 
 
-@lru_cache(maxsize=None)
+_BYTES = bytes(range(256))
+
+
 def _bump_table(b: int) -> bytes:
     """``bytes.translate`` table: the letters >= b up by one (255 stays)."""
-    return bytes(min(v + (v >= b), 0xFF) for v in range(256))
+    return _BYTES[:b] + _BYTES[b + 1 :] + b"\xff"
 
 
 # Each kernel maps a block's lanes to the lane sum of one statistic.  Positions

@@ -34,6 +34,9 @@ def test_the_kernels_have_doctests():
         "residual_columns",
         "packed_blocks",
         "_group_columns",
+        "_one_last_cuts",
+        "_drop_columns",
+        "_reblocked",
         "_packed_keys",
         "_word_keys",
         "_allowed_letters",

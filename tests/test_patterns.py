@@ -1,3 +1,4 @@
+import gc
 import sys
 import threading
 import tracemalloc
@@ -9,6 +10,8 @@ import pytest
 
 from permcross import patterns
 from permcross.patterns import (
+    P132_312,
+    P213_312,
     BoundExceededError,
     ClassSpec,
     _class_table,
@@ -485,6 +488,59 @@ def test_group_columns_hold_one_copy_of_the_smaller_group():
     finally:
         tracemalloc.stop()
     assert peak < 500_000
+
+
+def test_drop_stream_lets_each_piece_go_before_the_next():
+    # S_10 under a drop bound of 3 streams its last level in segments of
+    # 24,576, 18,432, ... words, 246 KB of columns for the first; holding
+    # each segment while the next one was built peaked at 819 KB, not 717 KB
+    tracemalloc.start()
+    try:
+        for columns, count in class_blocks(class_spec(10, maxdrop_le=3)):
+            stat_columns(columns, count, ("crs",))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 765_000
+
+
+def test_growing_a_tree_keeps_no_lanes():
+    # the levels of 321-avoiders up to size 11 take 0.88 MB; the lanes of
+    # each chunk (x, xt and the letter edges) must go when its first
+    # letters are found, not wait for the cyclic collector: held, they
+    # took 2.5 MB more
+    _class_table.cache_clear()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        _class_table(((3, 2, 1),), None).level(11)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+        _class_table.cache_clear()
+    assert held < 1_200_000
+
+
+@pytest.mark.parametrize("n", [13, 14, 15, 16])
+def test_positional_cuts_of_the_tail_pairs_by_count(n):
+    # past the oracle's reach: a tail-k class of (213,312) or (132,312) has
+    # 2^(n-1-k) members, 1 for k = n (Table 1 at q = 1), and 1 sits first or
+    # last in a (213,312)-avoider, 2^(n-2) times each (eq-7, prop-4.1 at q = 1)
+    cuts = [(pair, "tail", k) for pair in (P213_312, P132_312) for k in range(1, n + 1)]
+    cuts += [(P213_312, "one_at", k) for k in range(1, n + 1)]
+    for pair, kind, k in cuts:
+        if kind == "tail":
+            want, at, run = 2 ** (n - 1 - k) if k < n else 1, n - k, range(k, 0, -1)
+        else:
+            want, at, run = 2 ** (n - 2) if k in (1, n) else 0, n - k, (1,)
+        spec = ClassSpec(n, pair, (kind, k))
+        blocks = list(class_blocks(spec, bound=n))
+        assert sum(count for _, count in blocks) == class_size(spec, bound=n) == want, spec
+        for columns, count in blocks:  # the fixed letters are in place, and nowhere else
+            assert columns[at : at + len(run)] == [bytes((v,)) * count for v in run], spec
+            assert not any(v in c for c in columns[:at] + columns[at + len(run) :] for v in run)
+    _class_table.cache_clear()
 
 
 def test_lanes_of_several_bytes_at_sizes_past_23():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permcross.perm import (
+    _bump_table,
     _Lanes,
     _word_keys,
     INVOLUTIONS,
@@ -478,6 +479,12 @@ def test_insert_of_inverse_examples():
     assert insert_of_inverse((3, 1, 5, 4, 2), 4, 1).word == (3, 6, 2, 1, 5, 4)
     n = 4
     assert insert_of_inverse(identity(n), n + 1, 1).word == (2, 3, 4, 5, 1)
+
+
+def test_bump_table_raises_the_letters_from_b_on():
+    # sliced from the identity table; the definition, byte by byte, for every b
+    for b in range(256):
+        assert _bump_table(b) == bytes(min(v + (v >= b), 0xFF) for v in range(256)), b
 
 
 def test_insert_remove_round_trip():
