@@ -12,11 +12,11 @@ which always report their record.  Status is "pass", "fail", or "finding";
 reports a counterexample without ever gating the suite.  Checks are
 deterministic: random sampling uses fixed seeds derived from the check id.
 
-A check folds only what it compares: the one-at-k checks (thm-2.6,
-conj-2.7) fold the one-at-k cuts of S_n rather than its full crs profile,
-and the checks over images of whole words (sym-transport, phi-psi) map each
-block once per map and compare the images by integer word keys
-(:func:`permcross.perm._word_keys`), never word by word.
+S_n is folded once per n for every check on its one-at-k cuts: thm-2.6,
+conj-2.7 and rel-3 all read its crs profile (one fold over its cuts by the
+position of 1 and the last letter).  The checks over images of whole words
+(sym-transport, phi-psi) map each block once per map and compare the images
+by integer word keys (:func:`permcross.perm._word_keys`), never word by word.
 """
 
 from __future__ import annotations
@@ -569,9 +569,10 @@ def _prop25_rows(n: int):
 )
 def _thm26_rows(n: int):
     q, one = QPoly.var(), QPoly.one()
-    first, want_first = _dist(n + 1, (), one_at=1), _dist(n, ())
-    second = _dist(n + 1, (), one_at=2)
-    want_second = q * _dist(n, ()) + (one - q) * _dist(n - 1, ())
+    cuts = crs_profile(n + 1).by_pos1  # one-at-1 is 1 at position n+1, one-at-2 at n
+    first, second = cuts[n], cuts[n - 1]
+    want_first = crs_profile(n).total
+    want_second = q * want_first + (one - q) * crs_profile(n - 1).total
     if first != want_first or second != want_second:
         yield {
             "n": n,
@@ -591,9 +592,9 @@ def _thm26_rows(n: int):
     reads=(GROUP,),
 )
 def _conj27_rows(n: int):
+    by_pos1 = crs_profile(n).by_pos1  # one-at-k is 1 at position n+1-k
     for k in range(1, n + 1):
-        mirror = n + 1 - k
-        dist_k, dist_mirror = _dist(n, (), one_at=k), _dist(n, (), one_at=mirror)
+        dist_k, dist_mirror = by_pos1[n - k], by_pos1[k - 1]
         if dist_k != dist_mirror:
             yield {
                 "n": n,

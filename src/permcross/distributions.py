@@ -137,13 +137,10 @@ def _tally(counts: Counter, keys: _Keys) -> None:
     elif isinstance(keys, tuple):
         y, q = keys
         count, q_lanes = len(y), int.from_bytes(q, "little")
-        for e, c in _values(y):
-            if c < count:
-                other = y.translate(b"\xff" * e + b"\0" + b"\xff" * (255 - e))
-                kept = q_lanes | int.from_bytes(other, "little")
-                held = kept.to_bytes(count, "little").translate(None, b"\xff")
-            else:
-                held = q
+        for e, _ in _values(y):
+            other = y.translate(b"\xff" * e + b"\0" + b"\xff" * (255 - e))
+            kept = q_lanes | int.from_bytes(other, "little")
+            held = kept.to_bytes(count, "little").translate(None, b"\xff")
             for v, d in _values(held):
                 counts[e | v << 8] += d
     else:

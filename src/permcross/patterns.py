@@ -354,7 +354,7 @@ class _ClassTable:
         """The size-k members in lex order, as (columns, count) pieces grown
         from level k-1.
 
-        Level k-1 is cut into chunks of ``CHUNK_MEMBERS`` members, each kept
+        Level k-1 is cut into chunks of ``BLOCK_WORDS`` members, each kept
         as its columns, the same columns as integers, and the first letters
         its members may take (:func:`_allowed_letters`).  The children of
         letter a in a chunk are a constant column of a before the chunk's
@@ -365,8 +365,8 @@ class _ClassTable:
         """
         columns, count = self.level(k - 1)
         chunks = []
-        for first in range(0, count, CHUNK_MEMBERS):
-            size = min(CHUNK_MEMBERS, count - first)
+        for first in range(0, count, BLOCK_WORDS):
+            size = min(BLOCK_WORDS, count - first)
             part = [c[first : first + size] for c in columns]
             allowed = _allowed_letters(part, size, self.rules, self.drop_bound)
             chunks.append((part, [int.from_bytes(c, "little") for c in part], allowed, size))
@@ -424,22 +424,16 @@ def _reblocked(
         yield [b"".join(cols[p] for cols in held) for p in range(n)], count
 
 
-#: Words per block.  Larger blocks make fewer, longer lane operations but
-#: hold more memory: at n = 10 a block's columns take 80 KB at 8,192 words,
-#: and the crs kernel's lanes as much again.  At 8,192 the ten group-stats
-#: folds of S_9 run about a quarter faster than at 2,048, and 16,384 is no
-#: faster; the traced peak of a ``crs`` fold of 321@10 is the same as at
-#: 2,048 (0.41 MB), and that of 1234@8 15 KB higher.
+#: Words per block, and members per chunk of :meth:`_ClassTable.children`.
+#: Larger blocks make fewer, longer lane operations but hold more memory:
+#: at n = 10 a block's columns take 80 KB at 8,192 words, and the crs
+#: kernel's lanes as much again.  At 8,192 the ten group-stats folds of S_9
+#: run about a quarter faster than at 2,048, and 16,384 is no faster.  The
+#: chunks of a level are held at once but their lanes go chunk by chunk, so
+#: the traced peak of a ``crs`` fold is the pieces and the joined columns of
+#: the last level: 0.47 MB for 321@10 (0.41 MB with chunks of 2,048) and
+#: 5.9 MB for 321@12, as with 2,048.
 BLOCK_WORDS = 8192
-
-#: Members per chunk of :meth:`_ClassTable.children`: the length of the
-#: lanes that find the first letters, not of any lane a fold reads.  The
-#: chunks of a level are held at once, but their lanes go chunk by chunk,
-#: so the size hardly moves the peak, which is the pieces and the joined
-#: columns of the last level: with chunks as large as the blocks, a ``crs``
-#: fold of 321@10 peaks 51 KB higher (0.46 MB) and one of 321@12 36 KB
-#: lower (5.9 MB).
-CHUNK_MEMBERS = 2048
 
 
 def packed_blocks(words: Iterable[Sequence[int]], n: int) -> Iterator[tuple[list[bytes], int]]:

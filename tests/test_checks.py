@@ -19,6 +19,7 @@ from permcross.checks import (
     run_checks,
     suite_passed,
 )
+from permcross.distributions import CrsProfile
 from permcross.perm import (
     SYMMETRIES,
     apply_symmetry,
@@ -178,9 +179,10 @@ def _rc_as_inverse(columns, count):
     return {**images, "i": images["rc"]}
 
 
-def _asymmetric_dist(n, pats, stat="crs", **constraint):
-    # every one-at-k cut gets its own distribution q^k
-    return QPoly.monomial(constraint.get("one_at", 0))
+def _asymmetric_profile(n, forbidden=(), bound=None):
+    # every position of 1 gets its own distribution q^p
+    cuts = tuple(map(QPoly.monomial, range(1, n + 1)))
+    return CrsProfile(n, cuts, cuts, sum(cuts, QPoly.zero()))
 
 
 def _inv_one_high(columns, count, stats):
@@ -213,7 +215,7 @@ BROKEN_INPUTS = [
         ((checks, "apply_symmetry", _identity_map), (checks, "symmetry_images", _identity_images)),
         "fail",
     ),
-    ("conj-2.7", ((checks, "_dist", _asymmetric_dist),), "finding"),
+    ("conj-2.7", ((checks, "crs_profile", _asymmetric_profile),), "finding"),
     ("lem-2.1", _BROKEN_LEMMA, "fail"),
     ("lem-2.2", _BROKEN_LEMMA, "fail"),
     ("lem-2.4", _BROKEN_LEMMA, "fail"),
@@ -271,6 +273,27 @@ def test_a_broken_input_is_reported_with_capped_witnesses(monkeypatch, check_id,
     assert 1 <= len(broken_run.witnesses) <= WITNESS_CAP
     assert broken_run.bound == passing.bound  # a failure states the same range
     jsonschema.validate(broken_run.to_json(), SCHEMA)
+
+
+@pytest.mark.parametrize("check_id", ["thm-2.6", "conj-2.7"])
+def test_one_at_checks_read_the_crs_profile(monkeypatch, check_id):
+    # S_n is folded once per n, over its cuts by the position of 1, for
+    # thm-2.6, conj-2.7 and rel-3; no one-at-k cut is folded on its own
+    profiles, cuts = [], []
+
+    def profile(n, *args, **kwargs):
+        profiles.append(n)
+        return distributions.crs_profile(n, *args, **kwargs)
+
+    def dist_poly(spec, *args, **kwargs):
+        if spec.constraint:
+            cuts.append(spec)
+        return distributions.dist_poly(spec, *args, **kwargs)
+
+    monkeypatch.setattr(checks, "crs_profile", profile)
+    monkeypatch.setattr(checks, "dist_poly", dist_poly)
+    assert run_check(check_id, 6).status == "pass"
+    assert set(profiles) >= set(range(1, 7)) and not cuts
 
 
 def test_inv_exc_crs_flags_must_be_confirmed_per_word(monkeypatch):

@@ -501,7 +501,8 @@ def test_eulerian_refinement_small():
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_cut_classes_match_the_crs_profile(n):
-    # conj-2.7 and thm-2.6 fold the cut classes, rel-3 reads the profile
+    # the cut classes the CLI and the pattern-class checks fold against the
+    # profile that rel-3, thm-2.6 and conj-2.7 read
     for pats in PATTERN_SUBSETS:
         profile = crs_profile(n, pats)
         for k in range(1, n + 1):

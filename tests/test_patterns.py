@@ -121,6 +121,49 @@ def test_catalan_sizes_all_patterns():
             assert class_size(class_spec(n, avoid=[pat])) == comb(2 * n, n) // (n + 1)
 
 
+def simion_schmidt(pats, n: int) -> int | None:
+    """|S_n(T)| for a set T of one to three length-3 patterns (Simion and
+    Schmidt, "Restricted permutations", Europ. J. Combin. 6, 1985), n >= 1;
+    None where the closed form gives no single value (n < 5 for a triple
+    that holds both 123 and 321)."""
+    t, up, down = set(pats), (1, 2, 3), (3, 2, 1)
+    fib = [1, 1]  # fib[n] = F_(n+1)
+    while len(fib) <= n:
+        fib.append(fib[-1] + fib[-2])
+    if len(t) == 1:
+        return comb(2 * n, n) // (n + 1)
+    if t == {up, down}:
+        return (1, 2, 4, 4)[n - 1] if n < 5 else 0
+    if len(t) == 2:
+        if t in ({up, (2, 3, 1)}, {up, (3, 1, 2)}, {(1, 3, 2), down}, {(2, 1, 3), down}):
+            return comb(n, 2) + 1
+        return 2 ** (n - 1)
+    if t in ({up, (1, 3, 2), (2, 1, 3)}, {(2, 3, 1), (3, 1, 2), down}):
+        return fib[n]
+    if {up, down} <= t:
+        return 0 if n >= 5 else None
+    return n
+
+
+def test_simion_schmidt_counts_to_12():
+    # the 41 sets of one to three length-3 patterns; the Catalan levels pass
+    # BLOCK_WORDS members from n = 10 on, where a table grows a level from
+    # several chunks, past the reach of the oracle (n <= 8)
+    _class_table.cache_clear()
+    class_size.cache_clear()
+    sets = [pats for size in (1, 2, 3) for pats in combinations(ALL3, size)]
+    assert len(sets) == 41
+    try:
+        for pats in sets:
+            for n in range(1, 13):
+                want = simion_schmidt(pats, n)
+                if want is None:
+                    want = sum(1 for _ in filtered_words(class_spec(n, avoid=pats)))
+                assert class_size(class_spec(n, avoid=pats)) == want, (pats, n)
+    finally:
+        _class_table.cache_clear()
+
+
 # the paper's four pattern pairs and their eight dihedral images each
 PAPER_PAIRS = [
     ((1, 2, 3), (1, 3, 2)),
@@ -384,12 +427,12 @@ CHUNKED = (
 
 @pytest.mark.parametrize("chunk", [1, 7, 119, 120])
 def test_class_tables_at_chunk_edges(monkeypatch, chunk):
-    # a table grows each size from chunks of CHUNK_MEMBERS members, apart
-    # from the blocks it hands out: 132 and 429 members of 231-avoiders at
-    # sizes 6 and 7, 1,536 of S_7 under a drop bound of 3 (the tree of
-    # S_8's streamed last level, which class_blocks takes only past n = 15)
+    # a table grows each size from chunks of BLOCK_WORDS members: 132 and
+    # 429 members of 231-avoiders at sizes 6 and 7, 1,536 of S_7 under a
+    # drop bound of 3 (the tree of S_8's streamed last level, which
+    # class_blocks takes only past n = 15)
     want = {spec: list(filtered_words(spec)) for spec in CHUNKED}
-    monkeypatch.setattr(patterns, "CHUNK_MEMBERS", chunk)
+    monkeypatch.setattr(patterns, "BLOCK_WORDS", chunk)
     _class_table.cache_clear()
     try:
         for spec in CHUNKED:

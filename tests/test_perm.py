@@ -2,12 +2,14 @@ import random
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from permcross.patterns import class_blocks, class_spec
 from permcross.perm import (
     _bump_table,
     _Lanes,
+    _packed_keys,
     _word_keys,
     INVOLUTIONS,
     MAX_PACKED_N,
@@ -183,6 +185,47 @@ def test_stat_columns_at_the_packing_limit():
     n = MAX_PACKED_N
     words = [tuple(range(n, 0, -1)), tuple(range(1, n + 1))]
     assert_columns_match(words)
+
+
+def assert_corteel(columns, count):
+    # inv = exc + crs + 2 nes on every word (Corteel, Adv. Appl. Math. 38, 2007)
+    inv, exc, crs, nes = stat_columns(columns, count, ("inv", "exc", "crs", "nes"))
+    bad = [t for t in range(count) if inv[t] != exc[t] + crs[t] + 2 * nes[t]]
+    assert not bad, tuple(c[bad[0]] for c in columns)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_corteel_identity_on_the_blocks_of_s_n(n):
+    for columns, count in class_blocks(class_spec(n)):
+        assert_corteel(columns, count)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(9, 30).flatmap(
+        lambda n: st.lists(st.permutations(range(1, n + 1)), min_size=1, max_size=16)
+    )
+)
+@example([tuple(range(23, 0, -1)), tuple(range(1, 24))])
+@example([tuple(range(24, 0, -1)), (2, 1, *range(3, 25))])
+def test_corteel_identity_on_random_words(words):
+    # one-byte lanes up to n = 23, two-byte lanes from 24 on
+    assert_corteel(pack(words), len(words))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_corteel_identity_per_word(n):
+    inv, exc, crs, nes = (STATISTICS[s] for s in ("inv", "exc", "crs", "nes"))
+    for w in permutations(range(1, n + 1)):
+        assert inv(w) == exc(w) + crs(w) + 2 * nes(w), w
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 64).flatmap(lambda count: st.binary(min_size=2 * count, max_size=2 * count)))
+def test_two_byte_lanes_unpack_to_their_values(raw):
+    count = len(raw) // 2
+    lanes = _Lanes([bytes(count)], count, min_width=2)
+    assert lanes.unpack(int.from_bytes(raw, "little")) == _packed_keys([raw], count)
 
 
 def lane_values(lanes, total):
