@@ -28,10 +28,9 @@ on this path.
 
 from __future__ import annotations
 
-import inspect
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -41,6 +40,7 @@ from .patterns import (
     P213_231,
     P213_312,
     ClassSpec,
+    _memo,
     _one_last_cuts,
     class_blocks,
     class_spec,
@@ -157,31 +157,6 @@ def _fold(spec: ClassSpec, bound: int | None, keys: Callable[[_Lanes], _Keys]) -
     for columns, count in class_blocks(spec, bound):
         _tally(counts, keys(_Lanes(columns, count)))
     return counts
-
-
-def _memo(fn):
-    """``lru_cache`` keyed on every parameter with its default filled in, so
-    ``f(spec, "crs")`` and ``f(spec, "crs", None)`` are one entry.  The names
-    and defaults are read from the signature once; a call that misses an
-    argument or passes an unknown or repeated one is left to ``bind``, which
-    raises its ``TypeError``.  The result carries the cache's ``cache_info``
-    and ``cache_clear``."""
-    signature = inspect.signature(fn)
-    names = tuple(signature.parameters)
-    defaults = tuple(p.default for p in signature.parameters.values())
-    cached = lru_cache(maxsize=None)(fn)
-
-    @wraps(fn)
-    def call(*args, **kwargs):
-        given = len(args)
-        key = args + tuple(map(kwargs.get, names[given:], defaults[given:]))
-        if given > len(names) or inspect.Parameter.empty in key or kwargs.keys() - names[given:]:
-            signature.bind(*args, **kwargs)
-        return cached(*key)
-
-    call.cache_info = cached.cache_info
-    call.cache_clear = cached.cache_clear
-    return call
 
 
 def _qpoly(counts: Counter) -> QPoly:

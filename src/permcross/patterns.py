@@ -34,8 +34,9 @@ filter over all n! words, is the oracle the other paths are tested against.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import chain, combinations, islice, permutations
 from math import factorial
 from threading import RLock
@@ -658,7 +659,32 @@ def enumerate_class(spec: ClassSpec, bound: int | None = None) -> Iterator[Permu
         yield Permutation(w)
 
 
-@lru_cache(maxsize=None)
+def _memo(fn):
+    """``lru_cache`` keyed on every parameter with its default filled in, so
+    ``f(spec, "crs")`` and ``f(spec, "crs", None)`` are one entry.  The names
+    and defaults are read from the signature once; a call that misses an
+    argument or passes an unknown or repeated one is left to ``bind``, which
+    raises its ``TypeError``.  The result carries the cache's ``cache_info``
+    and ``cache_clear``."""
+    signature = inspect.signature(fn)
+    names = tuple(signature.parameters)
+    defaults = tuple(p.default for p in signature.parameters.values())
+    cached = lru_cache(maxsize=None)(fn)
+
+    @wraps(fn)
+    def call(*args, **kwargs):
+        given = len(args)
+        key = args + tuple(map(kwargs.get, names[given:], defaults[given:]))
+        if given > len(names) or inspect.Parameter.empty in key or kwargs.keys() - names[given:]:
+            signature.bind(*args, **kwargs)
+        return cached(*key)
+
+    call.cache_info = cached.cache_info
+    call.cache_clear = cached.cache_clear
+    return call
+
+
+@_memo
 def class_size(spec: ClassSpec, bound: int | None = None) -> int:
     """The number of words of the class.  A pattern class is counted from
     its table's level, or the members a fixed-letter constraint keeps of it;

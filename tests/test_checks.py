@@ -1,5 +1,7 @@
+import hashlib
 import json
 import random
+from collections import Counter
 from dataclasses import replace
 from itertools import permutations
 from pathlib import Path
@@ -7,7 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from permcross import bijections, checks, distributions, patterns
+from permcross import bijections, checks, distributions, patterns, perm
 from permcross.bijections import ResidualReport
 from permcross.checks import (
     CHECKS,
@@ -28,7 +30,7 @@ from permcross.perm import (
     stat_columns,
     symmetry_images,
 )
-from permcross.polynomials import QPoly, ZSeries
+from permcross.polynomials import QPoly, ZSeries, cfrac_expand
 
 SCHEMA = json.loads(
     (Path(checks.__file__).parent / "schemas" / "check_result.schema.json").read_text()
@@ -190,7 +192,40 @@ def _inv_one_high(columns, count, stats):
     return [[v + (stat == "inv") for v in column] for stat, column in zip(stats, values)]
 
 
+def _one_level_early(order):
+    # the continued fraction of 321-avoiders with levels q^floor(m/2), not q^floor((m-1)/2)
+    return cfrac_expand([QPoly.monomial(m // 2) for m in range(1, order + 1)], order)
+
+
+_DIST = checks._dist
+
+
+def _cuts_plus_one(n, pats, stat="crs", **constraint):
+    # every class cut by a constraint counts one word too many, at crs 0
+    poly = _DIST(n, pats, stat, **constraint)
+    return poly + QPoly.one() if any(v is not None for v in constraint.values()) else poly
+
+
+def _class_213_times_q(n, pats, stat="crs", **constraint):
+    poly = _DIST(n, pats, stat, **constraint)
+    return poly * QPoly.var() if pats == ((2, 1, 3),) else poly
+
+
+_DIST_POLY = distributions.dist_poly
+
+
+def _dist_poly_times_q(spec, stat, bound=None):
+    poly, size = _DIST_POLY(spec, stat, bound)
+    return poly * QPoly.var(), size
+
+
 _ZERO_FORM = ((checks, "closed_form", lambda form, n: QPoly.zero()),)
+_CUTS_PLUS_ONE = ((checks, "_dist", _cuts_plus_one),)
+_ONE_HIGH_CELL = (
+    (checks, "tableau_value", lambda n, k: distributions.tableau_value(n, k) + QPoly.one()),
+)
+# the series of the des/inv adjudication in place of the exc/crs series
+_DES_INV_SERIES = ((checks, "exc_crs_series", distributions.des_inv_series),)
 # the block residuals decide a law and the per-word oracle reports it, so a
 # broken law is broken in both
 _BROKEN_LEMMA = (
@@ -257,6 +292,23 @@ BROKEN_INPUTS = [
         "fail",
     ),
     ("cor-4.3", ((bijections, "stat_columns", lambda columns, count, stats: [bytes(count)]),), "fail"),
+    ("catalan", ((checks, "class_size", lambda spec: patterns.class_size(spec) + 1),), "fail"),
+    ("cfrac-321", ((checks, "crossing_cfrac_series", _one_level_early),), "fail"),
+    ("cor-4.5", _ONE_HIGH_CELL, "fail"),
+    ("cor-5.3", _ZERO_FORM, "fail"),
+    ("cor-5.4", _DES_INV_SERIES, "fail"),
+    ("eq-1", ((checks, "_dist", _class_213_times_q),), "fail"),
+    ("eq-4-6", _CUTS_PLUS_ONE, "fail"),
+    ("eq-7", _CUTS_PLUS_ONE, "fail"),
+    ("eq-8", _CUTS_PLUS_ONE, "fail"),
+    ("eq-chung", ((checks, "des_inv_series", distributions.exc_crs_series),), "fail"),
+    ("prop-4.1", _CUTS_PLUS_ONE, "fail"),
+    ("prop-4.4", _CUTS_PLUS_ONE, "fail"),
+    ("table-1", _ONE_HIGH_CELL, "fail"),
+    ("thm-1.2", ((distributions, "dist_poly", _dist_poly_times_q),), "fail"),
+    ("thm-2.6", ((checks, "crs_profile", _asymmetric_profile),), "fail"),
+    ("thm-4.6", _ONE_HIGH_CELL, "fail"),
+    ("thm-5.2", _DES_INV_SERIES, "fail"),
 ]
 
 
@@ -273,6 +325,26 @@ def test_a_broken_input_is_reported_with_capped_witnesses(monkeypatch, check_id,
     assert 1 <= len(broken_run.witnesses) <= WITNESS_CAP
     assert broken_run.bound == passing.bound  # a failure states the same range
     jsonschema.validate(broken_run.to_json(), SCHEMA)
+
+
+def test_every_check_has_a_broken_input():
+    assert sorted(b[0] for b in BROKEN_INPUTS) == list(available_checks())
+
+
+#: sha256 of the witnesses of every BROKEN_INPUTS run at bound 4, in order,
+#: each run's witnesses as one line of JSON with sorted keys
+BROKEN_WITNESS_DIGEST = "838af2e927d51e23f776db40c080122f06d67e4093151e8a7aa53f21bc001772"
+
+
+def test_broken_inputs_give_the_pinned_witnesses(monkeypatch):
+    digest = hashlib.sha256()
+    for check_id, patches, _ in BROKEN_INPUTS:
+        for module, name, broken in patches:
+            monkeypatch.setattr(module, name, broken)
+        witnesses = run_check(check_id, 4).witnesses
+        digest.update(json.dumps(witnesses, sort_keys=True).encode() + b"\n")
+        monkeypatch.undo()
+    assert digest.hexdigest() == BROKEN_WITNESS_DIGEST
 
 
 @pytest.mark.parametrize("check_id", ["thm-2.6", "conj-2.7"])
@@ -435,6 +507,122 @@ def test_a_bound_too_high_is_refused_before_any_check_runs(monkeypatch):
     assert {c for c in named if f"{c} takes a bound of at most" in str(refused.value)} == named
     assert "catalan" not in str(refused.value)
     assert ran == []
+
+
+def _patch_everywhere(monkeypatch, original, replacement):
+    """Bind ``replacement`` wherever a module of the package binds ``original``."""
+    for module in (perm, patterns, distributions, bijections, checks):
+        for name in [name for name, value in vars(module).items() if value is original]:
+            monkeypatch.setattr(module, name, replacement)
+
+
+def _crs_one_high(monkeypatch):
+    # the first word of every block, in lane 0, gets one crossing too many
+    crs = perm._LANE_KERNELS["crs"]
+    monkeypatch.setitem(perm._LANE_KERNELS, "crs", lambda lanes: crs(lanes) + 1)
+
+
+def _reblocked_drops_a_word(monkeypatch):
+    reblocked = patterns._reblocked
+
+    def broken(pieces, n):
+        blocks = reblocked(pieces, n)
+        for columns, count in blocks:  # the first block loses its first word, if it has two
+            yield ([c[1:] for c in columns], count - 1) if count > 1 else (columns, count)
+            yield from blocks
+
+    monkeypatch.setattr(patterns, "_reblocked", broken)
+
+
+def _tally_drops_a_value(monkeypatch):
+    tally = distributions._tally
+
+    def broken(counts, keys):
+        block = Counter()
+        tally(block, keys)
+        block.pop(max(block, default=None), None)  # the largest key of each block
+        counts.update(block)
+
+    monkeypatch.setattr(distributions, "_tally", broken)
+
+
+def _symmetry_images_swapped(monkeypatch):
+    images = perm.symmetry_images
+
+    def broken(columns, count):
+        got = images(columns, count)
+        return {**got, "i": got["rc"], "rc": got["i"]}
+
+    _patch_everywhere(monkeypatch, images, broken)
+
+
+def _tableau_cell_off(monkeypatch):
+    # cell (4, 1) one high, and with it every cell computed from it
+    value = distributions.tableau_value
+
+    def broken(n, k):
+        return value(n, k) + QPoly.one() if (n, k) == (4, 1) else value(n, k)
+
+    _patch_everywhere(monkeypatch, value, broken)
+
+
+#: A fault in one shared layer, and the checks that do not pass under it at
+#: bound 5 with cold caches.  A check missing from a set is blind to that
+#: fault: it compares two sides that both go through the faulty layer, or
+#: reads no class the layer builds.
+LAYER_FAULTS = {
+    "crs kernel one high in lane 0": (
+        _crs_one_high,
+        {
+            "cfrac-321", "conj-2.7", "cor-3.2", "cor-3.4", "cor-5.4", "eq-4-6",
+            "eq-7", "eq-8", "inv-exc-crs", "prop-4.4", "rel-3", "thm-1.1",
+            "thm-1.2", "thm-2.6", "thm-2.8", "thm-3.1", "thm-4.6", "thm-5.2",
+        },
+    ),
+    "_reblocked drops a word": (
+        _reblocked_drops_a_word,
+        {
+            "cfrac-321", "cor-3.2", "cor-3.4", "cor-5.3", "cor-5.4", "eq-4-6",
+            "eq-7", "eq-8", "eq-chung", "eq-dokos", "prop-4.4", "prop-5.1", "rel-3",
+            "sym-transport", "thm-1.1", "thm-1.2", "thm-2.8", "thm-3.1", "thm-4.6",
+            "thm-5.2",
+        },
+    ),
+    "_tally drops a value": (
+        _tally_drops_a_value,
+        {
+            "cfrac-321", "conj-2.7", "cor-3.2", "cor-3.4", "cor-5.3", "cor-5.4",
+            "eq-4-6", "eq-7", "eq-8", "eq-chung", "eq-dokos", "prop-4.4", "rel-3",
+            "thm-1.1", "thm-1.2", "thm-2.6", "thm-2.8", "thm-3.1", "thm-4.6",
+            "thm-5.2",
+        },
+    ),
+    "symmetry_images swaps i and rc": (_symmetry_images_swapped, {"prop-2.5", "sym-transport"}),
+    "tableau cell (4, 1) one high": (
+        _tableau_cell_off,
+        {"cor-4.5", "table-1", "thm-1.2", "thm-4.6"},
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", LAYER_FAULTS)
+def test_a_layer_fault_fails_the_checks_that_can_see_it(monkeypatch, fault):
+    plant, seen_by = LAYER_FAULTS[fault]
+    _clear_caches()
+    try:
+        plant(monkeypatch)
+        not_passing = set()
+        for check_id in available_checks():
+            try:
+                passed = run_check(check_id, 5).status == "pass"
+            except AssertionError:  # a block kernel disagreed with its per-word oracle
+                passed = False
+            if not passed:
+                not_passing.add(check_id)
+    finally:
+        monkeypatch.undo()
+        _clear_caches()
+    assert sorted(not_passing) == sorted(seen_by)
 
 
 def _clear_caches():

@@ -25,6 +25,7 @@ from permcross.patterns import (
     P132_312,
     P213_312,
     P321_231,
+    class_size,
     class_spec,
     class_words,
 )
@@ -219,7 +220,8 @@ def test_packed_keys_with_two_byte_statistics(n, pats):
 
 
 def test_defaulted_and_explicit_arguments_share_one_cache_entry(monkeypatch):
-    # every fold, by class blocks or by the cuts of S_n, checks its bound once
+    # every fold, by class blocks or by the cuts of S_n, and every class size
+    # checks its bound once
     folds = []
     packable = patterns._check_packable
     monkeypatch.setattr(
@@ -230,6 +232,7 @@ def test_defaulted_and_explicit_arguments_share_one_cache_entry(monkeypatch):
         (dist_poly, (spec, "crs"), (spec, "crs", None), {"bound": None}),
         (joint_poly, (spec, "exc", "crs"), (spec, "exc", "crs", None), {"bound": None}),
         (crs_profile, (6,), (6, ()), {"forbidden": (), "bound": None}),
+        (class_size, (spec,), (spec, None), {"bound": None}),
     )
     for cached, defaulted, explicit, keywords in calls:
         cached.cache_clear()
