@@ -5,12 +5,15 @@ runs this registry.
 Each check is registered by a decorator that carries its id, description and
 default bound.  Most are an identity over n (:func:`_identity`) or a
 crossing-change law over words (:func:`_law`); the rest are plain functions
-of the bound (:func:`_check`).  A run returns (status, witnesses, bound_text),
-through :func:`_verdict` except for the adjudications cor-4.3 and eq-chung,
-which always report their record.  Status is "pass", "fail", or "finding";
-"finding" is reserved for the open symmetry question (check conj-2.7), which
-reports a counterexample without ever gating the suite.  Checks are
-deterministic: random sampling uses fixed seeds derived from the check id.
+of the bound (:func:`_check`).  An identity names the sides of its equality,
+and :func:`_sides` compares them and writes the witness of a mismatch: where
+(n, and k or the patterns), then each side by name.  A run returns (status,
+witnesses, bound_text), through :func:`_verdict` except for the adjudications
+cor-4.3 and eq-chung, which always report their record.  Status is "pass",
+"fail", or "finding"; "finding" is reserved for the open symmetry question
+(check conj-2.7), which reports a counterexample without ever gating the
+suite.  Checks are deterministic: random sampling uses fixed seeds derived
+from the check id.
 
 S_n is folded once per n for every check on its one-at-k cuts: thm-2.6,
 conj-2.7 and rel-3 all read its crs profile (one fold over its cuts by the
@@ -82,7 +85,7 @@ from .perm import (
     stat_columns,
     symmetry_images,
 )
-from .polynomials import QPoly, ZSeries
+from .polynomials import QPoly, ZSeries, _Ring
 
 #: The six length-3 patterns, in lex order.
 ALL_LENGTH3 = tuple(permutations((1, 2, 3)))
@@ -284,6 +287,21 @@ def _dist(n: int, pats, stat: str = "crs", **constraint) -> QPoly:
     return dist_poly(class_spec(n, avoid=pats, **constraint), stat)[0]
 
 
+def _sides(where: dict, **sides) -> Iterator[dict]:
+    """Nothing if the named sides are equal, else one witness: the ``where``
+    fields, then each side by name, a polynomial as its ``to_text()``.
+
+    >>> list(_sides({"n": 2}, actual=QPoly((1, 1)), expected=QPoly((2,))))
+    [{'n': 2, 'actual': '1+q', 'expected': '2'}]
+    >>> list(_sides({"n": 2}, size=2, expected=2))
+    []
+    """
+    values = [*sides.values()]
+    if values.count(values[0]) < len(values):  # a side differs from the first
+        shown = {k: v.to_text() if isinstance(v, _Ring) else v for k, v in sides.items()}
+        yield {**where, **shown}
+
+
 # ---------------------------------------------------------------------------
 # the checks, in the order of the paper
 
@@ -311,15 +329,13 @@ def _catalan_rows(n: int):
     want = comb(2 * n, n) // (n + 1)
     for pat in ALL_LENGTH3:
         size = class_size(class_spec(n, avoid=(pat,)))
-        if size != want:
-            yield {"pattern": _pat_text((pat,)), "n": n, "size": size, "expected": want}
+        yield from _sides({"pattern": _pat_text((pat,)), "n": n}, size=size, expected=want)
 
 
 @_identity("eq-1", "crs distribution agrees across the 321/132/213 classes", 9)
 def _eq1_rows(n: int):
     polys = {_pat_text((pat,)): _dist(n, (pat,)) for pat in ((3, 2, 1), (1, 3, 2), (2, 1, 3))}
-    if len({p.to_text() for p in polys.values()}) != 1:
-        yield {"n": n, **{k: p.to_text() for k, p in polys.items()}}
+    return _sides({"n": n}, **polys)
 
 
 @_identity(
@@ -329,22 +345,14 @@ def _eq1_rows(n: int):
 )
 def _cfrac321_rows(n: int):
     series = crossing_cfrac_series(n).coefficient(n)
-    brute = _dist(n, ((3, 2, 1),))
-    if series != brute:
-        yield {"n": n, "cfrac": series.to_text(), "brute": brute.to_text()}
+    return _sides({"n": n}, cfrac=series, brute=_dist(n, ((3, 2, 1),)))
 
 
 def _one_at_2_rows(n: int, want: QPoly):
     """The one-at-2 (123,132) class and its ends-with-2 (123,213) twin against ``want``."""
     got_a = _dist(n, P123_132, one_at=2)
     got_b = _dist(n, P123_213, ends_with=2)
-    if got_a != want or got_b != want:
-        yield {
-            "n": n,
-            "one_at_2": got_a.to_text(),
-            "ends_with_2": got_b.to_text(),
-            "expected": want.to_text(),
-        }
+    return _sides({"n": n}, one_at_2=got_a, ends_with_2=got_b, expected=want)
 
 
 @_identity(
@@ -384,14 +392,11 @@ TABLE1 = (
 def _table1_witnesses(bound: int):
     for n, row in enumerate(TABLE1):
         for k, text in enumerate(row):
-            got = tableau_value(n, k).to_text()
-            if got != text:
-                yield {"n": n, "k": k, "expected": text, "actual": got}
+            yield from _sides({"n": n, "k": k}, expected=text, actual=tableau_value(n, k).to_text())
     for n in range(bound + 1):
         for k in range(n):
             got = tableau_value(n, k).evaluate(1)
-            if got != 2 ** (n - 1 - k):
-                yield {"n": n, "k": k, "at_q1": got, "expected": 2 ** (n - 1 - k)}
+            yield from _sides({"n": n, "k": k}, at_q1=got, expected=2 ** (n - 1 - k))
 
 
 @_check("table-1", "printed tableau cells and the powers-of-two specialization", 12, reads=())
@@ -404,10 +409,7 @@ def _run_table1(bound: int):
     "cor-4.5", "tableau column 0 at q=0 gives the central polygonal numbers", 12, reads=()
 )
 def _cor45_rows(n: int):
-    got = tableau_value(n, 0).evaluate(0)
-    want = comb(n, 2) + 1
-    if got != want:
-        yield {"n": n, "at_q0": got, "expected": want}
+    return _sides({"n": n}, at_q0=tableau_value(n, 0).evaluate(0), expected=comb(n, 2) + 1)
 
 
 @_identity(
@@ -420,17 +422,11 @@ def _cor45_rows(n: int):
 )
 def _rel3_rows(n: int):
     for pats in PATTERN_SUBSETS:
-        lhs = crs_profile(n, pats)
-        rhs = crs_profile(n, apply_symmetry_to_patterns("rci", pats))
+        text = _pat_text(pats)
+        lhs, rhs = crs_profile(n, pats), crs_profile(n, apply_symmetry_to_patterns("rci", pats))
         for k in range(1, n + 1):
-            if lhs.by_pos1[n - k] != rhs.by_last[k - 1]:
-                yield {
-                    "patterns": _pat_text(pats),
-                    "n": n,
-                    "k": k,
-                    "one_at_side": lhs.by_pos1[n - k].to_text(),
-                    "ends_with_side": rhs.by_last[k - 1].to_text(),
-                }
+            at = {"patterns": text, "n": n, "k": k}
+            yield from _sides(at, one_at_side=lhs.by_pos1[n - k], ends_with_side=rhs.by_last[k - 1])
 
 
 @_identity(
@@ -594,14 +590,7 @@ def _thm26_rows(n: int):
 def _conj27_rows(n: int):
     by_pos1 = crs_profile(n).by_pos1  # one-at-k is 1 at position n+1-k
     for k in range(1, n + 1):
-        dist_k, dist_mirror = by_pos1[n - k], by_pos1[k - 1]
-        if dist_k != dist_mirror:
-            yield {
-                "n": n,
-                "k": k,
-                "dist_k": dist_k.to_text(),
-                "dist_mirror": dist_mirror.to_text(),
-            }
+        yield from _sides({"n": n, "k": k}, dist_k=by_pos1[n - k], dist_mirror=by_pos1[k - 1])
 
 
 @_check("thm-2.8", "F(312) * (1 - z F(231)) = 1 with enumerated coefficients", 9)
@@ -621,14 +610,8 @@ def _run_thm28(bound: int):
 def _crs_rows(n: int, want: QPoly, *pairs):
     """The crs distribution over the class of each pattern pair against ``want``."""
     for pats in pairs:
-        got = _dist(n, pats)
-        if got != want:
-            yield {
-                "n": n,
-                "patterns": _pat_text(pats),
-                "actual": got.to_text(),
-                "expected": want.to_text(),
-            }
+        where = {"n": n, "patterns": _pat_text(pats)}
+        yield from _sides(where, actual=_dist(n, pats), expected=want)
 
 
 @_identity(
@@ -671,18 +654,13 @@ def _eq46_rows(n: int):
 
 @_identity("eq-7", "(213,312)-avoiders split by starting or ending with 1", 9, first=2)
 def _eq7_rows(n: int):
-    whole = _dist(n, P213_312)
     split = _dist(n, P213_312, one_at=n) + _dist(n, P213_312, one_at=1)
-    if whole != split:
-        yield {"n": n, "whole": whole.to_text(), "split": split.to_text()}
+    return _sides({"n": n}, whole=_dist(n, P213_312), split=split)
 
 
 @_identity("prop-4.1", "members starting with 1 reproduce the size-(n-1) distribution", 9, first=1)
 def _prop41_rows(n: int):
-    starts = _dist(n, P213_312, one_at=n)
-    prev = _dist(n - 1, P213_312)
-    if starts != prev:
-        yield {"n": n, "starts": starts.to_text(), "prev": prev.to_text()}
+    return _sides({"n": n}, starts=_dist(n, P213_312, one_at=n), prev=_dist(n - 1, P213_312))
 
 
 @_check(
@@ -715,11 +693,9 @@ def _run_cor43(bound: int):
 )
 def _prop44_rows(n: int):
     for k in range(1, n - 1):
-        lhs = _dist(n, P213_312, tail=k)
         prev = _dist(n - 1, P213_312, tail=k)
         rhs = QPoly.monomial(min(k - 1, n - 1 - k)) * prev + _dist(n, P213_312, tail=k + 1)
-        if lhs != rhs:
-            yield {"n": n, "k": k, "lhs": lhs.to_text(), "rhs": rhs.to_text()}
+        yield from _sides({"n": n, "k": k}, lhs=_dist(n, P213_312, tail=k), rhs=rhs)
 
 
 @_identity("eq-8", "the full recurrence system for the (213,312) class", 9, first=1)
@@ -786,10 +762,7 @@ def _inv_exc_crs_rows(n: int):
 
 @_identity("eq-dokos", "inv distribution over the (321,231) class is (1+q)^(n-1)", 9, first=1)
 def _eq_dokos_rows(n: int):
-    got = _dist(n, P321_231, "inv")
-    want = closed_form("dokos", n)
-    if got != want:
-        yield {"n": n, "actual": got.to_text(), "expected": want.to_text()}
+    return _sides({"n": n}, actual=_dist(n, P321_231, "inv"), expected=closed_form("dokos", n))
 
 
 @_check("eq-chung", "adjudicate which class the printed des/inv rational series counts", 9)
@@ -813,10 +786,8 @@ def _run_eq_chung(bound: int):
 
 @_identity("thm-5.2", "(1-qz)/(1-(1+q)z-(y-q)z^2) matches the joint exc/crs distribution", 9)
 def _thm52_rows(n: int):
-    series = exc_crs_series(n).coefficient(n)
     brute = joint_poly(class_spec(n, avoid=P321_231), "exc", "crs")[0]
-    if brute != series:
-        yield {"n": n, "series": series.to_text(), "brute": brute.to_text()}
+    return _sides({"n": n}, series=exc_crs_series(n).coefficient(n), brute=brute)
 
 
 @_identity("cor-5.3", "des and exc distributions both give sum C(n,2k) y^k", 9)
@@ -843,8 +814,7 @@ def _cor54_rows(n: int):
     if n >= 2 and count != _noncrossing(n - 1) + _noncrossing(n - 2):
         yield {"n": n, "counts": [_noncrossing(m) for m in range(n + 1)]}
     via_series = exc_crs_series(n).coefficient(n).evaluate(y=1, q=0)
-    if via_series != count:
-        yield {"n": n, "series_q0": via_series, "count": count}
+    yield from _sides({"n": n}, series_q0=via_series, count=count)
 
 
 # ---------------------------------------------------------------------------

@@ -661,11 +661,12 @@ def enumerate_class(spec: ClassSpec, bound: int | None = None) -> Iterator[Permu
 
 def _memo(fn):
     """``lru_cache`` keyed on every parameter with its default filled in, so
-    ``f(spec, "crs")`` and ``f(spec, "crs", None)`` are one entry.  The names
-    and defaults are read from the signature once; a call that misses an
-    argument or passes an unknown or repeated one is left to ``bind``, which
-    raises its ``TypeError``.  The result carries the cache's ``cache_info``
-    and ``cache_clear``."""
+    ``f(spec)``, ``f(spec, None)`` and ``f(spec, bound=None)`` are one entry;
+    it memoizes :func:`class_size` and the folds of
+    :mod:`permcross.distributions`.  The names and defaults are read from the
+    signature once; a call that misses an argument or passes an unknown or
+    repeated one is left to ``bind``, which raises its ``TypeError``.  The
+    result carries the cache's ``cache_info`` and ``cache_clear``."""
     signature = inspect.signature(fn)
     names = tuple(signature.parameters)
     defaults = tuple(p.default for p in signature.parameters.values())
