@@ -8,6 +8,9 @@ y- and q-degrees grow independently.  Both follow one ring protocol,
 truncated power series in z whose coefficients live in either ring; all
 arithmetic is exact over the integers modulo z^(order+1).  Python ints are
 arbitrary precision, so there is no overflow to guard against.
+
+Continued fractions are expanded as weighted Motzkin paths, one row of path
+weights per height (:func:`jfrac_expand`), never as series reciprocals.
 """
 
 from __future__ import annotations
@@ -77,10 +80,11 @@ class QPoly(_Ring):
     coeffs: tuple[int, ...] = ()
 
     def __post_init__(self):
-        cs = list(self.coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in cs))
+        cs = tuple(map(int, self.coeffs))
+        end = len(cs)
+        while end and not cs[end - 1]:
+            end -= 1
+        object.__setattr__(self, "coeffs", cs[:end])
 
     @classmethod
     def const(cls, c: int) -> "QPoly":
@@ -437,24 +441,45 @@ def _as_ring(ring: type, value):
     return out
 
 
-def cfrac_expand(levels: Sequence[QPoly], order: int) -> ZSeries:
-    """Expand 1/(1 - a_1 z/(1 - a_2 z/(...))) truncated at z^order.
-
-    Every level carries one factor of z, so the first ``order`` levels
-    determine the expansion; fewer levels than that is an error.
-    """
+def jfrac_expand(b: Sequence, lam: Sequence, order: int) -> ZSeries:
+    """Expand 1/(1 - b_0 z - λ_1 z^2/(1 - b_1 z - λ_2 z^2/(...))) truncated at
+    z^order, ``lam[h - 1]`` being λ_h: z^t sums the Motzkin paths of length t
+    (Flajolet), a level step at height h weighing b_h and a down step from h
+    λ_h.  A row of path weights per height is stepped ``order`` times, keeping
+    after step t the heights up to min(t, order - t), from which a path can
+    still return; too few ``b`` or ``lam`` for that is an error."""
     if order < 0:
         raise ValueError("order must be nonnegative")
+    if len(b) < (order + 1) // 2 or len(lam) < order // 2:
+        raise ValueError(f"J-fraction depth {len(b)}, {len(lam)} is too shallow for order {order}")
+    ring = type(b[0]) if b else QPoly
+    row = [ring.one()]
+    out = [row[0]]
+    for t in range(1, order + 1):
+        step = [row[h - 1] if h else ring.zero() for h in range(min(t, order - t) + 1)]
+        for h in range(min(len(step), len(row))):
+            step[h] += b[h] * row[h]
+            if h + 1 < len(row):
+                step[h] += lam[h] * row[h + 1]
+        row = step
+        out.append(row[0])
+    return ZSeries(ring, tuple(out))
+
+
+def cfrac_expand(levels: Sequence[QPoly], order: int) -> ZSeries:
+    """Expand 1/(1 - a_1 z/(1 - a_2 z/(...))) truncated at z^order, as the
+    J-fraction of its even contraction (:func:`jfrac_expand`): b_0 = a_1,
+    b_h = a_(2h) + a_(2h+1) and λ_h = a_(2h-1)·a_(2h).  Every level carries
+    one factor of z, so the first ``order`` levels determine the expansion;
+    fewer levels than that is an error."""
     if len(levels) < order:
         raise ValueError(
             f"continued fraction depth {len(levels)} is insufficient for order {order}"
         )
-    ring = type(levels[0]) if levels else QPoly
-    one = ZSeries.constant(ring, order)
-    tail = one
-    for numerator in reversed(list(levels)):
-        tail = one - (tail.reciprocal() * numerator).times_z()
-    return tail.reciprocal()
+    a = levels
+    b = list(a[:1]) + [a[2 * h - 1] + a[2 * h] for h in range(1, (order + 1) // 2)]
+    lam = [a[2 * h - 2] * a[2 * h - 1] for h in range(1, order // 2 + 1)]
+    return jfrac_expand(b, lam, order)
 
 
 def rational_expand(numerator: Sequence, denominator: Sequence, order: int) -> ZSeries:

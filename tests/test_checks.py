@@ -21,6 +21,7 @@ from permcross.checks import (
     run_checks,
     suite_passed,
 )
+from permcross.cli import main
 from permcross.distributions import CrsProfile
 from permcross.perm import (
     SYMMETRIES,
@@ -566,6 +567,29 @@ def _tableau_cell_off(monkeypatch):
     _patch_everywhere(monkeypatch, value, broken)
 
 
+def _table_level_mask_shifted(monkeypatch):
+    # a one_at, ends_with or tail cut builds its mask from the column one to
+    # the left of each column it fixes (the first column wraps to the last)
+    def broken(spec):
+        level = patterns._class_table(spec.forbidden, patterns._drop_bound(spec)).level
+        columns, count = level(spec.n)
+        if spec.constraint is None or spec.constraint[0] == "maxdrop_le":
+            return columns, count
+        at, run = patterns._fixed_run(spec)
+        mask = -1
+        for p, v in enumerate(run, at):
+            mask &= patterns._where(columns[p - 1], v)
+        size = mask.bit_count() // 8
+        kept = [
+            (int.from_bytes(c, "little") & mask).to_bytes(count, "little").translate(None, b"\0")
+            for c in columns[:at] + columns[at + len(run) :]
+        ]
+        kept[at:at] = [bytes((v,)) * size for v in run]
+        return kept, size
+
+    monkeypatch.setattr(patterns, "_table_level", broken)
+
+
 #: A fault in one shared layer, and the checks that do not pass under it at
 #: bound 5 with cold caches.  A check missing from a set is blind to that
 #: fault: it compares two sides that both go through the faulty layer, or
@@ -602,6 +626,13 @@ LAYER_FAULTS = {
         _tableau_cell_off,
         {"cor-4.5", "table-1", "thm-1.2", "thm-4.6"},
     ),
+    "_table_level mask one column off": (
+        _table_level_mask_shifted,
+        {
+            "cor-3.4", "cor-4.3", "eq-4-6", "eq-7", "eq-8", "prop-4.1", "prop-4.4",
+            "thm-1.1", "thm-1.2",
+        },
+    ),
 }
 
 
@@ -623,6 +654,28 @@ def test_a_layer_fault_fails_the_checks_that_can_see_it(monkeypatch, fault):
         monkeypatch.undo()
         _clear_caches()
     assert sorted(not_passing) == sorted(seen_by)
+
+
+def test_verify_writes_a_kernel_oracle_disagreement_as_that_checks_fail(monkeypatch, capsys):
+    # run_check raises when a block kernel and its per-word oracle disagree;
+    # verify writes that check as a fail and runs every other check
+    _clear_caches()
+    try:
+        _crs_one_high(monkeypatch)
+        code = main(["verify", "all", "--json", "--bound", "5"])
+    finally:
+        monkeypatch.undo()
+        _clear_caches()
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    for record in records:
+        jsonschema.validate(record, SCHEMA)
+    assert code == 1
+    assert len(records) == 36
+    assert [r["check_id"] for r in records] == list(available_checks())
+    raised = next(r for r in records if r["check_id"] == "inv-exc-crs")
+    assert raised["status"] == "fail" and raised["bound"] == "bound 5, stopped"
+    assert [list(w) for w in raised["witnesses"]] == [["error"]]
+    assert "per-word" in raised["witnesses"][0]["error"]
 
 
 def _clear_caches():

@@ -9,7 +9,8 @@ import jsonschema
 import pytest
 
 from permcross.checks import CHECKS
-from permcross.cli import main
+from permcross.cli import MAX_EXPAND_ORDER, main
+from permcross.distributions import crossing_cfrac_series
 from permcross.patterns import BoundExceededError
 
 SCHEMA = json.loads(
@@ -187,6 +188,28 @@ def test_expand_chung_notes_adjudication(capsys):
     assert code == 0
     assert "321,231" in out
     assert "overall match: yes" in out
+
+
+#: sha256 of the stdout of ``expand cfrac-321 --order 12 --json``: the
+#: continued fraction of the 321-avoiders against their enumeration, n <= 12
+EXPAND_CFRAC_12_DIGEST = "71fed83164cd1c5e22d604baae4a5c71926eb5c1de802d8a4763b8d86fe1dfaa"
+
+#: sha256 of the texts of the z^0..z^20 coefficients of
+#: ``crossing_cfrac_series(20)``, joined by newlines
+CFRAC_SERIES_20_DIGEST = "76f36d5ec454574d80afce890cd94f5430367a72cb697cf8918a1c85ff0d1b07"
+
+
+def test_expand_cfrac_321_output_is_pinned(capsys, monkeypatch):
+    monkeypatch.delenv("PERMCROSS_BOUND", raising=False)
+    code, out, _ = run_cli(capsys, "expand", "cfrac-321", "--order", "12", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EXPAND_CFRAC_12_DIGEST
+    # order 20 is past the enumeration side, so the command is refused, with
+    # nothing written; the series alone is pinned there
+    code, out, err = run_cli(capsys, "expand", "cfrac-321", "--order", "20", "--json")
+    assert (code, out, err) == (2, "", f"error: order must be between 0 and {MAX_EXPAND_ORDER}\n")
+    text = "\n".join(c.to_text() for c in crossing_cfrac_series(20).coeffs)
+    assert hashlib.sha256(text.encode()).hexdigest() == CFRAC_SERIES_20_DIGEST
 
 
 def test_expand_order_cap(capsys):

@@ -1,14 +1,17 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permcross.distributions import crossing_cfrac_series
 from permcross.polynomials import (
     QPoly,
     YQPoly,
     ZSeries,
     cfrac_expand,
+    jfrac_expand,
     rational_expand,
 )
 
@@ -24,6 +27,26 @@ yqpolys = st.builds(
         max_size=5,
     ).map(tuple),
 )
+
+
+@pytest.mark.parametrize(
+    "given, coeffs",
+    [
+        ((1, 2, 0, 0), (1, 2)),
+        ((0, 0, 0), ()),
+        ((), ()),
+        ((True, False, True, False), (1, 0, 1)),
+        ((False,), ()),
+        ((-3, 0, -1, 0), (-3, 0, -1)),
+        ([4, 0, 5, 0], (4, 0, 5)),
+        ((c for c in (0, 7, 0)), (0, 7)),
+    ],
+    ids=["trailing-zeros", "all-zero", "empty", "bools", "false", "negative", "list", "generator"],
+)
+def test_qpoly_construction_normalizes(given, coeffs):
+    p = QPoly(given)
+    assert p.coeffs == coeffs
+    assert all(type(c) is int for c in p.coeffs)
 
 
 def test_qpoly_basics():
@@ -164,6 +187,105 @@ def test_cfrac_depth_checks():
     exact = cfrac_expand(levels[:6], 6)
     deeper = cfrac_expand(levels[:9], 6)
     assert exact == deeper
+
+
+def _reciprocal_chain(levels, order):
+    """The slow oracle of cfrac_expand: the fraction built from its bottom
+    level up, one series reciprocal per level."""
+    ring = type(levels[0]) if levels else QPoly
+    one = ZSeries.constant(ring, order)
+    tail = one
+    for numerator in reversed(list(levels)):
+        tail = one - (tail.reciprocal() * numerator).times_z()
+    return tail.reciprocal()
+
+
+def _random_qpoly(rng):
+    return QPoly(tuple(rng.randint(-3, 3) for _ in range(rng.randint(0, 3))))
+
+
+def _random_yqpoly(rng):
+    # degrees up to 1, so that the oracle stays cheap at order 20
+    terms = rng.randint(0, 2)
+    return YQPoly(
+        tuple((rng.randint(0, 1), rng.randint(0, 1), rng.choice((-1, 1))) for _ in range(terms))
+    )
+
+
+@pytest.mark.parametrize("order", range(21))
+def test_cfrac_expand_matches_the_reciprocal_chain(order):
+    # zero and negative levels included; one spare level past the order is ignored
+    rng = random.Random(order)
+    for levels in (
+        [_random_qpoly(rng) for _ in range(order + 1)],
+        [_random_qpoly(rng) for _ in range(order)] or [QPoly.zero()],
+        [QPoly.zero()] * order + [QPoly.one()],
+        [-QPoly.one()] * (order + 1),
+        [_random_yqpoly(rng) for _ in range(order + 1)],
+    ):
+        assert cfrac_expand(levels, order) == _reciprocal_chain(levels, order)
+
+
+@pytest.mark.parametrize("order", [12, 20])
+def test_cfrac_expand_of_the_321_levels_matches_the_reciprocal_chain(order):
+    levels = [QPoly.monomial((m - 1) // 2) for m in range(1, order + 1)]
+    assert cfrac_expand(levels, order) == _reciprocal_chain(levels, order)
+
+
+def _motzkin_sum(b, lam, t):
+    """The z^t coefficient of the J-fraction by definition: the sum over every
+    word of up, level and down steps of length t that stays at height >= 0
+    and ends at 0 of the product of its step weights."""
+    total = QPoly.zero()
+    for steps in itertools.product((1, 0, -1), repeat=t):
+        height, weight = 0, QPoly.one()
+        for step in steps:
+            if step == 0:
+                weight = weight * b[height]
+            elif step == -1:
+                weight = weight * lam[height - 1]
+            height += step
+            if height < 0:
+                break
+        else:
+            if height == 0:
+                total = total + weight
+    return total
+
+
+@pytest.mark.parametrize("order", range(9))
+def test_jfrac_expand_sums_the_weighted_motzkin_paths(order):
+    rng = random.Random(100 + order)
+    b = [_random_qpoly(rng) for _ in range(order)]
+    lam = [_random_qpoly(rng) for _ in range(order)]
+    series = jfrac_expand(b, lam, order)
+    assert series.coeffs == tuple(_motzkin_sum(b, lam, t) for t in range(order + 1))
+    # the expansion reads no more than (order+1)//2 of b and order//2 of lam
+    assert jfrac_expand(b[: (order + 1) // 2], lam[: order // 2], order) == series
+
+
+def test_jfrac_depth_checks():
+    one = QPoly.one()
+    with pytest.raises(ValueError, match="depth"):
+        jfrac_expand([one] * 2, [one] * 3, 5)
+    with pytest.raises(ValueError, match="depth"):
+        jfrac_expand([one] * 3, [one], 4)
+    with pytest.raises(ValueError, match="nonnegative"):
+        jfrac_expand([], [], -1)
+    # Motzkin numbers, and the ring of the levels
+    motzkin = jfrac_expand([one] * 5, [one] * 5, 8)
+    assert [c.evaluate(1) for c in motzkin.coeffs] == [1, 1, 2, 4, 9, 21, 51, 127, 323]
+    assert jfrac_expand([YQPoly.y()], [], 1).coeffs == (YQPoly.one(), YQPoly.y())
+    assert jfrac_expand([], [], 0).coeffs == (QPoly.one(),)
+
+
+def test_crossing_cfrac_series_takes_no_reciprocal(monkeypatch):
+    def refused(self):
+        raise AssertionError("a continued fraction took a series reciprocal")
+
+    monkeypatch.setattr(ZSeries, "reciprocal", refused)
+    series = crossing_cfrac_series(20)
+    assert series.coefficient(20).evaluate(1) == 6564120420  # Catalan(20)
 
 
 def test_rational_expand_recurrence():
