@@ -18,17 +18,20 @@ from the check id.
 S_n is folded once per n for every check on its one-at-k cuts: thm-2.6,
 conj-2.7 and rel-3 all read its crs profile (one fold over its cuts by the
 position of 1 and the last letter).  The checks over images of whole words
-(sym-transport, phi-psi) map each block once per map and compare the images
-by integer word keys (:func:`permcross.perm._word_keys`), never word by word.
+(sym-transport, phi-psi) map each block once per map and compare integer
+word keys (:func:`permcross.perm._word_keys`), never word by word:
+sym-transport sorts them, and phi-psi counts those of its two bases and
+checks each insertion by its left inverse.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from array import array
-from itertools import chain, combinations, islice, permutations
+from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain, combinations, islice, permutations, starmap
 from math import comb, factorial
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -441,7 +444,8 @@ def _sym_transport_rows(n: int):
     """Each symmetry maps the level of S_n(T) onto the level of S_n(f(T)):
     the word keys of the images of every block, sorted, must be the keys of
     the image class, which are those of its identity images, in lex order.
-    A failure is reported by the per-word map."""
+    Each f(T) is found once for every n (:func:`_transports`).  A failure is
+    reported by the per-word map."""
     images: dict[tuple, dict[str, list[array]]] = {}
     for pats in PATTERN_SUBSETS:
         images[pats] = {tag: [] for tag in SYMMETRIES}
@@ -451,9 +455,15 @@ def _sym_transport_rows(n: int):
     levels = {pats: array("Q", chain.from_iterable(keys["id"])) for pats, keys in images.items()}
     for pats, keys in images.items():
         for tag, parts in keys.items():
-            target = levels[apply_symmetry_to_patterns(tag, pats)]
+            target = levels[_transports()[pats][tag]]
             if array("Q", sorted(chain.from_iterable(parts))) != target:
                 yield _sym_transport_witness(n, pats, tag)
+
+
+@lru_cache(maxsize=1)
+def _transports() -> dict[tuple, dict[str, tuple]]:
+    """The image of each pattern set of sym-transport under each symmetry."""
+    return {p: {f: apply_symmetry_to_patterns(f, p) for f in SYMMETRIES} for p in PATTERN_SUBSETS}
 
 
 def _sym_transport_witness(n: int, pats: tuple, tag: str) -> dict:
@@ -503,24 +513,36 @@ def _phi_psi_rows(n: int):
     """Images a block at a time: phi_k is the inverse and psi_k the rc
     image, each with 1 inserted at position n+2-k, so both come from one
     :func:`symmetry_images` per block and each k adds one
-    :func:`insert_block`.  A map is injective when its image words have n!
-    distinct keys, and lands in the one-at-k class when the image column at
-    position n+2-k is all 1s.  A failure is reported by the per-word maps."""
+    :func:`insert_block`, whose image lands in the one-at-k class when the
+    column at position n+2-k is all 1s.  The other columns, every letter
+    lowered by one, must give back the base block byte for byte (a 1 left
+    elsewhere lowers to 0, no letter).  That left inverse makes each
+    insertion injective, so phi_k is injective exactly when the inverses of
+    S_n have n! distinct keys, and psi_k when its rc images do: two key sets
+    per n, not one per map and k.  A failure is reported by the per-word maps."""
     bases: dict[str, list] = {"phi": [], "psi": []}
     for columns, count in class_blocks(class_spec(n)):
         images = symmetry_images(columns, count)
         bases["phi"].append((images["i"], count))
         bases["psi"].append((images["rc"], count))
+    keys = {name: chain.from_iterable(starmap(_word_keys, base)) for name, base in bases.items()}
+    injective = {name: len(set(keys[name])) == factorial(n) for name in keys}  # one set at a time
     for k in range(1, n + 2):
         for name, base in bases.items():
-            keys: set[int] = set()
-            placed = True
-            for columns, count in base:
-                image = insert_block(columns, count, n + 2 - k, 1)
-                keys.update(_word_keys(image, count))
-                placed = placed and image[n + 1 - k] == b"\x01" * count
-            if len(keys) != factorial(n) or not placed:
+            if not (injective[name] and all(_inserts_1(*block, n + 1 - k) for block in base)):
                 yield _phi_psi_witness(name, n, k)
+
+
+def _inserts_1(columns: list[bytes], count: int, at: int) -> bool:
+    """Whether :func:`insert_block` of 1 before the 0-based column ``at``
+    puts 1s there and the base block, each letter one higher, around them."""
+    image = insert_block(columns, count, at + 1, 1)
+    rest = b"".join(image[:at] + image[at + 1 :]).translate(_LOWERED)
+    return image[at] == b"\x01" * count and rest == b"".join(columns)
+
+
+#: ``bytes.translate`` table: every letter down by one, 1 to 0, which is no letter.
+_LOWERED = bytes((0, *range(255)))
 
 
 def _phi_psi_witness(name: str, n: int, k: int) -> dict:

@@ -485,31 +485,19 @@ def _packed_keys(fields: Sequence[bytes], count: int) -> array:
 
 def _word_keys(columns: list[bytes], count: int) -> array:
     """One integer key per word of a block, whose numeric order is the lex
-    order of the words: the letters big-endian, one byte each for n <= 8
-    and one nibble each for n <= 15, as the fields of :func:`_packed_keys`.
+    order of the words: the letters big-endian, one nibble each, as the
+    fields of :func:`_packed_keys`.  Up to n = 7 a key is below 2^30, one
+    digit of a CPython int, which sorts fastest.
 
     >>> [hex(k) for k in _word_keys([bytes((2, 1)), bytes((1, 3)), bytes((3, 2))], 2)]
-    ['0x20103', '0x10302']
+    ['0x213', '0x132']
     """
     n = _word_size(columns, count)
     if n > 15:
         raise ValueError(f"word keys hold letters up to 15; n={n} is too long")
-    fields = columns[::-1]  # the last letter in the low byte
-    if n > 8:  # two letters a byte, the later one in the low nibble
-        fields = [
-            (
-                int.from_bytes(fields[j], "little")
-                | int.from_bytes(fields[j + 1].translate(_HIGH_NIBBLE), "little")
-            ).to_bytes(count, "little")
-            if j + 1 < n
-            else fields[j]
-            for j in range(0, n, 2)
-        ]
-    return _packed_keys(fields, count)
-
-
-#: ``bytes.translate`` table: a letter up to 15 moved to the high nibble.
-_HIGH_NIBBLE = bytes((v << 4) & 0xFF for v in range(256))
+    letters = [int.from_bytes(c, "little") for c in reversed(columns)]  # the last one lowest
+    pairs = zip(letters[::2], [*letters[1::2], 0])  # two letters a byte, the earlier one high
+    return _packed_keys([(lo | hi << 4).to_bytes(count, "little") for lo, hi in pairs], count)
 
 
 def _lane_width(n: int) -> int:

@@ -4,6 +4,7 @@ import random
 from collections import Counter
 from dataclasses import replace
 from itertools import permutations
+from math import factorial
 from pathlib import Path
 
 import jsonschema
@@ -166,6 +167,13 @@ def _psi_one_slot_early(k, w):
 def _insert_one_slot_early(columns, count, a, b):
     # the per-k insert of phi-psi, one slot early like the maps above
     return insert_block(columns, count, max(a - 1, 1), b)
+
+
+def _insert_leaving_b(columns, count, a, b):
+    # bumps only the letters >= b+1: b stays, so every image holds b twice
+    image = [c.translate(perm._bump_table(b + 1)) for c in columns]
+    image.insert(a - 1, bytes((b,)) * count)
+    return image
 
 
 def _identity_map(tag, w):
@@ -412,6 +420,30 @@ def test_block_images_the_per_word_maps_pass_are_a_defect(monkeypatch):
     monkeypatch.setattr(checks, "insert_block", _insert_one_slot_early)
     with pytest.raises(AssertionError, match="the per-word map passes"):
         run_check("phi-psi", 4)
+
+
+def test_block_images_that_are_not_permutations_are_a_defect(monkeypatch):
+    # injective, and the 1 in place, but a letter of the base is left as 1
+    monkeypatch.setattr(checks, "insert_block", _insert_leaving_b)
+    with pytest.raises(AssertionError, match="the per-word map passes"):
+        run_check("phi-psi", 5)
+
+
+def test_phi_psi_keys_each_block_once_per_map(monkeypatch):
+    # two key sets per n, not one per map and k
+    monkeypatch.setattr(patterns, "BLOCK_WORDS", 7)
+    counts = []
+
+    def spy(columns, count):
+        counts.append(count)
+        return perm._word_keys(columns, count)
+
+    monkeypatch.setattr(checks, "_word_keys", spy)
+    for n in (4, 5):
+        counts.clear()
+        blocks = len(list(patterns.class_blocks(patterns.class_spec(n))))
+        assert list(checks._phi_psi_rows(n)) == []
+        assert len(counts) == 2 * blocks > 2 and sum(counts) == 2 * factorial(n)
 
 
 def test_sym_transport_blocks_decide_and_the_per_word_map_confirms(monkeypatch):
