@@ -13,7 +13,9 @@ cor-4.3 and eq-chung, which always report their record.  Status is "pass",
 "fail", or "finding"; "finding" is reserved for the open symmetry question
 (check conj-2.7), which reports a counterexample without ever gating the
 suite.  Checks are deterministic: random sampling uses fixed seeds derived
-from the check id.
+from the check id.  A block kernel that disagrees with its per-word oracle
+stops its check, which every runner reports as the same fail
+(:func:`run_check`) before it runs the other checks.
 
 S_n is folded once per n for every check on its one-at-k cuts: thm-2.6,
 conj-2.7 and rel-3 all read its crs profile (one fold over its cuts by the
@@ -878,13 +880,18 @@ def _lookup(check_id: str) -> Check:
 
 
 def run_check(check_id: str, bound: int | None = None) -> CheckResult:
+    """Run one check.  A block kernel that disagrees with its per-word oracle
+    (an ``AssertionError``) stops the check: a fail with the bound text
+    "bound <b>, stopped" and the error as its one witness."""
     check = _lookup(check_id)
     _refuse_bound([check], bound)
     effective = check.default_bound if bound is None else bound
     start = time.perf_counter()
-    status, witnesses, bound_text = check.run(effective)
-    elapsed = time.perf_counter() - start
-    return CheckResult(check_id, bound_text, status, tuple(witnesses), elapsed)
+    try:
+        status, witnesses, bound_text = check.run(effective)
+    except AssertionError as exc:
+        status, witnesses, bound_text = "fail", [{"error": str(exc)}], f"bound {effective}, stopped"
+    return CheckResult(check_id, bound_text, status, tuple(witnesses), time.perf_counter() - start)
 
 
 def _select(ids: Sequence[str] | str, bound: int | None) -> list[Check]:
@@ -903,7 +910,7 @@ def iter_checks(
     ids: Sequence[str] | str = "all", bound: int | None = None
 ) -> Iterator[CheckResult]:
     """Run the checks of :func:`_select`, refused before any runs, yielding
-    each result as its check ends."""
+    each result, a stopped check's fail too (:func:`run_check`), as it ends."""
     return (run_check(c.check_id, bound) for c in _select(ids, bound))
 
 

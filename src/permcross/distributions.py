@@ -45,7 +45,7 @@ from .patterns import (
     class_blocks,
     class_spec,
 )
-from .perm import STATISTICS, _Lanes, _lane_width, _packed_keys
+from .perm import _Lanes, _check_stat, _lane_width, _packed_keys
 from .polynomials import QPoly, YQPoly, ZSeries, cfrac_expand, rational_expand
 
 
@@ -88,11 +88,6 @@ class DistributionReport:
             self.poly_text(),
             str(self.cardinality),
         )
-
-
-def _check_stat(stat: str) -> None:
-    if stat not in STATISTICS:
-        raise ValueError(f"unknown statistic {stat!r}; expected one of {sorted(STATISTICS)}")
 
 
 def _values(column: bytes) -> Iterator[tuple[int, int]]:

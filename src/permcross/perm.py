@@ -48,9 +48,6 @@ SYMMETRIES = ("id", "r", "c", "i", "rc", "ri", "ci", "rci")
 #: Symmetry tags that are involutions (the other two, ri and ci, have order 4).
 INVOLUTIONS = ("id", "r", "c", "i", "rc", "rci")
 
-STAT_NAMES = ("crs", "nes", "ut", "lt", "exc", "des", "inv", "maxdrop")
-
-
 @dataclass(frozen=True)
 class Permutation:
     """A validated permutation of {1, ..., n} in one-line notation.
@@ -291,6 +288,13 @@ STATISTICS = {
     "maxdrop": max_drop,
 }
 
+STAT_NAMES = tuple(STATISTICS)
+
+
+def _check_stat(stat: str) -> None:
+    if stat not in STATISTICS:
+        raise ValueError(f"unknown statistic {stat!r}; expected one of {sorted(STATISTICS)}")
+
 
 @dataclass(frozen=True)
 class StatBundle:
@@ -309,17 +313,7 @@ class StatBundle:
 
 def stat_bundle(p) -> StatBundle:
     w = as_word(p)
-    ut, lt = transients(w)
-    return StatBundle(
-        crs=crossing_count(w),
-        nes=nesting_count(w),
-        ut=ut,
-        lt=lt,
-        exc=excedance_count(w),
-        des=descent_count(w),
-        inv=inversion_count(w),
-        maxdrop=max_drop(w),
-    )
+    return StatBundle(**{name: stat(w) for name, stat in STATISTICS.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +355,7 @@ def stat_columns(columns: list[bytes], count: int, stats: Sequence[str]) -> list
     [[3, 0], [3, 0]]
     """
     for stat in stats:
-        if stat not in _LANE_KERNELS:
-            raise ValueError(f"unknown statistic {stat!r}; expected one of {sorted(STATISTICS)}")
+        _check_stat(stat)
     _word_size(columns, count)
     lanes = _Lanes(columns, count)
     return [lanes.unpack(lanes.stat(stat)) for stat in stats]
@@ -383,7 +376,7 @@ def inverse_block(columns: list[bytes], count: int) -> list[bytes]:
     ones = int.from_bytes(b"\x01" * count, "little")
     image = []
     for plane in range((n + 7) // 8):
-        bits = [int.from_bytes(c.translate(_letter_table(plane)), "little") for c in columns]
+        bits = [int.from_bytes(c.translate(_plane_table(1, plane)), "little") for c in columns]
         sets = [
             sum(bits[p - 1] for p in range(1, n + 1) if p >> k & 1) for k in range(n.bit_length())
         ]
@@ -548,7 +541,7 @@ class _Lanes:
         for lanes wide enough to hold 2^(n+1) below their top bit."""
         bits = bytearray(self.width * len(column))
         for b in range((self.n + 1) // 8 + 1):
-            bits[b :: self.width] = column.translate(_bit_table(b))
+            bits[b :: self.width] = column.translate(_plane_table(-1, b))
         return int.from_bytes(bits, "little")
 
     def as_bytes(self, total: int) -> bytes:
@@ -572,10 +565,11 @@ class _Lanes:
     def early(self) -> list[int]:
         """[the letter p+1 sits before position p+1] as 0/1 lanes, for each p.
         The letters v that sit before position v are bit v-2-8b of the low
-        byte of each lane of plane b, the sum over the columns q of a
-        ``translate`` that sets the bits of the letters v > q+1."""
+        byte of each lane of plane b, the sum over the positions p of a
+        ``translate`` that sets the bits of the letters v > p."""
+        columns = list(enumerate(self.columns, 1))
         planes = [
-            sum(self.as_int(c.translate(_early_table(q, b))) for q, c in enumerate(self.columns))
+            sum(self.as_int(c.translate(_plane_table(2, b, p))) for p, c in columns)
             for b in range((self.n + 6) // 8)
         ]
         return [0] + [planes[(p - 1) // 8] >> (p - 1) % 8 & self.ones for p in range(1, self.n)]
@@ -604,22 +598,18 @@ def _position_table(letter: int, position: int) -> bytes:
 
 
 @lru_cache(maxsize=None)
-def _letter_table(b: int) -> bytes:
-    """``bytes.translate`` table: bit v-1-8b for a letter v of plane b, else 0."""
-    return bytes(1 << (v - 1 - 8 * b) if 0 <= v - 1 - 8 * b < 8 else 0 for v in range(256))
-
-
-@lru_cache(maxsize=None)
-def _early_table(q: int, b: int) -> bytes:
-    """``bytes.translate`` table: bit v-2-8b for a letter v > q+1 of plane b, else 0."""
-    bits = [v - 2 - 8 * b if v > q + 1 else -1 for v in range(256)]
+def _plane_table(offset: int, b: int, above: int = -1) -> bytes:
+    """``bytes.translate`` table: for each letter v > ``above``, bit
+    v-offset-8b if that is one of the bits 0..7 of plane b, else 0.  At
+    offset -1 it is byte b of the little-endian 2^(v+1)."""
+    bits = [v - offset - 8 * b if v > above else -1 for v in range(256)]
     return bytes(1 << bit if 0 <= bit < 8 else 0 for bit in bits)
 
 
 @lru_cache(maxsize=None)
 def _crossing_table(i: int, b: int) -> bytes:
     """``bytes.translate`` table: for each letter w, the bits (as in
-    :func:`_early_table`) of the letters of plane b in (i, w) or in (w, i],
+    :func:`_plane_table` at offset 2) of the letters of plane b in (i, w) or in (w, i],
     for 8b+1 <= i <= 8b+9.  Only the letters w = 8b+1..8b+10 differ from
     their neighbours."""
 
@@ -633,12 +623,6 @@ def _crossing_table(i: int, b: int) -> bytes:
 
 #: ``bytes.translate`` table: the number of bits set in each byte.
 _POPCOUNT = bytes(bin(v).count("1") for v in range(256))
-
-
-@lru_cache(maxsize=None)
-def _bit_table(b: int) -> bytes:
-    """``bytes.translate`` table: byte b of the little-endian 2^(v+1) for v."""
-    return bytes(1 << (v + 1 - 8 * b) if 0 <= v + 1 - 8 * b < 8 else 0 for v in range(256))
 
 
 @lru_cache(maxsize=None)
@@ -672,7 +656,7 @@ def _crs_lanes(b: _Lanes) -> int:
     levels: list[int] = []
     for plane in range((b.n + 5) // 8):
         low = 8 * plane + 2  # the letters of the plane are low..low+7
-        letter, before = _early_table(0, plane), 0
+        letter, before = _plane_table(2, plane, 1), 0
         for p in range(1, b.n - 1):
             before |= int.from_bytes(columns[p - 1].translate(letter), "little")
             i = min(max(p + 1, low - 1), low + 7)  # past either end, the plane looks the same

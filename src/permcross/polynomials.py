@@ -190,8 +190,10 @@ class YQPoly(_Ring):
         merged: dict[tuple[int, int], int] = {}
         for ey, eq, c in self.terms:
             if c:
-                key = (int(ey), int(eq))
-                merged[key] = merged.get(key, 0) + int(c)
+                if not type(ey) is type(eq) is type(c) is int:  # int() only what needs it
+                    ey, eq, c = int(ey), int(eq), int(c)
+                key = (ey, eq)
+                merged[key] = merged.get(key, 0) + c
         normal = tuple(
             (ey, eq, c) for (ey, eq), c in sorted(merged.items()) if c
         )
@@ -266,12 +268,11 @@ class YQPoly(_Ring):
         return YQPoly(tuple((ey, eq, -c) for ey, eq, c in self.terms))
 
     def _mul(self, other: "YQPoly") -> "YQPoly":
-        acc: dict[tuple[int, int], int] = {}
-        for ey, eq, c in self.terms:
-            for fy, fq, d in other.terms:
-                key = (ey + fy, eq + fq)
-                acc[key] = acc.get(key, 0) + c * d
-        return YQPoly(tuple((ey, eq, c) for (ey, eq), c in acc.items()))
+        return YQPoly(  # __post_init__ merges the products
+            tuple(
+                (ey + fy, eq + fq, c * d) for ey, eq, c in self.terms for fy, fq, d in other.terms
+            )
+        )
 
     def to_text(self) -> str:
         # q before y inside each term; terms ascend by (y_exp, q_exp)
@@ -425,13 +426,7 @@ class ZSeries:
 
     def reciprocal(self) -> "ZSeries":
         """Multiplicative inverse; the constant term must be the ring's one."""
-        if self.coeffs[0] != self.ring.one():
-            raise ValueError("series reciprocal requires constant term 1")
-        out = [self.ring.one()]
-        for k in range(1, self.order + 1):
-            terms = (self.coeffs[m] * out[k - m] for m in range(1, k + 1))
-            out.append(-sum(terms, self.ring.zero()))
-        return ZSeries(self.ring, tuple(out))
+        return rational_expand([self.ring.one()], self.coeffs, self.order)
 
 
 def _as_ring(ring: type, value):
@@ -498,8 +493,6 @@ def rational_expand(numerator: Sequence, denominator: Sequence, order: int) -> Z
         raise ValueError("rational expansion requires denominator constant term 1")
     out = []
     for k in range(order + 1):
-        acc = num[k] if k < len(num) else ring.zero()
-        for m in range(1, min(k, len(den) - 1) + 1):
-            acc = acc - den[m] * out[k - m]
-        out.append(acc)
+        terms = (den[m] * out[k - m] for m in range(1, min(k, len(den) - 1) + 1))
+        out.append(-sum(terms, -num[k] if k < len(num) else ring.zero()))  # num[k] - the terms
     return ZSeries(ring, tuple(out))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 from collections import Counter
 from dataclasses import replace
 from itertools import permutations
@@ -377,10 +378,17 @@ def test_one_at_checks_read_the_crs_profile(monkeypatch, check_id):
     assert set(profiles) >= set(range(1, 7)) and not cuts
 
 
+def _assert_stopped(result, bound, error):
+    """``result`` is the fail of a check stopped because a block kernel
+    disagreed with its per-word oracle, with ``error`` in the message."""
+    assert result.status == "fail" and result.bound == f"bound {bound}, stopped"
+    assert [list(w) for w in result.witnesses] == [["error"]]
+    assert re.search(error, result.witnesses[0]["error"])
+
+
 def test_inv_exc_crs_flags_must_be_confirmed_per_word(monkeypatch):
     monkeypatch.setattr(checks, "stat_columns", _inv_one_high)
-    with pytest.raises(AssertionError, match=r"the block columns flag \(\), the per-word"):
-        run_check("inv-exc-crs", 4)
+    _assert_stopped(run_check("inv-exc-crs", 4), 4, r"the block columns flag \(\), the per-word")
 
 
 def test_prop_51_witness_names_the_words_on_each_side(monkeypatch):
@@ -412,21 +420,18 @@ def test_the_block_residuals_decide_and_the_oracle_confirms(monkeypatch, check_i
     # a flag the true oracle does not confirm is a kernel defect, never a witness
     monkeypatch.undo()
     monkeypatch.setattr(checks, "residual_columns", _failing_residuals)
-    with pytest.raises(AssertionError, match="block residuals flag instances"):
-        run_check(check_id, 4)
+    _assert_stopped(run_check(check_id, 4), 4, "block residuals flag instances")
 
 
 def test_block_images_the_per_word_maps_pass_are_a_defect(monkeypatch):
     monkeypatch.setattr(checks, "insert_block", _insert_one_slot_early)
-    with pytest.raises(AssertionError, match="the per-word map passes"):
-        run_check("phi-psi", 4)
+    _assert_stopped(run_check("phi-psi", 4), 4, "the per-word map passes")
 
 
 def test_block_images_that_are_not_permutations_are_a_defect(monkeypatch):
     # injective, and the 1 in place, but a letter of the base is left as 1
     monkeypatch.setattr(checks, "insert_block", _insert_leaving_b)
-    with pytest.raises(AssertionError, match="the per-word map passes"):
-        run_check("phi-psi", 5)
+    _assert_stopped(run_check("phi-psi", 5), 5, "the per-word map passes")
 
 
 def test_phi_psi_keys_each_block_once_per_map(monkeypatch):
@@ -453,8 +458,9 @@ def test_sym_transport_blocks_decide_and_the_per_word_map_confirms(monkeypatch):
     # a block mismatch the true per-word map does not reproduce is a kernel defect
     monkeypatch.undo()
     monkeypatch.setattr(checks, "symmetry_images", _identity_images)
-    with pytest.raises(AssertionError, match="block images of r fail at n=3 for 123, the per-word"):
-        run_check("sym-transport", 4)
+    _assert_stopped(
+        run_check("sym-transport", 4), 4, "block images of r fail at n=3 for 123, the per-word"
+    )
 
 
 @pytest.mark.parametrize("block", [120, 60, 119, 1])
@@ -676,11 +682,7 @@ def test_a_layer_fault_fails_the_checks_that_can_see_it(monkeypatch, fault):
         plant(monkeypatch)
         not_passing = set()
         for check_id in available_checks():
-            try:
-                passed = run_check(check_id, 5).status == "pass"
-            except AssertionError:  # a block kernel disagreed with its per-word oracle
-                passed = False
-            if not passed:
+            if run_check(check_id, 5).status != "pass":
                 not_passing.add(check_id)
     finally:
         monkeypatch.undo()
@@ -688,9 +690,67 @@ def test_a_layer_fault_fails_the_checks_that_can_see_it(monkeypatch, fault):
     assert sorted(not_passing) == sorted(seen_by)
 
 
+#: Number words of the README's claims about LAYER_FAULTS.
+_NUMBER_WORDS = {"five": 5, "six": 6, "seven": 7, "eight": 8, "nine": 9, "ten": 10}
+
+
+def _readme_ids(text):
+    """The check ids in a stretch of README text; "the four lemma laws" names
+    the four checks of :func:`checks._law`."""
+    ids = set(re.findall(r"`([a-z0-9.-]+)`", text)) & set(CHECKS)
+    return ids | ({"lem-2.1", "lem-2.2", "lem-2.4", "lem-4.2"} if "four lemma laws" in text else set())
+
+
+def test_the_readme_states_the_layer_faults_and_bounds_of_the_code():
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    faults = re.search(r"for (\w+) faults in shared layers \(`LAYER_FAULTS`\)", readme)
+    assert faults and _NUMBER_WORDS[faults.group(1)] == len(LAYER_FAULTS)
+    crs = re.search(r"With crs one too high on the first word of every block, (\d+) checks", readme)
+    assert crs and int(crs.group(1)) == len(LAYER_FAULTS["crs kernel one high in lane 0"][1])
+    # the minimum bounds: a list of ids per bound, and the rest start at 0 or 1
+    lows = re.search(r"Most checks start at n = 0; (.*?) and the checks that start at n = 1", readme)
+    assert lows
+    claimed = {}
+    for part in re.finditer(r"(.*?) (?:need a bound of )?at least (\d+),", lows.group(1)):
+        claimed[int(part.group(2))] = _readme_ids(part.group(1))
+    by_min = {m: {c for c in CHECKS if CHECKS[c].min_bound == m} for m in claimed}
+    assert claimed == by_min and set(claimed) == {2, 3}
+    assert {c.min_bound for c in CHECKS.values()} <= {0, 1, *claimed}
+    # the maximum bounds: 10 and 9 by list, none for the checks that
+    # enumerate nothing, and 12 for every other
+    highs = re.search(r"Each check's maximum follows from what it enumerates: (.*?) take any bound", readme)
+    assert highs
+    at_10 = re.search(r"10 for those that read S_n itself \((.*?)\), 9", highs.group(1))
+    at_9 = re.search(r"9 for (.*?), which reads", highs.group(1))
+    unbounded = re.search(r"; (.*?) enumerate nothing", highs.group(1))
+    assert at_10 and at_9 and unbounded
+    by_max = {m: {c for c in CHECKS if CHECKS[c].max_bound == m} for m in (10, 9, None)}
+    assert _readme_ids(at_10.group(1)) == by_max[10]
+    assert _readme_ids(at_9.group(1)) == by_max[9]
+    assert _readme_ids(unbounded.group(1)) == by_max[None]
+    assert {c.max_bound for c in CHECKS.values()} == {12, 10, 9, None}
+    assert "12 for the pattern-class checks" in highs.group(1)
+
+
+def test_run_checks_goes_on_past_a_stopped_check(monkeypatch):
+    # a block kernel that disagrees with its per-word oracle stops its check,
+    # which is a fail, and every other check still runs
+    _clear_caches()
+    try:
+        _crs_one_high(monkeypatch)
+        results = run_checks("all", 5)
+    finally:
+        monkeypatch.undo()
+        _clear_caches()
+    assert [r.check_id for r in results] == list(available_checks())
+    assert len(results) == 36 and not suite_passed(results)
+    stopped = next(r for r in results if r.check_id == "inv-exc-crs")
+    _assert_stopped(stopped, 5, "per-word")
+
+
 def test_verify_writes_a_kernel_oracle_disagreement_as_that_checks_fail(monkeypatch, capsys):
-    # run_check raises when a block kernel and its per-word oracle disagree;
-    # verify writes that check as a fail and runs every other check
+    # run_check writes a block kernel that disagrees with its per-word oracle
+    # as that check's fail; verify streams it and runs every other check
     _clear_caches()
     try:
         _crs_one_high(monkeypatch)

@@ -9,7 +9,7 @@ import jsonschema
 import pytest
 
 from permcross.checks import CHECKS
-from permcross.cli import MAX_EXPAND_ORDER, main
+from permcross.cli import EXPAND_IDS, main
 from permcross.distributions import crossing_cfrac_series
 from permcross.patterns import BoundExceededError
 
@@ -204,10 +204,11 @@ def test_expand_cfrac_321_output_is_pinned(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "expand", "cfrac-321", "--order", "12", "--json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == EXPAND_CFRAC_12_DIGEST
-    # order 20 is past the enumeration side, so the command is refused, with
+    # order 20 is past the enumeration limit, so the command is refused, with
     # nothing written; the series alone is pinned there
     code, out, err = run_cli(capsys, "expand", "cfrac-321", "--order", "20", "--json")
-    assert (code, out, err) == (2, "", f"error: order must be between 0 and {MAX_EXPAND_ORDER}\n")
+    assert (code, out) == (2, "")
+    assert err == "error: enumeration of size 20 exceeds the bound n <= 12\n"
     text = "\n".join(c.to_text() for c in crossing_cfrac_series(20).coeffs)
     assert hashlib.sha256(text.encode()).hexdigest() == CFRAC_SERIES_20_DIGEST
 
@@ -215,6 +216,31 @@ def test_expand_cfrac_321_output_is_pinned(capsys, monkeypatch):
 def test_expand_order_cap(capsys):
     code, _, err = run_cli(capsys, "expand", "thm52", "--order", "13")
     assert code == 2
+
+
+def test_expand_order_follows_the_enumeration_bound(capsys, monkeypatch):
+    monkeypatch.setenv("PERMCROSS_BOUND", "13")
+    code, out, _ = run_cli(capsys, "expand", "thm52", "--order", "13", "--json")
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert code == 0
+    assert [row["n"] for row in rows] == list(range(14)) and all(row["match"] for row in rows)
+
+
+@pytest.mark.parametrize("gf", EXPAND_IDS)
+def test_expand_refuses_an_order_past_the_bound_before_any_series(capsys, monkeypatch, gf):
+    # a series of this order would not finish; the refusal comes first
+    monkeypatch.delenv("PERMCROSS_BOUND", raising=False)
+    code, out, err = run_cli(capsys, "expand", gf, "--order", "100000")
+    assert (code, out) == (2, "")
+    assert err == "error: enumeration of size 100000 exceeds the bound n <= 12\n"
+    monkeypatch.setenv("PERMCROSS_BOUND", "100000")
+    code, out, err = run_cli(capsys, "expand", gf, "--order", "100000")
+    assert (code, out) == (2, "") and "n=100000 exceeds 255" in err
+
+
+def test_expand_refuses_a_negative_order(capsys):
+    code, out, err = run_cli(capsys, "expand", "thm52", "--order", "-1")
+    assert (code, out) == (2, "") and "--order must be a nonnegative integer" in err
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 
 from permcross.patterns import class_blocks, class_spec
 from permcross.perm import (
+    _LANE_KERNELS,
     _bump_table,
     _Lanes,
     _packed_keys,
+    _plane_table,
     _word_keys,
     INVOLUTIONS,
     MAX_PACKED_N,
+    STAT_NAMES,
     STATISTICS,
     SYMMETRIES,
     apply_symmetry,
@@ -421,6 +424,44 @@ def test_lower_transients_are_crossings():
 
 # ---------------------------------------------------------------------------
 # classic statistics
+
+
+def test_one_list_names_the_statistics():
+    assert STAT_NAMES == tuple(STATISTICS)
+    assert list(_LANE_KERNELS) == list(STATISTICS)
+
+
+def test_stat_bundle_is_the_statistics():
+    rng = random.Random(24)
+    for n in range(13):
+        for _ in range(20):
+            w = tuple(rng.sample(range(1, n + 1), n))
+            assert stat_bundle(w).as_dict() == {name: stat(w) for name, stat in STATISTICS.items()}
+
+
+def _old_letter_table(b):
+    return bytes(1 << (v - 1 - 8 * b) if 0 <= v - 1 - 8 * b < 8 else 0 for v in range(256))
+
+
+def _old_bit_table(b):
+    return bytes(1 << (v + 1 - 8 * b) if 0 <= v + 1 - 8 * b < 8 else 0 for v in range(256))
+
+
+def _old_early_table(q, b):
+    bits = [v - 2 - 8 * b if v > q + 1 else -1 for v in range(256)]
+    return bytes(1 << bit if 0 <= bit < 8 else 0 for bit in bits)
+
+
+def test_plane_table_is_the_three_tables_it_replaced():
+    # the letter table (offset 1), the table of 2^(v+1) (offset -1, where
+    # letter 0 keeps bit 1 of plane 0) and the early tables (offset 2)
+    table = _plane_table.__wrapped__  # uncached, so the test fills no cache
+    assert table(-1, 0)[0] == 2
+    for b in range(33):
+        assert table(1, b) == _old_letter_table(b)
+        assert table(-1, b) == _old_bit_table(b)
+        for q in range(256):
+            assert table(2, b, q + 1) == _old_early_table(q, b)
 
 
 def test_stat_bundle_examples():
