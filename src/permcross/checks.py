@@ -7,7 +7,10 @@ default bound.  Most are an identity over n (:func:`_identity`) or a
 crossing-change law over words (:func:`_law`); the rest are plain functions
 of the bound (:func:`_check`).  An identity names the sides of its equality,
 and :func:`_sides` compares them and writes the witness of a mismatch: where
-(n, and k or the patterns), then each side by name.  A run returns (status,
+(n, and k or the patterns), then each side by name.  Ten identities are
+families (:func:`_family`), declared as data: each class of the family at
+size n, with the statistic read over it (:func:`_dist`) and the closed form,
+series coefficient or tableau cell it must equal.  A run returns (status,
 witnesses, bound_text), through :func:`_verdict` except for the adjudications
 cor-4.3 and eq-chung, which always report their record.  Status is "pass",
 "fail", or "finding"; "finding" is reserved for the open symmetry question
@@ -57,13 +60,13 @@ from .distributions import (
     exc_crs_series,
     joint_poly,
     tableau_value,
-    tableau_vs_class,
 )
 from . import patterns
 from .patterns import (
     P123_132,
     P123_213,
     P132_231,
+    P132_312,
     P213_231,
     P213_312,
     P321_213,
@@ -90,7 +93,7 @@ from .perm import (
     stat_columns,
     symmetry_images,
 )
-from .polynomials import QPoly, ZSeries, _Ring
+from .polynomials import QPoly, YQPoly, ZSeries, _Ring
 
 #: The six length-3 patterns, in lex order.
 ALL_LENGTH3 = tuple(permutations((1, 2, 3)))
@@ -208,6 +211,32 @@ def _identity(
     return register
 
 
+#: The generator of every family check (:func:`_family`), by check id.
+_FAMILIES: dict[str, Callable[[int], Iterable[tuple]]] = {}
+
+
+def _family(check_id: str, description: str, default_bound: int, first: int = 0):
+    """Register an identity over the classes of a family; the decorated
+    ``family(n)`` yields each class at size n as (where, patterns, constraint,
+    statistic, expected).  A class whose :func:`_dist` is not ``expected`` is
+    one witness: ``where``, the class as ``ClassSpec.describe()``, the
+    statistic, then ``actual`` and ``expected``."""
+
+    def register(family: Callable[[int], Iterable[tuple]]):
+        def rows(n: int):
+            for where, pats, constraint, stat, expected in family(n):
+                actual = _dist(n, pats, stat, **constraint)
+                if actual != expected:  # only a witness describes its class
+                    at = {**where, "class": class_spec(n, avoid=pats, **constraint).describe()}
+                    yield from _sides({**at, "stat": stat}, actual=actual, expected=expected)
+
+        _identity(check_id, description, default_bound, first)(rows)
+        _FAMILIES[check_id] = family
+        return family
+
+    return register
+
+
 def _law(check_id: str, description: str, default_bound: int):
     """Register a lemma evaluated on all of S_1..S_bound plus a fixed random
     batch at n = RANDOM_SAMPLE_N, a block at a time by
@@ -288,8 +317,13 @@ def _random_words(seed_tag: str, n: int, count: int) -> Iterator[tuple[int, ...]
         yield tuple(base)
 
 
-def _dist(n: int, pats, stat: str = "crs", **constraint) -> QPoly:
-    return dist_poly(class_spec(n, avoid=pats, **constraint), stat)[0]
+def _dist(n: int, pats, stat: str = "crs", **constraint) -> QPoly | YQPoly:
+    """The distribution of ``stat`` over S_n(pats) under ``constraint``, or
+    the joint one (:func:`joint_poly`) of a pair spelled as the CLI does, "exc,crs"."""
+    spec = class_spec(n, avoid=pats, **constraint)
+    if "," in stat:
+        return joint_poly(spec, *stat.split(","))[0]
+    return dist_poly(spec, stat)[0]
 
 
 def _sides(where: dict, **sides) -> Iterator[dict]:
@@ -343,43 +377,37 @@ def _eq1_rows(n: int):
     return _sides({"n": n}, **polys)
 
 
-@_identity(
+@_family(
     "cfrac-321",
     "continued fraction with levels q^floor((m-1)/2) vs brute force crs over 321-avoiders",
     9,
 )
-def _cfrac321_rows(n: int):
-    series = crossing_cfrac_series(n).coefficient(n)
-    return _sides({"n": n}, cfrac=series, brute=_dist(n, ((3, 2, 1),)))
+def _cfrac321_family(n: int):
+    yield {"n": n}, ((3, 2, 1),), {}, "crs", crossing_cfrac_series(n).coefficient(n)
 
 
-def _one_at_2_rows(n: int, want: QPoly):
-    """The one-at-2 (123,132) class and its ends-with-2 (123,213) twin against ``want``."""
-    got_a = _dist(n, P123_132, one_at=2)
-    got_b = _dist(n, P123_213, ends_with=2)
-    return _sides({"n": n}, one_at_2=got_a, ends_with_2=got_b, expected=want)
-
-
-@_identity(
+@_family(
     "thm-1.1",
     "crs over (123,132)-avoiders with 1 second-to-last (and the ends-with-2 twin) is (1+q)^(n-2)",
     10,
     first=2,
 )
-def _thm11_rows(n: int):
-    return _one_at_2_rows(n, closed_form("main1", n))
+def _thm11_family(n: int):
+    want = closed_form("main1", n)
+    yield {"n": n}, P123_132, {"one_at": 2}, "crs", want
+    yield {"n": n}, P123_213, {"ends_with": 2}, "crs", want
 
 
-@_identity(
+@_family(
     "thm-1.2",
     "tableau cells equal tail-constrained crs distributions for (213,312) and (132,312)",
     9,
 )
-def _thm12_rows(n: int):
+def _thm12_family(n: int):
+    """Cell (n, k) against both tail-k classes, the whole class at k = 0."""
     for k in range(n + 1):
-        ok, witness = tableau_vs_class(n, k)
-        if not ok:
-            yield witness
+        for pats in (P213_312, P132_312):
+            yield {"n": n, "k": k}, pats, {"tail": k or None}, "crs", tableau_value(n, k)
 
 
 #: Table 1 as printed: row n holds the cells (n, 0), (n, 1), ... of the tableau.
@@ -631,28 +659,25 @@ def _run_thm28(bound: int):
     return _verdict(witnesses, f"mod z^{bound + 1}")
 
 
-def _crs_rows(n: int, want: QPoly, *pairs):
-    """The crs distribution over the class of each pattern pair against ``want``."""
-    for pats in pairs:
-        where = {"n": n, "patterns": _pat_text(pats)}
-        yield from _sides(where, actual=_dist(n, pats), expected=want)
-
-
-@_identity(
+@_family(
     "thm-3.1", "crs over (123,132)- and (123,213)-avoiders is ((1+q)^(n-1)-1+q)/q", 10, first=1
 )
-def _thm31_rows(n: int):
-    return _crs_rows(n, closed_form("thm31", n), P123_132, P123_213)
+def _thm31_family(n: int):
+    for pats in (P123_132, P123_213):
+        yield {"n": n}, pats, {}, "crs", closed_form("thm31", n)
 
 
-@_identity("cor-3.2", "coefficient k of that distribution is [k=0] + C(n-1,k+1)", 10, first=1)
-def _cor32_rows(n: int):
-    return _crs_rows(n, closed_form("cor32", n), P123_132, P123_213)
+@_family("cor-3.2", "coefficient k of that distribution is [k=0] + C(n-1,k+1)", 10, first=1)
+def _cor32_family(n: int):
+    for pats in (P123_132, P123_213):
+        yield {"n": n}, pats, {}, "crs", closed_form("cor32", n)
 
 
-@_identity("cor-3.4", "coefficient k of the one-at-2 distribution is C(n-2,k)", 10, first=2)
-def _cor34_rows(n: int):
-    return _one_at_2_rows(n, closed_form("cor34", n))
+@_family("cor-3.4", "coefficient k of the one-at-2 distribution is C(n-2,k)", 10, first=2)
+def _cor34_family(n: int):
+    want = closed_form("cor34", n)
+    yield {"n": n}, P123_132, {"one_at": 2}, "crs", want
+    yield {"n": n}, P123_213, {"ends_with": 2}, "crs", want
 
 
 @_identity(
@@ -737,11 +762,12 @@ def _eq8_rows(n: int):
         yield {"n": n}
 
 
-@_identity(
+@_family(
     "thm-4.6", "crs over (213,231)- and (132,231)-avoiders equals tableau cell (n+1, 1)", 9
 )
-def _thm46_rows(n: int):
-    return _crs_rows(n, tableau_value(n + 1, 1), P213_231, P132_231)
+def _thm46_family(n: int):
+    for pats in (P213_231, P132_231):
+        yield {"n": n}, pats, {}, "crs", tableau_value(n + 1, 1)
 
 
 @_identity(
@@ -784,19 +810,16 @@ def _inv_exc_crs_rows(n: int):
                 yield {"word": format_word(w)}
 
 
-@_identity("eq-dokos", "inv distribution over the (321,231) class is (1+q)^(n-1)", 9, first=1)
-def _eq_dokos_rows(n: int):
-    return _sides({"n": n}, actual=_dist(n, P321_231, "inv"), expected=closed_form("dokos", n))
+@_family("eq-dokos", "inv distribution over the (321,231) class is (1+q)^(n-1)", 9, first=1)
+def _eq_dokos_family(n: int):
+    yield {"n": n}, P321_231, {}, "inv", closed_form("dokos", n)
 
 
 @_check("eq-chung", "adjudicate which class the printed des/inv rational series counts", 9)
 def _run_eq_chung(bound: int):
     series = des_inv_series(bound)
     matches = {
-        label: all(
-            joint_poly(class_spec(n, avoid=pats), "des", "inv")[0] == series.coefficient(n)
-            for n in range(bound + 1)
-        )
+        label: all(_dist(n, pats, "des,inv") == series.coefficient(n) for n in range(bound + 1))
         for label, pats in (("321,213", P321_213), ("321,231", P321_231))
     }
     matching = [label for label, ok in matches.items() if ok]
@@ -808,24 +831,15 @@ def _run_eq_chung(bound: int):
     return ("pass" if matching else "fail", [record], f"n<={bound}")
 
 
-@_identity("thm-5.2", "(1-qz)/(1-(1+q)z-(y-q)z^2) matches the joint exc/crs distribution", 9)
-def _thm52_rows(n: int):
-    brute = joint_poly(class_spec(n, avoid=P321_231), "exc", "crs")[0]
-    return _sides({"n": n}, series=exc_crs_series(n).coefficient(n), brute=brute)
+@_family("thm-5.2", "(1-qz)/(1-(1+q)z-(y-q)z^2) matches the joint exc/crs distribution", 9)
+def _thm52_family(n: int):
+    yield {"n": n}, P321_231, {}, "exc,crs", exc_crs_series(n).coefficient(n)
 
 
-@_identity("cor-5.3", "des and exc distributions both give sum C(n,2k) y^k", 9)
-def _cor53_rows(n: int):
-    want = closed_form("cor53", n)
-    got_des = _dist(n, P321_231, "des")
-    got_exc = _dist(n, P321_231, "exc")
-    if got_des != want or got_exc != want:
-        yield {
-            "n": n,
-            "des": got_des.to_text(),
-            "exc": got_exc.to_text(),
-            "expected": want.to_text("y"),
-        }
+@_family("cor-5.3", "des and exc distributions both give sum C(n,2k) y^k", 9)
+def _cor53_family(n: int):
+    for stat in ("des", "exc"):
+        yield {"n": n}, P321_231, {}, stat, closed_form("cor53", n)
 
 
 def _noncrossing(n: int) -> int:

@@ -35,10 +35,6 @@ from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .patterns import (
-    P132_231,
-    P132_312,
-    P213_231,
-    P213_312,
     ClassSpec,
     _memo,
     _one_last_cuts,
@@ -280,8 +276,8 @@ def tableau_value(n: int, k: int) -> QPoly:
 # closed forms
 
 
-def closed_form(form: str, n: int, k: int | None = None) -> QPoly:
-    """Closed-form distribution polynomials, with coefficient access via k.
+def closed_form(form: str, n: int) -> QPoly:
+    """Closed-form distribution polynomials.
 
     thm31   ((1+q)^(n-1) - 1 + q)/q          crs over the (123,132)/(123,213) classes
     main1   (1+q)^(n-2)                      crs over those classes with 1 second-to-last
@@ -289,7 +285,6 @@ def closed_form(form: str, n: int, k: int | None = None) -> QPoly:
     cor34   sum C(n-2, k) q^k                coefficient form of main1
     dokos   (1+q)^(n-1)                      inv over the (321,231) class
     cor53   sum C(n, 2k) y^k                 des/exc over the (231,321) class
-            ("cor52" is accepted as an alias)
     """
     one_plus_q, q = QPoly((1, 1)), QPoly.var()
     forms = {  # form: (least n, the polynomial)
@@ -303,46 +298,12 @@ def closed_form(form: str, n: int, k: int | None = None) -> QPoly:
         "dokos": (1, lambda: one_plus_q ** (n - 1)),
         "cor53": (0, lambda: QPoly(tuple(comb(n, 2 * e) for e in range(n // 2 + 1)))),
     }
-    form = "cor53" if form == "cor52" else form
     if form not in forms:
         raise ValueError(f"unknown closed form {form!r}")
     least, build = forms[form]
     if n < least:
         raise ValueError(f"{form} requires n >= {least}")
-    poly = build()
-    if k is not None:
-        return QPoly.const(poly.coefficient(k))
-    return poly
-
-
-# ---------------------------------------------------------------------------
-# tableau vs. enumerated classes
-
-
-def tableau_vs_class(n: int, k: int, bound: int | None = None):
-    """Compare tableau cell (n, k) with the crossing distribution of the
-    tail-constrained classes for both pattern pairs, and cell (n+1, 1) with the
-    (213,231)/(132,231) classes.  Returns (True, None) or (False, witness)."""
-    if k < 0 or k > n:
-        raise ValueError(f"k={k} out of range 0..{n}")
-    jobs = []
-    for pats in (P213_312, P132_312):
-        spec = class_spec(n, avoid=pats, tail=k if k >= 1 else None)
-        jobs.append((spec, tableau_value(n, k)))
-    for pats in (P213_231, P132_231):
-        jobs.append((class_spec(n, avoid=pats), tableau_value(n + 1, 1)))
-    for spec, expected in jobs:
-        actual, _ = dist_poly(spec, "crs", bound)
-        if actual != expected:
-            witness = {
-                "n": n,
-                "k": k,
-                "class": spec.describe(),
-                "expected": expected.to_text(),
-                "actual": actual.to_text(),
-            }
-            return False, witness
-    return True, None
+    return build()
 
 
 # ---------------------------------------------------------------------------

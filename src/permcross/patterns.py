@@ -633,8 +633,6 @@ def class_blocks(spec: ClassSpec, bound: int | None = None) -> Iterator[tuple[li
     """
     _check_packable(spec, bound)
     n, drop_bound = spec.n, _drop_bound(spec)
-    if n == 0:
-        return iter([([], 1)])  # the empty word, which every class holds
     if spec.forbidden:
         return _reblocked((_table_level(spec),), n)
     if drop_bound is not None and drop_bound >= n - 1:  # no drop exceeds n-1: all of S_n

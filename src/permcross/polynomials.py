@@ -369,9 +369,8 @@ class ZSeries:
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
 
     @classmethod
-    def constant(cls, ring: type, order: int, value=None) -> "ZSeries":
-        head = ring.one() if value is None else value
-        return cls(ring, (head,) + (ring.zero(),) * order)
+    def constant(cls, ring: type, order: int) -> "ZSeries":
+        return cls(ring, (ring.one(),) + (ring.zero(),) * order)
 
     @classmethod
     def from_coeffs(cls, ring: type, seq: Sequence, order: int) -> "ZSeries":

@@ -221,12 +221,8 @@ def _class_213_times_q(n, pats, stat="crs", **constraint):
     return poly * QPoly.var() if pats == ((2, 1, 3),) else poly
 
 
-_DIST_POLY = distributions.dist_poly
-
-
-def _dist_poly_times_q(spec, stat, bound=None):
-    poly, size = _DIST_POLY(spec, stat, bound)
-    return poly * QPoly.var(), size
+def _dist_times_q(n, pats, stat="crs", **constraint):
+    return _DIST(n, pats, stat, **constraint) * QPoly.var()
 
 
 _ZERO_FORM = ((checks, "closed_form", lambda form, n: QPoly.zero()),)
@@ -315,7 +311,7 @@ BROKEN_INPUTS = [
     ("prop-4.1", _CUTS_PLUS_ONE, "fail"),
     ("prop-4.4", _CUTS_PLUS_ONE, "fail"),
     ("table-1", _ONE_HIGH_CELL, "fail"),
-    ("thm-1.2", ((distributions, "dist_poly", _dist_poly_times_q),), "fail"),
+    ("thm-1.2", ((checks, "_dist", _dist_times_q),), "fail"),
     ("thm-2.6", ((checks, "crs_profile", _asymmetric_profile),), "fail"),
     ("thm-4.6", _ONE_HIGH_CELL, "fail"),
     ("thm-5.2", _DES_INV_SERIES, "fail"),
@@ -343,7 +339,7 @@ def test_every_check_has_a_broken_input():
 
 #: sha256 of the witnesses of every BROKEN_INPUTS run at bound 4, in order,
 #: each run's witnesses as one line of JSON with sorted keys
-BROKEN_WITNESS_DIGEST = "838af2e927d51e23f776db40c080122f06d67e4093151e8a7aa53f21bc001772"
+BROKEN_WITNESS_DIGEST = "1699962c4dcea79701a4f72eee1112ea931803ef8fa4a60f5058239c31785f14"
 
 
 def test_broken_inputs_give_the_pinned_witnesses(monkeypatch):
@@ -402,13 +398,15 @@ def test_witnesses_stop_at_the_cap(monkeypatch):
     monkeypatch.setattr(checks, "closed_form", lambda form, n: QPoly.zero())
     result = run_check("thm-3.1", 9)
     assert len(result.witnesses) == WITNESS_CAP
-    assert [(w["n"], w["patterns"]) for w in result.witnesses] == [
-        (1, "123,132"),
-        (1, "123,213"),
-        (2, "123,132"),
-        (2, "123,213"),
-        (3, "123,132"),
+    assert [(w["n"], w["class"]["avoid"]) for w in result.witnesses] == [
+        (1, ["123", "132"]),
+        (1, ["123", "213"]),
+        (2, ["123", "132"]),
+        (2, ["123", "213"]),
+        (3, ["123", "132"]),
     ]
+    assert list(result.witnesses[0]) == ["n", "class", "stat", "actual", "expected"]
+    assert result.witnesses[0]["stat"] == "crs"
 
 
 @pytest.mark.parametrize("check_id", ["lem-2.1", "lem-4.2"])
@@ -794,12 +792,10 @@ def test_every_check_runs_at_its_maximum_bound(monkeypatch):
         _clear_caches()
 
 
-@pytest.mark.parametrize("check_id", sorted(CHECKS))
-def test_each_check_enumerates_what_its_reads_and_reach_declare(monkeypatch, check_id):
-    # every class_blocks and class_size call passes through _check_packable;
-    # with cold caches, the specs it sees are every class the check enumerates
-    check = CHECKS[check_id]
-    bound = max(6, check.min_bound)
+def _enumerated(monkeypatch, check_id, bound):
+    """Every class the check enumerates at ``bound``, in order: every
+    class_blocks and class_size call passes through _check_packable, and
+    with cold caches the specs it sees are every class the check reads."""
     seen = []
 
     def spy(spec, limit):
@@ -810,15 +806,57 @@ def test_each_check_enumerates_what_its_reads_and_reach_declare(monkeypatch, che
     monkeypatch.setattr(patterns, "_check_packable", spy)
     _clear_caches()
     try:
-        run_check(check_id, bound)
+        assert run_check(check_id, bound).status in ("pass", "finding")
     finally:
+        monkeypatch.undo()
         _clear_caches()
+    return seen
+
+
+@pytest.mark.parametrize("check_id", sorted(CHECKS))
+def test_each_check_enumerates_what_its_reads_and_reach_declare(monkeypatch, check_id):
+    check = CHECKS[check_id]
+    bound = max(6, check.min_bound)
+    seen = _enumerated(monkeypatch, check_id, bound)
     kinds = {checks.CLASSES if spec.forbidden else checks.GROUP for spec in seen}
     assert kinds == set(check.reads)
     if check.reads:
         assert max(spec.n for spec in seen) == bound + check.reach
     else:
         assert seen == []
+
+
+#: The checks that compare each class of a family with a closed form, a
+#: series or a tableau cell (:func:`checks._family`).
+FAMILY_CHECKS = [
+    "cfrac-321", "cor-3.2", "cor-3.4", "cor-5.3", "eq-dokos",
+    "thm-1.1", "thm-1.2", "thm-3.1", "thm-4.6", "thm-5.2",
+]
+
+
+def test_the_family_checks_are_registered_as_families():
+    assert sorted(checks._FAMILIES) == FAMILY_CHECKS
+
+
+@pytest.mark.parametrize("check_id", FAMILY_CHECKS)
+def test_each_family_check_enumerates_exactly_the_classes_it_declares(monkeypatch, check_id):
+    # the classes its generator yields for n = first..6, in order, and no other
+    family = checks._FAMILIES[check_id]
+    declared = [
+        patterns.class_spec(n, avoid=pats, **constraint)
+        for n in range(CHECKS[check_id].min_bound, 7)
+        for _, pats, constraint, _, _ in family(n)
+    ]
+    assert _enumerated(monkeypatch, check_id, 6) == declared
+
+
+def test_verify_all_gives_the_benchmark_references():
+    # perfbench counts every check whose status differs from its reference
+    # as a failed operation of the verify-all workload
+    references = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
+    want = json.loads(references.read_text())["verify-all"]
+    assert len(want) == 36
+    assert {r.check_id: r.status for r in run_checks("all")} == want
 
 
 def test_results_are_deterministic_modulo_runtime():

@@ -491,7 +491,6 @@ def test_group_blocks_match_the_oracle():
             assert sum(c for _, c in blocks) == len(want), spec
     # the edges: one empty word, one letter, and no free letter at all
     assert list(class_blocks(class_spec(0))) == [([], 1)]
-    assert list(class_blocks(class_spec(0, avoid=[(1,)]))) == [([], 1)]
     assert list(class_words(class_spec(0))) == [()]
     assert list(class_blocks(class_spec(1))) == [([b"\x01"], 1)]
     assert list(class_blocks(class_spec(1, tail=1))) == [([b"\x01"], 1)]
@@ -501,6 +500,19 @@ def test_group_blocks_match_the_oracle():
     # S_(m-1) is held by the stream only, never in a cache
     assert _class_table.cache_info().currsize == tables
     assert class_size.cache_info().currsize == sizes
+    # every enumeration path yields the one empty word: bare S_0, S_0 under drop
+    # bounds, and pattern classes with and without a drop bound
+    empty = [
+        class_spec(0),
+        class_spec(0, maxdrop_le=0),
+        class_spec(0, maxdrop_le=3),
+        class_spec(0, avoid=[(1,)]),
+        class_spec(0, avoid=[(2, 1)]),
+        class_spec(0, avoid=[(2, 1)], maxdrop_le=1),
+    ]
+    for spec in empty:
+        assert list(class_blocks(spec)) == [([], 1)], spec
+        assert class_size(spec) == 1, spec
 
 
 @pytest.mark.parametrize("block", [1, 7, 119, 120, 2048])
