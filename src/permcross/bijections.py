@@ -34,7 +34,6 @@ word; they are the public per-word API and the oracle.  The checks run
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .patterns import P213_312, class_blocks, class_spec
@@ -54,6 +53,7 @@ from .perm import (
     symmetry_images,
     transients,
 )
+from .polynomials import _Value
 
 LEMMA_IDS = ("lem-2.1", "lem-2.2", "lem-2.4", "lem-4.2")
 
@@ -77,16 +77,16 @@ def psi(k: int, p) -> Permutation:
     return insert(apply_symmetry("rc", w), n + 2 - k, 1)
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(_Value):
     """Both sides of one lemma instance, evaluated exactly."""
 
-    lemma: str
-    word: tuple[int, ...]
-    params: tuple[tuple[str, int | str], ...]
-    lhs: int
-    rhs: int
-    passed: bool
+    __slots__ = ("lemma", "word", "params", "lhs", "rhs", "passed")
+
+    def __init__(
+        self, lemma: str, word: tuple[int, ...], params: tuple[tuple[str, int | str], ...],
+        lhs: int, rhs: int, passed: bool,
+    ):
+        self._set(lemma, word, params, lhs, rhs, passed)
 
     def to_json(self) -> dict:
         return {
@@ -133,8 +133,7 @@ def check_lemma(lemma: str, p, image: str = "i") -> ResidualReport:
     return ResidualReport(lemma, w, params, lhs, rhs, lhs == rhs)
 
 
-@dataclass(frozen=True)
-class InsertionSets:
+class InsertionSets(_Value):
     """The three bookkeeping sets for inserting the letter j at the front.
 
     a: old indices i (with i+1 < j, sigma(i) >= j) that cross the new letter.
@@ -142,10 +141,10 @@ class InsertionSets:
     c: old index pairs whose upper crossing the value shift destroys.
     """
 
-    a: frozenset[int]
-    b: frozenset[int]
-    c: frozenset[tuple[int, int]]
-    j: int
+    __slots__ = ("a", "b", "c", "j")
+
+    def __init__(self, a: frozenset[int], b: frozenset[int], c: frozenset[tuple[int, int]], j: int):
+        self._set(a, b, c, j)
 
 
 def insertion_sets(p, j: int) -> InsertionSets:
@@ -286,16 +285,19 @@ def _insertion_set_sizes(word: _Lanes) -> Iterator[tuple[int, int, int, int]]:
 # adjudication of the two candidate increment formulas
 
 
-@dataclass(frozen=True)
-class Cor43Row:
-    n: int
-    k: int
-    size: int
-    increments: tuple[int, ...]
-    statement: int  # min(k-1, n-k)
-    proof: int  # min(k-1, n-1-k)
-    statement_ok: bool
-    proof_ok: bool
+class Cor43Row(_Value):
+    """One (n, k) of :func:`adjudicate_cor43`: ``statement`` is min(k-1, n-k),
+    ``proof`` is min(k-1, n-1-k)."""
+
+    __slots__ = (
+        "n", "k", "size", "increments", "statement", "proof", "statement_ok", "proof_ok"
+    )
+
+    def __init__(
+        self, n: int, k: int, size: int, increments: tuple[int, ...], statement: int,
+        proof: int, statement_ok: bool, proof_ok: bool,
+    ):
+        self._set(n, k, size, increments, statement, proof, statement_ok, proof_ok)
 
     def to_json(self) -> dict:
         return {
@@ -310,15 +312,16 @@ class Cor43Row:
         }
 
 
-@dataclass(frozen=True)
-class Cor43Report:
+class Cor43Report(_Value):
     """Decisive table for the crossing increment of sigma -> sigma^(1,k+1) on
     the tail-constrained (213,312)-avoiders: which of the two printed
-    exponents min(k-1, n-k) vs min(k-1, n-1-k) matches the enumerated truth."""
+    exponents min(k-1, n-k) vs min(k-1, n-1-k) matches the enumerated truth,
+    ``winner`` being "statement", "proof", "both" or "neither"."""
 
-    n_max: int
-    rows: tuple[Cor43Row, ...]
-    winner: str  # "statement" | "proof" | "both" | "neither"
+    __slots__ = ("n_max", "rows", "winner")
+
+    def __init__(self, n_max: int, rows: tuple[Cor43Row, ...], winner: str):
+        self._set(n_max, rows, winner)
 
     def to_json(self) -> dict:
         return {

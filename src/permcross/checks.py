@@ -34,7 +34,6 @@ from __future__ import annotations
 import random
 import time
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, islice, permutations, starmap
 from math import comb, factorial
@@ -93,7 +92,7 @@ from .perm import (
     stat_columns,
     symmetry_images,
 )
-from .polynomials import QPoly, YQPoly, ZSeries, _Ring
+from .polynomials import QPoly, YQPoly, ZSeries, _Ring, _Value
 
 #: The six length-3 patterns, in lex order.
 ALL_LENGTH3 = tuple(permutations((1, 2, 3)))
@@ -112,13 +111,13 @@ WITNESS_CAP = 5
 GROUP, CLASSES = "S_n", "S_n(T)"
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    check_id: str
-    bound: str
-    status: str  # pass | fail | finding
-    witnesses: tuple
-    runtime: float
+class CheckResult(_Value):
+    """The outcome of one check run; ``status`` is pass, fail or finding."""
+
+    __slots__ = ("check_id", "bound", "status", "witnesses", "runtime")
+
+    def __init__(self, check_id: str, bound: str, status: str, witnesses: tuple, runtime: float):
+        self._set(check_id, bound, status, witnesses, runtime)
 
     def to_json(self) -> dict:
         return {
@@ -130,15 +129,18 @@ class CheckResult:
         }
 
 
-@dataclass(frozen=True)
-class Check:
-    check_id: str
-    description: str
-    default_bound: int
-    run: Callable[[int], tuple[str, list, str]]
-    min_bound: int = 0  # below it the check has nothing to compare
-    reads: tuple[str, ...] = (CLASSES,)  # GROUP and/or CLASSES, up to size bound + reach
-    reach: int = 0
+class Check(_Value):
+    """A registered check: ``run(bound)`` compares nothing below ``min_bound``
+    and reads ``reads`` (GROUP and/or CLASSES) up to size bound + ``reach``."""
+
+    __slots__ = ("check_id", "description", "default_bound", "run", "min_bound", "reads", "reach")
+
+    def __init__(
+        self, check_id: str, description: str, default_bound: int,
+        run: Callable[[int], tuple[str, list, str]], min_bound: int = 0,
+        reads: tuple[str, ...] = (CLASSES,), reach: int = 0,
+    ):
+        self._set(check_id, description, default_bound, run, min_bound, reads, reach)
 
     @property
     def max_bound(self) -> int | None:

@@ -29,7 +29,6 @@ on this path.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
@@ -42,22 +41,21 @@ from .patterns import (
     class_spec,
 )
 from .perm import _Lanes, _check_stat, _lane_width, _packed_keys
-from .polynomials import QPoly, YQPoly, ZSeries, cfrac_expand, rational_expand
+from .polynomials import QPoly, YQPoly, ZSeries, _Value, cfrac_expand, rational_expand
 
 
-@dataclass(frozen=True)
-class DistributionReport:
+class DistributionReport(_Value):
     """A distribution polynomial over a class, with its cardinality attached."""
 
-    spec: ClassSpec
-    statistics: tuple[str, ...]
-    poly: QPoly | YQPoly
-    cardinality: int
+    __slots__ = ("spec", "statistics", "poly", "cardinality")
 
-    def __post_init__(self):
-        ones = (1,) * (2 if isinstance(self.poly, YQPoly) else 1)
-        if self.poly.evaluate(*ones) != self.cardinality:
+    def __init__(
+        self, spec: ClassSpec, statistics: tuple[str, ...], poly: QPoly | YQPoly, cardinality: int
+    ):
+        ones = (1,) * (2 if isinstance(poly, YQPoly) else 1)
+        if poly.evaluate(*ones) != cardinality:
             raise AssertionError("distribution does not sum to the class size")
+        self._set(spec, statistics, poly, cardinality)
 
     def poly_text(self) -> str:
         return self.poly.to_text()
@@ -194,15 +192,15 @@ def joint_dist(
     return DistributionReport(spec, (stat_y, stat_q), poly, size)
 
 
-@dataclass(frozen=True)
-class CrsProfile:
+class CrsProfile(_Value):
     """Crossing distributions of one class, bucketed two ways in a single sweep:
-    by the position of the letter 1 and by the last letter."""
+    by the position of the letter 1 (``by_pos1[p-1]``) and by the last letter
+    (``by_last[v-1]``)."""
 
-    n: int
-    by_pos1: tuple[QPoly, ...]  # index p-1: members with 1 at position p
-    by_last: tuple[QPoly, ...]  # index v-1: members ending with the letter v
-    total: QPoly
+    __slots__ = ("n", "by_pos1", "by_last", "total")
+
+    def __init__(self, n: int, by_pos1: tuple[QPoly, ...], by_last: tuple[QPoly, ...], total: QPoly):
+        self._set(n, by_pos1, by_last, total)
 
 
 @_memo

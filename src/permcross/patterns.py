@@ -34,8 +34,6 @@ filter over all n! words, is the oracle the other paths are tested against.
 
 from __future__ import annotations
 
-import inspect
-from dataclasses import dataclass
 from functools import lru_cache, wraps
 from itertools import chain, combinations, islice, permutations
 from math import factorial
@@ -43,6 +41,7 @@ from threading import RLock
 from typing import Iterable, Iterator, Sequence
 
 from .perm import _BYTES, MAX_PACKED_N, Permutation, _bump_table, _columns, _Lanes, as_word
+from .polynomials import _Value
 
 CONSTRAINT_KINDS = ("one_at", "ends_with", "tail", "maxdrop_le")
 
@@ -72,8 +71,7 @@ class BoundExceededError(RuntimeError):
         self.bound = bound
 
 
-@dataclass(frozen=True)
-class ClassSpec:
+class ClassSpec(_Value):
     """A restricted permutation set: S_n(forbidden) cut by one positional constraint.
 
     Constraints:
@@ -83,30 +81,32 @@ class ClassSpec:
       ("maxdrop_le", d) every letter satisfies i - sigma(i) <= d
     """
 
-    n: int
-    forbidden: tuple[tuple[int, ...], ...] = ()
-    constraint: tuple[str, int] | None = None
+    __slots__ = ("n", "forbidden", "constraint")
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(
+        self, n: int, forbidden: Iterable = (), constraint: tuple[str, int] | None = None
+    ):
+        if n < 0:
             raise ValueError("class size must be nonnegative")
         pats = []
-        for pat in self.forbidden:
+        for pat in forbidden:
             word = Permutation(tuple(pat)).word
             if len(word) < 1:
                 raise ValueError("forbidden patterns must have size >= 1")
             pats.append(word)
-        object.__setattr__(self, "forbidden", tuple(sorted(set(pats))))
-        if self.constraint is not None:
-            kind, arg = self.constraint
+        if constraint is not None:
+            kind, arg = constraint
             if kind not in CONSTRAINT_KINDS:
                 raise ValueError(f"unknown constraint kind {kind!r}")
             if kind == "maxdrop_le":
                 if arg < 0:
                     raise ValueError("maxdrop bound must be >= 0")
-            elif not 1 <= arg <= self.n:
-                raise ValueError(f"constraint parameter {arg} out of range 1..{self.n}")
-            object.__setattr__(self, "constraint", (kind, int(arg)))
+            elif not 1 <= arg <= n:
+                raise ValueError(f"constraint parameter {arg} out of range 1..{n}")
+            constraint = (kind, int(arg))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "forbidden", tuple(sorted(set(pats))))
+        object.__setattr__(self, "constraint", constraint)
 
     def describe(self) -> dict:
         out: dict = {"n": self.n, "avoid": ["".join(map(str, p)) for p in self.forbidden]}
@@ -651,10 +651,7 @@ def class_words(spec: ClassSpec, bound: int | None = None) -> Iterator[tuple[int
     return chain.from_iterable(zip(*c) if c else [()] * count for c, count in blocks)
 
 
-def enumerate_class(spec: ClassSpec, bound: int | None = None) -> Iterator[Permutation]:
-    """Lex-ordered stream of the class members as validated Permutations."""
-    for w in class_words(spec, bound):
-        yield Permutation(w)
+_MISSING = object()  # the default of a parameter that has none
 
 
 def _memo(fn):
@@ -662,20 +659,21 @@ def _memo(fn):
     ``f(spec)``, ``f(spec, None)`` and ``f(spec, bound=None)`` are one entry;
     it memoizes :func:`class_size` and the folds of
     :mod:`permcross.distributions`.  The names and defaults are read from the
-    signature once; a call that misses an argument or passes an unknown or
-    repeated one is left to ``bind``, which raises its ``TypeError``.  The
-    result carries the cache's ``cache_info`` and ``cache_clear``."""
-    signature = inspect.signature(fn)
-    names = tuple(signature.parameters)
-    defaults = tuple(p.default for p in signature.parameters.values())
+    function's code and ``__defaults__`` once; a call that misses an
+    argument or passes an unknown or repeated one goes to ``fn`` itself,
+    uncached, which raises its ``TypeError``.  The result carries the
+    cache's ``cache_info`` and ``cache_clear``."""
+    code = fn.__code__
+    names = code.co_varnames[: code.co_argcount]
+    defaults = (_MISSING,) * (len(names) - len(fn.__defaults__ or ())) + (fn.__defaults__ or ())
     cached = lru_cache(maxsize=None)(fn)
 
     @wraps(fn)
     def call(*args, **kwargs):
         given = len(args)
         key = args + tuple(map(kwargs.get, names[given:], defaults[given:]))
-        if given > len(names) or inspect.Parameter.empty in key or kwargs.keys() - names[given:]:
-            signature.bind(*args, **kwargs)
+        if given > len(names) or _MISSING in key or kwargs.keys() - names[given:]:
+            return fn(*args, **kwargs)
         return cached(*key)
 
     call.cache_info = cached.cache_info

@@ -1,4 +1,4 @@
-"""Permutations in one-line notation: statistics, symmetries, insertion, sums.
+"""Permutations in one-line notation: statistics, symmetries and insertion.
 
 A permutation of size n is the word sigma(1) sigma(2) ... sigma(n); positions
 and values are both 1-based throughout, matching the usual combinatorial
@@ -39,17 +39,15 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterator, Sequence
 
+from .polynomials import _Value
+
 SYMMETRIES = ("id", "r", "c", "i", "rc", "ri", "ci", "rci")
 
-#: Symmetry tags that are involutions (the other two, ri and ci, have order 4).
-INVOLUTIONS = ("id", "r", "c", "i", "rc", "rci")
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(_Value):
     """A validated permutation of {1, ..., n} in one-line notation.
 
     >>> Permutation((2, 1, 3)).n
@@ -60,11 +58,10 @@ class Permutation:
     ValueError: duplicate value 1 at position 2
     """
 
-    word: tuple[int, ...]
+    __slots__ = ("word",)
 
-    def __post_init__(self):
-        word = tuple(self.word)
-        object.__setattr__(self, "word", word)
+    def __init__(self, word: Sequence[int]):
+        word = tuple(word)
         n = len(word)
         seen = set()
         for pos, value in enumerate(word, start=1):
@@ -73,6 +70,7 @@ class Permutation:
             if value in seen:
                 raise ValueError(f"duplicate value {value} at position {pos}")
             seen.add(value)
+        object.__setattr__(self, "word", word)
 
     @property
     def n(self) -> int:
@@ -296,16 +294,13 @@ def _check_stat(stat: str) -> None:
         raise ValueError(f"unknown statistic {stat!r}; expected one of {sorted(STATISTICS)}")
 
 
-@dataclass(frozen=True)
-class StatBundle:
-    crs: int
-    nes: int
-    ut: int
-    lt: int
-    exc: int
-    des: int
-    inv: int
-    maxdrop: int
+class StatBundle(_Value):
+    __slots__ = ("crs", "nes", "ut", "lt", "exc", "des", "inv", "maxdrop")
+
+    def __init__(
+        self, crs: int, nes: int, ut: int, lt: int, exc: int, des: int, inv: int, maxdrop: int
+    ):
+        self._set(crs, nes, ut, lt, exc, des, inv, maxdrop)
 
     def as_dict(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in STAT_NAMES}
@@ -795,28 +790,8 @@ def apply_symmetry_to_patterns(tag: str, patterns) -> tuple[tuple[int, ...], ...
     return tuple(sorted(apply_symmetry(tag, pat) for pat in patterns))
 
 
-# reference word whose eight symmetry images are pairwise distinct
-_REFERENCE = (4, 1, 3, 5, 7, 6, 2)
-
-
-def compose_symmetries(f: str, g: str) -> str:
-    """The tag of f o g (apply g first, then f)."""
-    table = _composition_images()
-    return table[apply_symmetry(f, apply_symmetry(g, _REFERENCE))]
-
-
-@lru_cache(maxsize=1)
-def _composition_images() -> dict[tuple[int, ...], str]:
-    images = {}
-    for tag in SYMMETRIES:
-        images[apply_symmetry(tag, _REFERENCE)] = tag
-    if len(images) != len(SYMMETRIES):
-        raise AssertionError("reference word does not separate the dihedral group")
-    return images
-
-
 # ---------------------------------------------------------------------------
-# insertion and sums
+# insertion
 
 
 def insert(p, a: int, b: int) -> Permutation:
@@ -844,29 +819,3 @@ def insert_of_inverse(p, a: int, b: int) -> Permutation:
     """
     return insert(invert(as_word(p)), a, b)
 
-
-def remove_value(p, b: int) -> Permutation:
-    """Undo :func:`insert`: drop the letter b and pull every letter > b down by one."""
-    w = as_word(p)
-    if b not in w:
-        raise ValueError(f"value {b} not present")
-    reduced = tuple(v - 1 if v > b else v for v in w if v != b)
-    return Permutation(reduced)
-
-
-def direct_sum(p1, p2) -> Permutation:
-    """First word, then the second shifted up by |p1|."""
-    w1, w2 = as_word(p1), as_word(p2)
-    shift = len(w1)
-    return Permutation(w1 + tuple(v + shift for v in w2))
-
-
-def skew_sum(p1, p2) -> Permutation:
-    """First word shifted up by |p2|, then the second.
-
-    >>> skew_sum((3, 1, 2), (1, 3, 4, 2)).word
-    (7, 5, 6, 1, 3, 4, 2)
-    """
-    w1, w2 = as_word(p1), as_word(p2)
-    shift = len(w2)
-    return Permutation(tuple(v + shift for v in w1) + w2)

@@ -16,13 +16,57 @@ weights per height (:func:`jfrac_expand`), never as series reciprocals.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
+
+
+class _Value:
+    """An immutable value held in its ``__slots__``, the base of every value
+    class of the package (this module imports none of the others).  One
+    ``attrgetter`` over the slots gives equality (within one class only),
+    the hash of the tuple of slot values and a dataclass-style repr.
+    Assignment and deletion raise AttributeError.  Copy and pickle rebuild a
+    value through its class's constructor, so each subclass's ``__init__``
+    takes its slots in order and sets them by ``_set`` or, where it is built
+    often, by one ``object.__setattr__`` a slot."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        get = attrgetter(*cls.__slots__)  # of one name, the bare value: hash it as a 1-tuple
+        cls._values = get if len(cls.__slots__) > 1 else staticmethod(lambda self: (get(self),))
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = zip(self.__slots__, self._values(self))
+        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values(self)
 
 
 class _Ring:
     """The arithmetic that follows from ``_add``, ``__neg__``, ``_mul``,
     ``const`` and ``_coerce``."""
+
+    __slots__ = ()
 
     @classmethod
     def zero(cls):
@@ -73,14 +117,13 @@ class _Ring:
         return out
 
 
-@dataclass(frozen=True)
-class QPoly(_Ring):
+class QPoly(_Ring, _Value):
     """Integer polynomial in one variable, coefficients by ascending exponent."""
 
-    coeffs: tuple[int, ...] = ()
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        cs = tuple(map(int, self.coeffs))
+    def __init__(self, coeffs: Sequence[int] = ()):
+        cs = tuple(map(int, coeffs))
         end = len(cs)
         while end and not cs[end - 1]:
             end -= 1
@@ -180,15 +223,14 @@ class QPoly(_Ring):
         return cls(tuple(int(c) for c in data))
 
 
-@dataclass(frozen=True)
-class YQPoly(_Ring):
+class YQPoly(_Ring, _Value):
     """Integer polynomial in y and q, stored sparsely as (y_exp, q_exp, coeff)."""
 
-    terms: tuple[tuple[int, int, int], ...] = ()
+    __slots__ = ("terms",)
 
-    def __post_init__(self):
+    def __init__(self, terms: Sequence[tuple[int, int, int]] = ()):
         merged: dict[tuple[int, int], int] = {}
-        for ey, eq, c in self.terms:
+        for ey, eq, c in terms:
             if c:
                 if not type(ey) is type(eq) is type(c) is int:  # int() only what needs it
                     ey, eq, c = int(ey), int(eq), int(c)
@@ -198,6 +240,13 @@ class YQPoly(_Ring):
             (ey, eq, c) for (ey, eq), c in sorted(merged.items()) if c
         )
         object.__setattr__(self, "terms", normal)
+
+    @classmethod
+    def _normal(cls, terms: tuple) -> "YQPoly":
+        """The polynomial of ``terms`` that are already merged, sorted and nonzero."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "terms", terms)
+        return out
 
     @classmethod
     def const(cls, c: int) -> "YQPoly":
@@ -262,13 +311,19 @@ class YQPoly(_Ring):
         return super()._coerce(value)
 
     def _add(self, other: "YQPoly") -> "YQPoly":
-        return YQPoly(self.terms + other.terms)
+        out: list[tuple[int, int, int]] = []
+        for ey, eq, c in sorted(self.terms + other.terms):  # two runs: a key in both is adjacent
+            if out and out[-1][0] == ey and out[-1][1] == eq:
+                c += out.pop()[2]
+            if c:
+                out.append((ey, eq, c))
+        return YQPoly._normal(tuple(out))
 
     def __neg__(self):
-        return YQPoly(tuple((ey, eq, -c) for ey, eq, c in self.terms))
+        return YQPoly._normal(tuple((ey, eq, -c) for ey, eq, c in self.terms))
 
     def _mul(self, other: "YQPoly") -> "YQPoly":
-        return YQPoly(  # __post_init__ merges the products
+        return YQPoly(  # the constructor merges the products
             tuple(
                 (ey + fy, eq + fq, c * d) for ey, eq, c in self.terms for fy, fq, d in other.terms
             )
@@ -356,17 +411,15 @@ def _parse_terms(text: str, variables) -> list[tuple[tuple[int, ...], int]]:
 # truncated series in z
 
 
-@dataclass(frozen=True)
-class ZSeries:
+class ZSeries(_Value):
     """Power series in z modulo z^(order+1); coefficients are QPoly or YQPoly."""
 
-    ring: type
-    coeffs: tuple
+    __slots__ = ("ring", "coeffs")
 
-    def __post_init__(self):
-        if not self.coeffs:
+    def __init__(self, ring: type, coeffs: Sequence):
+        if not coeffs:
             raise ValueError("a series needs at least its constant coefficient")
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        self._set(ring, tuple(coeffs))
 
     @classmethod
     def constant(cls, ring: type, order: int) -> "ZSeries":

@@ -3,7 +3,6 @@ import json
 import random
 import re
 from collections import Counter
-from dataclasses import replace
 from itertools import permutations
 from math import factorial
 from pathlib import Path
@@ -16,6 +15,7 @@ from permcross.bijections import ResidualReport
 from permcross.checks import (
     CHECKS,
     WITNESS_CAP,
+    Check,
     CheckBoundError,
     CheckResult,
     available_checks,
@@ -38,6 +38,14 @@ from permcross.polynomials import QPoly, ZSeries, cfrac_expand
 SCHEMA = json.loads(
     (Path(checks.__file__).parent / "schemas" / "check_result.schema.json").read_text()
 )
+
+
+def _with_run(check, run):
+    """``check`` with ``run`` in place of its own, built by the constructor."""
+    return Check(
+        check.check_id, check.description, check.default_bound, run,
+        check.min_bound, check.reads, check.reach,
+    )
 
 # every numbered statement in scope resolves to a registered check
 REQUIRED_CHECK_IDS = [
@@ -521,7 +529,7 @@ def test_every_check_declares_a_bound_range_around_its_default():
 def test_bound_one_above_the_maximum_is_refused(monkeypatch, check_id):
     check = CHECKS[check_id]
     ran = []
-    monkeypatch.setitem(CHECKS, check_id, replace(check, run=ran.append))
+    monkeypatch.setitem(CHECKS, check_id, _with_run(check, ran.append))
     takes = f"{check_id} takes a bound of at most {check.max_bound}"
     with pytest.raises(CheckBoundError, match=takes):
         run_check(check_id, check.max_bound + 1)
@@ -531,7 +539,7 @@ def test_bound_one_above_the_maximum_is_refused(monkeypatch, check_id):
 def test_a_bound_too_high_is_refused_before_any_check_runs(monkeypatch):
     ran = []
     for check_id, check in list(CHECKS.items()):
-        monkeypatch.setitem(CHECKS, check_id, replace(check, run=ran.append))
+        monkeypatch.setitem(CHECKS, check_id, _with_run(check, ran.append))
     with pytest.raises(CheckBoundError) as refused:
         checks.iter_checks("all", bound=patterns.FULL_GROUP_BOUND)
     assert str(refused.value) == (

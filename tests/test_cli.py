@@ -2,13 +2,12 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from permcross.checks import CHECKS
+from permcross.checks import CHECKS, Check
 from permcross.cli import EXPAND_IDS, main
 from permcross.distributions import crossing_cfrac_series
 from permcross.patterns import BoundExceededError
@@ -22,6 +21,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _with_run(check, run):
+    """``check`` with ``run`` in place of its own, built by the constructor."""
+    return Check(
+        check.check_id, check.description, check.default_bound, run,
+        check.min_bound, check.reads, check.reach,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +287,7 @@ def test_verify_streams_each_line_as_its_check_ends(capsys, monkeypatch, fmt):
         written.append(capsys.readouterr().out)  # stdout so far, as the check runs
         raise BoundExceededError(bound + 1, bound)
 
-    monkeypatch.setitem(CHECKS, "eq-1", replace(CHECKS["eq-1"], run=overrun))
+    monkeypatch.setitem(CHECKS, "eq-1", _with_run(CHECKS["eq-1"], overrun))
     code, out, err = run_cli(capsys, "verify", "fig-1", "catalan", "eq-1", "cor-4.5", fmt)
     assert code == 2 and out == ""
     assert "error: enumeration of size 10 exceeds the bound n <= 9" in err
@@ -385,7 +392,7 @@ def test_verify_bound_below_thm11_minimum_is_a_usage_error(capsys):
 def test_verify_bound_past_a_checks_limit_is_refused_before_any_output(capsys, monkeypatch, fmt):
     ran = []
     for check_id, check in list(CHECKS.items()):
-        monkeypatch.setitem(CHECKS, check_id, replace(check, run=ran.append))
+        monkeypatch.setitem(CHECKS, check_id, _with_run(check, ran.append))
     code, out, err = run_cli(capsys, "verify", "all", "--bound", "10", *fmt)
     assert code == 2 and out == "" and ran == []
     assert "thm-2.6 takes a bound of at most 9" in err
