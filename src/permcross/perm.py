@@ -334,16 +334,15 @@ def stat_columns(columns: list[bytes], count: int, stats: Sequence[str]) -> list
     ``(X_i | 0x80..) - X_j``; ``[w_p > c]`` is the same with c+1 in every
     lane in place of X_j; ``[w_p == c]`` is a ``bytes.translate`` table.
     Such a statistic is a sum of 0/1 lanes.  ``crs`` is counted from sets of
-    letters instead, one bit per letter 2..n-1 in byte planes of eight: S,
-    the letters before position I, grows by one ``translate`` per position,
-    one more gives the letters of (I, w_I) and (w_I, I], and the crossings
-    at I are the popcount of the letters of S in the first interval and of
-    those not in S in the second.  ``maxdrop`` is a popcount too: one
-    ``translate`` per position sets a bit for each drop up to that of its
-    letter, in byte planes of eight drops, ORed over the positions.  The
-    per-word functions of :data:`STATISTICS` are the oracle the kernels are
-    tested against.  Each statistic comes as ``bytes`` for one-byte lanes,
-    else as an array.
+    letters instead, one bit per letter 2..n-1 in byte planes of eight: one
+    ``translate`` per position updates the set of the letters above I placed
+    before position I and those at or below I placed from I on, and the
+    crossings at I are the popcount of its letters in (I, w_I) or (w_I, I].
+    ``maxdrop`` is a popcount too: one ``translate`` per position sets a bit
+    for each drop up to that of its letter, in byte planes of eight drops,
+    ORed over the positions.  The per-word functions of :data:`STATISTICS`
+    are the oracle the kernels are tested against.  Each statistic comes as
+    ``bytes`` for one-byte lanes, else as an array.
 
     >>> columns = [bytes(c) for c in zip((4, 7, 3, 5, 1, 2, 6), (2, 1, 3, 4, 5, 6, 7))]
     >>> [list(c) for c in stat_columns(columns, 2, ("crs", "nes"))]
@@ -368,7 +367,7 @@ def inverse_block(columns: list[bytes], count: int) -> list[bytes]:
     [[3, 2], [1, 3], [2, 1]]
     """
     n = _word_size(columns, count)
-    ones = int.from_bytes(b"\x01" * count, "little")
+    ones = _lane_constants(count, 1)[0]
     image = []
     for plane in range((n + 7) // 8):
         bits = [int.from_bytes(c.translate(_plane_table(1, plane)), "little") for c in columns]
@@ -511,9 +510,8 @@ class _Lanes:
         self.count = count
         self.width = max(min_width, _lane_width(n))
         self.columns = columns
-        self.ones = self.as_int(b"\x01" * count)
+        self.ones, self.top, self.masks = _lane_constants(count, self.width)
         self.shift = 8 * self.width - 1
-        self.top = self.ones << self.shift
 
     @cached_property
     def x(self) -> list[int]:
@@ -545,6 +543,14 @@ class _Lanes:
 
     def const(self, c: int) -> int:
         return c * self.ones
+
+    def popcount(self, v: int) -> int:
+        """The bits set in each byte of ``v`` counted, in lanes of the block's width."""
+        m55, m33, m0f = self.masks
+        v -= v >> 1 & m55
+        v = (v & m33) + (v >> 2 & m33)
+        v = (v + (v >> 4)) & m0f
+        return v if self.width == 1 else self.as_int(v.to_bytes(self.count, "little"))
 
     def position(self, letter: int) -> bytes:
         """The 1-based position of ``letter`` in each word, a byte each, 0
@@ -584,6 +590,16 @@ class _Lanes:
         return values
 
 
+@lru_cache(maxsize=1)
+def _lane_constants(count: int, width: int) -> tuple[int, int, tuple[int, int, int]]:
+    """``ones`` and ``top`` of ``count`` lanes of ``width`` bytes, and the
+    masks 0x55.., 0x33.. and 0x0F.. over ``count`` bytes for :meth:`_Lanes.popcount`.
+    One entry, as the blocks of a class share a count: more outlive their class."""
+    byte = int.from_bytes(b"\x01" * count, "little")
+    ones = byte if width == 1 else int.from_bytes(b"\x01".ljust(width, b"\0") * count, "little")
+    return ones, ones << 8 * width - 1, (0x55 * byte, 0x33 * byte, 0x0F * byte)
+
+
 @lru_cache(maxsize=None)
 def _position_table(letter: int, position: int) -> bytes:
     """``bytes.translate`` table: ``position`` for ``letter``, else 0."""
@@ -602,22 +618,20 @@ def _plane_table(offset: int, b: int, above: int = -1) -> bytes:
 
 
 @lru_cache(maxsize=None)
-def _crossing_table(i: int, b: int) -> bytes:
-    """``bytes.translate`` table: for each letter w, the bits (as in
-    :func:`_plane_table` at offset 2) of the letters of plane b in (i, w) or in (w, i],
-    for 8b+1 <= i <= 8b+9.  Only the letters w = 8b+1..8b+10 differ from
-    their neighbours."""
+def _crossing_tables(i: int, b: int) -> tuple[bytes, bytes]:
+    """``bytes.translate`` tables of the letters of plane b as bits (as in
+    :func:`_plane_table` at offset 2) for 8b+1 <= i <= 8b+10: the letter
+    itself with the bit of i flipped, and for each letter w those in (i, w)
+    or in (w, i], of which only w = 8b+1..8b+10 differ from their neighbours."""
 
     def bits(lo: int, hi: int) -> int:  # the letters lo..hi-1
         lo, hi = max(lo - 2 - 8 * b, 0), min(hi - 2 - 8 * b, 8)
         return (1 << hi) - (1 << lo) if lo < hi else 0
 
+    letters = _plane_table(2, b, 1)
+    flip = int.from_bytes(letters, "little") ^ int.from_bytes(letters[i : i + 1] * 256, "little")
     edge = bytes(bits(i + 1, w) | bits(w + 1, i + 1) for w in range(8 * b + 1, 8 * b + 11))
-    return (edge[:1] * (8 * b + 1) + edge + edge[-1:] * 256)[:256]
-
-
-#: ``bytes.translate`` table: the number of bits set in each byte.
-_POPCOUNT = bytes(bin(v).count("1") for v in range(256))
+    return flip.to_bytes(256, "little"), (edge[:1] * (8 * b + 1) + edge + edge[-1:] * 256)[:256]
 
 
 @lru_cache(maxsize=None)
@@ -643,33 +657,25 @@ def _bump_table(b: int) -> bytes:
 def _crs_lanes(b: _Lanes) -> int:
     # With S the letters before position I, the upper crossings that close at
     # I are S & (I, w_I) and the lower ones that open at I are (w_I, I] - S.
-    # Only (w_I, I] holds I, so with C_I the union and F the lanes where C_I
-    # holds I, crs sums the popcount of (S ^ F) & C_I over I = 2..n-1.  The
-    # terms go into carry-save counters, bit k of each count in levels[k].
-    columns, count = b.columns, b.count
-    ones = b.ones if b.width == 1 else int.from_bytes(b"\x01" * count, "little")
+    # X = S ^ (the letters <= I), so crs sums the popcount of X & ((I, w_I) |
+    # (w_I, I]) over I = 2..n-1; at I, X flips w_(I-1) and I.  The terms go into
+    # carry-save counters, bit k of each count in levels[k], each popcounted once.
+    columns = b.columns
     levels: list[int] = []
     for plane in range((b.n + 5) // 8):
-        low = 8 * plane + 2  # the letters of the plane are low..low+7
-        letter, before = _plane_table(2, plane, 1), 0
+        low, x = 8 * plane + 2, 0  # the letters of the plane are low..low+7
         for p in range(1, b.n - 1):
-            before |= int.from_bytes(columns[p - 1].translate(letter), "little")
-            i = min(max(p + 1, low - 1), low + 7)  # past either end, the plane looks the same
-            term = int.from_bytes(columns[p].translate(_crossing_table(i, plane)), "little")
-            if i < low:
-                term &= before
-            else:
-                term &= before ^ (term >> (i - low) & ones) * 0xFF
+            i = min(max(p + 1, low - 1), low + 8)  # past either end, the plane looks the same
+            flip, between = _crossing_tables(i, plane)
+            x ^= int.from_bytes(columns[p - 1].translate(flip), "little")
+            term = int.from_bytes(columns[p].translate(between), "little") & x
             for k, level in enumerate(levels):
                 levels[k], term = level ^ term, level & term
                 if not term:
                     break
             else:
                 levels.append(term)
-    return sum(
-        b.as_int(level.to_bytes(count, "little").translate(_POPCOUNT)) << k
-        for k, level in enumerate(levels)
-    )
+    return sum(b.popcount(level) << k for k, level in enumerate(levels))
 
 
 def _nes_lanes(b: _Lanes) -> int:
@@ -729,7 +735,7 @@ def _maxdrop_lanes(b: _Lanes) -> int:
         for p in range(8 * plane + 1, b.n):  # no drop before position p+1 reaches 8k+1
             column = b.columns[p].translate(_drop_table(p - 8 * plane))
             reached |= int.from_bytes(column, "little")
-        total += b.as_int(reached.to_bytes(b.count, "little").translate(_POPCOUNT))
+        total += b.popcount(reached)
     return total
 
 

@@ -9,6 +9,8 @@ from permcross.patterns import class_blocks, class_spec
 from permcross.perm import (
     _LANE_KERNELS,
     _bump_table,
+    _crossing_tables,
+    _lane_constants,
     _Lanes,
     _packed_keys,
     _plane_table,
@@ -239,16 +241,17 @@ def test_crs_kernel_on_every_word_of_s8_in_full_blocks():
         assert list(stat_column(pack(block), len(block), "crs")) == want, first
 
 
-@pytest.mark.parametrize("n", [9, 10, 11, 17, 18, 19])
+@pytest.mark.parametrize("n", [9, 10, 11, 17, 18, 19, 26, 27, 30])
 def test_crs_kernel_where_the_letter_planes_cut_over(n):
-    # the letters 2..n-1 fill one byte plane up to n = 10, two up to 18
+    # the letters 2..n-1 fill one byte plane up to n = 10, two up to 18,
+    # three up to 26 and four up to 34
     rng = random.Random(2000 + n)
     words = [tuple(rng.sample(range(1, n + 1), n)) for _ in range(600)]
     words += [tuple(range(n, 0, -1)), tuple(range(1, n + 1))]
     assert list(stat_column(pack(words), len(words), "crs")) == [crossing_count(w) for w in words]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 10, 11, 19, 23, 24])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 10, 11, 19, 23, 24, 30])
 def test_crs_kernel_in_two_byte_lanes(n):
     # bijections.residual_columns widens the lanes of short words to hold sums
     rng = random.Random(3000 + n)
@@ -256,6 +259,23 @@ def test_crs_kernel_in_two_byte_lanes(n):
     lanes = _Lanes(pack(words), len(words), min_width=2)
     assert lanes.width == 2
     assert lane_values(lanes, lanes.stat("crs")) == [crossing_count(w) for w in words]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.binary(min_size=1, max_size=300), st.sampled_from([1, 2]))
+def test_popcount_counts_the_bits_of_each_byte_in_the_lane_width(raw, width):
+    lanes = _Lanes([bytes(len(raw))], len(raw), min_width=width)
+    counted = lanes.popcount(int.from_bytes(raw, "little"))
+    assert lane_values(lanes, counted) == [bin(v).count("1") for v in raw]
+
+
+def test_lane_constants_are_cached_for_one_block_size_at_a_time():
+    # bounded, since the last block of every class has a count of its own
+    assert _lane_constants.cache_info().maxsize is not None
+    for count in (1, 7, 300):
+        lanes = _Lanes([bytes(count)] * 24, count)  # two-byte lanes
+        assert lane_values(lanes, lanes.ones) == [1] * count
+        assert lane_values(lanes, lanes.top) == [0x8000] * count
 
 
 @pytest.mark.parametrize("n", [1, 2, 8, 9, 10, 16, 17, 18, 23, 24, 30])
@@ -457,6 +477,15 @@ def test_plane_table_is_the_three_tables_it_replaced():
         assert table(-1, b) == _old_bit_table(b)
         for q in range(256):
             assert table(2, b, q + 1) == _old_early_table(q, b)
+
+
+def test_flip_table_is_the_plane_letters_with_the_letter_i_flipped():
+    # the crs kernel's set X flips the bits of w_(I-1) and of the letter I at position I
+    tables = _crossing_tables.__wrapped__  # uncached, so the test fills no cache
+    for b in range(32):
+        bits = [1 << v - 2 - 8 * b if 0 <= v - 2 - 8 * b < 8 else 0 for v in range(256)]
+        for i in range(1, 255):
+            assert tables(i, b)[0] == bytes(bit ^ bits[i] for bit in bits), (i, b)
 
 
 def test_stat_bundle_examples():
