@@ -65,16 +65,14 @@ def _check_k(k: int, n: int) -> None:
 
 def phi(k: int, p) -> Permutation:
     w = as_word(p)
-    n = len(w)
-    _check_k(k, n)
-    return insert_of_inverse(w, n + 2 - k, 1)
+    _check_k(k, len(w))
+    return insert_of_inverse(w, len(w) + 2 - k, 1)
 
 
 def psi(k: int, p) -> Permutation:
     w = as_word(p)
-    n = len(w)
-    _check_k(k, n)
-    return insert(apply_symmetry("rc", w), n + 2 - k, 1)
+    _check_k(k, len(w))
+    return insert(apply_symmetry("rc", w), len(w) + 2 - k, 1)
 
 
 class ResidualReport(_Value):
@@ -347,26 +345,8 @@ def adjudicate_cor43(n_max: int, bound: int | None = None) -> Cor43Report:
                 increments.update(map(int.__sub__, after, before))
             statement = min(k - 1, n - k)
             proof = min(k - 1, n - 1 - k)
-            rows.append(
-                Cor43Row(
-                    n=n,
-                    k=k,
-                    size=size,
-                    increments=tuple(sorted(increments)),
-                    statement=statement,
-                    proof=proof,
-                    statement_ok=increments == {statement},
-                    proof_ok=increments == {proof},
-                )
-            )
-    statement_all = all(r.statement_ok for r in rows)
-    proof_all = all(r.proof_ok for r in rows)
-    if statement_all and proof_all:
-        winner = "both"
-    elif statement_all:
-        winner = "statement"
-    elif proof_all:
-        winner = "proof"
-    else:
-        winner = "neither"
-    return Cor43Report(n_max, tuple(rows), winner)
+            row = (n, k, size, tuple(sorted(increments)), statement, proof)
+            rows.append(Cor43Row(*row, increments == {statement}, increments == {proof}))
+    held = (all(r.statement_ok for r in rows), all(r.proof_ok for r in rows))
+    winners = {(True, True): "both", (True, False): "statement", (False, True): "proof"}
+    return Cor43Report(n_max, tuple(rows), winners.get(held, "neither"))

@@ -22,11 +22,14 @@ stops its check, which every runner reports as the same fail
 
 S_n is folded once per n for every check on its one-at-k cuts: thm-2.6,
 conj-2.7 and rel-3 all read its crs profile (one fold over its cuts by the
-position of 1 and the last letter).  The checks over images of whole words
-(sym-transport, phi-psi) map each block once per map and compare integer
-word keys (:func:`permcross.perm._word_keys`), never word by word:
-sym-transport sorts them, and phi-psi counts those of its two bases and
-checks each insertion by its left inverse.
+position of 1 and the last letter).  rel-3 and sym-transport read the 22
+classes of |T| <= 2 at each size as one stream of blocks that mix classes
+(:func:`permcross.patterns._mixed_blocks`): rel-3 takes all their profiles
+from one fold, and sym-transport maps each mixed block once.  The checks
+over images of whole words (sym-transport, phi-psi) compare integer word
+keys (:func:`permcross.perm._word_keys`), never word by word:
+sym-transport sorts those of each class, and phi-psi counts those of its
+two bases and checks each insertion by its left inverse.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import random
 import time
 from array import array
 from functools import lru_cache
-from itertools import chain, combinations, islice, permutations, starmap
+from itertools import accumulate, chain, combinations, islice, permutations, starmap
 from math import comb, factorial
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -54,6 +57,7 @@ from .distributions import (
     crossing_cfrac_series,
     crossing_gf_by_class,
     crs_profile,
+    crs_profiles,
     des_inv_series,
     dist_poly,
     exc_crs_series,
@@ -71,6 +75,7 @@ from .patterns import (
     P321_213,
     P321_231,
     ClassSpec,
+    _mixed_blocks,
     class_blocks,
     class_size,
     class_spec,
@@ -166,34 +171,22 @@ def _verdict(witnesses: Iterable[dict], bound_text: str, status: str = "fail"):
 
 
 def _check(
-    check_id: str,
-    description: str,
-    default_bound: int,
-    min_bound: int = 0,
-    reads: tuple[str, ...] = (CLASSES,),
-    reach: int = 0,
+    check_id: str, description: str, default_bound: int, min_bound: int = 0,
+    reads: tuple[str, ...] = (CLASSES,), reach: int = 0,
 ):
     """Register the decorated ``run(bound) -> (status, witnesses, bound_text)``,
     which enumerates ``reads`` up to size bound + ``reach``."""
 
     def register(run):
-        CHECKS[check_id] = Check(
-            check_id, description, default_bound, run, min_bound, reads, reach
-        )
+        CHECKS[check_id] = Check(check_id, description, default_bound, run, min_bound, reads, reach)
         return run
 
     return register
 
 
 def _identity(
-    check_id: str,
-    description: str,
-    default_bound: int,
-    first: int = 0,
-    scope: str = "",
-    status: str = "fail",
-    reads: tuple[str, ...] = (CLASSES,),
-    reach: int = 0,
+    check_id: str, description: str, default_bound: int, first: int = 0, scope: str = "",
+    status: str = "fail", reads: tuple[str, ...] = (CLASSES,), reach: int = 0,
 ):
     """Register a statement compared for n = first..bound; the decorated
     ``rows(n)`` yields one witness per mismatch at size n.
@@ -456,9 +449,10 @@ def _cor45_rows(n: int):
     reads=(GROUP, CLASSES),
 )
 def _rel3_rows(n: int):
+    profiles = dict(zip(PATTERN_SUBSETS, crs_profiles(n, PATTERN_SUBSETS)))
     for pats in PATTERN_SUBSETS:
         text = _pat_text(pats)
-        lhs, rhs = crs_profile(n, pats), crs_profile(n, apply_symmetry_to_patterns("rci", pats))
+        lhs, rhs = profiles[pats], profiles[apply_symmetry_to_patterns("rci", pats)]
         for k in range(1, n + 1):
             at = {"patterns": text, "n": n, "k": k}
             yield from _sides(at, one_at_side=lhs.by_pos1[n - k], ends_with_side=rhs.by_last[k - 1])
@@ -473,22 +467,30 @@ def _rel3_rows(n: int):
     reads=(GROUP, CLASSES),
 )
 def _sym_transport_rows(n: int):
-    """Each symmetry maps the level of S_n(T) onto the level of S_n(f(T)):
-    the word keys of the images of every block, sorted, must be the keys of
-    the image class, which are those of its identity images, in lex order.
-    Each f(T) is found once for every n (:func:`_transports`).  A failure is
+    """Each symmetry maps the level of S_n(T) onto the level of S_n(f(T)).
+    The 22 levels stream as one run of mixed blocks; each block takes one
+    :func:`symmetry_images` and one :func:`_word_keys` per symmetry, added
+    to that symmetry's keys, and its last column adds to each class's span
+    of them.  A class's image keys, sorted, must be the identity keys of
+    the image class, which are in lex order; f(T) is found once for every n
+    (:func:`_transports`).  A failure, in the order of T and then f, is
     reported by the per-word map."""
-    images: dict[tuple, dict[str, list[array]]] = {}
-    for pats in PATTERN_SUBSETS:
-        images[pats] = {tag: [] for tag in SYMMETRIES}
-        for columns, count in class_blocks(ClassSpec(n, pats)):
-            for tag, image in symmetry_images(columns, count).items():
-                images[pats][tag].append(_word_keys(image, count))
-    levels = {pats: array("Q", chain.from_iterable(keys["id"])) for pats, keys in images.items()}
-    for pats, keys in images.items():
-        for tag, parts in keys.items():
+    keys: dict[str, array] = {}
+    sizes = [0] * len(PATTERN_SUBSETS)
+    for columns, count in _mixed_blocks(n, PATTERN_SUBSETS):
+        *words, index = columns
+        for tag, image in symmetry_images(words, count).items():
+            part = _word_keys(image, count)
+            keys.setdefault(tag, array(part.typecode)).extend(part)
+        for j in range(index[0], index[-1] + 1):
+            sizes[j] += index.count(j)
+    spans = dict(zip(PATTERN_SUBSETS, zip(accumulate(sizes, initial=0), accumulate(sizes))))
+    views = {tag: memoryview(k) for tag, k in keys.items()}  # slices that copy nothing
+    levels = {pats: views["id"][start:stop] for pats, (start, stop) in spans.items()}
+    for pats, (start, stop) in spans.items():
+        for tag in SYMMETRIES:
             target = levels[_transports()[pats][tag]]
-            if array("Q", sorted(chain.from_iterable(parts))) != target:
+            if array(target.format, sorted(views[tag][start:stop])) != target:
                 yield _sym_transport_witness(n, pats, tag)
 
 

@@ -107,18 +107,9 @@ def _cmd_stats(args) -> int:
     crs, crs_pairs = crossings(p)
     nes, nes_pairs = nestings(p)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "word": list(p.word),
-                    "n": p.n,
-                    **bundle.as_dict(),
-                    "crs_pairs": [list(pair) for pair in crs_pairs],
-                    "nes_pairs": [list(pair) for pair in nes_pairs],
-                },
-                sort_keys=True,
-            )
-        )
+        pairs = {"crs_pairs": list(map(list, crs_pairs)), "nes_pairs": list(map(list, nes_pairs))}
+        record = {"word": list(p.word), "n": p.n, **bundle.as_dict(), **pairs}
+        print(json.dumps(record, sort_keys=True))
         return 0
     print(f"word: {format_word(p.word)}  (n={p.n})")
     print("  ".join(f"{name}={value}" for name, value in bundle.as_dict().items()))
@@ -128,14 +119,8 @@ def _cmd_stats(args) -> int:
 
 
 def _dist_report(args, n: int, stats: tuple[str, ...]) -> DistributionReport:
-    spec = class_spec(
-        n,
-        avoid=_parse_patterns(args.avoid),
-        one_at=args.one_at,
-        ends_with=args.ends_with,
-        tail=args.tail,
-        maxdrop_le=args.maxdrop,
-    )
+    cuts = {"one_at": args.one_at, "ends_with": args.ends_with, "tail": args.tail}
+    spec = class_spec(n, avoid=_parse_patterns(args.avoid), maxdrop_le=args.maxdrop, **cuts)
     bound = _env_bound()
     if len(stats) == 1:
         return dist(spec, stats[0], bound)
@@ -179,18 +164,11 @@ def _expand_rows(gf: str, order: int, bound: int | None):
         one = type(f231).constant(f231.ring, order)
         series = (one - f231.times_z()).reciprocal()
         brute = crossing_gf_by_class(((3, 1, 2),), order, bound).coeffs
-    elif gf == "thm52":
-        series = exc_crs_series(order)
-        brute = tuple(
-            joint_poly(class_spec(n, avoid=P321_231), "exc", "crs", bound)[0]
-            for n in range(order + 1)
-        )
-    else:  # chung; the parser's choices refuse any other id
-        series = des_inv_series(order)
-        brute = tuple(
-            joint_poly(class_spec(n, avoid=P321_231), "des", "inv", bound)[0]
-            for n in range(order + 1)
-        )
+    else:  # thm52 or chung; the parser's choices refuse any other id
+        series = (exc_crs_series if gf == "thm52" else des_inv_series)(order)
+        stats = ("exc", "crs") if gf == "thm52" else ("des", "inv")
+        classes = [class_spec(n, avoid=P321_231) for n in range(order + 1)]
+        brute = [joint_poly(spec, *stats, bound)[0] for spec in classes]
     for n in range(order + 1):
         s, b = series.coefficient(n), brute[n]
         yield n, s.to_text(), b.to_text(), s == b
@@ -211,12 +189,8 @@ def _cmd_expand(args) -> int:
     )
     if args.json:
         for n, s, b, ok in rows:
-            print(
-                json.dumps(
-                    {"gf": args.gf, "n": n, "series": s, "brute": b, "match": ok},
-                    sort_keys=True,
-                )
-            )
+            row = {"gf": args.gf, "n": n, "series": s, "brute": b, "match": ok}
+            print(json.dumps(row, sort_keys=True))
     elif args.csv:
         writer = csv.writer(sys.stdout)
         writer.writerow(("gf", "n", "series", "brute", "match"))
@@ -331,9 +305,7 @@ def _parser() -> argparse.ArgumentParser:
     p_verify.add_argument("checks", nargs="*", help="check ids, or 'all' (default)")
     p_verify.add_argument("--bound", type=int, help="override every selected check's bound")
     _output_formats(p_verify)
-    p_verify.add_argument(
-        "--list", action="store_true", help="list the selected checks and exit"
-    )
+    p_verify.add_argument("--list", action="store_true", help="list the selected checks and exit")
     p_verify.set_defaults(func=_cmd_verify)
 
     return parser

@@ -6,29 +6,26 @@ y^stat1 q^stat2) over an enumerated class, and the closed forms are binomial
 expressions assembled in integer arithmetic.  All heavy computations are
 memoized; inputs are immutable so the caches are safe to share.
 
-``dist_poly``, ``joint_poly`` and ``crs_profile`` are histograms from one
-fold (:func:`_fold`) over the class's blocks: up to ``BLOCK_WORDS`` words
-as their columns of letters (:func:`permcross.patterns.class_blocks`: built
-as columns from a shifted S_(m-1) for bare S_n and its fixed-letter cuts,
-from threshold columns for S_n under a drop bound, and sliced from the
-columns of the class table of a pattern class).  Each block becomes one set
-of lanes (:class:`permcross.perm._Lanes`), and the column kernels turn
-it into one key per word: the statistic itself, or every field of the word
-packed at fixed byte offsets into one integer
+``dist_poly`` and ``joint_poly`` are histograms from one fold (:func:`_fold`)
+over the class's blocks (:func:`permcross.patterns.class_blocks`).  Each
+block becomes one set of lanes (:class:`permcross.perm._Lanes`), and the
+column kernels turn it into one key per word: the statistic itself, or
+every field of the word packed into one integer
 (:func:`permcross.perm._packed_keys`), decoded once per distinct key.
 One-byte statistics are counted by value (:func:`_tally`): a column with
 one ``bytes.count`` per value, and the two columns of a joint distribution
 by masking the second to the words that hold each value of the first.
 The crossing profile of bare S_n is folded over its cuts by the position
-of 1 and the last letter instead, each cut's crs column counted by value;
-only two-byte statistics and the profiles of pattern classes go through
-``Counter``.  No word is packed or has a statistic computed one at a time
-on this path.
+of 1 and the last letter, each cut's crs column counted by value; the
+profiles of pattern classes are folded together, any number of classes
+in one stream of mixed blocks (:func:`crs_profiles`), and their packed
+keys and two-byte statistics go through ``Counter``.  No word has a
+statistic computed one at a time on this path.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from functools import lru_cache
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
@@ -36,6 +33,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .patterns import (
     ClassSpec,
     _memo,
+    _mixed_blocks,
     _one_last_cuts,
     class_blocks,
     class_spec,
@@ -203,47 +201,73 @@ class CrsProfile(_Value):
         self._set(n, by_pos1, by_last, total)
 
 
+def _profile(n: int, pos_counts: list[Counter], last_counts: list[Counter]) -> CrsProfile:
+    by_pos1 = tuple(map(_qpoly, pos_counts))
+    return CrsProfile(n, by_pos1, tuple(map(_qpoly, last_counts)), sum(by_pos1, QPoly.zero()))
+
+
 @_memo
 def crs_profile(n: int, forbidden: tuple = (), bound: int | None = None) -> CrsProfile:
     """The crossing distributions of S_n(forbidden) by the position of 1
-    and by the last letter, in one of two folds chosen on purpose.
+    and by the last letter.  Bare S_n is folded over its cuts (1 at
+    position p, last letter v) (:func:`permcross.patterns._one_last_cuts`):
+    every word of a cut falls in the buckets p and v, so each block is one
+    crs kernel and one tally by value, added to both.  A pattern class is
+    the one-class case of :func:`crs_profiles`."""
+    if n == 0 or forbidden:
+        return crs_profiles(n, (forbidden,), bound)[0]
+    pos_counts, last_counts = [Counter() for _ in range(n)], [Counter() for _ in range(n)]
+    for p, v, columns, count in _one_last_cuts(n, bound):
+        lanes, cut = _Lanes(columns, count), Counter()
+        _tally(cut, lanes.unpack(lanes.stat("crs")))
+        pos_counts[p - 1].update(cut)
+        last_counts[v - 1].update(cut)
+    return _profile(n, pos_counts, last_counts)
 
-    Bare S_n is folded over its cuts (1 at position p, last letter v)
-    (:func:`permcross.patterns._one_last_cuts`): every word of a cut falls
-    in the buckets p and v, so each block is one crs kernel and one tally
-    by value, added to both, and no word is keyed by its position of 1 or
-    its last letter.  A pattern class packs (position of 1, last letter,
-    crs) into one key per word (:func:`permcross.perm._packed_keys`) and
-    counts the keys with ``Counter``: the only pattern classes folded here
-    are ``rel-3``'s, at n <= 8 with at most 1,430 members, where
-    (n-1)^2 + 1 tiny cut folds (50 at n = 8) would cost more than one pass.
-    """
+
+def _tally_block(held: defaultdict, columns: list[bytes], count: int) -> None:
+    """Add the crs counts of a mixed block to ``held``: by class (the last
+    column), those by the position of 1 and those by the last letter, from
+    the packed keys (class, position of 1, crs) and (class, last letter, crs)."""
+    *words, index = columns
+    lanes = _Lanes(words, count)
+    crs = lanes.as_bytes(lanes.stat("crs"))
+    for side, letters in enumerate((lanes.position(1), words[-1])):
+        counts: Counter = Counter()
+        _tally(counts, _packed_keys([index, letters, crs], count))
+        for key, c in counts.items():  # the class, the position of 1 or last letter, then crs
+            held[key & 0xFF][side][(key >> 8 & 0xFF) - 1][key >> 16] += c
+
+
+def crs_profiles(n: int, sets: Sequence[tuple], bound: int | None = None) -> tuple[CrsProfile, ...]:
+    """:func:`crs_profile` of S_n(T) for every T of ``sets``, in order.
+    Bare S_n is read from :func:`crs_profile`; the pattern classes stream
+    as one run of mixed blocks (:func:`permcross.patterns._mixed_blocks`),
+    each one set of lanes, one crs kernel and one ``position(1)``
+    (:func:`_tally_block`), so rel-3's 21 classes at n = 8 are two blocks,
+    not 21 folds.  A class is made a profile once a block starts past it."""
     if n == 0:
-        return CrsProfile(0, (), (), QPoly.one())
-    pos_counts: list[Counter] = [Counter() for _ in range(n)]
-    last_counts: list[Counter] = [Counter() for _ in range(n)]
-    if not forbidden:
-        for p, v, columns, count in _one_last_cuts(n, bound):
-            lanes, cut = _Lanes(columns, count), Counter()
-            _tally(cut, lanes.unpack(lanes.stat("crs")))
-            pos_counts[p - 1].update(cut)
-            last_counts[v - 1].update(cut)
-    else:
-        counts = _fold(
-            ClassSpec(n, forbidden),
-            bound,
-            lambda lanes: _packed_keys(
-                [lanes.position(1), lanes.columns[-1], lanes.as_bytes(lanes.stat("crs"))],
-                lanes.count,
-            ),
-        )
-        for key, c in counts.items():  # the position of 1, the last letter, then crs
-            crs = key >> 16
-            pos_counts[(key & 0xFF) - 1][crs] += c
-            last_counts[(key >> 8 & 0xFF) - 1][crs] += c
-    by_pos1 = tuple(map(_qpoly, pos_counts))
-    by_last = tuple(map(_qpoly, last_counts))
-    return CrsProfile(n, by_pos1, by_last, sum(by_pos1, QPoly.zero()))
+        return (CrsProfile(0, (), (), QPoly.one()),) * len(sets)
+    group = crs_profile(n, (), bound) if () in sets else None  # first: it peaks before levels grow
+    classes = [forbidden for forbidden in sets if forbidden]
+    done: list[CrsProfile] = []
+
+    def fresh() -> tuple[list[Counter], list[Counter]]:  # crs by the position of 1, last letter
+        return [Counter() for _ in range(n)], [Counter() for _ in range(n)]
+
+    held = defaultdict(fresh)  # the counts of each class not yet made a profile
+
+    def close(stop: int) -> None:  # the classes before ``stop`` are complete
+        for j in range(len(done), stop):
+            done.append(_profile(n, *(held.pop(j) if j in held else fresh())))
+
+    for columns, count in _mixed_blocks(n, classes, bound):
+        close(columns[-1][0])
+        _tally_block(held, columns, count)
+        del columns  # so that the next block is not built while this one is held
+    close(len(classes))
+    profiles = iter(done)
+    return tuple(next(profiles) if forbidden else group for forbidden in sets)
 
 
 # ---------------------------------------------------------------------------

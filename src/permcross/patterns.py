@@ -27,9 +27,10 @@ members that may take it, and one ``translate``.  A positional constraint
 cuts the last level by one mask built from the columns it fixes.  Past
 n = 15 a tree also streams S_n under a drop bound, storing no last level;
 :func:`_reblocked` cuts the pieces of a tree or of the threshold columns
-into blocks.  :func:`class_blocks` hands a class
-out as blocks, :func:`class_words` as words; :func:`filtered_words`, a plain
-filter over all n! words, is the oracle the other paths are tested against.
+into blocks, and joins several classes into blocks that mix them
+(:func:`_mixed_blocks`).  :func:`class_blocks` hands a class out as blocks,
+:func:`class_words` as words; :func:`filtered_words`, a plain filter over
+all n! words, is the oracle the other paths are tested against.
 """
 
 from __future__ import annotations
@@ -118,20 +119,11 @@ class ClassSpec(_Value):
 
 
 def class_spec(
-    n: int,
-    avoid: Sequence = (),
-    one_at: int | None = None,
-    ends_with: int | None = None,
-    tail: int | None = None,
-    maxdrop_le: int | None = None,
+    n: int, avoid: Sequence = (), one_at: int | None = None, ends_with: int | None = None,
+    tail: int | None = None, maxdrop_le: int | None = None,
 ) -> ClassSpec:
     """Convenience constructor; at most one positional constraint may be given."""
-    given = [
-        ("one_at", one_at),
-        ("ends_with", ends_with),
-        ("tail", tail),
-        ("maxdrop_le", maxdrop_le),
-    ]
+    given = zip(CONSTRAINT_KINDS, (one_at, ends_with, tail, maxdrop_le))
     picked = [(kind, arg) for kind, arg in given if arg is not None]
     if len(picked) > 1:
         raise ValueError("at most one positional constraint is allowed")
@@ -642,6 +634,28 @@ def class_blocks(spec: ClassSpec, bound: int | None = None) -> Iterator[tuple[li
     if drop_bound is not None:  # a tree of its own, whose last level is never stored
         return _reblocked(_ClassTable((), drop_bound).children(n), n)
     return _group_columns(n, *_fixed_run(spec))
+
+
+def _mixed_blocks(
+    n: int, sets: Sequence[tuple], bound: int | None = None
+) -> Iterator[tuple[list[bytes], int]]:
+    """The classes S_n(T) of up to 256 ``sets`` one after another, as
+    blocks of ``BLOCK_WORDS`` words that may mix classes: n columns of
+    letters and a last column of each word's class, its index in ``sets``.
+    Each class streams into :func:`_reblocked` as it is built: a pattern
+    class as its table's level, in one piece, and S_n as its blocks.
+
+    >>> [(c[-1].hex(), k) for c, k in _mixed_blocks(3, [((1, 2, 3), (2, 1, 3)), ((3, 2, 1),)])]
+    [('000000000101010101', 9)]
+    """
+    def pieces() -> Iterator[tuple[list[bytes], int]]:
+        for j, forbidden in enumerate(sets):
+            spec = ClassSpec(n, forbidden)
+            _check_packable(spec, bound)
+            for columns, count in (_table_level(spec),) if forbidden else class_blocks(spec, bound):
+                yield [*columns, bytes((j,)) * count], count
+
+    return _reblocked(pieces(), n + 1)
 
 
 def class_words(spec: ClassSpec, bound: int | None = None) -> Iterator[tuple[int, ...]]:

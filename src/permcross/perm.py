@@ -510,7 +510,7 @@ class _Lanes:
         self.count = count
         self.width = max(min_width, _lane_width(n))
         self.columns = columns
-        self.ones, self.top, self.masks = _lane_constants(count, self.width)
+        self.ones, self.top = _lane_constants(count, self.width)
         self.shift = 8 * self.width - 1
 
     @cached_property
@@ -546,7 +546,7 @@ class _Lanes:
 
     def popcount(self, v: int) -> int:
         """The bits set in each byte of ``v`` counted, in lanes of the block's width."""
-        m55, m33, m0f = self.masks
+        m55, m33, m0f = _popcount_masks(self.count)
         v -= v >> 1 & m55
         v = (v & m33) + (v >> 2 & m33)
         v = (v + (v >> 4)) & m0f
@@ -591,13 +591,19 @@ class _Lanes:
 
 
 @lru_cache(maxsize=1)
-def _lane_constants(count: int, width: int) -> tuple[int, int, tuple[int, int, int]]:
-    """``ones`` and ``top`` of ``count`` lanes of ``width`` bytes, and the
-    masks 0x55.., 0x33.. and 0x0F.. over ``count`` bytes for :meth:`_Lanes.popcount`.
-    One entry, as the blocks of a class share a count: more outlive their class."""
+def _lane_constants(count: int, width: int) -> tuple[int, int]:
+    """``ones`` and ``top`` of ``count`` lanes of ``width`` bytes.  One
+    entry, as the blocks of a class share a count: more outlive their class."""
+    ones = int.from_bytes(b"\x01".ljust(width, b"\0") * count, "little")
+    return ones, ones << 8 * width - 1
+
+
+@lru_cache(maxsize=1)
+def _popcount_masks(count: int) -> tuple[int, int, int]:
+    """The masks 0x55.., 0x33.. and 0x0F.. over ``count`` bytes of :meth:`_Lanes.popcount`,
+    apart from :func:`_lane_constants`: lanes that never popcount do not build them."""
     byte = int.from_bytes(b"\x01" * count, "little")
-    ones = byte if width == 1 else int.from_bytes(b"\x01".ljust(width, b"\0") * count, "little")
-    return ones, ones << 8 * width - 1, (0x55 * byte, 0x33 * byte, 0x0F * byte)
+    return 0x55 * byte, 0x33 * byte, 0x0F * byte
 
 
 @lru_cache(maxsize=None)

@@ -469,6 +469,58 @@ def test_sym_transport_blocks_decide_and_the_per_word_map_confirms(monkeypatch):
     )
 
 
+def test_rel3_and_sym_transport_do_not_depend_on_the_block_size(monkeypatch):
+    # at 7 words a block the classes of each size straddle blocks, and each
+    # block that holds a class boundary mixes classes
+    def records():
+        _clear_caches()
+        return [
+            {k: v for k, v in run_check(check_id, 6).to_json().items() if k != "runtime"}
+            for check_id in ("rel-3", "sym-transport")
+        ]
+
+    try:
+        default = records()
+        monkeypatch.setattr(patterns, "BLOCK_WORDS", 7)
+        assert records() == default
+    finally:
+        monkeypatch.undo()
+        _clear_caches()
+    assert [r["status"] for r in default] == ["pass", "pass"]
+
+
+def test_sym_transport_charges_a_fault_to_its_class(monkeypatch):
+    # the first word of S_5(321) in the mixed stream, the identity, becomes
+    # 54321, which contains 321: the class's keys are no longer its level nor
+    # in lex order, so exactly the pairs (T, f) whose source T or target f(T)
+    # is 321 fail, and they are named in the order of T and then f
+    monkeypatch.setattr(patterns, "BLOCK_WORDS", 7)
+    n, bad = 5, ((3, 2, 1),)
+    mixed, target = patterns._mixed_blocks, checks.PATTERN_SUBSETS.index(bad)
+
+    def faulty(n, sets, bound=None):
+        done = False
+        for columns, count in mixed(n, sets, bound):
+            *words, index = columns
+            at = index.find(target)
+            if at >= 0 and not done:
+                words = [c[:at] + bytes((n - p,)) + c[at + 1 :] for p, c in enumerate(words)]
+                done = True
+            yield [*words, index], count
+
+    monkeypatch.setattr(checks, "_mixed_blocks", faulty)
+    monkeypatch.setattr(checks, "_sym_transport_witness", lambda n, pats, tag: (pats, tag))
+    named = list(checks._sym_transport_rows(n))
+    images = checks._transports()
+    want = [
+        (pats, tag)
+        for pats in checks.PATTERN_SUBSETS
+        for tag in SYMMETRIES
+        if bad in (pats, images[pats][tag])
+    ]
+    assert named == want and len(want) > len(SYMMETRIES)
+
+
 @pytest.mark.parametrize("block", [120, 60, 119, 1])
 def test_flagged_words_at_block_edges(monkeypatch, block):
     # S_5 has 120 words: whole blocks at 120 and 60, one word past at 119

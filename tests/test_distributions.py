@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from permcross import distributions, patterns, perm
 from permcross.checks import PATTERN_SUBSETS
 from permcross.distributions import (
+    CrsProfile,
     closed_form,
     crossing_cfrac_series,
     crossing_gf_by_class,
     crs_profile,
+    crs_profiles,
     dist,
     dist_poly,
     joint_dist,
@@ -514,3 +516,28 @@ def test_cut_classes_match_the_crs_profile(n):
             ends_with = dist_poly(class_spec(n, avoid=pats, ends_with=k), "crs")[0]
             assert one_at == profile.by_pos1[n - k], (pats, k)
             assert ends_with == profile.by_last[k - 1], (pats, k)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_mixed_profiles_match_the_per_word_oracle(monkeypatch, n):
+    # at 7 words a block the pattern classes of size n straddle blocks and
+    # the blocks at class boundaries mix classes; each class's profile must
+    # still be its own words' crossings by the position of 1 and last letter
+    monkeypatch.setattr(patterns, "BLOCK_WORDS", 7)
+    crs_profile.cache_clear()
+    try:
+        profiles = crs_profiles(n, PATTERN_SUBSETS)
+        if n >= 2:  # a block with a class boundary holds words of two classes
+            blocks = patterns._mixed_blocks(n, PATTERN_SUBSETS[1:])
+            assert any(len(set(columns[-1])) > 1 for columns, _ in blocks)
+        assert len(profiles) == len(PATTERN_SUBSETS)
+        for pats, profile in zip(PATTERN_SUBSETS, profiles):
+            if n == 0:
+                assert profile == CrsProfile(0, (), (), QPoly.one())
+                continue
+            words = list(class_words(class_spec(n, avoid=pats)))
+            want = reference_profile(n, words)
+            assert (list(profile.by_pos1), list(profile.by_last)) == want, pats
+            assert profile == crs_profile(n, pats)  # the one-class case of the same fold
+    finally:
+        crs_profile.cache_clear()

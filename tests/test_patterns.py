@@ -8,7 +8,7 @@ from math import comb, factorial
 
 import pytest
 
-from permcross import patterns
+from permcross import patterns, perm
 from permcross.patterns import (
     P132_312,
     P213_312,
@@ -743,3 +743,11 @@ def test_drop_class_sizes_match_the_closed_form():
         for d in range(n + 2):
             want = (d + 1) ** (n - d) * factorial(d) if n > d else factorial(n)
             assert class_size(class_spec(n, maxdrop_le=d)) == want, (n, d)
+
+
+def test_tree_growth_builds_no_popcount_masks():
+    # a generating tree's lanes compare letters and never popcount, so
+    # growing a table builds none of the popcount masks the crs folds keep
+    perm._popcount_masks.cache_clear()
+    patterns._ClassTable(((1, 3, 2),), None).level(9)
+    assert perm._popcount_masks.cache_info().misses == 0
