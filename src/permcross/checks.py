@@ -26,10 +26,10 @@ position of 1 and the last letter).  rel-3 and sym-transport read the 22
 classes of |T| <= 2 at each size as one stream of blocks that mix classes
 (:func:`permcross.patterns._mixed_blocks`): rel-3 takes all their profiles
 from one fold, and sym-transport maps each mixed block once.  The checks
-over images of whole words (sym-transport, phi-psi) compare integer word
-keys (:func:`permcross.perm._word_keys`), never word by word:
-sym-transport sorts those of each class, and phi-psi counts those of its
-two bases and checks each insertion by its left inverse.
+over images of whole words compare blocks, never word by word: sym-transport
+sorts the word keys (:func:`permcross.perm._word_keys`) of each class, and
+phi-psi maps each image block back and checks each insertion by its left
+inverse.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ import random
 import time
 from array import array
 from functools import lru_cache
-from itertools import accumulate, chain, combinations, islice, permutations, starmap
-from math import comb, factorial
+from itertools import accumulate, combinations, islice, permutations
+from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .bijections import (
@@ -551,16 +551,17 @@ def _phi_psi_rows(n: int):
     column at position n+2-k is all 1s.  The other columns, every letter
     lowered by one, must give back the base block byte for byte (a 1 left
     elsewhere lowers to 0, no letter).  That left inverse makes each
-    insertion injective, so phi_k is injective exactly when the inverses of
-    S_n have n! distinct keys, and psi_k when its rc images do: two key sets
-    per n, not one per map and k.  A failure is reported by the per-word maps."""
+    insertion injective, so phi_k and psi_k are injective when the inverse
+    and the rc map are.  These are involutions: each is injective when
+    :func:`symmetry_images` of each image block, under the same tag, gives
+    the block back byte for byte.  A failure is reported by the per-word maps."""
     bases: dict[str, list] = {"phi": [], "psi": []}
+    injective = {"phi": True, "psi": True}
     for columns, count in class_blocks(class_spec(n)):
         images = symmetry_images(columns, count)
-        bases["phi"].append((images["i"], count))
-        bases["psi"].append((images["rc"], count))
-    keys = {name: chain.from_iterable(starmap(_word_keys, base)) for name, base in bases.items()}
-    injective = {name: len(set(keys[name])) == factorial(n) for name in keys}  # one set at a time
+        for name, tag in (("phi", "i"), ("psi", "rc")):
+            bases[name].append((images[tag], count))
+            injective[name] &= symmetry_images(images[tag], count)[tag] == columns
     for k in range(1, n + 2):
         for name, base in bases.items():
             if not (injective[name] and all(_inserts_1(*block, n + 1 - k) for block in base)):
@@ -782,10 +783,12 @@ def _thm46_family(n: int):
 )
 def _prop51_rows(n: int):
     """The two classes compared as lex-order streams of blocks, both cut at
-    the same edges, from two independent enumeration paths: the avoiders
-    from the pattern tree, the maxdrop class from the threshold columns of
-    :func:`permcross.patterns._drop_columns`.  Only a mismatch lists their
-    words for the witness."""
+    the same edges: one growth step (:func:`permcross.patterns._children`)
+    under two rules and two cuts, the pattern rule and the mask cut for the
+    avoiders, the drop thresholds and the one-``translate`` cut for the
+    maxdrop class.  A fault in what both share, the letter order, the
+    raise of ``_bump_table`` or ``_reblocked``, can cancel.  Only a mismatch
+    lists their words for the witness."""
     specs = (class_spec(n, avoid=P321_231), class_spec(n, maxdrop_le=1))
     avoiders, drop = (list(class_blocks(spec)) for spec in specs)
     if avoiders != drop:

@@ -11,26 +11,26 @@ S_n cut by ``one_at``, ``ends_with`` or ``tail``, comes from
 :func:`_group_columns`: the permutations of the m free letters are m shifted
 copies of S_(m-1), held by columns; so does S_n under a drop bound d >= n-1,
 and so do the cuts of S_n by the position of 1 and the last letter
-(:func:`_one_last_cuts`) that a crossing profile is folded over.  S_n under
-any other maxdrop bound d comes from :func:`_drop_columns` up to n = 15:
-each member u may be prepended the first letters 1..t(u), a threshold
-computed by columns, so each size is one ``translate`` per column and first
-letter of the size below, and the last size streams.
-A pattern class, with or without a drop bound, comes from a generating tree
+(:func:`_one_last_cuts`) that a crossing profile is folded over.  Every
+other class grows by a generating tree, one step a size (:func:`_children`):
+each member of the size below is prepended every first letter it may take,
+by columns.  Forbidden patterns allow the letters found by lane comparisons
+over a chunk of members at once (:func:`_allowed_letters`), and a drop
+bound the letters up to a threshold t(u) (:func:`_thresholds`).  With no
+pattern rule, while t and a letter fit in one byte, a first letter is one
+``translate`` per column; otherwise each column is ANDed with a mask over
+the members that may take the letter, then translated.  A pattern class,
+with or without a drop bound, keeps its sizes in a table
 (:class:`_ClassTable`), one per forbidden set and drop bound
-(:func:`_class_table`), which grows each size from the one below by
-prepending a first letter; the letters each member may take are found by
-lane comparisons over a chunk of members at once, and no per-member mask is
-kept.  A tree keeps each size as (columns, count), the block format itself:
-the children of a first letter are each column ANDed with a mask over the
-members that may take it, and one ``translate``.  A positional constraint
-cuts the last level by one mask built from the columns it fixes.  Past
-n = 15 a tree also streams S_n under a drop bound, storing no last level;
-:func:`_reblocked` cuts the pieces of a tree or of the threshold columns
-into blocks, and joins several classes into blocks that mix them
-(:func:`_mixed_blocks`).  :func:`class_blocks` hands a class out as blocks,
-:func:`class_words` as words; :func:`filtered_words`, a plain filter over
-all n! words, is the oracle the other paths are tested against.
+(:func:`_class_table`), as (columns, count), the block format itself; a
+positional constraint cuts the last level by one mask built from the
+columns it fixes.  S_n under any other drop bound holds only the size
+below while the next one streams (:func:`_drop_pieces`).  :func:`_reblocked`
+cuts the pieces of a tree into blocks, and joins several classes into
+blocks that mix them (:func:`_mixed_blocks`).  :func:`class_blocks` hands a
+class out as blocks, :func:`class_words` as words; :func:`filtered_words`,
+a plain filter over all n! words, is the oracle the other paths are tested
+against.
 """
 
 from __future__ import annotations
@@ -224,11 +224,11 @@ def filtered_words(spec: ClassSpec) -> Iterator[tuple[int, ...]]:
 def _fixed_run(spec: ClassSpec) -> tuple[int, bytes]:
     """(offset, run) of the letters a ``one_at``, ``ends_with`` or ``tail``
     constraint fixes: 1 at position n+1-k, k at the end, or the suffix
-    k, k-1, ..., 1; no letter without a constraint.  A word obeys the
+    k, k-1, ..., 1; no letter under a drop bound or none.  A word obeys the
     constraint when its letters from the 0-based offset on start with the run."""
     n = spec.n
     kind, arg = spec.constraint or (None, 0)
-    if kind is None:
+    if kind in (None, "maxdrop_le"):
         return 0, b""
     if kind == "one_at":
         return n - arg, bytes((1,))
@@ -260,9 +260,7 @@ def _prepend_rule(pat: tuple[int, ...]):
     return tuple(bounds), jl, ju
 
 
-def _allowed_letters(
-    columns: list[bytes], count: int, rules, drop_bound: int | None
-) -> list[bytes]:
+def _allowed_letters(columns: list[bytes], count: int, rules) -> list[bytes]:
     """Which first letters the ``count`` size-k members u of a chunk, given
     by its columns, may take: for each letter a = 1..k+1, a 0/1 byte each.
 
@@ -272,10 +270,12 @@ def _allowed_letters(
     once, and a branch ends as soon as no lane holds it.
 
     >>> rules = [_prepend_rule((3, 2, 1))]
-    >>> [c.hex() for c in _allowed_letters([bytes((1, 2)), bytes((2, 1))], 2, rules, None)]
+    >>> [c.hex() for c in _allowed_letters([bytes((1, 2)), bytes((2, 1))], 2, rules)]
     ['0101', '0101', '0100']
     """
     k = len(columns)
+    if not rules:
+        return [b"\x01" * count] * (k + 1)
     lanes = _Lanes(columns, count, min_width=(k + 11) // 8)
     x, xt, top, ones, shift = lanes.x, lanes.xt, lanes.top, lanes.ones, lanes.shift
     fill = (1 << shift) - 1  # times a lane's low bit, every bit of the lane but its top
@@ -304,10 +304,6 @@ def _allowed_letters(
 
         forbidden |= grow(0, 0, top)
         del grow  # it calls itself: a cycle that would hold the lanes until collected
-    if drop_bound is not None:  # forbid every a > u_p whose drop p+1-u_p is at least d
-        for p in range(k):
-            held = top & ~(xt[p] - lanes.const(max(p + 2 - drop_bound, 0)))
-            forbidden |= (held >> shift) * fill & ((ceil | top) - edge[p])
     step = lanes.width
     return [
         (((forbidden >> a) & ones) ^ ones).to_bytes(step * count, "little")[::step]
@@ -315,19 +311,92 @@ def _allowed_letters(
     ]
 
 
-class _ClassTable:
-    """The generating tree of one class closed under deleting the first
-    letter, grown on demand and kept.
+def _children(
+    level: tuple[list[bytes], int], k: int, rules, drop_bound: int | None
+) -> Iterator[tuple[list[bytes], int]]:
+    """The growth step of every generating tree: the size-k members of a
+    class closed under deleting the first letter, in lex order, as
+    (columns, count) pieces grown from ``level``, its size-(k-1) members.
 
-    A classical class, and its intersection with a maxdrop bound, is closed
-    under deleting the first letter.  So size k is grown from the sorted
-    members of size k-1 by prepending each allowed first letter a and
-    shifting the letters >= a up by one; looping over a outside and the
-    members inside yields size k in lex order without a sort.  ``levels[k]``
-    holds the size-k members as (columns, count), the block format of the
-    kernels, grown by columns (:meth:`children`) with no per-member mask or
-    loop.  A lock keeps threads that share a table from growing one level
-    twice.
+    Level k-1 is cut into chunks of ``BLOCK_WORDS`` members.  The children
+    of a first letter a in a chunk are its members that may take a, their
+    letters >= a raised by one, behind a constant column of a; looping over
+    a outside and the chunks inside gives level k in lex order.  A drop
+    bound lets a member u take a only when a <= t(u) (:func:`_thresholds`).
+    With no pattern rule and k <= 15, t and a letter share one byte: a
+    chunk is held by columns of bytes ``t << 4 | letter``, and the children
+    of a are one ``translate`` of each that deletes the members with t < a.
+    Otherwise a chunk is held as its columns, the same columns as integers
+    and, for each a, 0xFF over the members that may take it: the letters the
+    rules allow (:func:`_allowed_letters`) up to t.  Its children of a are
+    each column integer ANDed with that mask and translated, the zero bytes
+    deleted; a chunk whose members all take a is only translated.  A caller
+    that keeps no other reference to the level holds only its chunks.
+    """
+    columns, count = level
+    one_byte = not rules and k <= 15
+    chunks = []
+    for first in range(0, count, BLOCK_WORDS):
+        size = min(BLOCK_WORDS, count - first)
+        part = [c[first : first + size] for c in columns]
+        if one_byte:
+            tag = int.from_bytes(_thresholds(part, size, drop_bound), "little") << 4
+            tagged = [(tag | int.from_bytes(c, "little")).to_bytes(size, "little") for c in part]
+            chunks.append((tagged, None, None, size))
+            continue
+        masks = [int.from_bytes(g, "little") * 0xFF for g in _allowed_letters(part, size, rules)]
+        if drop_bound is not None:
+            t = _thresholds(part, size, drop_bound)
+            at_least = (bytes(a) + b"\xff" * (256 - a) for a in range(1, k + 1))
+            masks = [m & int.from_bytes(t.translate(g), "little") for m, g in zip(masks, at_least)]
+        chunks.append((part, [int.from_bytes(c, "little") for c in part], masks, size))
+    del level, columns  # the chunks hold what the children are cut from
+    for a in range(1, k + 1):
+        table = _bump_table(a)
+        low, gone = table[:16] * 16, _BYTES[: a << 4]
+        for part, ints, masks, size in chunks:
+            if masks is None:  # t << 4 | letter to the letter raised, deleted if t < a
+                kept = [c.translate(low, gone) for c in part]
+                taken = len(kept[0])
+            else:
+                taken = masks[a - 1].bit_count() >> 3
+                if taken == size:
+                    kept = [c.translate(table) for c in part]
+                elif taken:
+                    kept = ((c & masks[a - 1]).to_bytes(size, "little") for c in ints)
+                    kept = [c.translate(table, b"\0") for c in kept]
+            if taken:
+                yield [bytes((a,)) * taken, *kept], taken
+
+
+def _thresholds(columns: list[bytes], count: int, d: int) -> bytes:
+    """The threshold t(u) of each of the ``count`` members u of size k-1,
+    given by their columns, one byte each: the least of k and of the letters
+    v at drop d, u_(v+d) = v.  Prepending a first letter a and raising the
+    letters >= a adds one to the drop of each letter below a, so the child
+    keeps every drop <= d exactly when a <= t(u): below, 123, 132 and 213
+    under d = 1.
+
+    >>> _thresholds([bytes((1, 1, 2)), bytes((2, 3, 1)), bytes((3, 2, 3))], 3, 1).hex()
+    '040201'
+    """
+    k = len(columns) + 1
+    ones = int.from_bytes(b"\x01" * count, "little")
+    t = ones * k
+    for v in range(k - 1 - d, 0, -1):  # where the letter at v+d is v, t is the least such v
+        hit = _where(columns[v + d - 1], v)
+        t = t & ~hit | hit & ones * v
+    return t.to_bytes(count, "little")
+
+
+class _ClassTable:
+    """The generating tree of one pattern class, grown on demand and kept.
+
+    A classical class, and its intersection with a drop bound, is closed
+    under deleting the first letter, so each size grows from the one below
+    by :func:`_children`.  ``levels[k]`` holds the size-k members as
+    (columns, count), the block format of the kernels.  A lock keeps
+    threads that share a table from growing one level twice.
     """
 
     def __init__(self, forbidden: tuple, drop_bound: int | None):
@@ -340,39 +409,9 @@ class _ClassTable:
         """(columns, count) of the size-n members, grown from the largest level so far."""
         with self.lock:
             for k in range(len(self.levels), n + 1):
-                self.levels.append(_joined(self.children(k), k))
+                pieces = _children(self.levels[k - 1], k, self.rules, self.drop_bound)
+                self.levels.append(_joined(pieces, k))
             return self.levels[n]
-
-    def children(self, k: int) -> Iterator[tuple[list[bytes], int]]:
-        """The size-k members in lex order, as (columns, count) pieces grown
-        from level k-1.
-
-        Level k-1 is cut into chunks of ``BLOCK_WORDS`` members, each kept
-        as its columns, the same columns as integers, and the first letters
-        its members may take (:func:`_allowed_letters`).  The children of
-        letter a in a chunk are a constant column of a before the chunk's
-        column integers, each ANDed with 0xFF over the members that may take
-        a, then one ``translate`` that deletes the zero bytes and raises the
-        letters >= a.  A chunk whose members all take a is only translated,
-        and one whose members all refuse a gives nothing.
-        """
-        columns, count = self.level(k - 1)
-        chunks = []
-        for first in range(0, count, BLOCK_WORDS):
-            size = min(BLOCK_WORDS, count - first)
-            part = [c[first : first + size] for c in columns]
-            allowed = _allowed_letters(part, size, self.rules, self.drop_bound)
-            chunks.append((part, [int.from_bytes(c, "little") for c in part], allowed, size))
-        for a in range(1, k + 1):
-            table = _bump_table(a)
-            for part, ints, allowed, size in chunks:
-                taken = allowed[a - 1].count(1)
-                if taken == size:
-                    yield [bytes((a,)) * size, *(c.translate(table) for c in part)], size
-                elif taken:
-                    mask = int.from_bytes(allowed[a - 1], "little") * 0xFF
-                    kept = ((c & mask).to_bytes(size, "little") for c in ints)
-                    yield [bytes((a,)) * taken, *(c.translate(table, b"\0") for c in kept)], taken
 
 
 @lru_cache(maxsize=None)
@@ -417,7 +456,7 @@ def _reblocked(
         yield [b"".join(cols[p] for cols in held) for p in range(n)], count
 
 
-#: Words per block, and members per chunk of :meth:`_ClassTable.children`.
+#: Words per block, and members per chunk of :func:`_children`.
 #: Larger blocks make fewer, longer lane operations but hold more memory:
 #: at n = 10 a block's columns take 80 KB at 8,192 words, and the crs
 #: kernel's lanes as much again.  At 8,192 the ten group-stats folds of S_9
@@ -522,51 +561,13 @@ def _one_last_cuts(n: int, bound: int | None = None) -> Iterator[tuple[int, int,
     return cuts()
 
 
-def _drop_columns(n: int, d: int) -> Iterator[tuple[list[bytes], int]]:
-    """S_n under the drop bound d in lex order, 1 <= n <= 15, as blocks of
-    ``BLOCK_WORDS`` words, the last one fewer, each as its n columns.
-
-    Prepending a first letter a to a member u of size k-1 and raising its
-    letters >= a adds one to the drop of each letter below a, so the child
-    keeps every drop <= d exactly when a <= t(u): the least of k and of the
-    letters v at drop d, u_(v+d) = v.  Level k-1 is held by columns of bytes
-    ``t << 4 | letter``; segment a of level k, its members that start with
-    a, is one ``translate`` of each column that deletes the members with
-    t < a and raises the letters >= a.  The sets t >= a are nested, so the
-    segments stop at the first empty one, and level n streams one segment
-    at a time.
-
-    >>> [([c.hex() for c in cols], k) for cols, k in _drop_columns(3, 1)]
-    [(['01010203', '02030101', '03020302'], 4)]
-    """
-    segments = iter([([b"\x01"], 1)])  # level 1
+def _drop_pieces(n: int, d: int) -> Iterator[tuple[list[bytes], int]]:
+    """S_n, n >= 2, under the drop bound d in lex order, as the pieces of its
+    last level: each size grows from the one below alone (:func:`_children`)."""
+    pieces = [([b"\x01"], 1)]
     for k in range(2, n + 1):
-        columns, count = _joined(segments, k - 1)  # level k-1
-        ones = int.from_bytes(b"\x01" * count, "little")
-        t = ones * k
-        for p in range(k - 2, d - 1, -1):  # where the letter at p+1 is p+1-d, t is that letter
-            v = p + 1 - d
-            hit = _where(columns[p], v)
-            t = t & ~hit | hit & ones * v
-        t <<= 4
-        tagged = [(t | int.from_bytes(c, "little")).to_bytes(count, "little") for c in columns]
-        del columns
-        segments = _drop_segments(tagged, k)
-    yield from _reblocked(segments, n)
-
-
-def _drop_segments(tagged: list[bytes], k: int) -> Iterator[tuple[list[bytes], int]]:
-    """The segments a = 1, 2, ... of level k from the tagged columns of
-    level k-1 (see :func:`_drop_columns`), each as (columns, count)."""
-    letters = bytes(range(16)) * 16  # each byte to its low nibble
-    for a in range(1, k + 1):
-        table, gone = letters.translate(_bump_table(a)), _BYTES[: a << 4]
-        columns = [c.translate(table, gone) for c in tagged]
-        size = len(columns[0])
-        if not size:
-            return
-        yield [bytes((a,)) * size, *columns], size
-        del columns  # so that the next segment is not made while this one is held
+        pieces = _children(_joined(pieces, k - 1), k, (), d)
+    yield from pieces
 
 
 def _drop_bound(spec: ClassSpec) -> int | None:
@@ -587,9 +588,9 @@ def _table_level(spec: ClassSpec) -> tuple[list[bytes], int]:
     as one integer and one ``translate`` deletes the zero bytes, and the
     run goes back in as constant columns."""
     columns, count = _class_table(spec.forbidden, _drop_bound(spec)).level(spec.n)
-    if spec.constraint is None or spec.constraint[0] == "maxdrop_le":
-        return columns, count
     at, run = _fixed_run(spec)
+    if not run:
+        return columns, count
     mask = -1
     for p, v in enumerate(run, at):
         mask &= _where(columns[p], v)
@@ -617,23 +618,19 @@ def class_blocks(spec: ClassSpec, bound: int | None = None) -> Iterator[tuple[li
     ``BLOCK_WORDS`` words as their columns of letters, one byte a letter, the
     format of the column kernels of :mod:`permcross.perm`.  Bare and
     fixed-letter S_n are built as columns (:func:`_group_columns`), as is S_n
-    under a drop bound d >= n-1, which is all of S_n, and S_n under any other
-    maxdrop bound up to n = 15 (:func:`_drop_columns`); a pattern class is
-    sliced from the columns of its table, and S_n under a maxdrop bound past
-    n = 15 streams from a tree of its own, its pieces joined into blocks.
-    Refused before any enumeration past the bound or past ``MAX_PACKED_N``.
+    under a drop bound d >= n-1, which is all of S_n; a pattern class is
+    sliced from the columns of its table, and S_n under any other drop bound
+    streams from the tree's step (:func:`_drop_pieces`), its pieces joined
+    into blocks.  Refused before any enumeration past the bound or past
+    ``MAX_PACKED_N``.
     """
     _check_packable(spec, bound)
     n, drop_bound = spec.n, _drop_bound(spec)
     if spec.forbidden:
         return _reblocked((_table_level(spec),), n)
-    if drop_bound is not None and drop_bound >= n - 1:  # no drop exceeds n-1: all of S_n
-        return _group_columns(n)
-    if drop_bound is not None and n <= 15:  # t and a letter share one byte
-        return _drop_columns(n, drop_bound)
-    if drop_bound is not None:  # a tree of its own, whose last level is never stored
-        return _reblocked(_ClassTable((), drop_bound).children(n), n)
-    return _group_columns(n, *_fixed_run(spec))
+    if drop_bound is None or drop_bound >= n - 1:  # no drop exceeds n-1: all of S_n
+        return _group_columns(n, *_fixed_run(spec))
+    return _reblocked(_drop_pieces(n, drop_bound), n)
 
 
 def _mixed_blocks(

@@ -4,7 +4,6 @@ import random
 import re
 from collections import Counter
 from itertools import permutations
-from math import factorial
 from pathlib import Path
 
 import jsonschema
@@ -440,21 +439,26 @@ def test_block_images_that_are_not_permutations_are_a_defect(monkeypatch):
     _assert_stopped(run_check("phi-psi", 5), 5, "the per-word map passes")
 
 
-def test_phi_psi_keys_each_block_once_per_map(monkeypatch):
-    # two key sets per n, not one per map and k
+def test_phi_psi_maps_each_block_back_once_per_map(monkeypatch):
+    # one involution check per block and map, not one per map and k: the
+    # images of each block of S_n, then its inverse and its rc image mapped
+    # once each
     monkeypatch.setattr(patterns, "BLOCK_WORDS", 7)
-    counts = []
+    mapped = []
 
     def spy(columns, count):
-        counts.append(count)
-        return perm._word_keys(columns, count)
+        mapped.append(columns)
+        return perm.symmetry_images(columns, count)
 
-    monkeypatch.setattr(checks, "_word_keys", spy)
+    monkeypatch.setattr(checks, "symmetry_images", spy)
     for n in (4, 5):
-        counts.clear()
-        blocks = len(list(patterns.class_blocks(patterns.class_spec(n))))
+        mapped.clear()
+        want = []
+        for columns, count in patterns.class_blocks(patterns.class_spec(n)):
+            images = perm.symmetry_images(columns, count)
+            want += [columns, images["i"], images["rc"]]
         assert list(checks._phi_psi_rows(n)) == []
-        assert len(counts) == 2 * blocks > 2 and sum(counts) == 2 * factorial(n)
+        assert mapped == want and len(want) > 6
 
 
 def test_sym_transport_blocks_decide_and_the_per_word_map_confirms(monkeypatch):
@@ -686,6 +690,17 @@ def _table_level_mask_shifted(monkeypatch):
     monkeypatch.setattr(patterns, "_table_level", broken)
 
 
+def _thresholds_one_high(monkeypatch):
+    # t one too high wherever a letter sits at drop d, which is where t < k
+    thresholds = patterns._thresholds
+
+    def broken(columns, count, d):
+        k = len(columns) + 1
+        return bytes(v + (v < k) for v in thresholds(columns, count, d))
+
+    monkeypatch.setattr(patterns, "_thresholds", broken)
+
+
 #: A fault in one shared layer, and the checks that do not pass under it at
 #: bound 5 with cold caches.  A check missing from a set is blind to that
 #: fault: it compares two sides that both go through the faulty layer, or
@@ -729,6 +744,7 @@ LAYER_FAULTS = {
             "thm-1.1", "thm-1.2",
         },
     ),
+    "drop threshold one high at drop d": (_thresholds_one_high, {"prop-5.1"}),
 }
 
 

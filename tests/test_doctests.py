@@ -35,7 +35,7 @@ def test_the_kernels_have_doctests():
         "packed_blocks",
         "_group_columns",
         "_one_last_cuts",
-        "_drop_columns",
+        "_thresholds",
         "_reblocked",
         "_packed_keys",
         "_word_keys",

@@ -3,7 +3,7 @@ import sys
 import threading
 import tracemalloc
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import combinations, permutations, zip_longest
 from math import comb, factorial
 
 import pytest
@@ -344,9 +344,12 @@ def unpacked(blocks) -> list:
     return [w for columns, count in blocks for w in (zip(*columns) if columns else [()] * count)]
 
 
-def _drop_tree(n: int, d: int) -> list:
-    """The blocks of S_n under the drop bound d grown by the generating tree."""
-    return list(patterns._reblocked(patterns._ClassTable((), d).children(n), n))
+def _drop_tree(n: int, d: int):
+    """The blocks of S_n, n >= 1, under the drop bound d from a table whose
+    one pattern, longer than n, forbids nothing, so that every level takes
+    the mask cut of the growth step; its last level streams."""
+    table = patterns._ClassTable((tuple(range(1, n + 2)),), d)
+    return patterns._reblocked(patterns._children(table.level(n - 1), n, table.rules, d), n)
 
 
 def _obeys(w, kind: str, k: int) -> bool:
@@ -424,20 +427,17 @@ CHUNKED = (
 
 @pytest.mark.parametrize("chunk", [1, 7, 119, 120])
 def test_class_tables_at_chunk_edges(monkeypatch, chunk):
-    # a table grows each size from chunks of BLOCK_WORDS members: 132 and
-    # 429 members of 231-avoiders at sizes 6 and 7, 1,536 of S_7 under a
-    # drop bound of 3 (the tree of S_8's streamed last level, which
-    # class_blocks takes only past n = 15)
+    # the growth step cuts each size into chunks of BLOCK_WORDS members:
+    # 132 and 429 members of 231-avoiders at sizes 6 and 7, 1,536 of S_7
+    # under a drop bound of 3, grown by both cuts of the step
     want = {spec: list(filtered_words(spec)) for spec in CHUNKED}
     monkeypatch.setattr(patterns, "BLOCK_WORDS", chunk)
     _class_table.cache_clear()
     try:
         for spec in CHUNKED:
-            if spec.forbidden:
-                blocks = list(class_blocks(spec))
-            else:
-                blocks = _drop_tree(spec.n, spec.constraint[1])
-            assert unpacked(blocks) == want[spec], spec
+            assert unpacked(list(class_blocks(spec))) == want[spec], spec
+            if not spec.forbidden:
+                assert unpacked(list(_drop_tree(spec.n, spec.constraint[1]))) == want[spec], spec
     finally:
         _class_table.cache_clear()
 
@@ -543,9 +543,11 @@ def test_group_columns_hold_one_copy_of_the_smaller_group():
 
 
 def test_drop_stream_lets_each_piece_go_before_the_next():
-    # S_10 under a drop bound of 3 streams its last level in segments of
-    # 24,576, 18,432, ... words, 246 KB of columns for the first; holding
-    # each segment while the next one was built peaked at 819 KB, not 717 KB
+    # S_10 under a drop bound of 3 streams its last level in pieces of at
+    # most 8,192 words, the children of one first letter in one chunk of
+    # the level below, and lets that level go once it is chunked: the fold
+    # peaks at 597 KB traced, and at 819 KB with the level held beside its
+    # chunks
     tracemalloc.start()
     try:
         for columns, count in class_blocks(class_spec(10, maxdrop_le=3)):
@@ -658,7 +660,7 @@ def test_threads_sharing_a_table_grow_each_level_once():
 
 
 # ---------------------------------------------------------------------------
-# S_n under a drop bound, built from threshold columns
+# S_n under a drop bound, grown by the tree's step from thresholds
 
 
 def test_drop_columns_match_the_oracle():
@@ -671,18 +673,26 @@ def test_drop_columns_match_the_oracle():
             assert blocks == list(patterns.packed_blocks(want, n)), spec
 
 
-@pytest.mark.parametrize("n", [9, 10, 11])
+@pytest.mark.parametrize("n", range(2, 13))
 def test_drop_columns_match_the_tree_block_for_block(n):
-    for d in range(5):
-        assert list(class_blocks(class_spec(n, maxdrop_le=d), bound=n)) == _drop_tree(n, d), d
+    # the one-translate cut of class_blocks against the mask cut of a table
+    # whose pattern forbids nothing, and both against the closed form, since
+    # the cuts share their thresholds; S_12 under d = 4 (9,375,000 words) is
+    # left out for its memory
+    for d in range(4 if n == 12 else 5):
+        spec, words = class_spec(n, maxdrop_le=d), 0
+        for a, b in zip_longest(class_blocks(spec, bound=n), _drop_tree(n, d)):
+            assert a == b, d
+            words += a[1]
+        assert words == ((d + 1) ** (n - d) * factorial(d) if n > d else factorial(n)), d
 
 
 def test_drop_bounds_past_n_minus_one_give_the_whole_group(monkeypatch):
-    # no drop exceeds n-1, so those classes come as bare S_n, not by thresholds
+    # no drop exceeds n-1, so those classes come as bare S_n, not by the tree
     def refuse(*args):
-        raise AssertionError("S_n under a drop bound d >= n-1 went through _drop_columns")
+        raise AssertionError("S_n under a drop bound d >= n-1 went through the tree")
 
-    monkeypatch.setattr(patterns, "_drop_columns", refuse)
+    monkeypatch.setattr(patterns, "_children", refuse)
     for n in range(10):
         whole = list(class_blocks(class_spec(n)))
         for d in range(max(n - 1, 0), n + 2):
@@ -716,25 +726,27 @@ def test_one_last_cuts_are_refused_before_any_enumeration(monkeypatch):
 
 @pytest.mark.parametrize("block", [1, 3, 7])
 def test_drop_columns_at_block_edges(monkeypatch, block):
-    # the segments of the last level differ in size (S_6 under a drop bound
-    # of 2: 72, 72 and 36 words), so blocks straddle their edges
+    # the pieces of the last level differ in size (S_6 under a drop bound
+    # of 2: 72, 72 and 36 words a first letter, cut by chunks of the level
+    # below), so blocks straddle their edges
     monkeypatch.setattr(patterns, "BLOCK_WORDS", block)
     for n in range(1, 8):
         for d in range(4):
             spec = class_spec(n, maxdrop_le=d)
             blocks = list(class_blocks(spec))
-            assert blocks == _drop_tree(n, d), spec
+            assert blocks == list(_drop_tree(n, d)), spec
             assert blocks == list(patterns.packed_blocks(filtered_words(spec), n)), spec
 
 
-@pytest.mark.parametrize("n", [15, 16])
+@pytest.mark.parametrize("n", [15, 16, 17])
 def test_drop_columns_on_both_sides_of_one_byte_per_threshold_and_letter(n):
-    # t and a letter share a byte up to n = 15; S_16 grows by the tree.  A
-    # threshold too high lets the class grow towards n!, so fail small first
+    # t and a letter share a byte up to size 15, so the last level of S_16
+    # is the first one class_blocks grows by the mask cut.  A threshold too
+    # high lets the class grow towards n!, so fail small first
     assert class_size(class_spec(9, maxdrop_le=1)) == 2 ** 8
     blocks = list(class_blocks(class_spec(n, maxdrop_le=1), bound=n))
     assert sum(count for _, count in blocks) == 2 ** (n - 1)
-    assert blocks == _drop_tree(n, 1)
+    assert blocks == list(_drop_tree(n, 1))
 
 
 def test_drop_class_sizes_match_the_closed_form():
