@@ -21,8 +21,9 @@ stops its check, which every runner reports as the same fail
 (:func:`run_check`) before it runs the other checks.
 
 S_n is folded once per n for every check on its one-at-k cuts: thm-2.6,
-conj-2.7 and rel-3 all read its crs profile (one fold over its cuts by the
-position of 1 and the last letter).  rel-3 and sym-transport read the 22
+conj-2.7 and rel-3 all read its crs profile, one fold over the words that
+end with 1 and with 1, v, whose crossing terms serve every position of the
+1 (:func:`permcross.perm._crs_cuts`).  rel-3 and sym-transport read the 22
 classes of |T| <= 2 at each size as one stream of blocks that mix classes
 (:func:`permcross.patterns._mixed_blocks`): rel-3 takes all their profiles
 from one fold, and sym-transport maps each mixed block once.  The checks

@@ -16,11 +16,13 @@ One-byte statistics are counted by value (:func:`_tally`): a column with
 one ``bytes.count`` per value, and the two columns of a joint distribution
 by masking the second to the words that hold each value of the first.
 The crossing profile of bare S_n is folded over its cuts by the position
-of 1 and the last letter, each cut's crs column counted by value; the
-profiles of pattern classes are folded together, any number of classes
-in one stream of mixed blocks (:func:`crs_profiles`), and their packed
-keys and two-byte statistics go through ``Counter``.  No word has a
-statistic computed one at a time on this path.
+of 1 and the last letter, each cut's crs column counted by value; the cuts
+of one block of words ending with 1, v share their crossing terms
+(:func:`permcross.perm._crs_cuts`), so no cut is built.  The profiles of
+pattern classes are folded together, any number of classes in one stream
+of mixed blocks (:func:`crs_profiles`), and their packed keys and two-byte
+statistics go through ``Counter``.  No word has a statistic computed one
+at a time on this path.
 """
 
 from __future__ import annotations
@@ -30,15 +32,9 @@ from functools import lru_cache
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .patterns import (
-    ClassSpec,
-    _memo,
-    _mixed_blocks,
-    _one_last_cuts,
-    class_blocks,
-    class_spec,
-)
-from .perm import _Lanes, _check_stat, _lane_width, _packed_keys
+from . import patterns
+from .patterns import ClassSpec, _memo, _mixed_blocks, class_blocks, class_spec
+from .perm import _Lanes, _check_stat, _crs_cuts, _lane_width, _packed_keys
 from .polynomials import QPoly, YQPoly, ZSeries, _Value, cfrac_expand, rational_expand
 
 
@@ -210,18 +206,28 @@ def _profile(n: int, pos_counts: list[Counter], last_counts: list[Counter]) -> C
 def crs_profile(n: int, forbidden: tuple = (), bound: int | None = None) -> CrsProfile:
     """The crossing distributions of S_n(forbidden) by the position of 1
     and by the last letter.  Bare S_n is folded over its cuts (1 at
-    position p, last letter v) (:func:`permcross.patterns._one_last_cuts`):
-    every word of a cut falls in the buckets p and v, so each block is one
-    crs kernel and one tally by value, added to both.  A pattern class is
-    the one-class case of :func:`crs_profiles`."""
+    position p, last letter v): every word of a cut falls in the buckets p
+    and v, so each cut is one crs column and one tally by value, added to
+    both.  The words ending with 1 are the cut (n, 1), one crs kernel a
+    block; a block of the words ending with 1, v gives every cut (p, v)
+    with p < n from two passes of crossing terms
+    (:func:`permcross.perm._crs_cuts`), as the 1 at p only splits the
+    terms before p from those after it.  A pattern class is the one-class
+    case of :func:`crs_profiles`."""
     if n == 0 or forbidden:
         return crs_profiles(n, (forbidden,), bound)[0]
+    patterns._check_packable(ClassSpec(n), bound)
     pos_counts, last_counts = [Counter() for _ in range(n)], [Counter() for _ in range(n)]
-    for p, v, columns, count in _one_last_cuts(n, bound):
-        lanes, cut = _Lanes(columns, count), Counter()
-        _tally(cut, lanes.unpack(lanes.stat("crs")))
-        pos_counts[p - 1].update(cut)
-        last_counts[v - 1].update(cut)
+    for v in range(1, n + 1):  # the words that end with 1, then with 1, v
+        run = bytes((1, v)) if v > 1 else b"\x01"
+        for columns, count in patterns._group_columns(n, n - len(run), run):
+            lanes = _Lanes(columns, count)
+            cuts = enumerate(_crs_cuts(lanes), 1) if v > 1 else [(n, lanes.stat("crs"))]
+            for p, total in cuts:
+                cut: Counter = Counter()
+                _tally(cut, lanes.unpack(total))
+                pos_counts[p - 1].update(cut)
+                last_counts[v - 1].update(cut)
     return _profile(n, pos_counts, last_counts)
 
 

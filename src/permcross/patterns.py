@@ -10,8 +10,8 @@ and each builds blocks by columns rather than word by word.  Bare S_n, and
 S_n cut by ``one_at``, ``ends_with`` or ``tail``, comes from
 :func:`_group_columns`: the permutations of the m free letters are m shifted
 copies of S_(m-1), held by columns; so does S_n under a drop bound d >= n-1,
-and so do the cuts of S_n by the position of 1 and the last letter
-(:func:`_one_last_cuts`) that a crossing profile is folded over.  Every
+and so do the words ending with 1, or with 1 and v, that the crossing
+profile of S_n is folded over (:func:`permcross.perm._crs_cuts`).  Every
 other class grows by a generating tree, one step a size (:func:`_children`):
 each member of the size below is prepended every first letter it may take,
 by columns.  Forbidden patterns allow the letters found by lane comparisons
@@ -531,34 +531,6 @@ def _group_columns(n: int, at: int = 0, run: bytes = b"") -> Iterator[tuple[list
             columns.append(b"".join(column[i:j].translate(tables[a]) for a, i, j in pieces))
         columns[at:at] = [bytes((v,)) * size for v in run]
         yield columns, size
-
-
-def _one_last_cuts(n: int, bound: int | None = None) -> Iterator[tuple[int, int, list[bytes], int]]:
-    """S_n, n >= 1, cut by the position p of the letter 1 and the last
-    letter v, as (p, v, columns, count): blocks of up to ``BLOCK_WORDS``
-    words of one cut each, every cut in one or more blocks.  Refused before
-    any enumeration past the bound or past ``MAX_PACKED_N``.
-
-    The cut v = 1 is the words that end with 1.  For v >= 2, the words that
-    end with 1, v (:func:`_group_columns`) give every cut (p, v) with p < n
-    by moving their constant column of 1 to position p; moving a column
-    builds nothing, so each block is enumerated once for its n-1 cuts.
-
-    >>> [(p, v, list(zip(*cols))) for p, v, cols, _ in _one_last_cuts(3)][:3]
-    [(3, 1, [(2, 3, 1), (3, 2, 1)]), (1, 2, [(1, 3, 2)]), (2, 2, [(3, 1, 2)])]
-    """
-    _check_packable(ClassSpec(n), bound)
-
-    def cuts() -> Iterator[tuple[int, int, list[bytes], int]]:
-        for columns, count in _group_columns(n, n - 1, b"\x01"):
-            yield n, 1, columns, count
-        for v in range(2, n + 1):
-            for columns, count in _group_columns(n, n - 2, bytes((1, v))):
-                rest, one, last = columns[: n - 2], columns[n - 2], columns[n - 1]
-                for p in range(1, n):
-                    yield p, v, [*rest[: p - 1], one, *rest[p - 1 :], last], count
-
-    return cuts()
 
 
 def _drop_pieces(n: int, d: int) -> Iterator[tuple[list[bytes], int]]:

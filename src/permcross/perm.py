@@ -26,7 +26,9 @@ when a kernel reads them), and are what the distribution folds use; a fold
 counts one integer key per word that packs several fields
 (:func:`_packed_keys`).  Crossings are counted from prefix letter sets, in
 O(n) operations per block (the arcs of Corteel, "Crossings and alignments of
-permutations", 2007).  The inverse, the symmetries and insertion have block
+permutations", 2007), as terms that depend only on the letters up to their
+position (:func:`_crs_terms`), so the n-1 places of a letter 1 share them
+(:func:`_crs_cuts`).  The inverse, the symmetries and insertion have block
 forms too, which map a block to a block: :func:`inverse_block`,
 :func:`insert_block`, and :func:`symmetry_images`, all eight symmetries of a
 block from one inverse.  So the crossing-change laws are checked a block at
@@ -660,28 +662,71 @@ def _bump_table(b: int) -> bytes:
 # are 0-based in the code: column p holds the letters at position p+1.
 
 
-def _crs_lanes(b: _Lanes) -> int:
+def _crs_terms(b: _Lanes) -> Iterator[tuple[int, int, int, int]]:
+    """The crossings at each position of a block as sets of letters, one
+    byte a word per byte plane: (p, X, one, term) for the columns p = 1..n-2,
+    plane by plane.  X is the letters before position p+1 xor the letters
+    <= p+1 and ``one`` the plane's letters in (1, p+1], so neither reads
+    column p; ``term`` = X & ((p+1, w) | (w, p+1]) is the crossings at p+1
+    of its letter w, and X & ``one`` would be those of a 1 there."""
     # With S the letters before position I, the upper crossings that close at
-    # I are S & (I, w_I) and the lower ones that open at I are (w_I, I] - S.
-    # X = S ^ (the letters <= I), so crs sums the popcount of X & ((I, w_I) |
-    # (w_I, I]) over I = 2..n-1; at I, X flips w_(I-1) and I.  The terms go into
-    # carry-save counters, bit k of each count in levels[k], each popcounted once.
-    columns = b.columns
-    levels: list[int] = []
+    # I are S & (I, w_I) and the lower ones that open at I are (w_I, I] - S;
+    # X = S ^ (the letters <= I) flips w_(I-1) and I at I.  Neither interval
+    # holds the letter 1, so the planes hold the letters from 2 on.
+    columns, from_bytes = b.columns, int.from_bytes
     for plane in range((b.n + 5) // 8):
         low, x = 8 * plane + 2, 0  # the letters of the plane are low..low+7
         for p in range(1, b.n - 1):
             i = min(max(p + 1, low - 1), low + 8)  # past either end, the plane looks the same
             flip, between = _crossing_tables(i, plane)
-            x ^= int.from_bytes(columns[p - 1].translate(flip), "little")
-            term = int.from_bytes(columns[p].translate(between), "little") & x
-            for k, level in enumerate(levels):
-                levels[k], term = level ^ term, level & term
-                if not term:
-                    break
-            else:
-                levels.append(term)
+            x ^= from_bytes(columns[p - 1].translate(flip), "little")
+            yield p, x, between[1], from_bytes(columns[p].translate(between), "little") & x
+
+
+def _crs_lanes(b: _Lanes) -> int:
+    # crs sums the popcount of every term (:func:`_crs_terms`); the terms go into
+    # carry-save counters, bit k of each count in levels[k], each popcounted once.
+    levels: list[int] = []
+    for _, _, _, term in _crs_terms(b):
+        for k, level in enumerate(levels):
+            levels[k], term = level ^ term, level & term
+            if not term:
+                break
+        else:
+            levels.append(term)
     return sum(b.popcount(level) << k for k, level in enumerate(levels))
+
+
+def _crs_cuts(b: _Lanes) -> list[int]:
+    """The crs lane sums of a block of words that end with 1, v, its column
+    of 1s moved to each position p = 1..n-1 in turn, in order of p.
+
+    A term of :func:`_crs_terms` reads only the letters up to its
+    position, and the letter 1 is in no plane, so the terms before p are
+    those of the block itself, the terms after p those of the block with
+    its 1s first, and the term at p is the lower crossings that open at the
+    1, ``one`` & X of the block itself: two passes for n-1 cuts.
+
+    >>> lanes = _Lanes([bytes((3, 4)), bytes((4, 2)), bytes((2, 3)), b"\\1\\1", bytes((5, 5))], 2)
+    >>> [list(lanes.unpack(total)) for total in _crs_cuts(lanes)]
+    [[0, 1], [1, 2], [2, 1], [1, 0]]
+    """
+    n, count = b.n, b.count
+    first = _Lanes([b.columns[n - 2], *b.columns[: n - 2], b.columns[n - 1]], count)
+    byte = int.from_bytes(b"\x01" * count, "little")
+    before, at, after = [0] * n, [0] * n, [0] * n  # popcounts by column
+    for p, x, one, term in _crs_terms(b):
+        at[p] += b.popcount(x & one * byte)
+        if p < n - 2:  # no cut reads before[n-2]: no 1 sits past column n-2
+            before[p] += b.popcount(term)
+    for p, _, _, term in _crs_terms(first):
+        after[p] += b.popcount(term)
+    cuts, done, left = [], 0, sum(after)
+    for p in range(n - 1):
+        left -= after[p]
+        cuts.append(done + at[p] + left)
+        done += before[p]
+    return cuts
 
 
 def _nes_lanes(b: _Lanes) -> int:

@@ -623,6 +623,18 @@ def _crs_one_high(monkeypatch):
     monkeypatch.setitem(perm._LANE_KERNELS, "crs", lambda lanes: crs(lanes) + 1)
 
 
+def _crs_cuts_drop_the_ones_term(monkeypatch):
+    # the cuts of the crs profile lose the lower crossings that open at the
+    # letter 1; the kernel itself never reads the 1's mask
+    terms = perm._crs_terms
+
+    def broken(lanes):
+        for p, x, _, term in terms(lanes):
+            yield p, x, 0, term
+
+    monkeypatch.setattr(perm, "_crs_terms", broken)
+
+
 def _reblocked_drops_a_word(monkeypatch):
     reblocked = patterns._reblocked
 
@@ -713,6 +725,10 @@ LAYER_FAULTS = {
             "eq-7", "eq-8", "inv-exc-crs", "prop-4.4", "rel-3", "thm-1.1",
             "thm-1.2", "thm-2.6", "thm-2.8", "thm-3.1", "thm-4.6", "thm-5.2",
         },
+    ),
+    "crs cuts drop the 1's own lower crossings": (
+        _crs_cuts_drop_the_ones_term,
+        {"rel-3", "thm-2.6"},
     ),
     "_reblocked drops a word": (
         _reblocked_drops_a_word,

@@ -307,6 +307,36 @@ def test_group_profile_is_folded_over_its_cuts(monkeypatch):
         crs_profile.cache_clear()
 
 
+def cut_by_cut_profile(n):
+    """The crossing profile of S_n with one crs kernel pass per cut: the
+    words that end with 1, v, their column of 1s moved to each position p."""
+    by_pos1, by_last = [Counter() for _ in range(n)], [Counter() for _ in range(n)]
+
+    def add(p, v, columns, count):
+        lanes = perm._Lanes(columns, count)
+        cut = Counter(lanes.unpack(lanes.stat("crs")))
+        by_pos1[p - 1].update(cut)
+        by_last[v - 1].update(cut)
+
+    for columns, count in patterns._group_columns(n, n - 1, b"\x01"):
+        add(n, 1, columns, count)
+    for v in range(2, n + 1):
+        for columns, count in patterns._group_columns(n, n - 2, bytes((1, v))):
+            rest, ones, last = columns[: n - 2], columns[n - 2], columns[n - 1]
+            for p in range(1, n):
+                add(p, v, [*rest[: p - 1], ones, *rest[p - 1 :], last], count)
+    return distributions._profile(n, by_pos1, by_last)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 10])
+def test_group_profile_matches_the_cut_by_cut_fold(n):
+    crs_profile.cache_clear()
+    try:
+        assert crs_profile(n) == cut_by_cut_profile(n)
+    finally:
+        crs_profile.cache_clear()
+
+
 def test_group_profile_past_the_bound_is_refused_before_any_enumeration(monkeypatch):
     def refuse(*args):
         raise AssertionError("the group was enumerated past the bound")
@@ -319,6 +349,15 @@ def test_group_profile_past_the_bound_is_refused_before_any_enumeration(monkeypa
                 crs_profile(n, (), bound)
     finally:
         crs_profile.cache_clear()
+
+
+def test_group_profile_past_the_packing_limit_is_refused_before_any_enumeration(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the group was enumerated past the packing limit")
+
+    monkeypatch.setattr(patterns, "_group_columns", refuse)
+    with pytest.raises(ValueError, match="n=256 exceeds 255"):
+        crs_profile(256, (), 256)
 
 
 def test_fold_refuses_words_past_the_packing_limit():

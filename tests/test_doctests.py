@@ -34,9 +34,9 @@ def test_the_kernels_have_doctests():
         "residual_columns",
         "packed_blocks",
         "_group_columns",
-        "_one_last_cuts",
         "_thresholds",
         "_reblocked",
+        "_crs_cuts",
         "_packed_keys",
         "_word_keys",
         "_allowed_letters",

@@ -699,31 +699,6 @@ def test_drop_bounds_past_n_minus_one_give_the_whole_group(monkeypatch):
             assert list(class_blocks(class_spec(n, maxdrop_le=d))) == whole, (n, d)
 
 
-@pytest.mark.parametrize("block", [1, 7, 2048])
-def test_one_last_cuts_split_the_group_by_the_position_of_one_and_the_last_letter(
-    monkeypatch, block
-):
-    monkeypatch.setattr(patterns, "BLOCK_WORDS", block)
-    for n in range(1, 8):
-        seen = Counter()
-        for p, v, columns, count in patterns._one_last_cuts(n):
-            assert 1 <= count <= block and all(len(c) == count for c in columns), (n, p, v)
-            words = list(zip(*columns))
-            assert {(w.index(1) + 1, w[-1]) for w in words} == {(p, v)}, (n, p, v)
-            seen.update(words)
-        assert seen == Counter(permutations(range(1, n + 1))), n
-
-
-def test_one_last_cuts_are_refused_before_any_enumeration(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the group was enumerated")
-
-    monkeypatch.setattr(patterns, "_group_columns", refuse)
-    for n, bound in ((6, 5), (patterns.FULL_GROUP_BOUND + 1, None), (256, 256)):
-        with pytest.raises((BoundExceededError, ValueError)):
-            patterns._one_last_cuts(n, bound)
-
-
 @pytest.mark.parametrize("block", [1, 3, 7])
 def test_drop_columns_at_block_edges(monkeypatch, block):
     # the pieces of the last level differ in size (S_6 under a drop bound

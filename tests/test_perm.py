@@ -10,6 +10,8 @@ from permcross.perm import (
     _LANE_KERNELS,
     _bump_table,
     _crossing_tables,
+    _crs_cuts,
+    _crs_lanes,
     _lane_constants,
     _Lanes,
     _packed_keys,
@@ -249,6 +251,27 @@ def test_crs_kernel_where_the_letter_planes_cut_over(n):
     words = [tuple(rng.sample(range(1, n + 1), n)) for _ in range(600)]
     words += [tuple(range(n, 0, -1)), tuple(range(1, n + 1))]
     assert list(stat_column(pack(words), len(words), "crs")) == [crossing_count(w) for w in words]
+
+
+@pytest.mark.parametrize("n", range(3, 31))
+def test_crs_cuts_match_the_kernel_on_the_moved_column_blocks(n):
+    # the shared terms of the cuts against one kernel pass per cut, across
+    # the plane cut-overs at 10/11, 18/19 and 26/27 and the two-byte lanes
+    # from n = 23; the last letter v varies from word to word
+    rng = random.Random(5000 + n)
+    words = []
+    for _ in range(90):
+        v = rng.randrange(2, n + 1)
+        words.append((*rng.sample([u for u in range(2, n + 1) if u != v], n - 2), 1, v))
+    columns = pack(words)
+    rest, ones, last = columns[: n - 2], columns[n - 2], columns[n - 1]
+    lanes = _Lanes(columns, len(words))
+    cuts = _crs_cuts(lanes)
+    assert len(cuts) == n - 1
+    for p, total in enumerate(cuts, 1):
+        moved = [*rest[: p - 1], ones, *rest[p - 1 :], last]
+        assert total == _crs_lanes(_Lanes(moved, len(words))), (n, p)
+        assert lane_values(lanes, total) == [crossing_count(w) for w in zip(*moved)], (n, p)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 10, 11, 19, 23, 24, 30])
