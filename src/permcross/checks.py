@@ -7,10 +7,12 @@ default bound.  Most are an identity over n (:func:`_identity`) or a
 crossing-change law over words (:func:`_law`); the rest are plain functions
 of the bound (:func:`_check`).  An identity names the sides of its equality,
 and :func:`_sides` compares them and writes the witness of a mismatch: where
-(n, and k or the patterns), then each side by name.  Ten identities are
-families (:func:`_family`), declared as data: each class of the family at
-size n, with the statistic read over it (:func:`_dist`) and the closed form,
-series coefficient or tableau cell it must equal.  A run returns (status,
+(n, and k or the patterns), then each side by name.  Sixteen identities are
+families (:func:`_family`), declared as data: each class at size n, the
+statistic read over it (:func:`_dist`) and what it must equal, a closed
+form, series coefficient or tableau cell, or, for the six relations eq-1,
+eq-4-6, eq-7, prop-4.1, prop-4.4 and eq-8, a constant plus other classes
+under that statistic, each times a polynomial.  A run returns (status,
 witnesses, bound_text), through :func:`_verdict` except for the adjudications
 cor-4.3 and eq-chung, which always report their record.  Status is "pass",
 "fail", or "finding"; "finding" is reserved for the open symmetry question
@@ -211,22 +213,30 @@ def _identity(
 _FAMILIES: dict[str, Callable[[int], Iterable[tuple]]] = {}
 
 
-def _family(check_id: str, description: str, default_bound: int, first: int = 0):
+def _family(check_id: str, description: str, default_bound: int, first: int = 0, scope: str = ""):
     """Register an identity over the classes of a family; the decorated
     ``family(n)`` yields each class at size n as (where, patterns, constraint,
-    statistic, expected).  A class whose :func:`_dist` is not ``expected`` is
-    one witness: ``where``, the class as ``ClassSpec.describe()``, the
-    statistic, then ``actual`` and ``expected``."""
+    statistic, expected).  ``expected`` is a ring value or a tuple of terms to
+    sum, each a ring value or (coefficient, m, patterns, constraint): the
+    coefficient times that class at size m under the same statistic.  A class
+    whose :func:`_dist` is not ``expected`` is one witness: ``where``, the
+    class as ``ClassSpec.describe()``, the statistic, then ``actual`` and
+    ``expected``."""
 
     def register(family: Callable[[int], Iterable[tuple]]):
         def rows(n: int):
             for where, pats, constraint, stat, expected in family(n):
                 actual = _dist(n, pats, stat, **constraint)
+                if isinstance(expected, tuple):
+                    expected = sum(
+                        t[0] * _dist(t[1], t[2], stat, **t[3]) if isinstance(t, tuple) else t
+                        for t in expected
+                    )
                 if actual != expected:  # only a witness describes its class
                     at = {**where, "class": class_spec(n, avoid=pats, **constraint).describe()}
                     yield from _sides({**at, "stat": stat}, actual=actual, expected=expected)
 
-        _identity(check_id, description, default_bound, first)(rows)
+        _identity(check_id, description, default_bound, first, scope)(rows)
         _FAMILIES[check_id] = family
         return family
 
@@ -367,10 +377,10 @@ def _catalan_rows(n: int):
         yield from _sides({"pattern": _pat_text((pat,)), "n": n}, size=size, expected=want)
 
 
-@_identity("eq-1", "crs distribution agrees across the 321/132/213 classes", 9)
-def _eq1_rows(n: int):
-    polys = {_pat_text((pat,)): _dist(n, (pat,)) for pat in ((3, 2, 1), (1, 3, 2), (2, 1, 3))}
-    return _sides({"n": n}, **polys)
+@_family("eq-1", "crs distribution agrees across the 321/132/213 classes", 9)
+def _eq1_family(n: int):
+    for pat in ((1, 3, 2), (2, 1, 3)):
+        yield {"n": n}, (pat,), {}, "crs", ((1, n, ((3, 2, 1),), {}),)
 
 
 @_family(
@@ -686,36 +696,29 @@ def _cor34_family(n: int):
     yield {"n": n}, P123_213, {"ends_with": 2}, "crs", want
 
 
-@_identity(
+@_family(
     "eq-4-6",
     "position-of-1 partition of the (123,132) class and its two slot identities",
     9,
     first=2,
 )
-def _eq46_rows(n: int):
+def _eq46_family(n: int):
     q, one = QPoly.var(), QPoly.one()
-    whole = _dist(n, P123_132)
-    at_last = _dist(n, P123_132, one_at=1)
-    at_second = _dist(n, P123_132, one_at=2)
-    prev = _dist(n - 1, P123_132)
-    laws = {
-        "partition": whole == at_last + at_second,
-        "last_slot": at_last == prev,
-        "second_slot": at_second == q * prev + one - q,
-    }
-    if not all(laws.values()):
-        yield {"n": n, **laws}
+    cuts = ((1, n, P123_132, {"one_at": 1}), (1, n, P123_132, {"one_at": 2}))
+    yield {"n": n}, P123_132, {}, "crs", cuts
+    yield {"n": n}, P123_132, {"one_at": 1}, "crs", ((1, n - 1, P123_132, {}),)
+    yield {"n": n}, P123_132, {"one_at": 2}, "crs", ((q, n - 1, P123_132, {}), one - q)
 
 
-@_identity("eq-7", "(213,312)-avoiders split by starting or ending with 1", 9, first=2)
-def _eq7_rows(n: int):
-    split = _dist(n, P213_312, one_at=n) + _dist(n, P213_312, one_at=1)
-    return _sides({"n": n}, whole=_dist(n, P213_312), split=split)
+@_family("eq-7", "(213,312)-avoiders split by starting or ending with 1", 9, first=2)
+def _eq7_family(n: int):
+    split = ((1, n, P213_312, {"one_at": n}), (1, n, P213_312, {"one_at": 1}))
+    yield {"n": n}, P213_312, {}, "crs", split
 
 
-@_identity("prop-4.1", "members starting with 1 reproduce the size-(n-1) distribution", 9, first=1)
-def _prop41_rows(n: int):
-    return _sides({"n": n}, starts=_dist(n, P213_312, one_at=n), prev=_dist(n - 1, P213_312))
+@_family("prop-4.1", "members starting with 1 reproduce the size-(n-1) distribution", 9, first=1)
+def _prop41_family(n: int):
+    yield {"n": n}, P213_312, {"one_at": n}, "crs", ((1, n - 1, P213_312, {}),)
 
 
 @_check(
@@ -739,33 +742,29 @@ def _run_cor43(bound: int):
     return (status, witnesses, f"n<={bound}, all k")
 
 
-@_identity(
+@_family(
     "prop-4.4",
     "tail-class recurrence with exponent min(k-1, n-1-k) against enumeration",
     9,
     first=3,
     scope=", 1<=k<=n-2",
 )
-def _prop44_rows(n: int):
+def _prop44_family(n: int):
     for k in range(1, n - 1):
-        prev = _dist(n - 1, P213_312, tail=k)
-        rhs = QPoly.monomial(min(k - 1, n - 1 - k)) * prev + _dist(n, P213_312, tail=k + 1)
-        yield from _sides({"n": n, "k": k}, lhs=_dist(n, P213_312, tail=k), rhs=rhs)
+        q_power = QPoly.monomial(min(k - 1, n - 1 - k))
+        terms = ((q_power, n - 1, P213_312, {"tail": k}), (1, n, P213_312, {"tail": k + 1}))
+        yield {"n": n, "k": k}, P213_312, {"tail": k}, "crs", terms
 
 
-@_identity("eq-8", "the full recurrence system for the (213,312) class", 9, first=1)
-def _eq8_rows(n: int):
+@_family("eq-8", "the full recurrence system for the (213,312) class", 9, first=1)
+def _eq8_family(n: int):
     """The boundary rows of the (213,312) recurrence system, then prop-4.4's rows."""
-    one = QPoly.one()
-    ok = _dist(n, P213_312, tail=n) == one
+    yield {"n": n}, P213_312, {"tail": n}, "crs", QPoly.one()
     if n >= 2:
-        ok = (
-            ok
-            and _dist(n, P213_312, tail=n - 1) == one
-            and _dist(n, P213_312) == _dist(n - 1, P213_312) + _dist(n, P213_312, tail=1)
-        )
-    if not ok or any(_prop44_rows(n)):
-        yield {"n": n}
+        yield {"n": n}, P213_312, {"tail": n - 1}, "crs", QPoly.one()
+        terms = ((1, n - 1, P213_312, {}), (1, n, P213_312, {"tail": 1}))
+        yield {"n": n}, P213_312, {}, "crs", terms
+    yield from _prop44_family(n)
 
 
 @_family(

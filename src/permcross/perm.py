@@ -3,7 +3,7 @@
 A permutation of size n is the word sigma(1) sigma(2) ... sigma(n); positions
 and values are both 1-based throughout, matching the usual combinatorial
 conventions.  Most functions accept either a :class:`Permutation` or a plain
-sequence of ints, so raw tuples work fine in bulk sweeps.
+sequence of ints, such as a raw tuple.
 
 The statistics of interest pair positions with values through arcs i -> sigma(i):
 
@@ -196,34 +196,13 @@ def _arc_pairs(p, nest: bool) -> tuple[int, tuple[tuple[int, int], ...]]:
 
 
 def crossing_count(p) -> int:
-    """Crossing count only, organized around short arc scans for bulk sweeps."""
-    return _arc_count(p, nest=False)
+    """Crossing count only, by the scan of :func:`crossings`."""
+    return _arc_pairs(p, nest=False)[0]
 
 
 def nesting_count(p) -> int:
-    """Nesting count only, by the same arc scans as :func:`crossing_count`."""
-    return _arc_count(p, nest=True)
-
-
-def _arc_count(p, nest: bool) -> int:
-    """The pairs of :func:`_arc_pairs` led by each i: for w(i) > i the j in
-    (i, w(i)) with w(j) > w(i) (crossings) or j < w(j) < w(i) (nestings),
-    else the letters placed after i in (w(i), i] (crossings) or below w(i)."""
-    w = as_word(p)
-    inv = [0] * (len(w) + 1)
-    for idx, v in enumerate(w):
-        inv[v] = idx + 1
-    count = 0
-    for i, wi in enumerate(w, 1):
-        if wi > i:
-            for j in range(i + 1, wi):
-                if (j < w[j - 1] < wi) if nest else w[j - 1] > wi:
-                    count += 1
-        else:
-            for v in range(1, wi) if nest else range(wi + 1, i + 1):
-                if inv[v] > i:
-                    count += 1
-    return count
+    """Nesting count only, by the scan of :func:`nestings`."""
+    return _arc_pairs(p, nest=True)[0]
 
 
 def transients(p) -> tuple[int, int]:

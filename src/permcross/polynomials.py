@@ -15,7 +15,6 @@ weights per height (:func:`jfrac_expand`), never as series reciprocals.
 
 from __future__ import annotations
 
-import re
 from operator import attrgetter
 from typing import Sequence
 
@@ -206,21 +205,8 @@ class QPoly(_Ring, _Value):
             [((e,), c) for e, c in enumerate(self.coeffs) if c], [var]
         )
 
-    @classmethod
-    def from_text(cls, text: str, var: str = "q") -> "QPoly":
-        terms = _parse_terms(text, [var])
-        out: dict[int, int] = {}
-        for (e,), c in terms:
-            out[e] = out.get(e, 0) + c
-        size = max(out) + 1 if out else 0
-        return cls(tuple(out.get(e, 0) for e in range(size)))
-
     def to_json(self) -> list[int]:
         return list(self.coeffs)
-
-    @classmethod
-    def from_json(cls, data: Sequence[int]) -> "QPoly":
-        return cls(tuple(int(c) for c in data))
 
 
 class YQPoly(_Ring, _Value):
@@ -280,30 +266,6 @@ class YQPoly(_Ring, _Value):
     def evaluate(self, y: int, q: int) -> int:
         return sum(c * y**ey * q**eq for ey, eq, c in self.terms)
 
-    def substitute(self, y: int | None = None, q: int | None = None) -> "YQPoly":
-        """Partially evaluate; remaining variables keep their exponents."""
-        out = []
-        for ey, eq, c in self.terms:
-            if y is not None:
-                c *= y**ey
-                ey = 0
-            if q is not None:
-                c *= q**eq
-                eq = 0
-            out.append((ey, eq, c))
-        return YQPoly(tuple(out))
-
-    def to_qpoly(self, var: str = "q") -> QPoly:
-        """Collapse to a one-variable polynomial; the other exponent must be 0."""
-        out: dict[int, int] = {}
-        for ey, eq, c in self.terms:
-            kept, other = (eq, ey) if var == "q" else (ey, eq)
-            if other:
-                raise ValueError(f"polynomial still involves {'y' if var == 'q' else 'q'}")
-            out[kept] = c
-        size = max(out) + 1 if out else 0
-        return QPoly(tuple(out.get(e, 0) for e in range(size)))
-
     @classmethod
     def _coerce(cls, value):
         if isinstance(value, QPoly):
@@ -333,17 +295,8 @@ class YQPoly(_Ring, _Value):
         # q before y inside each term; terms ascend by (y_exp, q_exp)
         return _render_terms([((eq, ey), c) for ey, eq, c in self.terms], ["q", "y"])
 
-    @classmethod
-    def from_text(cls, text: str) -> "YQPoly":
-        terms = _parse_terms(text, ["q", "y"])
-        return cls(tuple((ey, eq, c) for (eq, ey), c in terms))
-
     def to_json(self) -> list[list[int]]:
         return [[ey, eq, c] for ey, eq, c in self.terms]
-
-    @classmethod
-    def from_json(cls, data) -> "YQPoly":
-        return cls(tuple((int(a), int(b), int(c)) for a, b, c in data))
 
 
 def _render_terms(terms, variables) -> str:
@@ -374,39 +327,6 @@ def _render_terms(terms, variables) -> str:
     return text
 
 
-def _parse_terms(text: str, variables) -> list[tuple[tuple[int, ...], int]]:
-    text = text.replace(" ", "")
-    if text in ("", "0"):
-        return []
-    var_re = "".join(
-        f"(?:(?P<{v}>{v})(?:\\^(?P<{v}_e>\\d+))?)?" for v in variables
-    )
-    term_re = re.compile(f"(?P<sign>[+-]?)(?P<coeff>\\d+)?{var_re}")
-    pos = 0
-    out: list[tuple[tuple[int, ...], int]] = []
-    while pos < len(text):
-        m = term_re.match(text, pos)
-        if not m or m.end() == pos:
-            raise ValueError(f"cannot parse polynomial text {text!r} at offset {pos}")
-        if pos > 0 and not m.group("sign"):
-            # adjacent terms must be joined by an explicit + or -
-            raise ValueError(f"cannot parse polynomial text {text!r} at offset {pos}")
-        sign = -1 if m.group("sign") == "-" else 1
-        coeff = m.group("coeff")
-        exps = []
-        for v in variables:
-            if m.group(v):
-                e = m.group(f"{v}_e")
-                exps.append(int(e) if e else 1)
-            else:
-                exps.append(0)
-        if coeff is None and not any(exps):
-            raise ValueError(f"empty term in polynomial text {text!r}")
-        out.append((tuple(exps), sign * (int(coeff) if coeff else 1)))
-        pos = m.end()
-    return out
-
-
 # ---------------------------------------------------------------------------
 # truncated series in z
 
@@ -424,12 +344,6 @@ class ZSeries(_Value):
     @classmethod
     def constant(cls, ring: type, order: int) -> "ZSeries":
         return cls(ring, (ring.one(),) + (ring.zero(),) * order)
-
-    @classmethod
-    def from_coeffs(cls, ring: type, seq: Sequence, order: int) -> "ZSeries":
-        cs = [_as_ring(ring, c) for c in seq[: order + 1]]
-        cs += [ring.zero()] * (order + 1 - len(cs))
-        return cls(ring, tuple(cs))
 
     @property
     def order(self) -> int:

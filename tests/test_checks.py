@@ -346,7 +346,7 @@ def test_every_check_has_a_broken_input():
 
 #: sha256 of the witnesses of every BROKEN_INPUTS run at bound 4, in order,
 #: each run's witnesses as one line of JSON with sorted keys
-BROKEN_WITNESS_DIGEST = "1699962c4dcea79701a4f72eee1112ea931803ef8fa4a60f5058239c31785f14"
+BROKEN_WITNESS_DIGEST = "918d5987663b831551ba485a2c84243820610730fad95f206041d5c5304463c8"
 
 
 def test_broken_inputs_give_the_pinned_witnesses(monkeypatch):
@@ -781,7 +781,9 @@ def test_a_layer_fault_fails_the_checks_that_can_see_it(monkeypatch, fault):
 
 
 #: Number words of the README's claims about LAYER_FAULTS.
-_NUMBER_WORDS = {"five": 5, "six": 6, "seven": 7, "eight": 8, "nine": 9, "ten": 10}
+_NUMBER_WORDS = {
+    "five": 5, "six": 6, "seven": 7, "eight": 8, "nine": 9, "ten": 10, "sixteen": 16,
+}
 
 
 def _readme_ids(text):
@@ -820,6 +822,13 @@ def test_the_readme_states_the_layer_faults_and_bounds_of_the_code():
     assert _readme_ids(unbounded.group(1)) == by_max[None]
     assert {c.max_bound for c in CHECKS.values()} == {12, 10, 9, None}
     assert "12 for the pattern-class checks" in highs.group(1)
+
+
+def test_the_readme_lists_the_family_checks_of_the_code():
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    families = re.search(r"(\w+) identities are \*families\* \(`checks._family`\): (.*?)\. ", readme)
+    assert families and _NUMBER_WORDS[families.group(1).lower()] == len(checks._FAMILIES)
+    assert _readme_ids(families.group(2)) == set(checks._FAMILIES)
 
 
 def test_run_checks_goes_on_past_a_stopped_check(monkeypatch):
@@ -919,10 +928,10 @@ def test_each_check_enumerates_what_its_reads_and_reach_declare(monkeypatch, che
 
 
 #: The checks that compare each class of a family with a closed form, a
-#: series or a tableau cell (:func:`checks._family`).
+#: series, a tableau cell or a sum of other classes (:func:`checks._family`).
 FAMILY_CHECKS = [
-    "cfrac-321", "cor-3.2", "cor-3.4", "cor-5.3", "eq-dokos",
-    "thm-1.1", "thm-1.2", "thm-3.1", "thm-4.6", "thm-5.2",
+    "cfrac-321", "cor-3.2", "cor-3.4", "cor-5.3", "eq-1", "eq-4-6", "eq-7", "eq-8",
+    "eq-dokos", "prop-4.1", "prop-4.4", "thm-1.1", "thm-1.2", "thm-3.1", "thm-4.6", "thm-5.2",
 ]
 
 
@@ -930,16 +939,40 @@ def test_the_family_checks_are_registered_as_families():
     assert sorted(checks._FAMILIES) == FAMILY_CHECKS
 
 
+def _declared(check_id, bound):
+    """The classes the family of ``check_id`` declares for n = first..bound,
+    each (class, statistic) at its first read, in the order the runner reads
+    them: the class of a row, then the class of each term of its expected
+    side.  A class read again, as a size-(n-1) term read at size n-1 before,
+    hits the cache and is not enumerated again."""
+    first_reads = {}
+    for n in range(CHECKS[check_id].min_bound, bound + 1):
+        for _, pats, constraint, stat, expected in checks._FAMILIES[check_id](n):
+            terms = expected if isinstance(expected, tuple) else ()
+            for m, p, c in [(n, pats, constraint), *(t[1:] for t in terms if isinstance(t, tuple))]:
+                first_reads.setdefault((patterns.class_spec(m, avoid=p, **c), stat), None)
+    return [spec for spec, _ in first_reads]
+
+
 @pytest.mark.parametrize("check_id", FAMILY_CHECKS)
 def test_each_family_check_enumerates_exactly_the_classes_it_declares(monkeypatch, check_id):
-    # the classes its generator yields for n = first..6, in order, and no other
-    family = checks._FAMILIES[check_id]
-    declared = [
-        patterns.class_spec(n, avoid=pats, **constraint)
-        for n in range(CHECKS[check_id].min_bound, 7)
-        for _, pats, constraint, _, _ in family(n)
-    ]
-    assert _enumerated(monkeypatch, check_id, 6) == declared
+    # the classes its rows declare for n = first..6, each at its first read,
+    # in order, and no other
+    assert _enumerated(monkeypatch, check_id, 6) == _declared(check_id, 6)
+
+
+def _dist_reading_av123_too(n, pats, stat="crs", **constraint):
+    # a planted extra read: S_n(123), a class no family row declares
+    _DIST(n, ((1, 2, 3),), stat)
+    return _DIST(n, pats, stat, **constraint)
+
+
+@pytest.mark.parametrize("check_id", FAMILY_CHECKS)
+def test_a_read_no_row_declares_fails_the_declared_classes(monkeypatch, check_id):
+    monkeypatch.setattr(checks, "_dist", _dist_reading_av123_too)
+    seen = _enumerated(monkeypatch, check_id, 6)
+    assert patterns.class_spec(6, avoid=((1, 2, 3),)) in seen
+    assert seen != _declared(check_id, 6)
 
 
 def test_verify_all_gives_the_benchmark_references():

@@ -110,34 +110,26 @@ def test_text_round_trip():
     assert QPoly((7, 1)).to_text() == "7+q"
     assert QPoly((1, 2, 3, 2)).to_text() == "1+2q+3q^2+2q^3"
     assert QPoly((1, -3, 2)).to_text() == "1-3q+2q^2"
-    assert QPoly.from_text("7+q") == QPoly((7, 1))
-    assert QPoly.from_text("0") == QPoly.zero()
-    assert QPoly.from_text("1-3q+2q^2") == QPoly((1, -3, 2))
-    assert YQPoly.from_text("1+2y+qy") == YQPoly(((0, 0, 1), (1, 0, 2), (1, 1, 1)))
+    assert QPoly.zero().to_text() == "0"
     assert YQPoly(((0, 0, 1), (1, 0, 2), (1, 1, 1))).to_text() == "1+2y+qy"
 
 
 @given(qpolys)
-def test_text_and_json_round_trip_random(p):
-    assert QPoly.from_text(p.to_text()) == p
-    assert QPoly.from_json(p.to_json()) == p
+def test_json_round_trip_random(p):
+    assert QPoly(p.to_json()) == p
 
 
 @given(yqpolys)
-def test_yq_text_and_json_round_trip_random(p):
-    assert YQPoly.from_text(p.to_text()) == p
-    assert YQPoly.from_json(p.to_json()) == p
+def test_yq_json_round_trip_random(p):
+    assert YQPoly(p.to_json()) == p
 
 
 def test_yqpoly_substitutions():
     p = YQPoly(((0, 0, 1), (1, 1, 2), (2, 0, 3)))  # 1 + 2qy + 3y^2
     assert p.evaluate(1, 1) == 6
-    assert p.substitute(q=1) == YQPoly(((0, 0, 1), (1, 0, 2), (2, 0, 3)))
-    assert p.substitute(y=0) == YQPoly.one()
-    assert p.substitute(y=1, q=1) == YQPoly.const(6)
-    with pytest.raises(ValueError):
-        p.to_qpoly("q")
-    assert p.substitute(q=1).to_qpoly("y") == QPoly((1, 2, 3))
+    assert p.evaluate(0, 5) == 1
+    assert p.evaluate(2, 1) == 17
+    assert p.evaluate(-1, 2) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +137,7 @@ def test_yqpoly_substitutions():
 
 
 def test_geometric_series():
-    one_minus_z = ZSeries.from_coeffs(QPoly, [QPoly.one(), -QPoly.one()], 4)
+    one_minus_z = ZSeries(QPoly, (QPoly.one(), -QPoly.one(), *(QPoly.zero(),) * 3))
     geo = one_minus_z.reciprocal()
     assert geo.coeffs == (QPoly.one(),) * 5
 
@@ -165,7 +157,7 @@ def test_reciprocal_is_inverse():
 
 def test_reciprocal_requires_unit():
     with pytest.raises(ValueError, match="constant term 1"):
-        ZSeries.from_coeffs(QPoly, [QPoly((2,))], 3).reciprocal()
+        ZSeries(QPoly, (QPoly((2,)), *(QPoly.zero(),) * 3)).reciprocal()
 
 
 def test_series_mul_truncates_to_common_order():
@@ -302,7 +294,7 @@ def test_rational_expand_multiply_back():
     num = [one, -q]
     den = [one, -(one + q), -(y - q)]
     series = rational_expand(num, den, 8)
-    den_series = ZSeries.from_coeffs(YQPoly, den, 8)
+    den_series = ZSeries(YQPoly, (*den, *(YQPoly.zero(),) * 6))
     product = series * den_series
     assert product.coefficient(0) == one
     assert product.coefficient(1) == -q
