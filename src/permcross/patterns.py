@@ -14,12 +14,17 @@ and so do the words ending with 1, or with 1 and v, that the crossing
 profile of S_n is folded over (:func:`permcross.perm._crs_cuts`).  Every
 other class grows by a generating tree, one step a size (:func:`_children`):
 each member of the size below is prepended every first letter it may take,
-by columns.  Forbidden patterns allow the letters found by lane comparisons
-over a chunk of members at once (:func:`_allowed_letters`), and a drop
-bound the letters up to a threshold t(u) (:func:`_thresholds`).  With no
-pattern rule, while t and a letter fit in one byte, a first letter is one
-``translate`` per column; otherwise each column is ANDed with a mask over
-the members that may take the letter, then translated.  A pattern class,
+by columns.  When every forbidden pattern has length <= 3, each member
+carries its label, the first letters it may take: a child a·u takes u's
+label with the letter a doubled, cut by one constant per size and a
+(:func:`_label_cuts`), since whether such a pattern occurs through both
+new first letters does not depend on u.  A longer pattern allows the
+letters found by lane comparisons over a chunk of members at once
+(:func:`_allowed_letters`).  A drop bound allows the letters up to a
+threshold t(u) (:func:`_thresholds`).  With no pattern rule, while t and
+a letter fit in one byte, a first letter is one ``translate`` per column;
+otherwise each column is ANDed with a mask over the members that may take
+the letter, then translated.  A pattern class,
 with or without a drop bound, keeps its sizes in a table
 (:class:`_ClassTable`), one per forbidden set and drop bound
 (:func:`_class_table`), as (columns, count), the block format itself; a
@@ -311,8 +316,61 @@ def _allowed_letters(columns: list[bytes], count: int, rules) -> list[bytes]:
     ]
 
 
+def _label_cuts(forbidden: tuple, k: int) -> list[int]:
+    """For each first letter a = 1..k of a size-k child w = a·u of a class
+    whose patterns are all of length <= 3: the letters b = 1..k+1 that no
+    occurrence through both b and a forbids w, bit b-1 each.
+
+    In b·w, the letters b and a read B = b and A = a+1 if b <= a, else
+    B = b and A = a, and the tail holds every other value of 1..k+1.  So a
+    pattern of length 2 occurs through B and A when they are in its order,
+    and one of length 3 when, besides, some other value lies below both
+    (their smaller is at least 2), between them (they differ by at least 2)
+    or above both (their larger is at most k): each pattern forbids one
+    interval of b, found without looking at u.
+
+    >>> [bin(c) for c in _label_cuts(((3, 2, 1),), 3)]
+    ['0b1111', '0b11', '0b111']
+    """
+    cuts = []
+    for a in range(1, k + 1):
+        cut = (2 << k) - 1
+        for pat in forbidden:
+            rises = len(pat) > 1 and pat[0] < pat[1]  # B < A exactly when b <= a
+            lo, hi = (1, a) if rises else (a + 1, k + 1)
+            if len(pat) == 1:
+                lo = 1
+            elif len(pat) == 3 and pat[2] == 1:  # a value below both
+                lo, hi = (max(lo, 2), hi) if rises else (lo, hi if a >= 2 else 0)
+            elif len(pat) == 3 and pat[2] == 2:  # a value between them
+                lo, hi = (lo, a - 1) if rises else (a + 2, hi)
+            elif len(pat) == 3:  # a value above both
+                lo, hi = (lo, hi if a < k else 0) if rises else (lo, k)
+            if lo <= hi:
+                cut &= ~((1 << hi) - (1 << lo - 1))
+        cuts.append(cut)
+    return cuts
+
+
+_BYTE_ONES = int.from_bytes(b"\x01" * 256, "little")
+
+
+@lru_cache(maxsize=None)
+def _label_table(r: int, m: int) -> bytes:
+    """``bytes.translate`` table from a label plane, 0x80 over seven letter
+    bits, to a child's: bits 0..r kept, bits r..5 moved up one, so bit r
+    is doubled, and the seven bits ANDed with m.  r = 6 keeps every bit.
+
+    >>> bin(_label_table(1, 0x7F)[0x80 | 0b0000011])
+    '0b10000111'
+    """
+    keep, x = (2 << r) - 1, int.from_bytes(_BYTES, "little")
+    bits = x & keep * _BYTE_ONES | x << 1 & (0x7E & ~keep) * _BYTE_ONES
+    return (bits & m * _BYTE_ONES | 0x80 * _BYTE_ONES).to_bytes(256, "little")
+
+
 def _children(
-    level: tuple[list[bytes], int], k: int, rules, drop_bound: int | None
+    level: tuple[list[bytes], int], k: int, rules, drop_bound: int | None, labels=None
 ) -> Iterator[tuple[list[bytes], int]]:
     """The growth step of every generating tree: the size-k members of a
     class closed under deleting the first letter, in lex order, as
@@ -327,14 +385,27 @@ def _children(
     chunk is held by columns of bytes ``t << 4 | letter``, and the children
     of a are one ``translate`` of each that deletes the members with t < a.
     Otherwise a chunk is held as its columns, the same columns as integers
-    and, for each a, 0xFF over the members that may take it: the letters the
-    rules allow (:func:`_allowed_letters`) up to t.  Its children of a are
-    each column integer ANDed with that mask and translated, the zero bytes
-    deleted; a chunk whose members all take a is only translated.  A caller
+    and, for each a, 0xFF over the members that may take it up to t: those
+    whose label holds a, when the level comes with ``labels``, else the
+    letters the rules allow (:func:`_allowed_letters`).  Its children of a
+    are each column integer ANDed with that mask and translated, the zero
+    bytes deleted; a chunk whose members all take a is only translated.
+
+    ``labels`` is (planes, cuts): the labels of level k-1, each member's
+    allowed first letters 1..k as bytes of 0x80 over seven letter bits
+    (plane j, bit i for the letter 7j+i+1), and the cuts of each a
+    (:func:`_label_cuts`).  A child a·u may take the letters u may take,
+    bit a doubled, that its cut keeps; so its planes follow the letter
+    columns of each piece, each plane cut and translated as a column is
+    (:func:`_label_table`).  Its plane j wholly above a is u's bits moved up
+    one, bit 0 from bit 6 of plane j-1, shifted once per chunk.  A caller
     that keeps no other reference to the level holds only its chunks.
     """
     columns, count = level
-    one_byte = not rules and k <= 15
+    one_byte = not rules and labels is None and k <= 15
+    if labels is not None:
+        planes, cuts = labels
+        new = k // 7 + 1  # planes of the letters 1..k+1 of a child's label
     chunks = []
     for first in range(0, count, BLOCK_WORDS):
         size = min(BLOCK_WORDS, count - first)
@@ -342,19 +413,35 @@ def _children(
         if one_byte:
             tag = int.from_bytes(_thresholds(part, size, drop_bound), "little") << 4
             tagged = [(tag | int.from_bytes(c, "little")).to_bytes(size, "little") for c in part]
-            chunks.append((tagged, None, None, size))
+            chunks.append((tagged, None, None, size, None))
             continue
-        masks = [int.from_bytes(g, "little") * 0xFF for g in _allowed_letters(part, size, rules)]
+        sources = None
+        if labels is None:
+            masks = [int.from_bytes(g, "little") * 0xFF for g in _allowed_letters(part, size, rules)]
+        else:  # each plane j as it is, then moved up one with bit 0 from plane j-1
+            held = [int.from_bytes(p[first : first + size], "little") for p in planes]
+            held.append(0)  # a child's new top plane holds only the bit moved up
+            ones = int.from_bytes(b"\x01" * size, "little")
+            masks = [(held[(a - 1) // 7] >> (a - 1) % 7 & ones) * 0xFF for a in range(1, k + 1)]
+            sources = [held[0], None]
+            for j in range(1, new):
+                up = held[j] << 1 & 0x7E * ones | held[j - 1] >> 6 & ones | 0x80 * ones
+                sources += [held[j], up]
         if drop_bound is not None:
             t = _thresholds(part, size, drop_bound)
             at_least = (bytes(a) + b"\xff" * (256 - a) for a in range(1, k + 1))
             masks = [m & int.from_bytes(t.translate(g), "little") for m, g in zip(masks, at_least)]
-        chunks.append((part, [int.from_bytes(c, "little") for c in part], masks, size))
+        chunks.append((part, [int.from_bytes(c, "little") for c in part], masks, size, sources))
     del level, columns  # the chunks hold what the children are cut from
     for a in range(1, k + 1):
         table = _bump_table(a)
         low, gone = table[:16] * 16, _BYTES[: a << 4]
-        for part, ints, masks, size in chunks:
+        relabel = []  # (source, table) of each plane of the labels of the children of a
+        for j in range(new if labels is not None else 0):
+            above = a <= 7 * j  # every letter of the plane is above a
+            r = 6 if above else min(a - 1 - 7 * j, 6)
+            relabel.append((2 * j + above, _label_table(r, cuts[a - 1] >> 7 * j & 0x7F)))
+        for part, ints, masks, size, sources in chunks:
             if masks is None:  # t << 4 | letter to the letter raised, deleted if t < a
                 kept = [c.translate(low, gone) for c in part]
                 taken = len(kept[0])
@@ -365,6 +452,12 @@ def _children(
                 elif taken:
                     kept = ((c & masks[a - 1]).to_bytes(size, "little") for c in ints)
                     kept = [c.translate(table, b"\0") for c in kept]
+            if taken and relabel:  # the label planes, cut as the columns are
+                cut = masks[a - 1] if taken < size else -1
+                kept += [
+                    (sources[s] & cut).to_bytes(size, "little").translate(t, b"\0")
+                    for s, t in relabel
+                ]
             if taken:
                 yield [bytes((a,)) * taken, *kept], taken
 
@@ -395,22 +488,39 @@ class _ClassTable:
     A classical class, and its intersection with a drop bound, is closed
     under deleting the first letter, so each size grows from the one below
     by :func:`_children`.  ``levels[k]`` holds the size-k members as
-    (columns, count), the block format of the kernels.  A lock keeps
-    threads that share a table from growing one level twice.
+    (columns, count), the block format of the kernels.  When every
+    forbidden pattern has length <= 3, the members of the largest level
+    also carry their labels, the first letters each may take (``labels``,
+    its planes), and the next level grows from them and the cuts of
+    :func:`_label_cuts`, with no search; the empty word may take 1 unless
+    a pattern is 1 itself.  Any longer pattern leaves ``labels`` None, and
+    each level searches the one below (:func:`_allowed_letters`).  A lock
+    keeps threads that share a table from growing one level twice.
     """
 
     def __init__(self, forbidden: tuple, drop_bound: int | None):
+        self.forbidden = forbidden
         self.rules = [_prepend_rule(p) for p in forbidden]
         self.drop_bound = drop_bound
         self.levels: list[tuple[list[bytes], int]] = [([], 1)]
+        self.labels = None
+        if all(len(p) <= 3 for p in forbidden):
+            self.labels = [bytes((0x80 | all(len(p) > 1 for p in forbidden),))]
         self.lock = RLock()
 
     def level(self, n: int) -> tuple[list[bytes], int]:
         """(columns, count) of the size-n members, grown from the largest level so far."""
         with self.lock:
             for k in range(len(self.levels), n + 1):
-                pieces = _children(self.levels[k - 1], k, self.rules, self.drop_bound)
-                self.levels.append(_joined(pieces, k))
+                if self.labels is None:
+                    pieces = _children(self.levels[k - 1], k, self.rules, self.drop_bound)
+                    self.levels.append(_joined(pieces, k))
+                    continue
+                labels = self.labels, _label_cuts(self.forbidden, k)
+                pieces = _children(self.levels[k - 1], k, (), self.drop_bound, labels)
+                columns, count = _joined(pieces, k + k // 7 + 1)
+                self.levels.append((columns[:k], count))
+                self.labels = columns[k:]
             return self.levels[n]
 
 

@@ -196,13 +196,36 @@ def _arc_pairs(p, nest: bool) -> tuple[int, tuple[tuple[int, int], ...]]:
 
 
 def crossing_count(p) -> int:
-    """Crossing count only, by the scan of :func:`crossings`."""
-    return _arc_pairs(p, nest=False)[0]
+    """Crossing count only, arc by arc, with no pair built (:func:`_arc_count`)."""
+    return _arc_count(p, nest=False)
 
 
 def nesting_count(p) -> int:
-    """Nesting count only, by the scan of :func:`nestings`."""
-    return _arc_pairs(p, nest=True)[0]
+    """Nesting count only, by the same arc counts as :func:`crossing_count`."""
+    return _arc_count(p, nest=True)
+
+
+def _arc_count(p, nest: bool) -> int:
+    """The pairs of the definitions counted by the arc of each position i.
+    An upper arc, w(i) > i, meets the j in (i, w(i)) with w(j) > w(i)
+    (crossings) or j < w(j) < w(i) (nestings); a lower arc, w(i) <= i, the
+    letters placed after i in (w(i), i] (crossings) or below w(i)
+    (nestings)."""
+    w = as_word(p)
+    at = [0] * (len(w) + 1)
+    for i, v in enumerate(w, 1):
+        at[v] = i
+    count = 0
+    for i, wi in enumerate(w, 1):
+        if wi > i:
+            for j in range(i + 1, wi):
+                if (j < w[j - 1] < wi) if nest else w[j - 1] > wi:
+                    count += 1
+        else:
+            for v in range(1, wi) if nest else range(wi + 1, i + 1):
+                if at[v] > i:
+                    count += 1
+    return count
 
 
 def transients(p) -> tuple[int, int]:

@@ -442,6 +442,77 @@ def test_class_tables_at_chunk_edges(monkeypatch, chunk):
         _class_table.cache_clear()
 
 
+#: The 41 sets of one to three length-3 patterns, as ClassSpec stores them.
+LENGTH3_SETS = [class_spec(0, avoid=pats).forbidden for k in (1, 2, 3) for pats in combinations(ALL3, k)]
+
+
+def _searched_levels(forbidden, d, n: int) -> list:
+    """Levels 0..n of a class grown by the occurrence search of the growth
+    step alone, with no labels."""
+    rules = [patterns._prepend_rule(p) for p in forbidden]
+    levels = [([], 1)]
+    for k in range(1, n + 1):
+        levels.append(patterns._joined(patterns._children(levels[-1], k, rules, d), k))
+    return levels
+
+
+def assert_labels_match_the_search(sets, n: int) -> None:
+    for forbidden in sets:
+        for d in (None, 2):
+            table = patterns._ClassTable(forbidden, d)
+            assert table.labels is not None, forbidden
+            table.level(n)
+            assert table.levels == _searched_levels(forbidden, d, n), (forbidden, d)
+
+
+def test_labelled_tables_match_the_search_at_depth():
+    # every level to 12, past the oracle's reach (n <= 8), byte for byte,
+    # with and without a drop bound; the Catalan levels pass BLOCK_WORDS
+    # members from size 10 on, so labels are cut by chunks too
+    assert len(LENGTH3_SETS) == 41
+    assert_labels_match_the_search(LENGTH3_SETS, 12)
+
+
+def test_only_length_three_sets_are_grown_from_labels(monkeypatch):
+    # the search runs for a set with a longer pattern and never for the rest,
+    # and a table keeps the labels of its largest level only
+    for forbidden in ((1, 2, 3, 4),), ((1, 3, 2), (4, 2, 3, 1)):
+        assert patterns._ClassTable(forbidden, None).labels is None
+
+    def refuse(*args):
+        raise AssertionError("a length-3 set was searched")
+
+    monkeypatch.setattr(patterns, "_allowed_letters", refuse)
+    for forbidden in ((1,),), ((2, 1),), ((2, 3, 1), (3, 2, 1)), ((1, 2, 3), (1, 3, 2), (2, 1, 3)):
+        table = patterns._ClassTable(forbidden, None)
+        columns, count = table.level(12)
+        assert len(columns) == 12
+        assert [len(p) for p in table.labels] == [count, count]  # letters 1..13 in two planes
+        assert all(len(c) == k for k, (c, _) in enumerate(table.levels))
+
+
+def test_an_undoubled_label_bit_fails_the_oracle_and_the_search(monkeypatch):
+    # a planted fault: a child a·u whose letter a+1 does not get u's bit a
+    label_table = patterns._label_table
+
+    def undoubled(r, m):
+        table = label_table(r, m)
+        return table if r == 6 else bytes(t & ~(2 << r) for t in table)
+
+    monkeypatch.setattr(patterns, "_label_table", undoubled)
+    _class_table.cache_clear()
+    try:
+        with pytest.raises(AssertionError):
+            test_class_table_levels_match_the_oracle_in_any_request_order((8, 5))
+        with pytest.raises(AssertionError):
+            test_generators_agree_small_pattern_classes(((1, 3, 2), (3, 2, 1)))
+        with pytest.raises(AssertionError):
+            assert_labels_match_the_search(LENGTH3_SETS, 12)
+    finally:
+        _class_table.cache_clear()
+        class_size.cache_clear()
+
+
 def test_class_table_cache_clear_empties_it():
     _class_table.cache_clear()
     spec = class_spec(6, avoid=[(1, 3, 2)])

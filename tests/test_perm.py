@@ -56,6 +56,20 @@ def oracle_crossing_pairs(w):
     return out
 
 
+def oracle_nesting_pairs(w):
+    """Literal transcription of the nesting definition, independent of the
+    arc scans: an upper nesting i < j < w(j) < w(i), a lower one
+    w(j) < w(i) <= i < j."""
+    n = len(w)
+    out = []
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            si, sj = w[i - 1], w[j - 1]
+            if (i < j < sj < si) or (sj < si <= i < j):
+                out.append((i, j))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # construction
 
@@ -110,7 +124,9 @@ def test_fast_count_matches_definition_exhaustively():
             oracle = oracle_crossing_pairs(w)
             assert crossing_count(w) == len(oracle)
             assert sorted(crossings(w)[1]) == sorted(oracle)
-            assert nesting_count(w) == nestings(w)[0]
+            nested = oracle_nesting_pairs(w)
+            assert nesting_count(w) == len(nested)
+            assert sorted(nestings(w)[1]) == sorted(nested)
 
 
 def test_fast_count_matches_definition_random_large():
@@ -121,7 +137,7 @@ def test_fast_count_matches_definition_random_large():
             rng.shuffle(base)
             w = tuple(base)
             assert crossing_count(w) == len(oracle_crossing_pairs(w))
-            assert nesting_count(w) == nestings(w)[0]
+            assert nesting_count(w) == len(oracle_nesting_pairs(w))
 
 
 # ---------------------------------------------------------------------------
