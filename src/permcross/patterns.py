@@ -433,14 +433,16 @@ def _children(
             masks = [m & int.from_bytes(t.translate(g), "little") for m, g in zip(masks, at_least)]
         chunks.append((part, [int.from_bytes(c, "little") for c in part], masks, size, sources))
     del level, columns  # the chunks hold what the children are cut from
+    relabel = ()  # (source, table) of each plane of the labels of the children of a
     for a in range(1, k + 1):
         table = _bump_table(a)
         low, gone = table[:16] * 16, _BYTES[: a << 4]
-        relabel = []  # (source, table) of each plane of the labels of the children of a
-        for j in range(new if labels is not None else 0):
-            above = a <= 7 * j  # every letter of the plane is above a
-            r = 6 if above else min(a - 1 - 7 * j, 6)
-            relabel.append((2 * j + above, _label_table(r, cuts[a - 1] >> 7 * j & 0x7F)))
+        if labels is not None:
+            relabel = []
+            for j in range(new):
+                above = a <= 7 * j  # every letter of the plane is above a
+                r = 6 if above else min(a - 1 - 7 * j, 6)
+                relabel.append((2 * j + above, _label_table(r, cuts[a - 1] >> 7 * j & 0x7F)))
         for part, ints, masks, size, sources in chunks:
             if masks is None:  # t << 4 | letter to the letter raised, deleted if t < a
                 kept = [c.translate(low, gone) for c in part]
